@@ -62,6 +62,7 @@ from .schemes import (
     DisjointUnion,
     IdealSheaf,
     ProjLine,
+    Scheme,
     closed_subscheme,
     glue_ideals,
     restrict_sheaf,

@@ -6,7 +6,6 @@ separately.  Exit codes: 0 success, 2 validation failure, 3 oracle mismatch.
 """
 
 import json
-import random
 import sys
 
 import click
@@ -452,11 +451,8 @@ def _run_job(job: dict, degree_bound) -> dict:
 
 
 @click.group()
-@click.option("--seed", type=int, default=None, help="Seed for sampled checks.")
-def main(seed):
+def main():
     """Classify filters of ideal subsheaves on desk-scale schemes."""
-    if seed is not None:
-        random.seed(seed)
 
 
 @main.command()

@@ -75,7 +75,10 @@ def field_from_literal(value) -> BaseField:
     if value == "symbolic":
         return SymbolicAlgClosed()
     if isinstance(value, dict) and set(value) == {"p"}:
-        return PrimeField(int(value["p"])).validate()
+        try:
+            return PrimeField(int(value["p"])).validate()
+        except (TypeError, ValueError):
+            pass
     raise QfiltError(f"bad field literal {value!r}")
 
 

@@ -45,13 +45,12 @@ from functools import reduce
 from .config import DEFAULT_LIMITS, INF, Limits
 from .errors import GluingError, QfiltError, UnsupportedFamilyError
 from .schemes import (
-    AffineLine,
-    AffineQuotient,
-    DisjointUnion,
     IdealSheaf,
-    ProjChartOne,
-    ProjLine,
+    Scheme,
     check_same_scheme,
+    glue_components,
+    glue_points,
+    gluing_charts,
     sheaf,
     sheaf_intersect,
     zero_sheaf,
@@ -284,19 +283,13 @@ def localize(flt: LocalFilter, pt: SpecPoint) -> StalkFilter:
 
 def restrict(flt: LocalFilter, cid: int) -> LocalFilter:
     """Restrict a filter to a chart; the result lives on the chart scheme."""
-    scheme = flt.scheme
-    chart = scheme.chart_scheme(cid)
-    if isinstance(scheme, (AffineLine, AffineQuotient, ProjChartOne)):
+    chart = flt.scheme.chart(cid)
+    if chart.scheme is flt.scheme:
         return flt
     if flt.improper:
-        return improper_filter(chart)
-    if isinstance(scheme, ProjLine):
-        kept = {pt: v for pt, v in flt.exponents.exceptions if scheme.point_in_chart(pt, cid)}
-        return presented(chart, flt.exponents.default, kept)
-    if isinstance(scheme, DisjointUnion):
-        killed = ComponentSet.of([0]) if flt.killed.contains(cid) else ComponentSet.none()
-        return presented(chart, killed=killed)
-    raise QfiltError(f"unknown scheme {scheme}")
+        return improper_filter(chart.scheme)
+    kept = {pt: v for pt, v in flt.exponents.exceptions if chart.has(pt)}
+    return presented(chart.scheme, flt.exponents.default, kept, chart.killed(flt.killed))
 
 
 # ---------------------------------------------------------------------------
@@ -365,32 +358,30 @@ def is_product_closed(flt: LocalFilter) -> bool:
 
 
 def is_prime(flt: LocalFilter) -> SpecPoint | None:
-    """The point x with flt = {I : I_x = O_x}, if there is one."""
+    """The point x with flt = {I : I_x = O_x}, if there is one: the only
+    point whose stalk filter stops short of everything, which must admit
+    just the unit ideal when it is a closed point."""
     scheme = flt.scheme
     if flt.improper:
         return None
     r = flt.exponents
-    if isinstance(scheme, (AffineLine, ProjLine, ProjChartOne)):
-        if r.default != INF:
-            return None
-        if not r.exceptions:
-            return generic_point(0)
-        if len(r.exceptions) == 1 and r.exceptions[0][1] == 0:
-            return r.exceptions[0][0]
+    alive = flt.killed.invert().normalize(scheme.component_universe())
+    if not alive.is_finite:
         return None
-    if isinstance(scheme, AffineQuotient):
-        low = [(pt, v) for pt, v in ((pt, r.value(pt)) for pt, _ in scheme.primes())
-               if v < scheme.closed_cap(pt)]
-        if len(low) == 1 and low[0][1] == 0:
-            return low[0][0]
-        return None
-    if isinstance(scheme, DisjointUnion):
-        alive = flt.killed.invert().normalize(scheme.component_universe())
-        if not alive.is_finite or len(alive.members) != 1:
-            return None
-        (c,) = alive.members
-        return generic_point(c)
-    raise QfiltError(f"unknown scheme {scheme}")
+    low = []
+    for c in sorted(alive.members):
+        kind = scheme.component_kind(c)
+        if kind == "curve":
+            if r.default != INF:
+                return None
+            low += [pt for pt, _ in r.exceptions] or [generic_point(c)]
+        elif kind == "artinian":
+            low += [pt for pt, cap in scheme.artinian_points(c) if r.value(pt) < cap]
+        else:
+            low.append(generic_point(c))
+    if len(low) == 1 and (low[0].kind == "generic" or r.value(low[0]) == 0):
+        return low[0]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +413,7 @@ def filter_base(scheme, generators) -> FilterBase:
 def cofinite_family(scheme) -> FilterBase:
     """The family of ideal sheaves vanishing on finitely many components of
     the symbolic disjoint union."""
-    if not (isinstance(scheme, DisjointUnion) and scheme.is_symbolic):
+    if scheme.component_universe() != ("symbolic",):
         raise UnsupportedFamilyError(
             "the cofinite-components family lives on the symbolic disjoint union only"
         )
@@ -466,74 +457,31 @@ def glue_filters(scheme, chart_data: dict, rest: str | None = None) -> LocalFilt
     exceptional values).  On a disjoint union, components missing from
     chart_data take `rest`: "trivial" (the unit-ideal filter, the default)
     or "improper"."""
-    if isinstance(scheme, (AffineLine, AffineQuotient, ProjChartOne)):
-        if set(chart_data) != {0}:
-            raise GluingError("expected exactly chart 0")
-        flt = chart_data[0]
-        check_same_scheme(flt.scheme, scheme.chart_scheme(0))
-        return flt
-    if isinstance(scheme, ProjLine):
-        return _glue_proj_filters(scheme, chart_data)
-    if isinstance(scheme, DisjointUnion):
-        return _glue_union_filters(scheme, chart_data, rest)
-    raise QfiltError(f"unknown scheme {scheme}")
-
-
-def _glue_proj_filters(scheme: ProjLine, chart_data: dict) -> LocalFilter:
-    if set(chart_data) != {0, 1}:
-        raise GluingError("the projective line needs chart data for charts 0 and 1")
-    f0, f1 = chart_data[0], chart_data[1]
-    check_same_scheme(f0.scheme, scheme.chart_scheme(0))
-    check_same_scheme(f1.scheme, scheme.chart_scheme(1))
-    if f0.improper != f1.improper:
-        raise GluingError("incompatible charts: improper on one chart only")
-    if f0.improper:
-        return improper_filter(scheme)
-    r0, r1 = f0.exponents, f1.exponents
-    if r0.default != r1.default:
-        raise GluingError(
-            f"incompatible defaults: {_show_exp(r0.default)} in chart 0, "
-            f"{_show_exp(r1.default)} in chart 1"
-        )
-    zero_pt = scheme.zero_point()
-    d0, d1 = dict(r0.exceptions), dict(r1.exceptions)
-    for pt in sorted(set(d0) | set(d1), key=SpecPoint.sort_key):
-        if pt == zero_pt or not scheme.point_in_chart(pt, 0):
-            continue
-        if not scheme.point_in_chart(pt, 1):
-            continue
-        if d0.get(pt, r0.default) != d1.get(pt, r1.default):
+    rest, pieces = gluing_charts(scheme, chart_data, rest, ("trivial", "improper"))
+    dead, alive = glue_components(
+        pieces, lambda flt, i: flt.improper or flt.killed.contains(i),
+        "incompatible charts: improper on one chart only")
+    live = [(cid, chart, flt) for cid, chart, flt in pieces if not flt.improper]
+    default = live[0][2].exponents.default if live else 0
+    for cid, _chart, flt in live[1:]:
+        if flt.exponents.default != default:
             raise GluingError(
-                f"incompatible at point {pt}: {_show_exp(d0.get(pt, r0.default))} in chart 0, "
-                f"{_show_exp(d1.get(pt, r1.default))} in chart 1"
+                f"incompatible defaults: {_show_exp(default)} in chart {live[0][0]}, "
+                f"{_show_exp(flt.exponents.default)} in chart {cid}"
             )
-    merged = dict(d0)
-    merged.update(d1)
-    return presented(scheme, r0.default, merged)
-
-
-def _glue_union_filters(scheme: DisjointUnion, chart_data: dict, rest: str | None) -> LocalFilter:
-    rest = rest or "trivial"
-    if rest not in ("trivial", "improper"):
-        raise GluingError(f"rest must be 'trivial' or 'improper', not {rest!r}")
-    killed_explicit, alive_explicit = set(), set()
-    for cid, flt in chart_data.items():
-        if not scheme.is_symbolic and not (0 <= cid < len(scheme.components)):
-            raise GluingError(f"no component {cid} on {scheme}")
-        check_same_scheme(flt.scheme, scheme.chart_scheme(cid))
-        (killed_explicit if flt.improper else alive_explicit).add(cid)
-    if rest == "trivial":
-        killed = ComponentSet.of(killed_explicit)
-    else:
-        killed = ComponentSet.cofinite(alive_explicit)
-    return presented(scheme, killed=killed)
+    exceptions = glue_points(
+        live, lambda flt: flt.exponents.support(), lambda flt, pt: flt.exponents.value(pt),
+        lambda pt, c0, v0, c1, v1:
+            f"incompatible at point {pt}: {_show_exp(v0)} in chart {c0}, {_show_exp(v1)} in chart {c1}")
+    killed = ComponentSet.of(dead) if rest == "trivial" else ComponentSet.cofinite(alive)
+    return presented(scheme, default, exceptions, killed)
 
 
 # ---------------------------------------------------------------------------
 # finite enumeration
 
 
-def enumerate_quotient_filters(scheme: AffineQuotient,
+def enumerate_quotient_filters(scheme: Scheme,
                                limits: Limits = DEFAULT_LIMITS) -> tuple[LocalFilter, ...]:
     """All local filters on an Artinian quotient, one per exponent vector."""
     import itertools

@@ -1,41 +1,27 @@
 """Ideals of one-variable polynomial rings and their desk-scale quotients.
 
 Every ideal of k[x] is zero, the unit ideal, or principal with a unique
-monic generator, so AffineIdeal stores exactly that trichotomy.  Sums,
-products, intersections and colons reduce to gcd, product, lcm and exact
-division of generators; containment is reversed divisibility.
+monic generator, so AffineIdeal stores exactly that trichotomy.  It is the
+parse-time form of a polynomial ideal; arithmetic on ideals happens on the
+exponent vectors of schemes.IdealSheaf.
 
 QuotientRing models k[x]/(f) for monic f of small degree.  Its ideals are
 the monic divisors of f (the divisor 1 is the unit ideal and f itself is
-the zero ideal), which is what divisor_lattice enumerates.  Arithmetic on
-quotient ideals is done on the divisor representatives: the product of (d1)
-and (d2) in k[x]/(f) is (gcd(d1*d2, f)) and the intersection is (lcm).
-
-StalkRing describes the local rings that appear at points of the schemes
-handled by this package: discrete valuation rings at closed points of a
-smooth curve, finite chain rings at points of an Artinian quotient, and
-residue fields at generic points.  Ideals of a chain of length n are the
-powers m^0 .. m^n of the maximal ideal, with m^n = 0; a DVR is the infinite
-chain.  Stalk ideals are therefore plain exponents, with the constant INF
-standing for the zero ideal of a DVR.
+the zero ideal): the ideal generated by g is generated by gcd(g, f), which
+is what quotient_reduce computes.
 """
 
 from dataclasses import dataclass
-import itertools
 
-from .config import DEFAULT_LIMITS, INF, Limits
-from .errors import LatticeTooLargeError, QfiltError, RingMismatchError
+from .errors import QfiltError, RingMismatchError
 from .fields import BaseField, PrimeField, SymbolicAlgClosed
 from .poly import (
     FactoredPoly,
     Poly,
     PrimePoly,
     factor,
-    factored_divides,
     factored_gcd,
-    factored_lcm,
     poly_gcd,
-    poly_lcm,
     poly_to_literal,
 )
 
@@ -84,100 +70,6 @@ def principal_ideal(field: BaseField, gen: Poly) -> AffineIdeal:
     raise QfiltError(f"bad generator {gen!r}")
 
 
-def _match(a: AffineIdeal, b: AffineIdeal) -> None:
-    if a.field != b.field:
-        raise RingMismatchError(f"ring mismatch: {a.field} vs {b.field}")
-
-
-def _gen_gcd(a: Poly, b: Poly) -> Poly:
-    return poly_gcd(a, b) if isinstance(a, PrimePoly) else factored_gcd(a, b)
-
-
-def _gen_lcm(a: Poly, b: Poly) -> Poly:
-    return poly_lcm(a, b) if isinstance(a, PrimePoly) else factored_lcm(a, b)
-
-
-def _gen_divides(a: Poly, b: Poly) -> bool:
-    if isinstance(a, PrimePoly):
-        return (b % a).is_zero
-    return factored_divides(a, b)
-
-
-def ideal_sum(a: AffineIdeal, b: AffineIdeal) -> AffineIdeal:
-    _match(a, b)
-    if a.kind == "unit" or b.kind == "unit":
-        return unit_ideal(a.field)
-    if a.kind == "zero":
-        return b
-    if b.kind == "zero":
-        return a
-    return principal_ideal(a.field, _gen_gcd(a.gen, b.gen))
-
-
-def ideal_product(a: AffineIdeal, b: AffineIdeal) -> AffineIdeal:
-    _match(a, b)
-    if a.kind == "zero" or b.kind == "zero":
-        return zero_ideal(a.field)
-    if a.kind == "unit":
-        return b
-    if b.kind == "unit":
-        return a
-    return principal_ideal(a.field, (a.gen * b.gen).monic() if isinstance(a.gen, PrimePoly) else a.gen * b.gen)
-
-
-def ideal_intersect(a: AffineIdeal, b: AffineIdeal) -> AffineIdeal:
-    _match(a, b)
-    if a.kind == "zero" or b.kind == "zero":
-        return zero_ideal(a.field)
-    if a.kind == "unit":
-        return b
-    if b.kind == "unit":
-        return a
-    return principal_ideal(a.field, _gen_lcm(a.gen, b.gen))
-
-
-def ideal_colon(a: AffineIdeal, b: AffineIdeal) -> AffineIdeal:
-    """The ideal quotient a : b = {h | h*b contained in a}."""
-    _match(a, b)
-    if b.kind == "zero" or a.kind == "unit":
-        return unit_ideal(a.field)
-    if b.kind == "unit":
-        return a
-    if a.kind == "zero":
-        return zero_ideal(a.field)
-    g = _gen_gcd(a.gen, b.gen)
-    if isinstance(a.gen, PrimePoly):
-        return principal_ideal(a.field, a.gen // g)
-    quo = {label: m - dict(g.factors).get(label, 0) for label, m in a.gen.factors}
-    return principal_ideal(a.field, FactoredPoly.make(quo))
-
-
-def ideal_contains(a: AffineIdeal, b: AffineIdeal) -> bool:
-    """Whether a contains b as subsets of k[x]."""
-    _match(a, b)
-    if a.kind == "unit" or b.kind == "zero":
-        return True
-    if a.kind == "zero":
-        return False
-    if b.kind == "unit":
-        return False
-    return _gen_divides(a.gen, b.gen)
-
-
-def ideal_order_at(a: AffineIdeal, prime: Poly) -> int | float:
-    """Order of vanishing of the ideal at a monic irreducible; INF on (0)."""
-    if a.kind == "zero":
-        return INF
-    if a.kind == "unit":
-        return 0
-    if isinstance(prime, PrimePoly):
-        f, n = a.gen, 0
-        while (f % prime).is_zero:
-            f, n = f // prime, n + 1
-        return n
-    return a.gen.multiplicity(prime) if isinstance(prime, str) else a.gen.multiplicity(prime.factors[0][0])
-
-
 # ---------------------------------------------------------------------------
 # Artinian quotients of k[x]
 
@@ -212,95 +104,8 @@ class QuotientRing:
         return f"{self.field}[x]/({poly_to_literal(self.modulus)})"
 
 
-def _divisor_from_exponents(ring: QuotientRing, exps: tuple[int, ...]) -> Poly:
-    primes = ring.prime_factors()
-    if isinstance(ring.modulus, PrimePoly):
-        out = PrimePoly(ring.modulus.p, (1,))
-        for (q, _), e in zip(primes, exps):
-            for _ in range(e):
-                out = out * q
-        return out.monic()
-    return FactoredPoly.make(
-        [(q.factors[0][0], e) for (q, _), e in zip(primes, exps) if e]
-    )
-
-
-@dataclass(frozen=True)
-class DivisorLattice:
-    """All ideals of a QuotientRing, as monic divisors of the modulus.
-
-    divisors[0] is 1 (the unit ideal) and the last entry is the modulus
-    itself (the zero ideal); the order is by exponent vectors, which is
-    graded by divisor degree within each prime.
-    """
-
-    ring: QuotientRing
-    divisors: tuple[Poly, ...]
-
-    def contains(self, i: int, j: int) -> bool:
-        """Whether ideal (divisors[i]) contains ideal (divisors[j])."""
-        return _gen_divides(self.divisors[i], self.divisors[j])
-
-    def index(self, divisor: Poly) -> int:
-        return self.divisors.index(divisor)
-
-
-def divisor_lattice(ring: QuotientRing, limits: Limits = DEFAULT_LIMITS) -> DivisorLattice:
-    if ring.degree > limits.max_quotient_degree:
-        raise LatticeTooLargeError(
-            f"lattice too large: modulus degree {ring.degree} exceeds {limits.max_quotient_degree}"
-        )
-    primes = ring.prime_factors()
-    ranges = [range(e + 1) for _, e in primes]
-    divisors = [_divisor_from_exponents(ring, exps) for exps in itertools.product(*ranges)]
-    return DivisorLattice(ring, tuple(divisors))
-
-
 def quotient_reduce(ring: QuotientRing, gen: Poly) -> Poly:
     """Canonical divisor generating the same ideal of k[x]/(modulus)."""
-    return _gen_gcd(gen, ring.modulus) if not _is_zero_gen(gen) else ring.modulus
-
-
-def _is_zero_gen(gen: Poly) -> bool:
-    return isinstance(gen, PrimePoly) and gen.is_zero
-
-
-def quotient_product(ring: QuotientRing, d1: Poly, d2: Poly) -> Poly:
-    if isinstance(d1, PrimePoly):
-        return poly_gcd(d1 * d2, ring.modulus)
-    return factored_gcd(d1 * d2, ring.modulus)
-
-
-def quotient_sum(ring: QuotientRing, d1: Poly, d2: Poly) -> Poly:
-    return _gen_gcd(d1, d2)
-
-
-def quotient_intersect(ring: QuotientRing, d1: Poly, d2: Poly) -> Poly:
-    return _gen_lcm(d1, d2)
-
-
-# ---------------------------------------------------------------------------
-# stalk rings
-
-
-@dataclass(frozen=True)
-class StalkRing:
-    """A local ring at a scheme point: kind "dvr" (chain length INF),
-    "chain" of finite length, or "residue_field" (length 0)."""
-
-    kind: str
-    length: int | float = INF
-
-    def ideal_exponents(self):
-        """Exponents n with m^n a distinct ideal; the largest is the zero ideal
-        (only reached at finite length or as INF for a DVR)."""
-        if self.kind == "residue_field":
-            return (0, INF)
-        if self.kind == "dvr":
-            return None  # infinite chain; use exponents directly
-        return tuple(range(int(self.length) + 1))
-
-
-def stalk_contains(m: int | float, n: int | float) -> bool:
-    """m^m contains m^n exactly when the exponents satisfy m <= n."""
-    return m <= n
+    if isinstance(gen, PrimePoly):
+        return ring.modulus if gen.is_zero else poly_gcd(gen, ring.modulus)
+    return factored_gcd(gen, ring.modulus)

@@ -23,7 +23,7 @@ keys throughout so that serialized output is deterministic.
 
 from .config import INF
 from .errors import ParseError, QfiltError
-from .fields import check_label, field_from_literal, field_to_literal
+from .fields import PrimeField, check_label, field_from_literal, field_to_literal
 from .filters import (
     COFINITE_FAMILY,
     FilterBase,
@@ -43,7 +43,6 @@ from .schemes import (
     AffineQuotient,
     DisjointUnion,
     IdealSheaf,
-    ProjChartOne,
     ProjLine,
     sheaf,
     sheaf_from_affine_ideal,
@@ -63,13 +62,60 @@ SCHEMA_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
+# keys and value types
+
+# the keys each kind of literal may carry; any other key is rejected, so a
+# misspelled key cannot fall back to a default silently
+_SCHEME_KEYS = {
+    "affine_line": {"kind", "field"},
+    "proj_line": {"kind", "field"},
+    "affine_quotient": {"kind", "p", "modulus"},
+    "disjoint_union": {"kind", "components"},
+}
+_FILTER_KEYS = {
+    "improper": {"kind"},
+    "exponents": {"kind", "default", "exceptions", "kill", "kill_all_but"},
+    "principal": {"kind", "ideal"},
+    "generated": {"kind", "ideals"},
+    "cofinite-family": {"kind"},
+}
+_IDEAL_KEYS = {"orders", "kill", "kill_all_but"}
+_MODULE_KEYS = {"divisors", "free"}
+_FREE_KEYS = {"all_but"}
+
+
+def _check_keys(lit: dict, allowed, what: str) -> None:
+    for key in lit:
+        if key not in allowed:
+            raise ParseError(f"unknown key {key!r} in {what}; "
+                             f"expected one of {', '.join(sorted(allowed))}")
+
+
+def _kind(lit, keys: dict, what: str) -> str:
+    """The kind of a scheme or filter literal, after checking its keys."""
+    if not isinstance(lit, dict) or "kind" not in lit:
+        raise ParseError(f"{what} literal must be an object with 'kind': {lit!r}")
+    kind = lit["kind"]
+    if not isinstance(kind, str) or kind not in keys:
+        raise ParseError(f"unknown {what} kind {kind!r}")
+    _check_keys(lit, keys[kind], f"{kind} {what} literal")
+    return kind
+
+
+def _typed(lit: dict, key: str, default, types, expected: str):
+    """lit[key] (default when absent), which must have one of the types."""
+    value = lit.get(key, default)
+    if not isinstance(value, types):
+        raise ParseError(f"{key!r} must be {expected}, not {value!r}")
+    return value
+
+
+# ---------------------------------------------------------------------------
 # schemes
 
 
 def scheme_from_literal(lit) -> object:
-    if not isinstance(lit, dict) or "kind" not in lit:
-        raise ParseError(f"scheme literal must be an object with 'kind': {lit!r}")
-    kind = lit["kind"]
+    kind = _kind(lit, _SCHEME_KEYS, "scheme")
     if kind == "affine_line":
         return AffineLine(field_from_literal(lit.get("field", "symbolic")))
     if kind == "proj_line":
@@ -78,30 +124,29 @@ def scheme_from_literal(lit) -> object:
         if "p" not in lit or "modulus" not in lit:
             raise ParseError("affine_quotient needs 'p' and 'modulus'")
         field = field_from_literal({"p": lit["p"]})
-        modulus = poly_from_str(lit["modulus"], field.p)
+        modulus = poly_from_str(_typed(lit, "modulus", "", str, "a polynomial string"), field.p)
         return AffineQuotient(QuotientRing.make(field, modulus))
-    if kind == "disjoint_union":
-        comps = lit.get("components", "Z")
-        if comps == "Z":
-            return DisjointUnion.symbolic()
-        return DisjointUnion.explicit([field_from_literal(c) for c in comps])
-    raise ParseError(f"unknown scheme kind {kind!r}")
+    comps = lit.get("components", "Z")
+    if comps == "Z":
+        return DisjointUnion.symbolic()
+    if not isinstance(comps, list):
+        raise ParseError(f"'components' must be \"Z\" or a list of fields, not {comps!r}")
+    return DisjointUnion.explicit([field_from_literal(c) for c in comps])
 
 
 def scheme_to_literal(scheme) -> dict:
-    if isinstance(scheme, AffineLine):
-        return {"kind": "affine_line", "field": field_to_literal(scheme.field)}
-    if isinstance(scheme, ProjLine):
-        return {"kind": "proj_line", "field": field_to_literal(scheme.field)}
-    if isinstance(scheme, AffineQuotient):
-        return {"kind": "affine_quotient", "p": scheme.ring.modulus.p,
-                "modulus": poly_to_str(scheme.ring.modulus)}
-    if isinstance(scheme, DisjointUnion):
-        if scheme.is_symbolic:
-            return {"kind": "disjoint_union", "components": "Z"}
-        return {"kind": "disjoint_union",
-                "components": [field_to_literal(f) for f in scheme.components]}
-    raise QfiltError(f"unknown scheme {scheme}")
+    if scheme.kind not in _SCHEME_KEYS:
+        raise QfiltError(f"unknown scheme {scheme}")
+    lit = {"kind": scheme.kind}
+    if scheme.ring is not None:
+        lit.update(p=scheme.ring.modulus.p, modulus=poly_to_str(scheme.ring.modulus))
+    elif scheme.field is not None:
+        lit["field"] = field_to_literal(scheme.field)
+    elif scheme.components is None:
+        lit["components"] = "Z"
+    else:
+        lit["components"] = [field_to_literal(f) for f in scheme.components]
+    return lit
 
 
 # ---------------------------------------------------------------------------
@@ -138,31 +183,15 @@ def point_from_literal(scheme, text: str) -> SpecPoint:
 
 
 def _closed_point_on(scheme, name: str):
-    if isinstance(scheme, AffineQuotient):
-        field = scheme.ring.field
-        try:
-            poly = poly_from_str(name, field.p)
-        except ParseError:
-            return None
-        for pt, _ in scheme.primes():
-            if pt.name == poly.monic():
-                return pt
+    field = scheme.field
+    if field is None:
         return None
-    if isinstance(scheme, (AffineLine, ProjLine, ProjChartOne)):
-        field = scheme.field
-        if hasattr(field, "p"):
-            try:
-                poly = poly_from_str(name, field.p).monic()
-            except ParseError:
-                return None
-            pt = SpecPoint("closed", 0, poly)
-        else:
-            try:
-                pt = SpecPoint("closed", 0, check_label(name))
-            except QfiltError:
-                return None
-        return pt if scheme.has_point(pt) else None
-    return None
+    try:
+        name = poly_from_str(name, field.p).monic() if isinstance(field, PrimeField) \
+            else check_label(name)
+    except QfiltError:
+        return None
+    return scheme.point_named(name)
 
 
 def point_to_literal(pt: SpecPoint) -> str:
@@ -173,7 +202,7 @@ def point_to_literal(pt: SpecPoint) -> str:
 
 
 def point_to_literal_on(scheme, pt: SpecPoint) -> str:
-    if pt.kind == "generic" and not isinstance(scheme, DisjointUnion):
+    if pt.kind == "generic" and scheme.component_kind(pt.component) != "field":
         return "gen"
     return point_to_literal(pt)
 
@@ -182,12 +211,14 @@ def point_to_literal_on(scheme, pt: SpecPoint) -> str:
 # component patterns
 
 
-def _components_from_literal(lit_kill, lit_all_but) -> ComponentSet:
-    if lit_kill and lit_all_but:
+def _components_from_literal(lit: dict) -> ComponentSet:
+    kill = _typed(lit, "kill", None, (list, type(None)), "a list of components")
+    all_but = _typed(lit, "kill_all_but", None, (list, type(None)), "a list of components")
+    if kill and all_but:
         raise ParseError("use either 'kill' or 'kill_all_but', not both")
-    if lit_all_but is not None:
-        return ComponentSet.cofinite(_component_indices(lit_all_but))
-    return ComponentSet.of(_component_indices(lit_kill or []))
+    if all_but is not None:
+        return ComponentSet.cofinite(_component_indices(all_but))
+    return ComponentSet.of(_component_indices(kill or []))
 
 
 def _component_indices(items) -> list[int]:
@@ -195,7 +226,7 @@ def _component_indices(items) -> list[int]:
     for item in items:
         if isinstance(item, int):
             out.append(item)
-        elif isinstance(item, str) and item.startswith("comp:"):
+        elif isinstance(item, str) and item.startswith("comp:") and item[5:].isdigit():
             out.append(int(item[5:]))
         else:
             raise ParseError(f"bad component {item!r}; use an index or 'comp:N'")
@@ -214,15 +245,15 @@ def components_to_literal(cs: ComponentSet) -> dict:
 
 def ideal_from_literal(scheme, lit) -> IdealSheaf:
     if isinstance(lit, str):
-        if isinstance(scheme, (AffineLine, AffineQuotient)):
-            field = scheme.field if isinstance(scheme, AffineLine) else scheme.ring.field
-            return sheaf_from_affine_ideal(scheme, principal_ideal(field, poly_from_literal(lit, field)))
-        raise ParseError(f"polynomial ideal literals need an affine chart, not {scheme}")
+        if not scheme.affine:
+            raise ParseError(f"polynomial ideal literals need an affine chart, not {scheme}")
+        gen = poly_from_literal(lit, scheme.field)
+        return sheaf_from_affine_ideal(scheme, principal_ideal(scheme.field, gen))
     if isinstance(lit, dict):
-        orders = {point_from_literal(scheme, k): v
-                  for k, v in lit.get("orders", {}).items()}
-        killed = _components_from_literal(lit.get("kill"), lit.get("kill_all_but"))
-        return sheaf(scheme, orders, killed)
+        _check_keys(lit, _IDEAL_KEYS, "ideal literal")
+        orders = {point_from_literal(scheme, k): v for k, v in
+                  _typed(lit, "orders", {}, dict, "an object of point: order").items()}
+        return sheaf(scheme, orders, _components_from_literal(lit))
     raise ParseError(f"bad ideal literal {lit!r}")
 
 
@@ -251,44 +282,37 @@ def _exponent_to_literal(v):
 
 
 def filter_from_literal(scheme, lit) -> LocalFilter:
-    base = _maybe_base_from_literal(scheme, lit)
-    if base is not None:
+    kind = _kind(lit, _FILTER_KEYS, "filter")
+    if kind in ("generated", "cofinite-family"):
+        base = _base_from_literal(scheme, lit, kind)
         if base.family == COFINITE_FAMILY:
             raise QfiltError(
                 "the cofinite-components family is not a local filter; "
                 "apply 'op generate' to it instead")
         return generate(base)
-    if not isinstance(lit, dict) or "kind" not in lit:
-        raise ParseError(f"filter literal must be an object with 'kind': {lit!r}")
-    kind = lit["kind"]
     if kind == "improper":
         return improper_filter(scheme)
     if kind == "exponents":
         default = _exponent_from_literal(lit.get("default", 0))
-        exceptions = {point_from_literal(scheme, k): _exponent_from_literal(v)
-                      for k, v in lit.get("exceptions", {}).items()}
-        killed = _components_from_literal(lit.get("kill"), lit.get("kill_all_but"))
-        return presented(scheme, default, exceptions, killed)
-    if kind == "principal":
-        return principal_filter(scheme, ideal_from_literal(scheme, lit["ideal"]))
-    raise ParseError(f"unknown filter kind {kind!r}")
+        exceptions = {point_from_literal(scheme, k): _exponent_from_literal(v) for k, v in
+                      _typed(lit, "exceptions", {}, dict, "an object of point: exponent").items()}
+        return presented(scheme, default, exceptions, _components_from_literal(lit))
+    return principal_filter(scheme, ideal_from_literal(scheme, lit.get("ideal")))
 
 
-def _maybe_base_from_literal(scheme, lit):
-    if isinstance(lit, dict) and lit.get("kind") == "generated":
-        gens = [ideal_from_literal(scheme, i) for i in lit.get("ideals", [])]
-        return filter_base(scheme, gens)
-    if isinstance(lit, dict) and lit.get("kind") == "cofinite-family":
+def _base_from_literal(scheme, lit: dict, kind: str) -> FilterBase:
+    if kind == "cofinite-family":
         return cofinite_family(scheme)
-    return None
+    ideals = _typed(lit, "ideals", [], list, "a list of ideals")
+    return filter_base(scheme, [ideal_from_literal(scheme, i) for i in ideals])
 
 
 def base_from_literal(scheme, lit) -> FilterBase:
     """A generating set: 'generated' and 'cofinite-family' literals, plus
     any filter literal with a least member as a one-generator base."""
-    base = _maybe_base_from_literal(scheme, lit)
-    if base is not None:
-        return base
+    kind = _kind(lit, _FILTER_KEYS, "filter")
+    if kind in ("generated", "cofinite-family"):
+        return _base_from_literal(scheme, lit, kind)
     from .filters import is_principal
 
     flt = filter_from_literal(scheme, lit)
@@ -323,12 +347,19 @@ def stalk_to_literal(stalk: StalkFilter) -> dict:
 def module_from_literal(scheme, lit) -> TorsionSheafData:
     if not isinstance(lit, dict):
         raise ParseError(f"module literal must be an object: {lit!r}")
-    raw = lit.get("divisors", [])
+    _check_keys(lit, _MODULE_KEYS, "module literal")
+    raw = _typed(lit, "divisors", [], (list, dict), "a list of [point, exponent] pairs or an object")
     pairs = raw.items() if isinstance(raw, dict) else raw
+    for pair in pairs:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ParseError(f"bad divisor {pair!r}; use [point, exponent]")
     divisors = [(point_from_literal(scheme, k), v) for k, v in pairs]
-    free = lit.get("free", False)
+    free = _typed(lit, "free", False, (bool, list, dict),
+                  'true, false, a list of components or {"all_but": [...]}')
     if isinstance(free, dict):
-        free = ComponentSet.cofinite(_component_indices(free.get("all_but", [])))
+        _check_keys(free, _FREE_KEYS, "free pattern")
+        free = ComponentSet.cofinite(_component_indices(
+            _typed(free, "all_but", [], list, "a list of components")))
     elif isinstance(free, list):
         free = ComponentSet.of(_component_indices(free))
     return module_data(scheme, divisors, free)

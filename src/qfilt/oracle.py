@@ -41,6 +41,7 @@ class FiniteRingTable:
     ideals: tuple[IdealSet, ...]
     prime_exponents: tuple[int, ...]
     prime_degrees: tuple[int, ...]
+    prime_elements: tuple[int, ...]  # element index of each prime factor
 
     @property
     def size(self) -> int:
@@ -51,10 +52,9 @@ class FiniteRingTable:
 
     def prime_power(self, i: int, j: int) -> int:
         """Element index of (i-th prime factor)**j."""
-        p = self.index(self.ring.prime_factors()[i][0])
         out = self.one
         for _ in range(j):
-            out = self.mul[out][p]
+            out = self.mul[out][self.prime_elements[i]]
         return out
 
     def principal(self, a: int) -> IdealSet:
@@ -100,7 +100,8 @@ def build_table(ring: QuotientRing, limits: Limits = DEFAULT_LIMITS) -> FiniteRi
     primes = ring.prime_factors()
     return FiniteRingTable(ring, reps, add, mul, zero, one, ideals,
                            tuple(m for _, m in primes),
-                           tuple(q.degree for q, _ in primes))
+                           tuple(q.degree for q, _ in primes),
+                           tuple(pos[q % modulus] for q, _ in primes))
 
 
 def _self_check(n: int, add, mul, zero: int, one: int) -> None:
@@ -379,10 +380,6 @@ def iso_class(mod: ExplicitModule) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def class_length(cls) -> int:
-    return sum((j + 1) * c for per in cls for j, c in enumerate(per))
-
-
 def class_inside(cls, allowed: frozenset) -> bool:
     """Whether every indecomposable in the class is in the allowed set of
     (prime index, exponent) pairs."""
@@ -517,10 +514,6 @@ def enumerate_subcategories(table: FiniteRingTable, length_bound: int = 4,
         out.append(SubcategoryData(exponents, preloc, localizing, closed,
                                    localizing and closed and idem))
     return tuple(sorted(out, key=lambda s: s.exponents))
-
-
-def _ideal_sum(table, i1: IdealSet, i2: IdealSet) -> IdealSet:
-    return frozenset(table.add[x][y] for x in i1 for y in i2)
 
 
 def _annihilator_of_cyclic(table, mod: ExplicitModule) -> IdealSet:

@@ -7,8 +7,8 @@ arithmetic is exact.  The degree of the zero polynomial is -1 by convention.
 
 Over a symbolic algebraically closed field there is no coefficient
 arithmetic at all.  FactoredPoly records a nonzero split polynomial as a
-multiset of linear factors (x - label)^multiplicity; products, gcds and
-lcms are multiset operations on the exponents.  Unfactored input over a
+multiset of linear factors (x - label)^multiplicity; products and gcds are
+multiset operations on the exponents.  Unfactored input over a
 symbolic field is rejected at parse time.
 
 Factorization over a prime field is deterministic trial division by monic
@@ -141,22 +141,11 @@ def x_poly(p: int) -> PrimePoly:
     return PrimePoly(p, (0, 1))
 
 
-def one_poly(p: int) -> PrimePoly:
-    return PrimePoly(p, (1,))
-
-
 def poly_gcd(a: PrimePoly, b: PrimePoly) -> PrimePoly:
     """Monic greatest common divisor; gcd(0, 0) = 0."""
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
-
-
-def poly_lcm(a: PrimePoly, b: PrimePoly) -> PrimePoly:
-    if a.is_zero or b.is_zero:
-        return PrimePoly(a.p, ())
-    g = poly_gcd(a, b)
-    return ((a * b) // g).monic()
 
 
 def monic_polys(p: int, degree: int):
@@ -257,19 +246,6 @@ class FactoredPoly:
 def factored_gcd(a: FactoredPoly, b: FactoredPoly) -> FactoredPoly:
     db = dict(b.factors)
     return FactoredPoly.make([(l, min(m, db.get(l, 0))) for l, m in a.factors])
-
-
-def factored_lcm(a: FactoredPoly, b: FactoredPoly) -> FactoredPoly:
-    merged = dict(a.factors)
-    for l, m in b.factors:
-        merged[l] = max(merged.get(l, 0), m)
-    return FactoredPoly.make(merged)
-
-
-def factored_divides(a: FactoredPoly, b: FactoredPoly) -> bool:
-    """Whether a divides b."""
-    db = dict(b.factors)
-    return all(db.get(l, 0) >= m for l, m in a.factors)
 
 
 Poly = PrimePoly | FactoredPoly

@@ -1,19 +1,27 @@
 """Desk-scale scheme models, their charts, and quasi-coherent ideal sheaves.
 
-Four shapes are supported, each with canonical affine charts:
+Every scheme is one Scheme value: connected components of one type (a
+curve, an Artinian chain of length e, or a field point), covered by affine
+charts.  Its defining fields are the kind plus the line's field, the
+quotient ring, or the union's component fields:
 
-  AffineLine(k)        the line over a prime or symbolic field; one chart.
-  AffineQuotient(R)    Spec k[x]/(f); one chart, one connected component
-                       per prime factor of f, each a single closed point
-                       whose stalk is a chain ring of length the
-                       multiplicity of that prime.
-  ProjLine(k)          the projective line; two charts, which are the
-                       affine line (chart 0, missing "inf") and a punctured
-                       copy with "inf" added (chart 1, missing the zero
-                       point).  Points are intrinsic, shared by charts by
-                       name, so gluing never rewrites coordinates.
-  DisjointUnion        finitely many Spec k_i, or the symbolic Z-indexed
-                       family; every component is a single generic point.
+  affine_line      A1(k) over a prime or symbolic field; one chart.
+  proj_line        P1(k): the line plus "inf".  Chart 0 is the affine line
+                   (missing "inf"), chart 1 the proj_chart_one scheme.
+  proj_chart_one   the line with "inf" in place of the zero point.
+  affine_quotient  Spec k[x]/(f): one component per prime factor of f, each
+                   a single closed point whose stalk is a chain ring of
+                   length the multiplicity of that prime; one chart.
+  disjoint_union   finitely many Spec k_i, or the symbolic Z-indexed family
+                   (components=None); each component is a single generic
+                   point and its own chart.
+
+Everything else is derived once at construction: the component universe
+and type, the finite closed points with their stalk lengths (None on a
+curve, whose closed points are the line's), the closed points a chart of
+P1 adds to or removes from the line, and the chart table.  Points are
+intrinsic and shared by charts by name, so restriction and gluing never
+rewrite coordinates; both read the chart table and nothing else.
 
 An ideal subsheaf of the structure sheaf is stored intrinsically as
 IdealSheaf: a ComponentSet of components where it vanishes, plus finitely
@@ -30,8 +38,10 @@ global sheaf from per-chart data and reports the first point where charts
 disagree on the overlap.
 """
 
+import dataclasses
 from dataclasses import dataclass
-from typing import ClassVar
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .config import DEFAULT_LIMITS, INF, Limits
 from .errors import GluingError, QfiltError, RingMismatchError
@@ -60,350 +70,284 @@ def _valid_closed_name_on_line(field: BaseField, name) -> bool:
     return isinstance(name, str) and name != INF_NAME
 
 
-@dataclass(frozen=True)
-class AffineLine:
-    """The affine line over a prime or symbolic algebraically closed field."""
+def _derived():
+    return dataclasses.field(init=False, compare=False, repr=False)
 
-    field: BaseField
-    kind: ClassVar[str] = "affine_line"
+
+class Chart(NamedTuple):
+    """An affine chart: its scheme, the component of the whole scheme
+    behind each chart component, and the closed points of the whole scheme
+    that the chart leaves out.  Only field components, which have no closed
+    points, are ever renumbered, so a closed point has the same name and
+    component on every chart that holds it."""
+
+    scheme: "Scheme"
+    components: tuple[int, ...]
+    dropped: tuple[SpecPoint, ...] = ()
+
+    def has(self, pt: SpecPoint) -> bool:
+        return pt.component in self.components and pt not in self.dropped
+
+    def killed(self, cs: ComponentSet) -> ComponentSet:
+        """A component pattern of the whole scheme, as seen on the chart."""
+        return ComponentSet.of(i for i, c in enumerate(self.components) if cs.contains(c))
+
+
+_LINE_NAMES = {"affine_line": "A1", "proj_line": "P1", "proj_chart_one": "P1-chart1"}
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """A desk-scale scheme; see the module docstring for the shapes.
+
+    Equality and hashing use the defining fields only.  The derived fields:
+    universe (component_universe), component_type (component_kind of every
+    component), closed (((point, stalk length), ...) when there are finitely
+    many closed points, else None), added/removed (closed points beyond or
+    missing from the line), chart_table (one Chart per chart id; on the
+    symbolic union the template every component's chart follows), affine
+    (polynomials in x name the ideals) and name (str)."""
+
+    kind: str
+    field: BaseField | None = None
+    ring: QuotientRing | None = None
+    components: tuple[BaseField, ...] | None = None
+    universe: tuple = _derived()
+    component_type: str = _derived()
+    closed: tuple[tuple[SpecPoint, int], ...] | None = _derived()
+    added: tuple[SpecPoint, ...] = _derived()
+    removed: tuple[SpecPoint, ...] = _derived()
+    chart_table: tuple[Chart, ...] = _derived()
+    affine: bool = _derived()
+    name: str = _derived()
+
+    def __post_init__(self):
+        for key, value in _derive(self).items():
+            object.__setattr__(self, key, value)
 
     def charts(self):
-        return (0,)
+        if self.universe[0] == "symbolic":
+            raise QfiltError("the symbolic union has no finite chart list")
+        return tuple(range(len(self.chart_table)))
 
-    def chart_scheme(self, cid: int):
-        if cid != 0:
+    def chart(self, cid: int) -> Chart:
+        if self.universe[0] == "symbolic":
+            return Chart(self.chart_table[0].scheme, (cid,))
+        if not isinstance(cid, int) or not 0 <= cid < len(self.chart_table):
             raise QfiltError(f"{self} has no chart {cid}")
-        return self
+        return self.chart_table[cid]
 
-    @property
-    def has_generic_points(self) -> bool:
-        return True
+    def chart_scheme(self, cid: int) -> "Scheme":
+        return self.chart(cid).scheme
 
     def component_universe(self):
-        return ("finite", 1)
+        return self.universe
+
+    def has_component(self, c: int) -> bool:
+        return self.universe[0] == "symbolic" or 0 <= c < self.universe[1]
 
     def component_kind(self, c: int) -> str:
-        return "curve"
+        return self.component_type
 
     def generic_points(self):
-        return (generic_point(0),)
+        if self.component_type == "artinian" or self.universe[0] == "symbolic":
+            return ()
+        return tuple(generic_point(c) for c in range(self.universe[1]))
 
     def all_closed_points(self):
-        return None
+        return None if self.closed is None else tuple(pt for pt, _ in self.closed)
 
     def artinian_points(self, c: int):
-        return ()
+        return tuple((pt, cap) for pt, cap in self.closed or () if pt.component == c)
+
+    def primes(self) -> tuple[tuple[SpecPoint, int], ...] | None:
+        """((point, stalk length), ...) in component order."""
+        return self.closed
+
+    def point_named(self, name) -> SpecPoint | None:
+        """The closed point named by a monic prime or a label, if any."""
+        if self.closed is None:
+            pt = closed_point(name)
+            return pt if self.has_point(pt) else None
+        return next((pt for pt, _ in self.closed if pt.name == name), None)
 
     def has_point(self, pt: SpecPoint) -> bool:
-        if pt.component != 0:
-            return False
         if pt.kind == "generic":
+            return self.component_type != "artinian" and self.has_component(pt.component)
+        if self.closed is not None:
+            return any(pt == p for p, _ in self.closed)
+        if pt in self.added:
             return True
+        if pt.component != 0 or pt in self.removed:
+            return False
         return _valid_closed_name_on_line(self.field, pt.name)
 
     def closed_cap(self, pt: SpecPoint):
-        return INF
+        if self.closed is None:
+            return INF
+        for p, cap in self.closed:
+            if p == pt:
+                return cap
+        if not self.closed:
+            raise QfiltError(f"{self} has no closed points")
+        raise QfiltError(f"point {pt} does not lie on {self}")
 
     def spec_points(self, degree_bound, labels, limits: Limits):
+        if self.closed is not None:
+            return (self.all_closed_points(), self.generic_points(), False,
+                    self.universe[0] == "symbolic")
         if isinstance(self.field, PrimeField):
             bound = degree_bound or 1
             closed = [closed_point(q) for d in range(1, bound + 1)
                       for q in irreducibles(self.field.p, d, limits.max_poly_enumeration)]
         else:
             closed = [closed_point(check_label(l)) for l in labels]
-        return tuple(closed), (generic_point(0),), True, False
+        kept = tuple(pt for pt in closed if pt not in self.removed)
+        return kept + self.added, self.generic_points(), True, False
 
     def __str__(self) -> str:
-        return f"A1({self.field})"
+        return self.name
 
 
-@dataclass(frozen=True)
-class AffineQuotient:
-    """Spec k[x]/(f): one closed point per prime factor of f, each its own
-    connected component with a chain-ring stalk of length the multiplicity."""
-
-    ring: QuotientRing
-    kind: ClassVar[str] = "affine_quotient"
-
-    def primes(self) -> tuple[tuple[SpecPoint, int], ...]:
-        """((point, stalk length), ...) in component order."""
-        out = []
-        for i, (q, e) in enumerate(self.ring.prime_factors()):
-            name = q if isinstance(q, PrimePoly) else q.factors[0][0]
-            out.append((SpecPoint("closed", i, name), e))
-        return tuple(out)
-
-    def charts(self):
-        return (0,)
-
-    def chart_scheme(self, cid: int):
-        if cid != 0:
-            raise QfiltError(f"{self} has no chart {cid}")
-        return self
-
-    @property
-    def has_generic_points(self) -> bool:
-        return False
-
-    def component_universe(self):
-        return ("finite", len(self.ring.prime_factors()))
-
-    def component_kind(self, c: int) -> str:
-        return "artinian"
-
-    def generic_points(self):
-        return ()
-
-    def all_closed_points(self):
-        return tuple(pt for pt, _ in self.primes())
-
-    def artinian_points(self, c: int):
-        pt, cap = self.primes()[c]
-        return ((pt, cap),)
-
-    def has_point(self, pt: SpecPoint) -> bool:
-        return pt in {p for p, _ in self.primes()}
-
-    def closed_cap(self, pt: SpecPoint):
-        for p, cap in self.primes():
-            if p == pt:
-                return cap
-        raise QfiltError(f"point {pt} does not lie on {self}")
-
-    def point_for_prime(self, prime) -> SpecPoint:
-        """Look up the point named by a monic prime polynomial or a label."""
-        for p, _ in self.primes():
-            if p.name == prime:
-                return p
-        raise QfiltError(f"{prime} is not a prime of {self}")
-
-    def spec_points(self, degree_bound, labels, limits: Limits):
-        return self.all_closed_points(), (), False, False
-
-    def __str__(self) -> str:
-        return str(self.ring)
+def _derive(s: Scheme) -> dict:
+    """The derived fields of a scheme, from its defining fields."""
+    if s.kind in _LINE_NAMES:
+        zero = closed_point(x_poly(s.field.p) if isinstance(s.field, PrimeField) else "0")
+        charts = (Chart(s, (0,)),)
+        if s.kind == "proj_line":
+            charts = (Chart(Scheme("affine_line", s.field), (0,), (inf_point(),)),
+                      Chart(Scheme("proj_chart_one", s.field), (0,), (zero,)))
+        return dict(universe=("finite", 1), component_type="curve", closed=None,
+                    added=() if s.kind == "affine_line" else (inf_point(),),
+                    removed=(zero,) if s.kind == "proj_chart_one" else (),
+                    chart_table=charts, affine=s.kind == "affine_line",
+                    name=f"{_LINE_NAMES[s.kind]}({s.field})")
+    if s.kind == "affine_quotient":
+        closed = tuple(
+            (SpecPoint("closed", i, q if isinstance(q, PrimePoly) else q.factors[0][0]), e)
+            for i, (q, e) in enumerate(s.ring.prime_factors()))
+        return dict(universe=("finite", len(closed)), component_type="artinian",
+                    closed=closed, added=(), removed=(),
+                    chart_table=(Chart(s, tuple(range(len(closed)))),), affine=True,
+                    name=str(s.ring))
+    if s.kind == "disjoint_union":
+        if s.components is None:
+            universe, name = ("symbolic",), "coprod_Z Spec k_i"
+            charts = (Chart(Scheme("disjoint_union", components=(SymbolicAlgClosed(),)), (0,)),)
+        else:
+            universe, name = ("finite", len(s.components)), f"coprod of {len(s.components)} points"
+            charts = (Chart(s, (0,)),) if len(s.components) == 1 else tuple(
+                Chart(Scheme("disjoint_union", components=(f,)), (i,))
+                for i, f in enumerate(s.components))
+        return dict(universe=universe, component_type="field", closed=(), added=(),
+                    removed=(), chart_table=charts, affine=False, name=name)
+    raise QfiltError(f"unknown scheme kind {s.kind!r}")
 
 
-@dataclass(frozen=True)
-class ProjLine:
+def AffineLine(field: BaseField) -> Scheme:
+    """The affine line over a prime or symbolic algebraically closed field."""
+    return Scheme("affine_line", field)
+
+
+def ProjLine(field: BaseField) -> Scheme:
     """The projective line with intrinsic points: the points of the affine
     line plus "inf".  Chart 0 misses "inf"; chart 1 misses the zero point."""
-
-    field: BaseField
-    kind: ClassVar[str] = "proj_line"
-
-    def zero_point(self) -> SpecPoint:
-        if isinstance(self.field, PrimeField):
-            return closed_point(x_poly(self.field.p))
-        return closed_point("0")
-
-    def charts(self):
-        return (0, 1)
-
-    def chart_scheme(self, cid: int):
-        if cid == 0:
-            return AffineLine(self.field)
-        if cid == 1:
-            return ProjChartOne(self.field)
-        raise QfiltError(f"{self} has no chart {cid}")
-
-    @property
-    def has_generic_points(self) -> bool:
-        return True
-
-    def component_universe(self):
-        return ("finite", 1)
-
-    def component_kind(self, c: int) -> str:
-        return "curve"
-
-    def generic_points(self):
-        return (generic_point(0),)
-
-    def all_closed_points(self):
-        return None
-
-    def artinian_points(self, c: int):
-        return ()
-
-    def has_point(self, pt: SpecPoint) -> bool:
-        if pt.component != 0:
-            return False
-        if pt.kind == "generic":
-            return True
-        if pt.name == INF_NAME:
-            return True
-        return _valid_closed_name_on_line(self.field, pt.name)
-
-    def closed_cap(self, pt: SpecPoint):
-        return INF
-
-    def point_in_chart(self, pt: SpecPoint, cid: int) -> bool:
-        if pt.kind == "generic":
-            return True
-        if cid == 0:
-            return pt.name != INF_NAME
-        return pt != self.zero_point()
-
-    def spec_points(self, degree_bound, labels, limits: Limits):
-        line = AffineLine(self.field)
-        closed, generic, _, _ = line.spec_points(degree_bound, labels, limits)
-        return closed + (inf_point(),), generic, True, False
-
-    def __str__(self) -> str:
-        return f"P1({self.field})"
+    return Scheme("proj_line", field)
 
 
-@dataclass(frozen=True)
-class ProjChartOne:
+def ProjChartOne(field: BaseField) -> Scheme:
     """Chart 1 of the projective line: the line with "inf" in place of the
-    zero point.  Behaves exactly like an affine line."""
-
-    field: BaseField
-    kind: ClassVar[str] = "proj_chart_one"
-
-    def _zero_name(self):
-        return x_poly(self.field.p) if isinstance(self.field, PrimeField) else "0"
-
-    def charts(self):
-        return (0,)
-
-    def chart_scheme(self, cid: int):
-        if cid != 0:
-            raise QfiltError(f"{self} has no chart {cid}")
-        return self
-
-    @property
-    def has_generic_points(self) -> bool:
-        return True
-
-    def component_universe(self):
-        return ("finite", 1)
-
-    def component_kind(self, c: int) -> str:
-        return "curve"
-
-    def generic_points(self):
-        return (generic_point(0),)
-
-    def all_closed_points(self):
-        return None
-
-    def artinian_points(self, c: int):
-        return ()
-
-    def has_point(self, pt: SpecPoint) -> bool:
-        if pt.component != 0:
-            return False
-        if pt.kind == "generic":
-            return True
-        if pt.name == INF_NAME:
-            return True
-        if pt.name == self._zero_name():
-            return False
-        return _valid_closed_name_on_line(self.field, pt.name)
-
-    def closed_cap(self, pt: SpecPoint):
-        return INF
-
-    def spec_points(self, degree_bound, labels, limits: Limits):
-        closed, generic, _, _ = AffineLine(self.field).spec_points(degree_bound, labels, limits)
-        kept = tuple(pt for pt in closed if pt.name != self._zero_name())
-        return kept + (inf_point(),), generic, True, False
-
-    def __str__(self) -> str:
-        return f"P1-chart1({self.field})"
+    zero point."""
+    return Scheme("proj_chart_one", field)
 
 
-@dataclass(frozen=True)
-class DisjointUnion:
-    """A disjoint union of spectra of fields: finitely many explicit
-    components, or the symbolic Z-indexed family (components=None)."""
-
-    components: tuple[BaseField, ...] | None
-    kind: ClassVar[str] = "disjoint_union"
-
-    @staticmethod
-    def explicit(fields, limits: Limits = DEFAULT_LIMITS) -> "DisjointUnion":
-        fields = tuple(fields)
-        if not fields:
-            raise QfiltError("a disjoint union needs at least one component")
-        if len(fields) > limits.max_union_components:
-            raise QfiltError(
-                f"{len(fields)} components exceed the explicit limit {limits.max_union_components}"
-            )
-        return DisjointUnion(fields)
-
-    @staticmethod
-    def symbolic() -> "DisjointUnion":
-        return DisjointUnion(None)
-
-    @property
-    def is_symbolic(self) -> bool:
-        return self.components is None
-
-    def charts(self):
-        if self.is_symbolic:
-            raise QfiltError("the symbolic union has no finite chart list")
-        return tuple(range(len(self.components)))
-
-    def chart_scheme(self, cid: int):
-        if self.is_symbolic:
-            return DisjointUnion((SymbolicAlgClosed(),))
-        if not 0 <= cid < len(self.components):
-            raise QfiltError(f"{self} has no chart {cid}")
-        return DisjointUnion((self.components[cid],))
-
-    @property
-    def has_generic_points(self) -> bool:
-        return True
-
-    def component_universe(self):
-        if self.is_symbolic:
-            return ("symbolic",)
-        return ("finite", len(self.components))
-
-    def component_kind(self, c: int) -> str:
-        return "field"
-
-    def generic_points(self):
-        if self.is_symbolic:
-            return ()
-        return tuple(generic_point(i) for i in range(len(self.components)))
-
-    def all_closed_points(self):
-        return ()
-
-    def artinian_points(self, c: int):
-        return ()
-
-    def has_point(self, pt: SpecPoint) -> bool:
-        if pt.kind != "generic":
-            return False
-        if self.is_symbolic:
-            return True
-        return 0 <= pt.component < len(self.components)
-
-    def closed_cap(self, pt: SpecPoint):
-        raise QfiltError(f"{self} has no closed points")
-
-    def spec_points(self, degree_bound, labels, limits: Limits):
-        if self.is_symbolic:
-            return (), (), False, True
-        return (), self.generic_points(), False, False
-
-    def __str__(self) -> str:
-        if self.is_symbolic:
-            return "coprod_Z Spec k_i"
-        return f"coprod of {len(self.components)} points"
+def AffineQuotient(ring: QuotientRing) -> Scheme:
+    """Spec k[x]/(f): one closed point per prime factor of f, each its own
+    connected component with a chain-ring stalk of length the multiplicity."""
+    return Scheme("affine_quotient", ring.field, ring)
 
 
-SchemeModel = AffineLine | AffineQuotient | ProjLine | ProjChartOne | DisjointUnion
+def _explicit_union(fields, limits: Limits = DEFAULT_LIMITS) -> Scheme:
+    """The disjoint union of finitely many spectra of fields."""
+    fields = tuple(fields)
+    if not fields:
+        raise QfiltError("a disjoint union needs at least one component")
+    if len(fields) > limits.max_union_components:
+        raise QfiltError(
+            f"{len(fields)} components exceed the explicit limit {limits.max_union_components}"
+        )
+    return Scheme("disjoint_union", components=fields)
+
+
+def _symbolic_union() -> Scheme:
+    """The symbolic Z-indexed family of spectra of fields."""
+    return Scheme("disjoint_union")
+
+
+DisjointUnion = SimpleNamespace(explicit=_explicit_union, symbolic=_symbolic_union)
 
 
 def check_same_scheme(a, b) -> None:
     if a != b:
         raise RingMismatchError(f"scheme mismatch: {a} vs {b}")
+
+
+def gluing_charts(scheme: Scheme, chart_data: dict, rest, choices) -> tuple[str, list]:
+    """Check per-chart data for gluing against the chart table.
+
+    On a disjoint union charts may be left out and take `rest`, one of
+    `choices` (the first by default); elsewhere every chart is needed and
+    `rest` is ignored.  Returns the rest value and (chart id, chart, data)
+    triples in chart order."""
+    partial = scheme.kind == "disjoint_union"
+    if partial:
+        rest = rest or choices[0]
+        if rest not in choices:
+            raise GluingError(f"rest must be {choices[0]!r} or {choices[1]!r}, not {rest!r}")
+    else:
+        rest = choices[0]
+        if set(chart_data) != set(scheme.charts()):
+            raise GluingError("expected exactly chart 0" if scheme.charts() == (0,) else
+                              "the projective line needs chart data for charts 0 and 1")
+    pieces = []
+    for cid in sorted(chart_data):
+        if partial and not scheme.has_component(cid):
+            raise GluingError(f"no component {cid} on {scheme}")
+        chart = scheme.chart(cid)
+        check_same_scheme(chart_data[cid].scheme, chart.scheme)
+        pieces.append((cid, chart, chart_data[cid]))
+    return rest, pieces
+
+
+def glue_components(pieces, killed_on, mismatch: str) -> tuple[set, set]:
+    """The components the chart data kills and keeps; killed_on(data, i)
+    tells whether chart component i is killed.  Charts sharing a component
+    must agree on it."""
+    dead, alive, seen = set(), set(), {}
+    for _cid, chart, data in pieces:
+        for i, c in enumerate(chart.components):
+            killed = killed_on(data, i)
+            if seen.setdefault(c, killed) != killed:
+                raise GluingError(mismatch)
+            (dead if killed else alive).add(c)
+    return dead, alive
+
+
+def glue_points(pieces, points_of, value_at, mismatch) -> dict:
+    """Merge per-chart values at closed points: points_of(data) lists the
+    points a chart records, value_at(data, pt) reads a value.  Charts
+    holding the same point must agree there, else mismatch(pt, chart, value,
+    other chart, other value) names the first disagreement."""
+    points = {pt for _cid, _chart, data in pieces for pt in points_of(data)}
+    merged = {}
+    for pt in sorted(points, key=SpecPoint.sort_key):
+        held = [(cid, value_at(data, pt)) for cid, chart, data in pieces if chart.has(pt)]
+        (c0, v0), *others = held
+        for c1, v1 in others:
+            if v1 != v0:
+                raise GluingError(mismatch(pt, c0, v0, c1, v1))
+        merged[pt] = v0
+    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -491,32 +435,21 @@ def zero_sheaf(scheme) -> IdealSheaf:
 def sheaf_from_affine_ideal(scheme, ideal: AffineIdeal) -> IdealSheaf:
     """Interpret an ideal of the chart coordinate ring on a one-chart
     scheme (the affine line or an Artinian quotient)."""
-    if isinstance(scheme, AffineLine):
-        if ideal.field != scheme.field:
-            raise RingMismatchError(f"ring mismatch: {ideal.field} vs {scheme.field}")
-        if ideal.kind == "zero":
-            return zero_sheaf(scheme)
-        if ideal.kind == "unit":
-            return unit_sheaf(scheme)
-        pairs = factor(ideal.gen)
-        if isinstance(ideal.gen, PrimePoly):
-            return sheaf(scheme, [(closed_point(q), m) for q, m in pairs])
-        return sheaf(scheme, [(closed_point(label), m) for label, m in pairs])
-    if isinstance(scheme, AffineQuotient):
-        if ideal.field != scheme.ring.field:
-            raise RingMismatchError(f"ring mismatch: {ideal.field} vs {scheme.ring.field}")
-        if ideal.kind == "zero":
-            return zero_sheaf(scheme)
-        if ideal.kind == "unit":
-            return unit_sheaf(scheme)
-        # the ideal generated by g in k[x]/(f) is (gcd(g, f))
-        divisor = quotient_reduce(scheme.ring, ideal.gen)
-        orders = []
-        for q, m in factor(divisor):
-            pt = scheme.point_for_prime(q)
-            orders.append((pt, min(m, scheme.closed_cap(pt))))
-        return sheaf(scheme, orders)
-    raise QfiltError(f"{scheme} does not take affine-ideal input; use point orders")
+    if not scheme.affine:
+        raise QfiltError(f"{scheme} does not take affine-ideal input; use point orders")
+    if ideal.field != scheme.field:
+        raise RingMismatchError(f"ring mismatch: {ideal.field} vs {scheme.field}")
+    if ideal.kind == "zero":
+        return zero_sheaf(scheme)
+    if ideal.kind == "unit":
+        return unit_sheaf(scheme)
+    # the ideal generated by g in k[x]/(f) is (gcd(g, f))
+    gen = ideal.gen if scheme.ring is None else quotient_reduce(scheme.ring, ideal.gen)
+    orders = []
+    for q, m in factor(gen):
+        pt = scheme.point_named(q)
+        orders.append((pt, min(m, scheme.closed_cap(pt))))
+    return sheaf(scheme, orders)
 
 
 def sheaf_product(a: IdealSheaf, b: IdealSheaf) -> IdealSheaf:
@@ -563,17 +496,11 @@ def sheaf_is_idempotent(a: IdealSheaf) -> bool:
 def restrict_sheaf(a: IdealSheaf, cid: int) -> IdealSheaf:
     """Restrict to a chart; restriction is localization, so data at points
     outside the chart is simply dropped."""
-    scheme = a.scheme
-    chart = scheme.chart_scheme(cid)
-    if isinstance(scheme, (AffineLine, AffineQuotient, ProjChartOne)):
+    chart = a.scheme.chart(cid)
+    if chart.scheme is a.scheme:
         return a
-    if isinstance(scheme, ProjLine):
-        kept = [(pt, n) for pt, n in a.orders if scheme.point_in_chart(pt, cid)]
-        return sheaf(chart, kept, a.killed)
-    if isinstance(scheme, DisjointUnion):
-        killed = ComponentSet.of([0]) if a.killed.contains(cid) else ComponentSet.none()
-        return sheaf(chart, (), killed)
-    raise QfiltError(f"unknown scheme {scheme}")
+    kept = [(pt, n) for pt, n in a.orders if chart.has(pt)]
+    return sheaf(chart.scheme, kept, chart.killed(a.killed))
 
 
 def glue_ideals(scheme, chart_data: dict, rest: str | None = None) -> IdealSheaf:
@@ -584,60 +511,16 @@ def glue_ideals(scheme, chart_data: dict, rest: str | None = None) -> IdealSheaf
     the value `rest` ("unit" or "zero", default "unit"); that is also the
     only way to describe cofinitely many components of the symbolic
     family."""
-    if isinstance(scheme, (AffineLine, AffineQuotient, ProjChartOne)):
-        if set(chart_data) != {0}:
-            raise GluingError("expected exactly chart 0")
-        data = chart_data[0]
-        check_same_scheme(data.scheme, scheme.chart_scheme(0))
-        return data
-    if isinstance(scheme, ProjLine):
-        return _glue_proj_ideals(scheme, chart_data)
-    if isinstance(scheme, DisjointUnion):
-        return _glue_union_ideals(scheme, chart_data, rest)
-    raise QfiltError(f"unknown scheme {scheme}")
-
-
-def _glue_proj_ideals(scheme: ProjLine, chart_data: dict) -> IdealSheaf:
-    if set(chart_data) != {0, 1}:
-        raise GluingError("the projective line needs chart data for charts 0 and 1")
-    c0, c1 = chart_data[0], chart_data[1]
-    check_same_scheme(c0.scheme, scheme.chart_scheme(0))
-    check_same_scheme(c1.scheme, scheme.chart_scheme(1))
-    if c0.is_zero != c1.is_zero:
-        raise GluingError("overlap mismatch: one chart is the zero sheaf and the other is not")
-    if c0.is_zero:
-        return zero_sheaf(scheme)
-    zero_pt = scheme.zero_point()
-    d0, d1 = dict(c0.orders), dict(c1.orders)
-    for pt in sorted(set(d0) | set(d1), key=SpecPoint.sort_key):
-        if pt == zero_pt or pt.name == INF_NAME:
-            continue
-        if d0.get(pt, 0) != d1.get(pt, 0):
-            raise GluingError(
-                f"overlap mismatch at point {pt}: order {d0.get(pt, 0)} in chart 0, "
-                f"{d1.get(pt, 0)} in chart 1"
-            )
-    merged = {pt: n for pt, n in d0.items()}
-    for pt, n in d1.items():
-        merged[pt] = n
-    return sheaf(scheme, merged)
-
-
-def _glue_union_ideals(scheme: DisjointUnion, chart_data: dict, rest: str | None) -> IdealSheaf:
-    rest = rest or "unit"
-    if rest not in ("unit", "zero"):
-        raise GluingError(f"rest must be 'unit' or 'zero', not {rest!r}")
-    zeros, units = set(), set()
-    for cid, data in chart_data.items():
-        if not scheme.is_symbolic and not (0 <= cid < len(scheme.components)):
-            raise GluingError(f"no component {cid} on {scheme}")
-        check_same_scheme(data.scheme, scheme.chart_scheme(cid))
-        (zeros if data.is_zero else units).add(cid)
-    if rest == "unit":
-        killed = ComponentSet.of(zeros)
-    else:
-        killed = ComponentSet.cofinite(units)
-    return sheaf(scheme, (), killed)
+    rest, pieces = gluing_charts(scheme, chart_data, rest, ("unit", "zero"))
+    dead, alive = glue_components(
+        pieces, lambda data, i: data.killed.contains(i),
+        "overlap mismatch: one chart is the zero sheaf and the other is not")
+    orders = glue_points(
+        pieces, lambda data: [pt for pt, _ in data.orders], IdealSheaf.order_at,
+        lambda pt, c0, n0, c1, n1:
+            f"overlap mismatch at point {pt}: order {n0} in chart {c0}, {n1} in chart {c1}")
+    killed = ComponentSet.of(dead) if rest == "unit" else ComponentSet.cofinite(alive)
+    return sheaf(scheme, orders, killed)
 
 
 # ---------------------------------------------------------------------------

@@ -324,19 +324,19 @@ def _shapes():
 
 def _sample_points(scheme, shape):
     pts = list(shape.points[:2])
-    if isinstance(scheme, (AffineLine, ProjLine)):
+    if scheme.kind in ("affine_line", "proj_line"):
         pts.append(generic_point(0))
-    if isinstance(scheme, DisjointUnion):
+    if scheme.kind == "disjoint_union":
         pts = [generic_point(0), generic_point(2)]
     return pts
 
 
 def _charts(scheme):
-    if isinstance(scheme, ProjLine):
+    if scheme.kind == "proj_line":
         return (0, 1)
-    if isinstance(scheme, DisjointUnion):
+    if scheme.kind == "disjoint_union":
         # wide enough to cover every killed pattern in the pools
-        return (0, 1, 2, 3) if scheme.is_symbolic else (0, 1, 2)
+        return (0, 1, 2, 3) if scheme.components is None else (0, 1, 2)
     return (0,)
 
 
@@ -393,7 +393,7 @@ def _check_localize_hom(f, g, pts):
 def _check_glue_round_trip(f, charts):
     scheme = f.scheme
     chart_data = {c: restrict(f, c) for c in charts}
-    if isinstance(scheme, DisjointUnion):
+    if scheme.kind == "disjoint_union":
         rest = "improper" if f.improper or not f.killed.is_finite else "trivial"
         glued = glue_filters(scheme, chart_data, rest)
     else:

@@ -9,7 +9,9 @@ from click.testing import CliRunner
 from qfilt.cli import main
 from qfilt.oracle import OracleReport
 
-JOBS = Path(__file__).resolve().parent.parent / "jobs"
+ROOT = Path(__file__).resolve().parent.parent
+JOBS = ROOT / "jobs"
+GOLDEN = ROOT / "qbench" / "golden"
 
 A1 = '{"kind":"affine_line","field":"symbolic"}'
 UZ = '{"kind":"disjoint_union","components":"Z"}'
@@ -50,6 +52,33 @@ class TestClassify:
         res = invoke(runner, ["classify", "--scheme", '{"kind":', "--filter", "{}"])
         assert res.exit_code == 2
         assert "line 1" in res.output and "column" in res.output
+
+
+MALFORMED = {
+    "union_components_int": ["classify", "--scheme", '{"kind":"disjoint_union","components":5}',
+                             "--filter", '{"kind":"improper"}'],
+    "quotient_modulus_int": ["classify", "--scheme",
+                             '{"kind":"affine_quotient","p":2,"modulus":3}',
+                             "--filter", '{"kind":"improper"}'],
+    "exceptions_list": ["classify", "--scheme", A1,
+                        "--filter", '{"kind":"exponents","exceptions":[1,2]}'],
+    "ideal_orders_list": ["classify", "--scheme", A1,
+                          "--filter", '{"kind":"principal","ideal":{"orders":[1]}}'],
+    "misspelled_filter_key": ["classify", "--scheme", A1,
+                              "--filter", '{"kind":"exponents","exeptions":{"pt:a":2}}'],
+    "unknown_scheme_key": ["classify", "--scheme",
+                           '{"kind":"affine_line","field":"symbolic","colour":"red"}',
+                           "--filter", '{"kind":"improper"}'],
+    "free_string": ["member", "--scheme", UZ, "--module", '{"free":"yes"}',
+                    "--filter", '{"kind":"improper"}'],
+}
+
+
+@pytest.mark.parametrize("args", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_literal_exit_2(runner, args):
+    res = invoke(runner, args)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("Error:")
 
 
 class TestOps:
@@ -168,6 +197,8 @@ class TestRun:
             assert res.exit_code == 0, f"{job.name}: {res.output}"
             doc = json.loads(res.output)
             assert doc["schema"] == 1 and doc["results"]
+            golden = (GOLDEN / job.name).read_text(encoding="utf-8")
+            assert res.stdout == golden, f"{job.name}: stdout differs from its golden copy"
 
     def test_byte_identical_reruns(self, runner):
         job = str(JOBS / "affine_line_table.json")

@@ -1,69 +1,13 @@
-"""Affine ideals over a PID chart and quotient-ring divisor lattices."""
+"""Quotient rings of k[x]."""
 
 import pytest
 
 from qfilt.errors import QfiltError
-from qfilt.fields import PrimeField, SymbolicAlgClosed
-from qfilt.ideals import (
-    QuotientRing,
-    divisor_lattice,
-    ideal_colon,
-    ideal_contains,
-    ideal_intersect,
-    ideal_order_at,
-    ideal_product,
-    ideal_sum,
-    principal_ideal,
-    unit_ideal,
-    zero_ideal,
-)
-from qfilt.poly import factored_from_str, poly_from_str
+from qfilt.fields import PrimeField
+from qfilt.ideals import QuotientRing
+from qfilt.poly import poly_from_str
 
 F2 = PrimeField(2)
-KBAR = SymbolicAlgClosed()
-
-
-def I(text, field=F2):
-    if isinstance(field, PrimeField):
-        return principal_ideal(field, poly_from_str(text, field.p))
-    return principal_ideal(field, factored_from_str(text))
-
-
-class TestIdealArithmetic:
-    def test_sum_is_gcd(self):
-        assert ideal_sum(I("x^2+x"), I("x^2")) == I("x")
-
-    def test_product_multiplies(self):
-        assert ideal_product(I("x"), I("x+1")) == I("x^2+x")
-
-    def test_intersect_is_lcm(self):
-        assert ideal_intersect(I("x^2"), I("x^2+x")) == I("x^3+x^2")
-
-    def test_colon(self):
-        assert ideal_colon(I("x^2"), I("x")) == I("x")
-        assert ideal_colon(I("x"), I("x")) == unit_ideal(F2)
-
-    def test_contains(self):
-        assert ideal_contains(I("x"), I("x^2"))
-        assert not ideal_contains(I("x^2"), I("x"))
-        assert ideal_contains(unit_ideal(F2), I("x"))
-        assert ideal_contains(I("x"), zero_ideal(F2))
-
-    def test_order_at(self):
-        f = I("x^3+x^2")
-        assert ideal_order_at(f, poly_from_str("x", 2)) == 2
-        assert ideal_order_at(f, poly_from_str("x+1", 2)) == 1
-        assert ideal_order_at(f, poly_from_str("x^2+x+1", 2)) == 0
-
-    def test_symbolic_chart(self):
-        a = I("(x-a)^2", KBAR)
-        b = I("(x-a)*(x-b)", KBAR)
-        assert ideal_sum(a, b) == I("(x-a)", KBAR)
-        assert ideal_product(a, b) == I("(x-a)^3*(x-b)", KBAR)
-
-    def test_zero_absorbs(self):
-        assert ideal_product(I("x"), zero_ideal(F2)) == zero_ideal(F2)
-        assert ideal_sum(I("x"), zero_ideal(F2)) == I("x")
 
 
 class TestQuotientRing:
@@ -77,17 +21,3 @@ class TestQuotientRing:
     def test_rejects_constant_modulus(self):
         with pytest.raises(QfiltError):
             QuotientRing.make(F2, poly_from_str("1", 2))
-
-    def test_divisor_lattice_size(self):
-        ring = QuotientRing.make(F2, poly_from_str("x^3+x", 2))
-        lat = divisor_lattice(ring)
-        # divisors of x(x+1)^2: exponent pairs (0..1) x (0..2)
-        assert len(lat.divisors) == 6
-
-    def test_divisor_lattice_order(self):
-        ring = QuotientRing.make(F2, poly_from_str("x^3", 2))
-        lat = divisor_lattice(ring)
-        idx = {str(d): i for i, d in enumerate(lat.divisors)}
-        assert lat.contains(idx["1"], idx["x"])
-        assert lat.contains(idx["x"], idx["x^2"])
-        assert not lat.contains(idx["x^2"], idx["x"])

@@ -146,6 +146,16 @@ class TestRestrictGlue:
         unit_rest = glue_ideals(UZ, {0: chart0}, rest="unit")
         assert unit_rest == sheaf(UZ, {}, ComponentSet.of([0]))
 
+    def test_one_chart_restrict_glue(self):
+        c1 = P1.chart_scheme(1)
+        for s in (sheaf(A1, {A: 2, B: 1}), sheaf(Q, {QPT("x+1"): 1}, [0]),
+                  sheaf(c1, {A: 1, inf_point(): 2})):
+            r = restrict_sheaf(s, 0)
+            assert r == s
+            assert glue_ideals(s.scheme, {0: r}) == s
+        with pytest.raises(GluingError):
+            glue_ideals(A1, {})
+
     def test_glue_conflict(self):
         with pytest.raises(GluingError):
             glue_ideals(P1, {0: sheaf(P1.chart_scheme(0), {A: 1, B: 1}),
