@@ -18,6 +18,8 @@ from .fields import PrimeField
 from .ideals import QuotientRing
 from .literals import (
     SCHEMA_VERSION,
+    _check_keys,
+    _typed,
     base_from_literal,
     filter_from_literal,
     filter_to_literal,
@@ -150,6 +152,9 @@ def _oracle_doc(ring_desc: str, length_bound: int) -> dict:
 
 _OP_ARITY = {"meet": 2, "join": 2, "product": 2, "restrict": 1,
              "localize": 1, "generate": 1}
+# restrict/localize results live on a chart or stalk, not on the job
+# scheme, so only lattice results can be named for reuse
+_NAMED_OPS = ("meet", "join", "product", "generate")
 
 
 def _op_doc(op: str, scheme, operand_lits: list, chart, point_text) -> dict:
@@ -350,18 +355,59 @@ def _job_scheme(job: dict):
     return _guard(scheme_from_literal, job["scheme"])
 
 
+# the keys a job file and each kind of command may carry, each read by
+# _run_job, and the types of the command fields that are not literals
+_JOB_KEYS = {"schema", "scheme", "filters", "modules", "commands"}
+_COMMAND_KEYS = {
+    "spec": {"cmd", "degree_bound", "labels"},
+    "op": {"cmd", "op", "args", "chart", "point", "name"},
+    "classify": {"cmd", "filter"},
+    "member": {"cmd", "module", "filter"},
+    "table": {"cmd", "filters"},
+    "oracle": {"cmd", "ring", "length_bound"},
+}
+_COMMAND_TYPES = {
+    "degree_bound": ((int, type(None)), "an integer"),
+    "labels": (list, "a list of labels"),
+    "op": (str, "an op name"),
+    "args": (list, "a list of filters"),
+    "chart": ((int, type(None)), "a chart index"),
+    "point": ((str, type(None)), "a point literal"),
+    "name": (str, "a filter name"),
+    "filters": (list, "a list of filters"),
+    "ring": (str, "a ring descriptor"),
+    "length_bound": (int, "an integer"),
+}
+
+
+def _check_job(job: dict) -> None:
+    """Reject unknown keys and wrongly typed structure in a job file."""
+    _check_keys(job, _JOB_KEYS, "job file")
+    _typed(job, "filters", {}, dict, "an object of name: filter")
+    _typed(job, "modules", {}, dict, "an object of name: module")
+    for i, cmd in enumerate(_typed(job, "commands", [], list, "a list of commands")):
+        if not isinstance(cmd, dict):
+            raise ParseError(f"command {i} must be an object, not {cmd!r}")
+        kind = cmd.get("cmd")
+        if not isinstance(kind, str) or kind not in _COMMAND_KEYS:
+            raise ParseError(f"command {i}: unknown command {kind!r}")
+        _check_keys(cmd, _COMMAND_KEYS[kind], f"command {i} ({kind})")
+        for key in cmd.keys() & _COMMAND_TYPES.keys():
+            _typed(cmd, key, None, *_COMMAND_TYPES[key])
+
+
 def _validate_names(job: dict) -> None:
     defined = set(job.get("filters", {}))
     modules = set(job.get("modules", {}))
     for i, cmd in enumerate(job.get("commands", [])):
-        where = f"command {i} ({cmd.get('cmd', '?')})"
+        where = f"command {i} ({cmd['cmd']})"
         for ref in _referenced_filters(cmd):
             if isinstance(ref, str) and ref not in defined:
                 raise ValidationFailure(f"{where}: filter {ref!r} is not defined")
         mod = cmd.get("module")
         if isinstance(mod, str) and mod not in modules:
             raise ValidationFailure(f"{where}: module {mod!r} is not defined")
-        if cmd.get("cmd") == "op" and isinstance(cmd.get("name"), str):
+        if "name" in cmd and cmd.get("op") in _NAMED_OPS:
             defined.add(cmd["name"])
 
 
@@ -389,9 +435,8 @@ def _run_job(job: dict, degree_bound) -> dict:
     if job["schema"] != SCHEMA_VERSION:
         raise ValidationFailure(
             f"unsupported schema version {job['schema']!r}; this build reads {SCHEMA_VERSION}")
+    _guard(_check_job, job)
     commands = job.get("commands", [])
-    if not isinstance(commands, list):
-        raise ValidationFailure("'commands' must be a list")
     _validate_names(job)
     named = dict(job.get("filters", {}))
     scheme = _job_scheme(job) if commands else None
@@ -400,8 +445,8 @@ def _run_job(job: dict, degree_bound) -> dict:
         kind = cmd.get("cmd")
         where = f"command {i}"
         if kind == "spec":
-            results.append(_spec_doc(scheme, cmd.get("degree_bound", degree_bound),
-                                     cmd.get("labels", ())))
+            results.append(_guard(_spec_doc, scheme, cmd.get("degree_bound", degree_bound),
+                                  cmd.get("labels", ())))
         elif kind == "op":
             op = cmd.get("op")
             if op not in _OP_ARITY:
@@ -412,10 +457,7 @@ def _run_job(job: dict, degree_bound) -> dict:
                     f"{where}: op {op} takes {_OP_ARITY[op]} operand(s), got {len(args)}")
             lits = [_resolve_filter_lit(named, a) for a in args]
             doc = _op_doc(op, scheme, lits, cmd.get("chart"), cmd.get("point"))
-            # restrict/localize results live on a chart or stalk, not on the
-            # job scheme, so only lattice results can be named for reuse
-            if isinstance(cmd.get("name"), str) and op in ("meet", "join",
-                                                           "product", "generate"):
+            if "name" in cmd and op in _NAMED_OPS:
                 named[cmd["name"]] = doc["result"]
                 doc["name"] = cmd["name"]
             results.append(doc)
@@ -438,11 +480,8 @@ def _run_job(job: dict, degree_bound) -> dict:
                 rows.append(_classify_doc(classify(flt),
                                           ref if isinstance(ref, str) else None))
             results.append({"rows": rows})
-        elif kind == "oracle":
-            doc = _oracle_doc(cmd.get("ring", ""), cmd.get("length_bound", 4))
-            results.append(doc)
         else:
-            raise ValidationFailure(f"{where}: unknown command {kind!r}")
+            results.append(_oracle_doc(cmd.get("ring", ""), cmd.get("length_bound", 4)))
     return {"schema": SCHEMA_VERSION, "results": results}
 
 

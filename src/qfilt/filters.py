@@ -55,13 +55,7 @@ from .schemes import (
     sheaf_intersect,
     zero_sheaf,
 )
-from .spectrum import (
-    ComponentSet,
-    SpecPoint,
-    covers_universe,
-    empty_in_universe,
-    generic_point,
-)
+from .spectrum import ComponentSet, SpecPoint, generic_point
 
 
 @dataclass(frozen=True)
@@ -133,15 +127,13 @@ FULL_ONLY = StalkFilter("full_only")
 
 
 def improper_filter(scheme) -> LocalFilter:
-    return LocalFilter(scheme, True, ExponentFunction(0, ()),
-                       ComponentSet.none().normalize(scheme.component_universe()))
+    return LocalFilter(scheme, True, ExponentFunction(0, ()), ComponentSet.none())
 
 
 def presented(scheme, default: int | float = 0, exceptions=(), killed=()) -> LocalFilter:
     """Build a Presented filter in normal form (see the module docstring)."""
-    universe = scheme.component_universe()
     kcs = killed if isinstance(killed, ComponentSet) else ComponentSet.of(killed)
-    kcs = kcs.normalize(universe)
+    kcs = scheme.normal_pattern(kcs)
     default = _check_exp(default, "default")
     pairs = list(exceptions.items()) if isinstance(exceptions, dict) else list(exceptions)
     acc: dict[SpecPoint, int | float] = {}
@@ -153,42 +145,26 @@ def presented(scheme, default: int | float = 0, exceptions=(), killed=()) -> Loc
         if pt in acc:
             raise QfiltError(f"duplicate exponent for {pt}")
         acc[pt] = _clamp(_check_exp(v, f"value at {pt}"), scheme.closed_cap(pt))
-    # killed components: field components stay in the pattern, Artinian ones
-    # become cap values, and a killed curve component swallows the filter
-    keep_killed = kcs
-    if not empty_in_universe(kcs, universe):
-        explicit = _explicit_components(kcs, universe)
-        if explicit is None:
-            # symbolic cofinite pattern: only field components exist there
-            keep_killed = kcs
-        else:
-            keep: set[int] = set()
-            for c in explicit:
-                kind = scheme.component_kind(c)
-                if kind == "curve":
-                    return improper_filter(scheme)
-                if kind == "artinian":
-                    for pt, cap in scheme.artinian_points(c):
-                        acc[pt] = cap
-                else:
-                    keep.add(c)
-            keep_killed = ComponentSet.of(keep).normalize(universe)
-    # finitely many closed points: fold the default into explicit values
-    all_closed = scheme.all_closed_points()
-    if all_closed is not None:
-        for pt in all_closed:
-            acc.setdefault(pt, _clamp(default, scheme.closed_cap(pt)))
-        default = 0
-    if covers_universe(keep_killed, universe):
-        return improper_filter(scheme)
-    if all_closed:
-        if all(acc.get(pt, 0) >= scheme.closed_cap(pt) for pt in all_closed) and \
-                covers_universe(keep_killed.union(
-                    ComponentSet.of({pt.component for pt in all_closed})), universe):
+    # an Artinian component is its one point, killed at the stalk length,
+    # and the default folds into explicit values there; killing every
+    # component (on a curve, its one component) swallows the filter; field
+    # components have no closed points, so the default is moot there
+    if scheme.component_type == "artinian":
+        for c in kcs.members:
+            pt, cap = scheme.component_point(c)
+            acc[pt] = cap
+        for pt, cap in scheme.closed:
+            acc.setdefault(pt, _clamp(default, cap))
+        if all(acc[pt] >= cap for pt, cap in scheme.closed):
             return improper_filter(scheme)
+        default, kcs = 0, ComponentSet.none()
+    elif scheme.covers(kcs):
+        return improper_filter(scheme)
+    elif scheme.component_type == "field":
+        default = 0
     exc = tuple(sorted(((pt, v) for pt, v in acc.items() if v != default),
                        key=lambda kv: kv[0].sort_key()))
-    return LocalFilter(scheme, False, ExponentFunction(default, exc), keep_killed)
+    return LocalFilter(scheme, False, ExponentFunction(default, exc), kcs)
 
 
 def _check_exp(v, what: str):
@@ -203,14 +179,6 @@ def _clamp(v, cap):
     if cap == INF:
         return v
     return min(v, cap) if v != INF else cap
-
-
-def _explicit_components(cs: ComponentSet, universe):
-    if cs.is_finite:
-        return sorted(cs.members)
-    if universe[0] == "finite":
-        return [c for c in range(universe[1]) if cs.contains(c)]
-    return None
 
 
 def trivial_filter(scheme) -> LocalFilter:
@@ -236,19 +204,14 @@ def kill_admitted(flt: LocalFilter, pattern: ComponentSet) -> bool:
     the improper filter."""
     if flt.improper:
         return True
-    universe = flt.scheme.component_universe()
-    leftovers = pattern.intersect(flt.killed.invert())
-    if empty_in_universe(leftovers, universe):
+    scheme = flt.scheme
+    leftovers = scheme.normal_pattern(pattern.intersect(flt.killed.invert()))
+    if leftovers.is_none:
         return True
-    explicit = _explicit_components(leftovers, universe)
-    if explicit is None:
+    if scheme.component_type != "artinian":
         return False
-    for c in explicit:
-        if flt.scheme.component_kind(c) != "artinian":
-            return False
-        if any(flt.exponents.value(pt) < cap for pt, cap in flt.scheme.artinian_points(c)):
-            return False
-    return True
+    return all(flt.exponents.value(pt) >= cap
+               for pt, cap in map(scheme.component_point, leftovers.members))
 
 
 def contains(flt: LocalFilter, ideal: IdealSheaf) -> bool:
@@ -269,9 +232,8 @@ def localize(flt: LocalFilter, pt: SpecPoint) -> StalkFilter:
     if flt.improper:
         return EVERYTHING
     if pt.kind == "generic":
-        if scheme.component_kind(pt.component) == "field" and flt.killed.contains(pt.component):
-            return EVERYTHING
-        return FULL_ONLY
+        # only field components stay killed in normal form
+        return EVERYTHING if flt.killed.contains(pt.component) else FULL_ONLY
     v = flt.exponents.value(pt)
     cap = scheme.closed_cap(pt)
     if v == INF:
@@ -365,20 +327,18 @@ def is_prime(flt: LocalFilter) -> SpecPoint | None:
     if flt.improper:
         return None
     r = flt.exponents
-    alive = flt.killed.invert().normalize(scheme.component_universe())
-    if not alive.is_finite:
-        return None
-    low = []
-    for c in sorted(alive.members):
-        kind = scheme.component_kind(c)
-        if kind == "curve":
-            if r.default != INF:
-                return None
-            low += [pt for pt, _ in r.exceptions] or [generic_point(c)]
-        elif kind == "artinian":
-            low += [pt for pt, cap in scheme.artinian_points(c) if r.value(pt) < cap]
-        else:
-            low.append(generic_point(c))
+    # in normal form only field components are killed
+    if scheme.component_type == "curve":
+        if r.default != INF:
+            return None
+        low = [pt for pt, _ in r.exceptions] or [generic_point(0)]
+    elif scheme.component_type == "artinian":
+        low = [pt for pt, cap in scheme.closed if r.value(pt) < cap]
+    else:
+        alive = scheme.normal_pattern(flt.killed.invert())
+        if not alive.is_finite:
+            return None
+        low = [generic_point(c) for c in sorted(alive.members)]
     if len(low) == 1 and (low[0].kind == "generic" or r.value(low[0]) == 0):
         return low[0]
     return None
@@ -413,7 +373,7 @@ def filter_base(scheme, generators) -> FilterBase:
 def cofinite_family(scheme) -> FilterBase:
     """The family of ideal sheaves vanishing on finitely many components of
     the symbolic disjoint union."""
-    if scheme.component_universe() != ("symbolic",):
+    if scheme.component_count is not None:
         raise UnsupportedFamilyError(
             "the cofinite-components family lives on the symbolic disjoint union only"
         )

@@ -5,25 +5,17 @@ monic generator, so AffineIdeal stores exactly that trichotomy.  It is the
 parse-time form of a polynomial ideal; arithmetic on ideals happens on the
 exponent vectors of schemes.IdealSheaf.
 
-QuotientRing models k[x]/(f) for monic f of small degree.  Its ideals are
-the monic divisors of f (the divisor 1 is the unit ideal and f itself is
-the zero ideal): the ideal generated by g is generated by gcd(g, f), which
-is what quotient_reduce computes.
+QuotientRing models k[x]/(f) for a prime field k and monic f of small
+degree.  Its ideals are the monic divisors of f (the divisor 1 is the unit
+ideal and f itself is the zero ideal): the ideal generated by g is
+generated by gcd(g, f), which is what quotient_reduce computes.
 """
 
 from dataclasses import dataclass
 
 from .errors import QfiltError, RingMismatchError
 from .fields import BaseField, PrimeField, SymbolicAlgClosed
-from .poly import (
-    FactoredPoly,
-    Poly,
-    PrimePoly,
-    factor,
-    factored_gcd,
-    poly_gcd,
-    poly_to_literal,
-)
+from .poly import FactoredPoly, Poly, PrimePoly, factor, poly_gcd, poly_to_literal
 
 
 @dataclass(frozen=True)
@@ -76,25 +68,23 @@ def principal_ideal(field: BaseField, gen: Poly) -> AffineIdeal:
 
 @dataclass(frozen=True)
 class QuotientRing:
-    """k[x]/(modulus) for a monic modulus of degree >= 1."""
+    """k[x]/(modulus) for a prime field k and a monic modulus of degree >= 1."""
 
     field: BaseField
     modulus: Poly
 
     @staticmethod
     def make(field: BaseField, modulus: Poly) -> "QuotientRing":
+        if not isinstance(field, PrimeField):
+            raise QfiltError(f"a quotient ring needs a prime field, not {field}")
         ideal = principal_ideal(field, modulus)
         if ideal.kind != "principal":
             raise QfiltError("quotient modulus must be nonconstant")
         return QuotientRing(field, ideal.gen)
 
-    def prime_factors(self) -> tuple[tuple[Poly, int], ...]:
+    def prime_factors(self) -> tuple[tuple[PrimePoly, int], ...]:
         """Monic prime factors of the modulus with multiplicity, sorted."""
-        if isinstance(self.modulus, PrimePoly):
-            return factor(self.modulus)
-        return tuple(
-            (FactoredPoly.make([(label, 1)]), mult) for label, mult in self.modulus.factors
-        )
+        return factor(self.modulus)
 
     @property
     def degree(self) -> int:
@@ -104,8 +94,6 @@ class QuotientRing:
         return f"{self.field}[x]/({poly_to_literal(self.modulus)})"
 
 
-def quotient_reduce(ring: QuotientRing, gen: Poly) -> Poly:
+def quotient_reduce(ring: QuotientRing, gen: PrimePoly) -> PrimePoly:
     """Canonical divisor generating the same ideal of k[x]/(modulus)."""
-    if isinstance(gen, PrimePoly):
-        return ring.modulus if gen.is_zero else poly_gcd(gen, ring.modulus)
-    return factored_gcd(gen, ring.modulus)
+    return ring.modulus if gen.is_zero else poly_gcd(gen, ring.modulus)

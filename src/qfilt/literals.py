@@ -202,7 +202,7 @@ def point_to_literal(pt: SpecPoint) -> str:
 
 
 def point_to_literal_on(scheme, pt: SpecPoint) -> str:
-    if pt.kind == "generic" and scheme.component_kind(pt.component) != "field":
+    if pt.kind == "generic" and scheme.component_type != "field":
         return "gen"
     return point_to_literal(pt)
 

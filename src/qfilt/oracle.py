@@ -81,8 +81,6 @@ class FiniteRingTable:
 def build_table(ring: QuotientRing, limits: Limits = DEFAULT_LIMITS) -> FiniteRingTable:
     """Lay out k[x]/(f) as tables, self-check the axioms, enumerate ideals."""
     modulus = ring.modulus
-    if not isinstance(modulus, PrimePoly):
-        raise QfiltError("the oracle needs an explicit prime field, not symbolic labels")
     p, deg = modulus.p, modulus.degree
     n = p ** deg
     if n > limits.max_oracle_elements:

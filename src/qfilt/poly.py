@@ -7,9 +7,9 @@ arithmetic is exact.  The degree of the zero polynomial is -1 by convention.
 
 Over a symbolic algebraically closed field there is no coefficient
 arithmetic at all.  FactoredPoly records a nonzero split polynomial as a
-multiset of linear factors (x - label)^multiplicity; products and gcds are
-multiset operations on the exponents.  Unfactored input over a
-symbolic field is rejected at parse time.
+multiset of linear factors (x - label)^multiplicity, and the engine only
+reads those factors.  Unfactored input over a symbolic field is rejected
+at parse time.
 
 Factorization over a prime field is deterministic trial division by monic
 irreducibles in ascending (degree, coefficient) order; it is meant for
@@ -233,19 +233,8 @@ class FactoredPoly:
     def is_one(self) -> bool:
         return not self.factors
 
-    def multiplicity(self, label: str) -> int:
-        return dict(self.factors).get(label, 0)
-
-    def __mul__(self, other: "FactoredPoly") -> "FactoredPoly":
-        return FactoredPoly.make(self.factors + other.factors)
-
     def __str__(self) -> str:
         return factored_to_str(self)
-
-
-def factored_gcd(a: FactoredPoly, b: FactoredPoly) -> FactoredPoly:
-    db = dict(b.factors)
-    return FactoredPoly.make([(l, min(m, db.get(l, 0))) for l, m in a.factors])
 
 
 Poly = PrimePoly | FactoredPoly

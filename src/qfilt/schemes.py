@@ -16,12 +16,16 @@ quotient ring, or the union's component fields:
                    (components=None); each component is a single generic
                    point and its own chart.
 
-Everything else is derived once at construction: the component universe
-and type, the finite closed points with their stalk lengths (None on a
-curve, whose closed points are the line's), the closed points a chart of
-P1 adds to or removes from the line, and the chart table.  Points are
-intrinsic and shared by charts by name, so restriction and gluing never
-rewrite coordinates; both read the chart table and nothing else.
+Everything else is derived once at construction: the number of
+components (None on the symbolic family) and their type, the finite closed
+points with their stalk lengths (None on a curve, whose closed points are
+the line's), the closed points a chart of P1 adds to or removes from the
+line, and the chart table.  Points are intrinsic and shared by charts by
+name, so restriction and gluing never rewrite coordinates; both read the
+chart table and nothing else.  Only Scheme knows the component count, so
+it alone answers the two questions asked of a component pattern: its
+normal form (an explicit list on finitely many components) and whether it
+holds every component.
 
 An ideal subsheaf of the structure sheaf is stored intrinsically as
 IdealSheaf: a ComponentSet of components where it vanishes, plus finitely
@@ -52,12 +56,8 @@ from .spectrum import (
     ComponentSet,
     SpecClosedSet,
     SpecPoint,
-    all_set,
     closed_point,
     component_set,
-    covers_universe,
-    empty_in_universe,
-    finite_closed,
     generic_point,
     inf_point,
     INF_NAME,
@@ -101,18 +101,20 @@ class Scheme:
     """A desk-scale scheme; see the module docstring for the shapes.
 
     Equality and hashing use the defining fields only.  The derived fields:
-    universe (component_universe), component_type (component_kind of every
-    component), closed (((point, stalk length), ...) when there are finitely
-    many closed points, else None), added/removed (closed points beyond or
+    component_count (None on the symbolic union), component_type ("curve",
+    "artinian" or "field", shared by every component), closed (((point,
+    stalk length), ...) in component order when there are finitely many
+    closed points, else None), added/removed (closed points beyond or
     missing from the line), chart_table (one Chart per chart id; on the
     symbolic union the template every component's chart follows), affine
-    (polynomials in x name the ideals) and name (str)."""
+    (polynomials in x name the ideals) and name (str).  normal_pattern and
+    covers answer the two questions asked of a component pattern."""
 
     kind: str
     field: BaseField | None = None
     ring: QuotientRing | None = None
     components: tuple[BaseField, ...] | None = None
-    universe: tuple = _derived()
+    component_count: int | None = _derived()
     component_type: str = _derived()
     closed: tuple[tuple[SpecPoint, int], ...] | None = _derived()
     added: tuple[SpecPoint, ...] = _derived()
@@ -126,12 +128,12 @@ class Scheme:
             object.__setattr__(self, key, value)
 
     def charts(self):
-        if self.universe[0] == "symbolic":
+        if self.component_count is None:
             raise QfiltError("the symbolic union has no finite chart list")
         return tuple(range(len(self.chart_table)))
 
     def chart(self, cid: int) -> Chart:
-        if self.universe[0] == "symbolic":
+        if self.component_count is None:
             return Chart(self.chart_table[0].scheme, (cid,))
         if not isinstance(cid, int) or not 0 <= cid < len(self.chart_table):
             raise QfiltError(f"{self} has no chart {cid}")
@@ -140,25 +142,29 @@ class Scheme:
     def chart_scheme(self, cid: int) -> "Scheme":
         return self.chart(cid).scheme
 
-    def component_universe(self):
-        return self.universe
-
     def has_component(self, c: int) -> bool:
-        return self.universe[0] == "symbolic" or 0 <= c < self.universe[1]
+        return self.component_count is None or 0 <= c < self.component_count
 
-    def component_kind(self, c: int) -> str:
-        return self.component_type
+    def normal_pattern(self, cs: ComponentSet) -> ComponentSet:
+        """The normal form of a component pattern on this scheme."""
+        return cs.normalize(self.component_count)
+
+    def covers(self, cs: ComponentSet) -> bool:
+        """Whether a component pattern holds every component."""
+        cs = self.normal_pattern(cs)
+        return cs.is_all if self.component_count is None else len(cs.members) == self.component_count
+
+    def component_point(self, c: int) -> tuple[SpecPoint, int]:
+        """The one closed point of Artinian component c and its stalk length."""
+        return self.closed[c]
 
     def generic_points(self):
-        if self.component_type == "artinian" or self.universe[0] == "symbolic":
+        if self.component_type == "artinian" or self.component_count is None:
             return ()
-        return tuple(generic_point(c) for c in range(self.universe[1]))
+        return tuple(generic_point(c) for c in range(self.component_count))
 
     def all_closed_points(self):
         return None if self.closed is None else tuple(pt for pt, _ in self.closed)
-
-    def artinian_points(self, c: int):
-        return tuple((pt, cap) for pt, cap in self.closed or () if pt.component == c)
 
     def primes(self) -> tuple[tuple[SpecPoint, int], ...] | None:
         """((point, stalk length), ...) in component order."""
@@ -195,7 +201,7 @@ class Scheme:
     def spec_points(self, degree_bound, labels, limits: Limits):
         if self.closed is not None:
             return (self.all_closed_points(), self.generic_points(), False,
-                    self.universe[0] == "symbolic")
+                    self.component_count is None)
         if isinstance(self.field, PrimeField):
             bound = degree_bound or 1
             closed = [closed_point(q) for d in range(1, bound + 1)
@@ -217,29 +223,28 @@ def _derive(s: Scheme) -> dict:
         if s.kind == "proj_line":
             charts = (Chart(Scheme("affine_line", s.field), (0,), (inf_point(),)),
                       Chart(Scheme("proj_chart_one", s.field), (0,), (zero,)))
-        return dict(universe=("finite", 1), component_type="curve", closed=None,
+        return dict(component_count=1, component_type="curve", closed=None,
                     added=() if s.kind == "affine_line" else (inf_point(),),
                     removed=(zero,) if s.kind == "proj_chart_one" else (),
                     chart_table=charts, affine=s.kind == "affine_line",
                     name=f"{_LINE_NAMES[s.kind]}({s.field})")
     if s.kind == "affine_quotient":
-        closed = tuple(
-            (SpecPoint("closed", i, q if isinstance(q, PrimePoly) else q.factors[0][0]), e)
-            for i, (q, e) in enumerate(s.ring.prime_factors()))
-        return dict(universe=("finite", len(closed)), component_type="artinian",
+        closed = tuple((SpecPoint("closed", i, q), e)
+                       for i, (q, e) in enumerate(s.ring.prime_factors()))
+        return dict(component_count=len(closed), component_type="artinian",
                     closed=closed, added=(), removed=(),
                     chart_table=(Chart(s, tuple(range(len(closed)))),), affine=True,
                     name=str(s.ring))
     if s.kind == "disjoint_union":
         if s.components is None:
-            universe, name = ("symbolic",), "coprod_Z Spec k_i"
+            count, name = None, "coprod_Z Spec k_i"
             charts = (Chart(Scheme("disjoint_union", components=(SymbolicAlgClosed(),)), (0,)),)
         else:
-            universe, name = ("finite", len(s.components)), f"coprod of {len(s.components)} points"
+            count, name = len(s.components), f"coprod of {len(s.components)} points"
             charts = (Chart(s, (0,)),) if len(s.components) == 1 else tuple(
                 Chart(Scheme("disjoint_union", components=(f,)), (i,))
                 for i, f in enumerate(s.components))
-        return dict(universe=universe, component_type="field", closed=(), added=(),
+        return dict(component_count=count, component_type="field", closed=(), added=(),
                     removed=(), chart_table=charts, affine=False, name=name)
     raise QfiltError(f"unknown scheme kind {s.kind!r}")
 
@@ -367,11 +372,11 @@ class IdealSheaf:
 
     @property
     def is_unit(self) -> bool:
-        return not self.orders and empty_in_universe(self.killed, self.scheme.component_universe())
+        return not self.orders and self.killed.is_none
 
     @property
     def is_zero(self) -> bool:
-        return covers_universe(self.killed, self.scheme.component_universe())
+        return self.scheme.covers(self.killed)
 
     def order_at(self, pt: SpecPoint) -> int | float:
         """Effective vanishing order; INF over killed components."""
@@ -403,7 +408,7 @@ def sheaf(scheme, orders=(), killed=()) -> IdealSheaf:
         kcs = killed
     else:
         kcs = ComponentSet.of(killed)
-    kcs = kcs.normalize(scheme.component_universe())
+    kcs = scheme.normal_pattern(kcs)
     pairs = list(orders.items()) if isinstance(orders, dict) else list(orders)
     acc: dict[SpecPoint, int] = {}
     for pt, n in pairs:
@@ -419,7 +424,6 @@ def sheaf(scheme, orders=(), killed=()) -> IdealSheaf:
         cap = scheme.closed_cap(pt)
         if n >= cap:
             kcs = kcs.union(ComponentSet.of([pt.component]))
-    kcs = kcs.normalize(scheme.component_universe())
     kept = [(pt, n) for pt, n in acc.items() if not kcs.contains(pt.component)]
     return IdealSheaf(scheme, kcs, tuple(sorted(kept, key=lambda kv: kv[0].sort_key())))
 
@@ -545,30 +549,4 @@ def closed_subscheme(ideal: IdealSheaf) -> ClosedSubscheme:
 def subscheme_support(ideal: IdealSheaf) -> SpecClosedSet:
     """Support of the quotient by an ideal sheaf: the points where the
     stalk of the ideal is proper."""
-    scheme = ideal.scheme
-    pts = {pt for pt, _ in ideal.orders}
-    if ideal.killed.is_none:
-        return finite_closed(scheme, pts)
-    whole: set[int] = set()
-    if ideal.killed.is_finite:
-        killed_comps = sorted(ideal.killed.members)
-    elif scheme.component_universe()[0] == "finite":
-        killed_comps = [c for c in range(scheme.component_universe()[1])
-                        if ideal.killed.contains(c)]
-    else:
-        killed_comps = None
-    if killed_comps is None:
-        # symbolic cofinite pattern: only field components can be involved
-        return component_set(scheme, ideal.killed)
-    for c in killed_comps:
-        if scheme.component_kind(c) == "artinian":
-            for pt, _cap in scheme.artinian_points(c):
-                pts.add(pt)
-        else:
-            whole.add(c)
-    if not whole:
-        return finite_closed(scheme, pts)
-    cs = ComponentSet.of(whole)
-    if all(cs.contains(pt.component) for pt in pts):
-        return component_set(scheme, cs)
-    return all_set(scheme)
+    return component_set(ideal.scheme, ideal.killed, [pt for pt, _ in ideal.orders])

@@ -17,7 +17,11 @@ generic points or contains whole components.
 
 ComponentSet is a finite-or-cofinite pattern of connected components, the
 only component patterns the engine ever needs; over a symbolic Z-indexed
-disjoint union the cofinite side is genuinely infinite.  SpecClosedSet is
+disjoint union the cofinite side is genuinely infinite.  Every stored
+pattern (the killed components of ideal sheaves and filters, the free
+components of TorsionSheafData) is in the normal form of its scheme: an
+explicit list on finitely many components, so an empty pattern is
+ComponentSet.none() and nothing else.  SpecClosedSet is
 a decidable descriptor of a specialization-closed subset: empty, all, a
 finite set of closed points, a cofinite set of closed points (all but a
 finite exclusion list, generic points excluded), or a ComponentSet worth
@@ -151,10 +155,11 @@ class ComponentSet:
     def issubset(self, other: "ComponentSet") -> bool:
         return self.intersect(other.invert()).is_none
 
-    def normalize(self, universe) -> "ComponentSet":
-        """Rewrite against a finite universe so equal sets compare equal."""
-        if universe[0] == "finite":
-            all_idx = frozenset(range(universe[1]))
+    def normalize(self, count: int | None) -> "ComponentSet":
+        """Rewrite against `count` components (None: the symbolic family)
+        so equal sets compare equal."""
+        if count is not None:
+            all_idx = frozenset(range(count))
             explicit = (all_idx - self.members) if self.complement else (self.members & all_idx)
             return ComponentSet(False, explicit)
         return ComponentSet(self.complement, frozenset(self.members))
@@ -162,20 +167,6 @@ class ComponentSet:
     def __str__(self) -> str:
         body = ",".join(str(i) for i in sorted(self.members))
         return f"all-but{{{body}}}" if self.complement else f"{{{body}}}"
-
-
-def covers_universe(cs: ComponentSet, universe) -> bool:
-    """Whether a component pattern contains every component."""
-    if universe[0] == "finite":
-        return all(cs.contains(c) for c in range(universe[1]))
-    return cs.is_all
-
-
-def empty_in_universe(cs: ComponentSet, universe) -> bool:
-    """Whether a component pattern contains no component."""
-    if universe[0] == "finite":
-        return not any(cs.contains(c) for c in range(universe[1]))
-    return cs.is_none
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +252,18 @@ def cofinite_closed(scheme, excluded) -> SpecClosedSet:
     return SpecClosedSet(scheme, "cofinite_closed", pts)
 
 
-def component_set(scheme, components: ComponentSet) -> SpecClosedSet:
-    universe = scheme.component_universe()
-    cs = components.normalize(universe)
-    if empty_in_universe(cs, universe):
-        return empty_set(scheme)
-    if covers_universe(cs, universe):
+def component_set(scheme, components: ComponentSet, points=()) -> SpecClosedSet:
+    """The whole components of a pattern plus finitely many closed points.
+
+    An Artinian component is its one closed point; a curve scheme has one
+    component, so any pattern there is empty or everything."""
+    cs = scheme.normal_pattern(components)
+    if scheme.component_type == "artinian":
+        return finite_closed(scheme, [*points, *(scheme.component_point(c)[0] for c in cs.members)])
+    if cs.is_none:
+        return finite_closed(scheme, points)
+    if scheme.covers(cs):
         return all_set(scheme)
-    if cs.is_finite and all(scheme.component_kind(c) == "artinian" for c in cs.members):
-        pts = [p for c in cs.members for (p, _cap) in scheme.artinian_points(c)]
-        return finite_closed(scheme, pts)
     return SpecClosedSet(scheme, "components", components=cs)
 
 
@@ -282,19 +275,12 @@ def is_specialization_closed(subset, scheme) -> bool:
     point of its component, which no finite set provides on a curve."""
     if isinstance(subset, SpecClosedSet):
         return True
-    pts = set(subset)
+    pts = list(subset)
     for pt in pts:
         if not scheme.has_point(pt):
             raise QfiltError(f"point {pt} does not lie on {scheme}")
-        if pt.kind != "generic":
-            continue
-        kind = scheme.component_kind(pt.component)
-        if kind == "field":
-            continue  # the generic point is the whole component
-        if kind == "curve":
-            return False  # infinitely many closed points are missing
-        raise QfiltError("artinian components have no generic point")
-    return True
+    # the generic point of a field component is the whole component
+    return scheme.component_type != "curve" or all(pt.kind == "closed" for pt in pts)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +363,7 @@ def module_data(scheme, divisors=(), free=False) -> TorsionSheafData:
         cs = free
     else:
         cs = ComponentSet.of(free)
-    cs = cs.normalize(scheme.component_universe())
+    cs = scheme.normal_pattern(cs)
     divisor_key = lambda pair: (pair[0].sort_key(), pair[1])
     return TorsionSheafData(scheme, tuple(sorted(out, key=divisor_key)), cs)
 
@@ -387,42 +373,18 @@ def supp_ass(data: TorsionSheafData):
 
     Returns (SpecClosedSet, frozenset of SpecPoint).  The support of a
     direct sum is the union of supports, so the descriptor is computed
-    from the divisors and free components directly."""
-    scheme = data.scheme
-    ass: set[SpecPoint] = {pt for pt, _ in data.divisors}
-    supp_pts: set[SpecPoint] = set(ass)
-    free = data.free
-    if free.is_none:
-        return finite_closed(scheme, supp_pts), frozenset(ass)
-    if not free.is_finite and scheme.component_universe()[0] != "finite":
+    from the divisors and free components directly.  A free summand over
+    an Artinian component is torsion at its one point, at the full stalk
+    length; elsewhere it is associated to the generic point."""
+    scheme, free = data.scheme, data.free
+    if not free.is_finite:
         raise QfiltError(
             "associated points of a cofinitely-free sheaf on a symbolic union are not enumerable; "
             "list the free components explicitly"
         )
-    whole: set[int] = set()
-    for c in _free_components(scheme, free):
-        kind = scheme.component_kind(c)
-        if kind == "artinian":
-            # a free summand over an Artinian component is torsion at every
-            # prime of that component, at the full stalk length
-            for pt, cap in scheme.artinian_points(c):
-                supp_pts.add(pt)
-                ass.add(pt)
-        else:
-            ass.add(generic_point(c))
-            whole.add(c)
-    if not whole:
-        return finite_closed(scheme, supp_pts), frozenset(ass)
-    cs = ComponentSet.of(whole)
-    # torsion points always lie on whole components here: unions have no
-    # closed points and the single-component curves are covered entirely
-    if all(cs.contains(pt.component) for pt in supp_pts):
-        return component_set(scheme, cs), frozenset(ass)
-    return all_set(scheme), frozenset(ass)
-
-
-def _free_components(scheme, free: ComponentSet):
-    if free.is_finite:
-        return sorted(free.members)
-    universe = scheme.component_universe()
-    return [c for c in range(universe[1]) if free.contains(c)]
+    torsion = [pt for pt, _ in data.divisors]
+    if scheme.component_type == "artinian":
+        free_pts = [scheme.component_point(c)[0] for c in free.members]
+    else:
+        free_pts = [generic_point(c) for c in free.members]
+    return component_set(scheme, free, torsion), frozenset(torsion + free_pts)

@@ -190,6 +190,34 @@ class TestOracleCommand:
         assert json.loads(res.output)["passed"] is False
 
 
+MALFORMED_JOBS = {
+    "filters_list": {"filters": [1], "commands": [{"cmd": "spec"}]},
+    "command_int": {"commands": [5]},
+    "labels_int": {"commands": [{"cmd": "spec", "labels": 5}]},
+    "args_int": {"commands": [{"cmd": "op", "op": "meet", "args": 5}]},
+    "degree_bound_string": {"scheme": {"kind": "affine_line", "field": {"p": 2}},
+                            "commands": [{"cmd": "spec", "degree_bound": "3"}]},
+    "table_filters_int": {"commands": [{"cmd": "table", "filters": 5}]},
+    "misspelled_commands": {"comands": [{"cmd": "table"}]},
+    "stray_command_key": {"commands": [{"cmd": "classify", "filter": "F", "fliter": "F"}]},
+    "bad_spec_label": {"commands": [{"cmd": "spec", "labels": ["a b"]}]},
+    "name_on_localize": {"commands": [
+        {"cmd": "op", "op": "localize", "args": ["F"], "point": "pt:a", "name": "G"},
+        {"cmd": "classify", "filter": "G"}]},
+}
+
+
+@pytest.mark.parametrize("fields", MALFORMED_JOBS.values(), ids=MALFORMED_JOBS.keys())
+def test_malformed_job_exit_2(runner, tmp_path, fields):
+    job = {"schema": 1, "scheme": json.loads(A1), "filters": {"F": {"kind": "improper"}},
+           "commands": [{"cmd": "classify", "filter": "F"}], **fields}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    res = invoke(runner, ["run", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("Error:")
+
+
 class TestRun:
     def test_shipped_jobs_run_clean(self, runner, tmp_path):
         for job in sorted(JOBS.glob("*.json")):

@@ -3,9 +3,9 @@
 import pytest
 
 from qfilt.errors import QfiltError
-from qfilt.fields import PrimeField
+from qfilt.fields import PrimeField, SymbolicAlgClosed
 from qfilt.ideals import QuotientRing
-from qfilt.poly import poly_from_str
+from qfilt.poly import factored_from_str, poly_from_str
 
 F2 = PrimeField(2)
 
@@ -21,3 +21,7 @@ class TestQuotientRing:
     def test_rejects_constant_modulus(self):
         with pytest.raises(QfiltError):
             QuotientRing.make(F2, poly_from_str("1", 2))
+
+    def test_rejects_symbolic_field(self):
+        with pytest.raises(QfiltError, match="prime field"):
+            QuotientRing.make(SymbolicAlgClosed(), factored_from_str("(x-a)^2*(x-b)"))

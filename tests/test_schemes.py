@@ -56,6 +56,14 @@ class TestSheafConstruction:
     def test_unit_and_zero(self):
         assert sheaf(A1, {}) == unit_sheaf(A1)
         assert zero_sheaf(A1).killed == ComponentSet.of([0])
+        cases = [(unit_sheaf(A1), True, False), (sheaf(A1, {A: 1}), False, False),
+                 (zero_sheaf(A1), False, True), (sheaf(Q, {QPT("x"): 1}), False, False),
+                 (zero_sheaf(Q), False, True), (unit_sheaf(UZ), True, False),
+                 (zero_sheaf(UZ), False, True),
+                 (sheaf(UZ, {}, ComponentSet.cofinite([0])), False, False),
+                 (sheaf(U3, {}, [0, 1, 2]), False, True), (sheaf(U3, {}, [0, 2]), False, False)]
+        for s, unit, zero in cases:
+            assert (s.is_unit, s.is_zero) == (unit, zero), str(s)
 
     def test_quotient_cap_folds_into_killed(self):
         x1 = QPT("x+1")

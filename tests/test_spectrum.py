@@ -51,8 +51,8 @@ class TestComponentSet:
 
     def test_normalize_in_finite_universe(self):
         a = ComponentSet.cofinite([0])
-        assert a.normalize(("finite", 3)) == ComponentSet.of([1, 2])
-        assert a.normalize(("symbolic",)) == a
+        assert a.normalize(3) == ComponentSet.of([1, 2])
+        assert a.normalize(None) == a
 
     def test_contains(self):
         assert ComponentSet.cofinite([0]).contains(5)
@@ -111,6 +111,11 @@ class TestSpecClosed:
                   cofinite_closed(A1, [closed_point("a")]),
                   component_set(UZ, ComponentSet.of([0]))):
             assert is_specialization_closed(s, s.scheme)
+        x1 = [pt for pt, _ in Q.primes() if str(pt.name) == "x+1"][0]
+        assert component_set(Q, ComponentSet.of([1])) == finite_closed(Q, [x1])
+        assert component_set(Q, ComponentSet.cofinite([0])) == finite_closed(Q, [x1])
+        assert component_set(Q, ComponentSet.none()) == empty_set(Q)
+        assert component_set(A1, ComponentSet.none()) == empty_set(A1)
 
     def test_explicit_point_sets(self):
         assert is_specialization_closed([closed_point("a")], A1)
@@ -118,6 +123,9 @@ class TestSpecClosed:
         assert is_specialization_closed([generic_point(0), closed_point("a")], A1) \
             is False
         assert is_specialization_closed([generic_point(3)], UZ)
+        # every point is checked before the answer, whatever the set order
+        with pytest.raises(QfiltError):
+            is_specialization_closed([generic_point(0), inf_point()], A1)
 
     def test_finite_closed_rejects_generic(self):
         with pytest.raises(QfiltError):
@@ -154,6 +162,10 @@ class TestModuleData:
         supp, ass = supp_ass(free)
         assert supp == component_set(A1, ComponentSet.of([0]))
         assert generic_point(0) in ass
+        # a free summand on an Artinian component is torsion at its point
+        x, x1 = [pt for pt, _ in Q.primes()]
+        assert supp_ass(module_data(Q, free=[0])) == (finite_closed(Q, [x]), frozenset([x]))
+        assert supp_ass(module_data(Q, [(x1, 1)], free=[0])) == (all_set(Q), frozenset([x, x1]))
 
     def test_supp_ass_symbolic_cofinite_free_rejected(self):
         m = module_data(UZ, free=ComponentSet.cofinite([0]))
