@@ -11,6 +11,17 @@ of indecomposable module classes certified by explicit submodule
 enumeration, and the bijection between the two enumerations is checked
 rather than assumed.
 
+A finite module is its elements 0..n-1 (0 the zero) with list tables for
+addition and for multiplication by each ring element.  R/I numbers the
+cosets of I, and a direct sum numbers its tuples by mixed radix, so every
+table is built by index arithmetic.  Submodules are the sums of the
+module's distinct cyclic submodules R·g, closed under sums from 0 the way
+ideals are closed from principal ones.  The class of a submodule and of
+its quotient is read off index sets: the submodule's elements, and one
+representative per coset with the coset index as its name.  The direct
+sums of indecomposables are built once per ring table and shared by the
+subcategory enumeration and the membership check.
+
 verify_ring() bundles all of these cross-checks for one ring and reports
 each as a named pass/fail line with counterexample details on failure.
 """
@@ -42,6 +53,9 @@ class FiniteRingTable:
     prime_exponents: tuple[int, ...]
     prime_degrees: tuple[int, ...]
     prime_elements: tuple[int, ...]  # element index of each prime factor
+    # the add and smul tables of the direct sum of indecomposables of each
+    # multiset, built once; tables alone, so that no cycle keeps them alive
+    modules: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -86,6 +100,7 @@ def build_table(ring: QuotientRing, limits: Limits = DEFAULT_LIMITS) -> FiniteRi
     if n > limits.max_oracle_elements:
         raise LatticeTooLargeError(
             f"{n} ring elements exceed the oracle limit {limits.max_oracle_elements}")
+    # reps[0] is the zero polynomial, so the zero of every module is 0
     reps = tuple(PrimePoly.make(p, coeffs)
                  for coeffs in itertools.product(range(p), repeat=deg))
     pos = {r: i for i, r in enumerate(reps)}
@@ -270,108 +285,128 @@ def is_gabriel(flt: ExplicitFilter) -> bool:
 # explicit modules
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExplicitModule:
-    """A finite module: hashable elements plus table-backed operations."""
+    """A finite module on the elements 0..n-1, element 0 its zero.
+
+    `add_table[x][y]` is x + y and `smul_table[r][x]` is r·x for the ring
+    element of index r; the rows are read-only."""
 
     table: FiniteRingTable
-    elements: tuple
-    index: dict
-    add_pairs: dict
-    smul_pairs: dict
-    zero: object
+    add_table: list[list[int]]
+    smul_table: list[list[int]]
 
-    def add(self, x, y):
-        return self.add_pairs[(x, y)]
+    zero = 0
 
-    def smul(self, r: int, x):
-        return self.smul_pairs[(r, x)]
+    @property
+    def size(self) -> int:
+        return len(self.add_table)
+
+    @property
+    def elements(self) -> range:
+        return range(self.size)
+
+    def add(self, x: int, y: int) -> int:
+        return self.add_table[x][y]
+
+    def smul(self, r: int, x: int) -> int:
+        return self.smul_table[r][x]
 
 
-def _module_from_ops(table, elements, add_fn, smul_fn, zero) -> ExplicitModule:
-    elements = tuple(elements)
-    add_pairs = {(x, y): add_fn(x, y) for x in elements for y in elements}
-    smul_pairs = {(r, x): smul_fn(r, x) for r in range(table.size) for x in elements}
-    return ExplicitModule(table, elements, {x: i for i, x in enumerate(elements)},
-                          add_pairs, smul_pairs, zero)
+def cosets(add_table, sub) -> tuple[list[int], list[int]]:
+    """The cosets of the subgroup `sub` of a group given by its addition
+    table: the coset index of every element, and one representative per
+    coset, its least element.  Cosets are numbered by that least element,
+    so the coset of 0 is 0."""
+    coset = [-1] * len(add_table)
+    reps: list[int] = []
+    for x, row in enumerate(add_table):
+        if coset[x] < 0:
+            for s in sub:
+                coset[row[s]] = len(reps)
+            reps.append(x)
+    return coset, reps
 
 
 def cyclic_module(table: FiniteRingTable, ideal: IdealSet) -> ExplicitModule:
-    """R/I with canonical coset representatives."""
-    rep = {}
-    for x in range(table.size):
-        rep[x] = min(table.add[x][k] for k in ideal)
-    elements = sorted(set(rep.values()))
-    return _module_from_ops(table, elements,
-                            lambda x, y: rep[table.add[x][y]],
-                            lambda r, x: rep[table.mul[r][x]],
-                            rep[table.zero])
+    """R/I, one element per coset of I."""
+    coset, reps = cosets(table.add, ideal)
+    return ExplicitModule(table,
+                          [[coset[table.add[a][b]] for b in reps] for a in reps],
+                          [[coset[row[a]] for a in reps] for row in table.mul])
 
 
 def direct_sum(mods) -> ExplicitModule:
+    """The direct sum of M_1, ..., M_k, its tuples numbered by mixed radix:
+    (x_1, ..., x_k) is ((x_1 n_2 + x_2) n_3 + ...) n_k + x_k, the order of
+    itertools.product."""
     mods = list(mods)
-    table = mods[0].table
-    elements = list(itertools.product(*(m.elements for m in mods)))
-    return _module_from_ops(
-        table, elements,
-        lambda x, y: tuple(m.add(a, b) for m, a, b in zip(mods, x, y)),
-        lambda r, x: tuple(m.smul(r, a) for m, a in zip(mods, x)),
-        tuple(m.zero for m in mods))
+    out = mods[0]
+    for mod in mods[1:]:
+        n = mod.size
+        out = ExplicitModule(
+            out.table,
+            [[x * n + y for x in ra for y in rb] for ra in out.add_table for rb in mod.add_table],
+            [[x * n + y for x in ra for y in rb]
+             for ra, rb in zip(out.smul_table, mod.smul_table)])
+    return out
 
 
 def zero_module(table: FiniteRingTable) -> ExplicitModule:
-    return _module_from_ops(table, [0], lambda x, y: 0, lambda r, x: 0, 0)
+    return ExplicitModule(table, [[0]], [[0]] * table.size)
 
 
 def submodules(mod: ExplicitModule) -> tuple[frozenset, ...]:
-    """All submodules, grown one generator at a time."""
+    """All submodules, as sums of cyclic submodules R·g.
+
+    Each distinct R·g is computed once; the set found is closed under
+    adding one of them, starting from 0, which reaches every submodule
+    since each is the sum of the cyclic submodules of its elements.  W + R·g
+    is skipped when g already lies in W."""
+    generated = {}
+    for g in mod.elements:
+        generated.setdefault(frozenset(row[g] for row in mod.smul_table), g)
     bottom = frozenset([mod.zero])
+    cyclic = [(g, span) for span, g in generated.items() if span != bottom]
+    add = mod.add_table
     found = {bottom}
     frontier = [bottom]
     while frontier:
         w = frontier.pop()
-        for g in mod.elements:
+        rows = [add[x] for x in w]
+        for g, span in cyclic:
             if g in w:
                 continue
-            grown = frozenset(mod.add(x, mod.smul(r, g))
-                              for x in w for r in range(mod.table.size))
+            grown = frozenset([row[y] for row in rows for y in span])
             if grown not in found:
                 found.add(grown)
                 frontier.append(grown)
     return tuple(found)
 
 
-def quotient_module(mod: ExplicitModule, sub: frozenset) -> ExplicitModule:
-    rep = {}
-    for x in mod.elements:
-        coset = {mod.add(x, k) for k in sub}
-        rep[x] = min(coset, key=mod.index.get)
-    elements = sorted(set(rep.values()), key=mod.index.get)
-    return _module_from_ops(mod.table, elements,
-                            lambda x, y: rep[mod.add(x, y)],
-                            lambda r, x: rep[mod.smul(r, x)],
-                            rep[mod.zero])
-
-
-def restrict_module(mod: ExplicitModule, sub: frozenset) -> ExplicitModule:
-    elements = sorted(sub, key=mod.index.get)
-    return _module_from_ops(mod.table, elements, mod.add, mod.smul, mod.zero)
-
-
 def iso_class(mod: ExplicitModule) -> tuple[tuple[int, ...], ...]:
     """Multiplicities of the indecomposables R/(p_i^j), from the sizes of
     the p_i^j-images of the p_i-primary part."""
+    return _class_of(mod, mod.elements, mod.elements)
+
+
+def _class_of(mod: ExplicitModule, reps, name) -> tuple[tuple[int, ...], ...]:
+    """iso_class of the module whose elements are `name[x]` for x in `reps`:
+    a submodule when `name` is the identity and `reps` its elements, a
+    quotient when `name` is the coset index and `reps` one element per
+    coset.  `reps` must be closed under smul up to `name`."""
     table = mod.table
+    smul = mod.smul_table
+    zero = name[mod.zero]
     out = []
     for i, e in enumerate(table.prime_exponents):
-        killer = table.prime_power(i, e)
-        part = [x for x in mod.elements if mod.smul(killer, x) == mod.zero]
+        killer = smul[table.prime_power(i, e)]
+        part = [x for x in reps if name[killer[x]] == zero]
         base = table.ring.modulus.p ** table.prime_degrees[i]
         logs = []
         for j in range(e + 1):
-            pj = table.prime_power(i, j)
-            img = {mod.smul(pj, x) for x in part}
-            logs.append(round(math.log(len(img), base)))
+            row = smul[table.prime_power(i, j)]
+            logs.append(round(math.log(len({name[row[x]] for x in part}), base)))
         ge = [logs[j - 1] - logs[j] for j in range(1, e + 1)]  # count with exp >= j
         counts = tuple(ge[j] - (ge[j + 1] if j + 1 < e else 0) for j in range(e))
         out.append(counts)
@@ -426,8 +461,7 @@ def indecomposable_modules(table: FiniteRingTable):
     """R/(p_i^j) for every prime factor and exponent.  p_i is invertible on
     the other primary components, so the principal ideal covers them and the
     cyclic module is genuinely indecomposable."""
-    return {key: cyclic_module(table, table.principal(table.prime_power(*key)))
-            for key in _indecomposable_keys(table)}
+    return {key: _multiset_module(table, (key,)) for key in _indecomposable_keys(table)}
 
 
 def _all_multisets(keys, length_bound: int):
@@ -446,10 +480,21 @@ def _all_multisets(keys, length_bound: int):
     return out
 
 
-def _multiset_module(table, cyclics, multiset) -> ExplicitModule:
+def _multiset_module(table: FiniteRingTable, multiset: tuple) -> ExplicitModule:
+    """The direct sum of R/(p_i^j) over a multiset of keys (i, j), kept on
+    the table; each sum adds one indecomposable to its prefix's module."""
+    tables = table.modules.get(multiset)
+    if tables is not None:
+        return ExplicitModule(table, *tables)
     if not multiset:
-        return zero_module(table)
-    return direct_sum(cyclics[key] for key in multiset)
+        mod = zero_module(table)
+    elif len(multiset) == 1:
+        mod = cyclic_module(table, table.principal(table.prime_power(*multiset[0])))
+    else:
+        mod = direct_sum([_multiset_module(table, multiset[:-1]),
+                          _multiset_module(table, multiset[-1:])])
+    table.modules[multiset] = mod.add_table, mod.smul_table
+    return mod
 
 
 def enumerate_subcategories(table: FiniteRingTable, length_bound: int = 4,
@@ -461,24 +506,28 @@ def enumerate_subcategories(table: FiniteRingTable, length_bound: int = 4,
     of every direct sum up to the length bound.  Closedness is the
     existence of a least annihilator ideal (the intersection of the
     members' annihilators must itself have its cyclic module inside), and
-    bilocalizing additionally demands that least ideal be idempotent."""
+    bilocalizing additionally demands that least ideal be idempotent.
+
+    The bound must reach the largest prime exponent e: R/(p^e) has length
+    e, and below that no module tells the subcategories with and without
+    it apart."""
     if length_bound > limits.max_subcat_length:
         raise QfiltError(f"length bound {length_bound} exceeds {limits.max_subcat_length}")
+    least_bound = max(table.prime_exponents, default=0)
+    if length_bound < least_bound:
+        raise QfiltError(f"length bound {length_bound} is below the largest prime exponent "
+                         f"of {table.ring}; use a length bound of at least {least_bound}")
     keys = _indecomposable_keys(table)
-    cyclics = indecomposable_modules(table)
-    multisets = _all_multisets(keys, length_bound)
     # one shared pass of submodule enumeration: for each module the set of
     # (submodule class, quotient class) pairs
     triples = []
-    for ms in multisets:
-        mod = _multiset_module(table, cyclics, ms)
-        p_cls = iso_class(mod)
+    for ms in _all_multisets(keys, length_bound):
+        mod = _multiset_module(table, ms)
         pairs = set()
         for sub in submodules(mod):
-            k_cls = iso_class(restrict_module(mod, sub))
-            q_cls = iso_class(quotient_module(mod, sub))
-            pairs.add((k_cls, q_cls))
-        triples.append((p_cls, pairs))
+            coset, reps = cosets(mod.add_table, sub)
+            pairs.add((_class_of(mod, sub, mod.elements), _class_of(mod, reps, coset)))
+        triples.append((iso_class(mod), pairs))
     out = []
     for subset in itertools.product(*([[False, True]] * len(keys))):
         allowed = frozenset(k for k, keep in zip(keys, subset) if keep)
@@ -501,8 +550,8 @@ def enumerate_subcategories(table: FiniteRingTable, length_bound: int = 4,
                 localizing = False
                 break
         least = frozenset(range(table.size))
-        for key in allowed:
-            least = least & _annihilator_of_cyclic(table, cyclics[key])
+        for key in allowed:  # R/I is annihilated by I exactly
+            least = least & table.principal(table.prime_power(*key))
         # closed: the category is exactly the modules killed by `least`,
         # certified by R/least itself landing inside
         closed = class_inside(iso_class(cyclic_module(table, least)), allowed)
@@ -512,12 +561,6 @@ def enumerate_subcategories(table: FiniteRingTable, length_bound: int = 4,
         out.append(SubcategoryData(exponents, preloc, localizing, closed,
                                    localizing and closed and idem))
     return tuple(sorted(out, key=lambda s: s.exponents))
-
-
-def _annihilator_of_cyclic(table, mod: ExplicitModule) -> IdealSet:
-    gen = next(x for x in mod.elements
-               if {mod.smul(r, x) for r in range(table.size)} == set(mod.elements))
-    return frozenset(r for r in range(table.size) if mod.smul(r, gen) == mod.zero)
 
 
 def oracle_member(mod: ExplicitModule, flt: ExplicitFilter) -> bool:
@@ -667,12 +710,11 @@ def verify_ring(ring: QuotientRing, length_bound: int = 4,
     report.record("subcategory lattice matches classification",
                   flags_ok, f"{len(subs)} subcategories")
 
-    cyclics = indecomposable_modules(table)
     keys = _indecomposable_keys(table)
     primes = scheme.primes()
     membership_ok = True
     for ms in _all_multisets(keys, length_bound):
-        mod = _multiset_module(table, cyclics, ms)
+        mod = _multiset_module(table, ms)
         data = module_data(scheme, [(primes[i][0], j) for i, j in ms])
         for f, e in pairing:
             if member(data, f) != oracle_member(mod, e):

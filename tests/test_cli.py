@@ -176,6 +176,13 @@ class TestOracleCommand:
         res = invoke(runner, ["oracle", "verify", "--ring", "mod:x^2"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("ring,bound,least", [("p:2,mod:x^2", "0", 2),
+                                                  ("p:2,mod:x^5", "4", 5)])
+    def test_length_bound_below_exponent_exit_2(self, runner, ring, bound, least):
+        res = invoke(runner, ["oracle", "verify", "--ring", ring, "--length-bound", bound])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("Error:") and f"at least {least}" in res.stderr
+
     def test_mismatch_exits_3(self, runner, monkeypatch):
         from qfilt import cli as cli_mod
 
@@ -204,6 +211,8 @@ MALFORMED_JOBS = {
     "name_on_localize": {"commands": [
         {"cmd": "op", "op": "localize", "args": ["F"], "point": "pt:a", "name": "G"},
         {"cmd": "classify", "filter": "G"}]},
+    "length_bound_zero": {"commands": [{"cmd": "oracle", "ring": "p:2,mod:x^2",
+                                        "length_bound": 0}]},
 }
 
 

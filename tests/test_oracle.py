@@ -1,5 +1,7 @@
 """Brute-force ground truth over finite rings and its engine cross-checks."""
 
+import itertools
+
 import pytest
 
 from qfilt.errors import LatticeTooLargeError, QfiltError
@@ -8,6 +10,7 @@ from qfilt.ideals import QuotientRing
 from qfilt.oracle import (
     build_table,
     check_prelocalizing,
+    cosets,
     cyclic_module,
     direct_sum,
     enumerate_filters,
@@ -19,11 +22,10 @@ from qfilt.oracle import (
     oracle_join,
     oracle_member,
     product_two_ways,
-    quotient_module,
     submodules,
     verify_ring,
 )
-from qfilt.poly import poly_from_str
+from qfilt.poly import PrimePoly, poly_from_str
 
 
 def ring(p, mod):
@@ -131,11 +133,29 @@ class TestModules:
         square = direct_sum([cyclic_module(table, x1), cyclic_module(table, x1)])
         assert len(submodules(square)) == 5
 
+    @pytest.mark.parametrize("p,mods", [(2, ("x^2", "x")), (3, ("x", "x"))])
+    def test_submodules_match_closed_subsets(self, p, mods):
+        # F2[x]/(x^2) + F2[x]/(x) and (F3)^2: every subset closed under
+        # add and smul, against the cyclic-sum enumeration
+        table = build_table(ring(p, "x^2"))
+        mod = direct_sum(cyclic_module(table, table.principal(table.index(poly_from_str(m, p))))
+                         for m in mods)
+        reference = set()
+        for bits in itertools.product((False, True), repeat=mod.size):
+            sub = frozenset(x for x, keep in zip(mod.elements, bits) if keep)
+            if sub and all(mod.add(x, y) in sub for x in sub for y in sub) and \
+                    all(mod.smul(r, x) in sub for r in range(table.size) for x in sub):
+                reference.add(sub)
+        found = submodules(mod)
+        assert len(found) == len(set(found))
+        assert set(found) == reference
+
     def test_quotient_by_itself_is_zero(self):
         table = build_table(R_X3)
         mod = cyclic_module(table, table.principal(table.prime_power(0, 2)))
         total = max(submodules(mod), key=len)
-        assert len(quotient_module(mod, total).elements) == 1
+        coset, reps = cosets(mod.add_table, total)
+        assert reps == [mod.zero] and set(coset) == {0}
 
     def test_indecomposables(self):
         table = build_table(R_MIXED)
@@ -161,6 +181,12 @@ class TestSubcategories:
         with pytest.raises(QfiltError):
             enumerate_subcategories(build_table(R_X3), length_bound=9)
 
+    @pytest.mark.parametrize("bound", [2, 0, -1])
+    def test_length_bound_below_largest_exponent(self, bound):
+        # R/(x^3) has length 3, so a smaller bound cannot see it
+        with pytest.raises(QfiltError, match="at least 3"):
+            enumerate_subcategories(build_table(R_X3), length_bound=bound)
+
 
 class TestMember:
     def test_member_matches_elementwise(self):
@@ -181,3 +207,25 @@ class TestVerifyRing:
         report = verify_ring(rg)
         assert report.passed, "\n".join(report.lines())
         assert len(report.checks) == 11
+
+
+def _monic_moduli():
+    """Every monic modulus of degree <= 3 over F2 and F3 and of degree 2 over F5."""
+    for p, degrees in ((2, (1, 2, 3)), (3, (1, 2, 3)), (5, (2,))):
+        for d in degrees:
+            for low in itertools.product(range(p), repeat=d):
+                yield QuotientRing.make(PrimeField(p), PrimePoly.make(p, (*low, 1)))
+
+
+SWEEP = list(_monic_moduli())
+
+
+def test_sweep_covers_78_rings():
+    assert len(SWEEP) == len(set(SWEEP)) == 78
+
+
+@pytest.mark.parametrize("rg", SWEEP, ids=str)
+def test_sweep_small_rings_pass(rg):
+    """Every ring passes at the least length bound it admits."""
+    report = verify_ring(rg, length_bound=max(m for _, m in rg.prime_factors()))
+    assert report.passed, "\n".join(report.lines())
