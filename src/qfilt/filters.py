@@ -29,6 +29,20 @@ killing a curve component upgrades the whole filter to Improper, since an
 upward-closed set containing the zero sheaf contains everything; killing
 every component is Improper as well.
 
+Filters are built two ways.  presented() is the one validating entry,
+for literals, classification and callers of the API: it checks that every
+point is a closed point of the scheme, listed once, with an exponent in
+0,1,2,... or INF, and brings a caller's killed pattern to the scheme's
+normal form.  _normal() is the trusted constructor that every engine
+operation uses: it only clamps, folds, drops and sorts.  It relies on one
+invariant: its parts come from filters (or ideal sheaves) already in
+normal form, combined by min, max or sum or cut down to a chart, so the
+points still lie on the scheme, the exponents stay valid, and the killed
+pattern stays normal (unions and intersections of explicit patterns are
+explicit, and a chart's pattern is listed on its own components).  So
+every result of meet, join, product and restrict is a fixed point of
+presented().
+
 Meet and join of filters are the pointwise min and max of exponents, the
 product adds them (INF absorbing), and all three preserve this
 presentation class.  Restriction to a chart keeps the data of the chart's
@@ -39,6 +53,7 @@ symbolic disjoint union, fails to be local and its local closure is
 Improper.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -126,15 +141,19 @@ FULL_ONLY = StalkFilter("full_only")
 # constructors
 
 
+_NO_EXPONENTS = ExponentFunction(0, ())
+
+
 def improper_filter(scheme) -> LocalFilter:
-    return LocalFilter(scheme, True, ExponentFunction(0, ()), ComponentSet.none())
+    return LocalFilter(scheme, True, _NO_EXPONENTS, ComponentSet.none())
 
 
 def presented(scheme, default: int | float = 0, exceptions=(), killed=()) -> LocalFilter:
-    """Build a Presented filter in normal form (see the module docstring)."""
+    """Build a Presented filter in normal form from caller-supplied parts:
+    the one validating entry (see the module docstring)."""
     kcs = killed if isinstance(killed, ComponentSet) else ComponentSet.of(killed)
     kcs = scheme.normal_pattern(kcs)
-    default = _check_exp(default, "default")
+    default = _check_exp(default)
     pairs = list(exceptions.items()) if isinstance(exceptions, dict) else list(exceptions)
     acc: dict[SpecPoint, int | float] = {}
     for pt, v in pairs:
@@ -144,52 +163,57 @@ def presented(scheme, default: int | float = 0, exceptions=(), killed=()) -> Loc
             raise QfiltError(f"point {pt} does not lie on {scheme}")
         if pt in acc:
             raise QfiltError(f"duplicate exponent for {pt}")
-        acc[pt] = _clamp(_check_exp(v, f"value at {pt}"), scheme.closed_cap(pt))
+        acc[pt] = _check_exp(v, pt)
+    return _normal(scheme, default, acc, kcs)
+
+
+def _normal(scheme, default, exponents: dict, killed: ComponentSet) -> LocalFilter:
+    """The normal form of valid parts: `exponents` maps closed points of the
+    scheme to exponents (the dict is updated in place), and `killed` is in
+    the scheme's normal form.  Nothing is checked here."""
     # an Artinian component is its one point, killed at the stalk length,
     # and the default folds into explicit values there; killing every
     # component (on a curve, its one component) swallows the filter; field
     # components have no closed points, so the default is moot there
     if scheme.component_type == "artinian":
-        for c in kcs.members:
+        for c in killed.members:
             pt, cap = scheme.component_point(c)
-            acc[pt] = cap
+            exponents[pt] = cap
+        improper = True
         for pt, cap in scheme.closed:
-            acc.setdefault(pt, _clamp(default, cap))
-        if all(acc[pt] >= cap for pt, cap in scheme.closed):
+            v = exponents[pt] = min(exponents.get(pt, default), cap)
+            improper = improper and v >= cap
+        if improper:
             return improper_filter(scheme)
-        default, kcs = 0, ComponentSet.none()
-    elif scheme.covers(kcs):
+        default, killed = 0, ComponentSet.none()
+    elif scheme.covers(killed):
         return improper_filter(scheme)
     elif scheme.component_type == "field":
         default = 0
-    exc = tuple(sorted(((pt, v) for pt, v in acc.items() if v != default),
+    exc = tuple(sorted(((pt, v) for pt, v in exponents.items() if v != default),
                        key=lambda kv: kv[0].sort_key()))
-    return LocalFilter(scheme, False, ExponentFunction(default, exc), kcs)
+    return LocalFilter(scheme, False, ExponentFunction(default, exc), killed)
 
 
-def _check_exp(v, what: str):
+def _check_exp(v, pt: SpecPoint | None = None):
+    """An exponent, checked: the default when no point is given."""
     if v == INF:
         return INF
     if isinstance(v, int) and not isinstance(v, bool) and v >= 0:
         return v
+    what = "default" if pt is None else f"value at {pt}"
     raise QfiltError(f"{what} must be a nonnegative integer or INF, not {v!r}")
-
-
-def _clamp(v, cap):
-    if cap == INF:
-        return v
-    return min(v, cap) if v != INF else cap
 
 
 def trivial_filter(scheme) -> LocalFilter:
     """The filter containing only the unit ideal."""
-    return presented(scheme)
+    return _normal(scheme, 0, {}, ComponentSet.none())
 
 
 def principal_filter(scheme, ideal: IdealSheaf) -> LocalFilter:
     """The filter of all ideal sheaves containing the given one."""
     check_same_scheme(scheme, ideal.scheme)
-    return presented(scheme, 0, dict(ideal.orders), ideal.killed)
+    return _normal(scheme, 0, dict(ideal.orders), ideal.killed)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +275,7 @@ def restrict(flt: LocalFilter, cid: int) -> LocalFilter:
     if flt.improper:
         return improper_filter(chart.scheme)
     kept = {pt: v for pt, v in flt.exponents.exceptions if chart.has(pt)}
-    return presented(chart.scheme, flt.exponents.default, kept, chart.killed(flt.killed))
+    return _normal(chart.scheme, flt.exponents.default, kept, chart.killed(flt.killed))
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +305,14 @@ def product(a: LocalFilter, b: LocalFilter) -> LocalFilter:
     check_same_scheme(a.scheme, b.scheme)
     if a.improper or b.improper:
         return improper_filter(a.scheme)
-    return _pointwise(a, b, lambda x, y: x + y, a.killed.union(b.killed))
+    return _pointwise(a, b, operator.add, a.killed.union(b.killed))
 
 
 def _pointwise(a: LocalFilter, b: LocalFilter, op, killed: ComponentSet) -> LocalFilter:
-    pts = set(a.exponents.support()) | set(b.exponents.support())
-    default = op(a.exponents.default, b.exponents.default)
-    exceptions = {pt: op(a.exponents.value(pt), b.exponents.value(pt)) for pt in pts}
-    return presented(a.scheme, default, exceptions, killed)
+    da, db = a.exponents.default, b.exponents.default
+    va, vb = dict(a.exponents.exceptions), dict(b.exponents.exceptions)
+    exponents = {pt: op(va.get(pt, da), vb.get(pt, db)) for pt in va.keys() | vb.keys()}
+    return _normal(a.scheme, op(da, db), exponents, killed)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +458,7 @@ def glue_filters(scheme, chart_data: dict, rest: str | None = None) -> LocalFilt
         lambda pt, c0, v0, c1, v1:
             f"incompatible at point {pt}: {_show_exp(v0)} in chart {c0}, {_show_exp(v1)} in chart {c1}")
     killed = ComponentSet.of(dead) if rest == "trivial" else ComponentSet.cofinite(alive)
-    return presented(scheme, default, exceptions, killed)
+    return _normal(scheme, default, exceptions, scheme.normal_pattern(killed))
 
 
 # ---------------------------------------------------------------------------
@@ -456,5 +480,5 @@ def enumerate_quotient_filters(scheme: Scheme,
     out = []
     for exps in itertools.product(*ranges):
         exceptions = {pt: e for (pt, _), e in zip(prime_pts, exps)}
-        out.append(presented(scheme, 0, exceptions))
+        out.append(_normal(scheme, 0, exceptions, ComponentSet.none()))
     return tuple(out)

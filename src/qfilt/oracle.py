@@ -24,11 +24,16 @@ subcategory enumeration and the membership check.
 
 verify_ring() bundles all of these cross-checks for one ring and reports
 each as a named pass/fail line with counterexample details on failure.
+Whatever the factorization of f decides (the element and ideal counts,
+the modulus degree, the least length bound) is checked before any table
+is laid out.  The engine's side of the bridge, its scheme of the ring and
+the ideal sheaf of each ideal, is built once per ring table.
 """
 
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import LatticeTooLargeError, QfiltError
@@ -77,29 +82,57 @@ class FiniteRingTable:
     def ideal_index(self, members: IdealSet) -> int:
         return self.ideals.index(members)
 
-    def ideal_exponents(self, idx: int) -> tuple[int, ...]:
-        """Vanishing order of an ideal at each prime factor."""
-        members = self.ideals[idx]
-        out = []
-        for i, e in enumerate(self.prime_exponents):
-            j = 0
-            while j < e and members <= self.principal(self.prime_power(i, j + 1)):
-                j += 1
-            out.append(j)
-        return tuple(out)
+    @cached_property
+    def ideal_exponents(self) -> tuple[tuple[int, ...], ...]:
+        """Vanishing order of each ideal at each prime factor."""
+        powers = [[self.principal(self.prime_power(i, j)) for j in range(1, e + 1)]
+                  for i, e in enumerate(self.prime_exponents)]
+        return tuple(tuple(sum(members <= power for power in per) for per in powers)
+                     for members in self.ideals)
+
+    @cached_property
+    def scheme(self):
+        """The engine's scheme of the ring."""
+        from .schemes import AffineQuotient
+
+        return AffineQuotient(self.ring)
+
+    @cached_property
+    def ideal_sheaves(self) -> tuple:
+        """The engine's ideal sheaf of each ideal, from its vanishing orders."""
+        from .schemes import sheaf
+
+        points = [pt for pt, _ in self.scheme.primes()]
+        return tuple(sheaf(self.scheme, dict(zip(points, exps))) for exps in self.ideal_exponents)
 
     def annihilator(self, smul, zero, x) -> IdealSet:
         return frozenset(r for r in range(self.size) if smul(r, x) == zero)
 
 
-def build_table(ring: QuotientRing, limits: Limits = DEFAULT_LIMITS) -> FiniteRingTable:
-    """Lay out k[x]/(f) as tables, self-check the axioms, enumerate ideals."""
-    modulus = ring.modulus
-    p, deg = modulus.p, modulus.degree
-    n = p ** deg
+def _checked_primes(ring: QuotientRing, limits: Limits):
+    """The prime factors of the modulus, once the element count p^deg and
+    the ideal count prod(e_i + 1) are within the oracle's limits.  k[x]/(f)
+    is a principal ideal ring whose ideals are the monic divisors of f, so
+    the ideal count is exact."""
+    n = ring.modulus.p ** ring.modulus.degree
     if n > limits.max_oracle_elements:
         raise LatticeTooLargeError(
             f"{n} ring elements exceed the oracle limit {limits.max_oracle_elements}")
+    primes = ring.prime_factors()
+    if math.prod(e + 1 for _, e in primes) > limits.max_oracle_ideals:
+        raise LatticeTooLargeError(
+            f"more than {limits.max_oracle_ideals} ideals; lattice too large")
+    return primes
+
+
+def build_table(ring: QuotientRing, limits: Limits = DEFAULT_LIMITS) -> FiniteRingTable:
+    """Lay out k[x]/(f) as tables, self-check the axioms, enumerate ideals.
+    The limits are checked from the factorization before any table is laid
+    out; the enumeration keeps its own cap on the ideals it finds."""
+    primes = _checked_primes(ring, limits)
+    modulus = ring.modulus
+    p, deg = modulus.p, modulus.degree
+    n = p ** deg
     # reps[0] is the zero polynomial, so the zero of every module is 0
     reps = tuple(PrimePoly.make(p, coeffs)
                  for coeffs in itertools.product(range(p), repeat=deg))
@@ -110,7 +143,6 @@ def build_table(ring: QuotientRing, limits: Limits = DEFAULT_LIMITS) -> FiniteRi
     one = pos[PrimePoly.make(p, (1,))]
     _self_check(n, add, mul, zero, one)
     ideals = _enumerate_ideals(n, add, mul, limits)
-    primes = ring.prime_factors()
     return FiniteRingTable(ring, reps, add, mul, zero, one, ideals,
                            tuple(m for _, m in primes),
                            tuple(q.degree for q, _ in primes),
@@ -511,12 +543,7 @@ def enumerate_subcategories(table: FiniteRingTable, length_bound: int = 4,
     The bound must reach the largest prime exponent e: R/(p^e) has length
     e, and below that no module tells the subcategories with and without
     it apart."""
-    if length_bound > limits.max_subcat_length:
-        raise QfiltError(f"length bound {length_bound} exceeds {limits.max_subcat_length}")
-    least_bound = max(table.prime_exponents, default=0)
-    if length_bound < least_bound:
-        raise QfiltError(f"length bound {length_bound} is below the largest prime exponent "
-                         f"of {table.ring}; use a length bound of at least {least_bound}")
+    _check_length_bound(table.ring, table.prime_exponents, length_bound, limits)
     keys = _indecomposable_keys(table)
     # one shared pass of submodule enumeration: for each module the set of
     # (submodule class, quotient class) pairs
@@ -563,6 +590,18 @@ def enumerate_subcategories(table: FiniteRingTable, length_bound: int = 4,
     return tuple(sorted(out, key=lambda s: s.exponents))
 
 
+def _check_length_bound(ring: QuotientRing, exponents, length_bound: int,
+                        limits: Limits) -> None:
+    """The length bound must stay within the cap and reach the largest
+    prime exponent."""
+    if length_bound > limits.max_subcat_length:
+        raise QfiltError(f"length bound {length_bound} exceeds {limits.max_subcat_length}")
+    least_bound = max(exponents, default=0)
+    if length_bound < least_bound:
+        raise QfiltError(f"length bound {length_bound} is below the largest prime exponent "
+                         f"of {ring}; use a length bound of at least {least_bound}")
+
+
 def oracle_member(mod: ExplicitModule, flt: ExplicitFilter) -> bool:
     """Elementwise annihilator test: Ann(x) in F for every x."""
     table = flt.table
@@ -602,26 +641,15 @@ def oracle_join(table: FiniteRingTable, a: ExplicitFilter, b: ExplicitFilter) ->
 def engine_filter_to_explicit(flt, table: FiniteRingTable) -> ExplicitFilter:
     """Membership of every explicit ideal, asked of the symbolic engine."""
     from .filters import contains
-    from .schemes import AffineQuotient, sheaf
 
-    scheme = AffineQuotient(table.ring)
-    primes = scheme.primes()
-    members = set()
-    for idx in range(len(table.ideals)):
-        exps = table.ideal_exponents(idx)
-        orders = {pt: e for (pt, _), e in zip(primes, exps)}
-        if contains(flt, sheaf(scheme, orders)):
-            members.add(idx)
-    return ExplicitFilter(table, frozenset(members))
+    return ExplicitFilter(table, frozenset(
+        idx for idx, ideal in enumerate(table.ideal_sheaves) if contains(flt, ideal)))
 
 
 def sheaf_to_ideal_set(ideal_sheaf, table: FiniteRingTable) -> IdealSet:
     """The explicit element set of an ideal sheaf on the quotient."""
-    from .schemes import AffineQuotient
-
-    scheme = AffineQuotient(table.ring)
     elem = table.one
-    for i, (pt, mult) in enumerate(scheme.primes()):
+    for i, (pt, mult) in enumerate(table.scheme.primes()):
         e = mult if ideal_sheaf.killed.contains(i) else int(ideal_sheaf.order_at(pt))
         elem = table.mul[elem][table.prime_power(i, e)]
     return table.principal(elem)
@@ -638,19 +666,23 @@ def verify_ring(ring: QuotientRing, length_bound: int = 4,
     from .spectrum import module_data
 
     report = OracleReport(ring)
+    # what follows from the factorization is checked before build_table
+    # lays out a table, in the order the stages below would check it: the
+    # element and ideal counts, the modulus degree, the length bound
+    primes = _checked_primes(ring, limits)
+    scheme = AffineQuotient(ring)
+    engine_filters = enumerate_quotient_filters(scheme, limits)
+    _check_length_bound(ring, [e for _, e in primes], length_bound, limits)
     table = build_table(ring, limits)
     report.record("ring axioms", True)
 
     expected = math.prod(m + 1 for m in table.prime_exponents)
     report.record("ideal lattice is the divisor lattice",
                   len(table.ideals) == expected and
-                  len({table.ideal_exponents(i) for i in range(len(table.ideals))})
-                  == len(table.ideals),
+                  len(set(table.ideal_exponents)) == len(table.ideals),
                   f"{len(table.ideals)} ideals")
 
     oracle_filters = enumerate_filters(table)
-    scheme = AffineQuotient(ring)
-    engine_filters = enumerate_quotient_filters(scheme, limits)
     pairing = [(f, engine_filter_to_explicit(f, table)) for f in engine_filters]
     mapped = {e.members for _, e in pairing}
     report.record("filter enumerations biject",

@@ -150,8 +150,7 @@ class Scheme:
         return cs.normalize(self.component_count)
 
     def covers(self, cs: ComponentSet) -> bool:
-        """Whether a component pattern holds every component."""
-        cs = self.normal_pattern(cs)
+        """Whether a component pattern in normal form holds every component."""
         return cs.is_all if self.component_count is None else len(cs.members) == self.component_count
 
     def component_point(self, c: int) -> tuple[SpecPoint, int]:
@@ -293,7 +292,8 @@ DisjointUnion = SimpleNamespace(explicit=_explicit_union, symbolic=_symbolic_uni
 
 
 def check_same_scheme(a, b) -> None:
-    if a != b:
+    # engine operands nearly always share one scheme object
+    if a is not b and a != b:
         raise RingMismatchError(f"scheme mismatch: {a} vs {b}")
 
 

@@ -33,6 +33,7 @@ meaning a torsion summand killed by the exponent-th power of the point's
 maximal ideal, plus a pattern of components carrying a free summand.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 from .config import DEFAULT_LIMITS, INF, Limits
@@ -50,8 +51,12 @@ class SpecPoint:
     kind: str
     component: int
     name: PrimePoly | str | None = None
+    # computed once per point: points key every exponent table and sort
+    # every normal form
+    _hash: int = dataclasses.field(init=False, compare=False, repr=False)
+    _sort_key: tuple = dataclasses.field(init=False, compare=False, repr=False)
 
-    def sort_key(self):
+    def __post_init__(self):
         if self.kind == "generic":
             tag = (0, "", "")
         elif isinstance(self.name, PrimePoly):
@@ -60,7 +65,18 @@ class SpecPoint:
             tag = (3, "", "")
         else:
             tag = (2, self.name, "")
-        return (self.component, tag)
+        object.__setattr__(self, "_hash", hash((self.kind, self.component, self.name)))
+        object.__setattr__(self, "_sort_key", (self.component, tag))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def sort_key(self):
+        return self._sort_key
+
+    def __reduce__(self):
+        # rebuild from the fields: a str hash differs between processes
+        return SpecPoint, (self.kind, self.component, self.name)
 
     def __str__(self) -> str:
         if self.kind == "generic":
@@ -110,7 +126,7 @@ class ComponentSet:
 
     @staticmethod
     def none() -> "ComponentSet":
-        return ComponentSet(False, frozenset())
+        return _NO_COMPONENTS
 
     @staticmethod
     def all() -> "ComponentSet":
@@ -167,6 +183,9 @@ class ComponentSet:
     def __str__(self) -> str:
         body = ",".join(str(i) for i in sorted(self.members))
         return f"all-but{{{body}}}" if self.complement else f"{{{body}}}"
+
+
+_NO_COMPONENTS = ComponentSet(False, frozenset())
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,13 @@ class TestOracleCommand:
         assert res.exit_code == 2
         assert res.stderr.startswith("Error:") and f"at least {least}" in res.stderr
 
+    def test_bound_from_factorization_exit_2(self, runner):
+        # F2[x]/(x^12) has 4096 elements; what its factorization rules out
+        # is reported before any table of that size is laid out
+        res = invoke(runner, ["oracle", "verify", "--ring", "p:2,mod:x^12"])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("Error:")
+
     def test_mismatch_exits_3(self, runner, monkeypatch):
         from qfilt import cli as cli_mod
 

@@ -31,7 +31,7 @@ from qfilt.filters import (
     up_to,
 )
 from qfilt.ideals import QuotientRing
-from qfilt.poly import poly_from_str
+from qfilt.poly import irreducibles, poly_from_str
 from qfilt.schemes import (
     AffineLine,
     AffineQuotient,
@@ -390,3 +390,80 @@ def test_product_contains_factors(f, g):
     p = product(f, g)
     assert meet(p, f) == f
     assert meet(p, g) == g
+
+
+# ---------------------------------------------------------------------------
+# engine results are in normal form: the trusted constructor behind meet,
+# join, product and restrict relies on it, over the scheme shapes of the
+# laws benchmark
+
+F2 = PrimeField(2)
+LINE_F2 = AffineLine(F2)
+# (scheme, points for exceptions, a point outside them, killed patterns, charts)
+NORMAL_FORM_SHAPES = [
+    (A1, [closed_point(l) for l in "abcd"], closed_point("e"), [()], (0,)),
+    (LINE_F2, [closed_point(q) for q in irreducibles(2, 1) + irreducibles(2, 2)],
+     closed_point(irreducibles(2, 3)[0]), [()], (0,)),
+    (Q, [pt for pt, _ in Q.primes()], None, [()], (0,)),
+    (P1, [closed_point(l) for l in "abc"] + [inf_point()], closed_point("d"), [()], (0, 1)),
+    (UZ, [], None, [ComponentSet.of(s) for s in ([], [0], [1], [0, 1], [2, 3])]
+     + [ComponentSet.cofinite(s) for s in ([], [0], [0, 1])], (0, 1, 2, 3)),
+    (U3, [], None, [ComponentSet.of(s) for s in ([], [0], [1], [2], [0, 2], [0, 1, 2])],
+     (0, 1, 2)),
+]
+
+
+def shape_filter(data, shape):
+    scheme, points, _, kills, _ = shape
+    if data.draw(st.integers(0, 15)) == 0:
+        return improper_filter(scheme)
+    pts = data.draw(st.lists(st.sampled_from(points), unique=True, max_size=3)) if points else []
+    return presented(scheme, data.draw(st.sampled_from([0, 1, 2, INF])),
+                     {pt: data.draw(VALUES) for pt in pts}, data.draw(st.sampled_from(kills)))
+
+
+def assert_normal(r):
+    """r is what the validating constructor makes of its own parts, and in
+    normal form: exceptions sorted, once each, off the default and within
+    the stalk length."""
+    if r.improper:
+        assert r == improper_filter(r.scheme)
+        return
+    assert presented(r.scheme, r.exponents.default, r.exponents.exceptions, r.killed) == r
+    keys = [pt.sort_key() for pt, _ in r.exponents.exceptions]
+    assert keys == sorted(set(keys))
+    assert all(v != r.exponents.default and v <= r.scheme.closed_cap(pt)
+               for pt, v in r.exponents.exceptions)
+
+
+def _dead(flt, c):
+    return flt.improper or flt.killed.contains(c)
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_engine_results_are_normal(data):
+    shape = data.draw(st.sampled_from(NORMAL_FORM_SHAPES))
+    scheme, points, outside, _, charts = shape
+    f, g = shape_filter(data, shape), shape_filter(data, shape)
+    m, j, p = meet(f, g), join(f, g), product(f, g)
+    for r in (m, j, p):
+        assert_normal(r)
+    # pointwise min, max and sum, capped at each stalk length
+    for pt in points + ([outside] if outside else []):
+        cap = scheme.closed_cap(pt)
+        vf, vg = min(f.value(pt), cap), min(g.value(pt), cap)
+        assert tuple(min(r.value(pt), cap) for r in (m, j, p)) == \
+            (min(vf, vg), max(vf, vg), min(vf + vg, cap))
+    for c in range(4 if scheme.component_count is None else scheme.component_count):
+        if scheme.component_type == "field":
+            assert _dead(m, c) == (_dead(f, c) and _dead(g, c))
+            assert _dead(j, c) == _dead(p, c) == (_dead(f, c) or _dead(g, c))
+    for c in charts:
+        chart = scheme.chart(c)
+        for r in (f, m, j, p):
+            rc = restrict(r, c)
+            assert_normal(rc)
+            assert all(rc.value(pt) == r.value(pt) for pt in points if chart.has(pt))
+            if scheme.component_type == "field":
+                assert _dead(rc, 0) == _dead(r, chart.components[0])

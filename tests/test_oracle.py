@@ -4,6 +4,8 @@ import itertools
 
 import pytest
 
+from qfilt import oracle
+from qfilt.config import Limits
 from qfilt.errors import LatticeTooLargeError, QfiltError
 from qfilt.fields import PrimeField
 from qfilt.ideals import QuotientRing
@@ -52,6 +54,16 @@ class TestTable:
         # x^4 (x+1)^4 has 25 ideals, one over the cap
         with pytest.raises(LatticeTooLargeError):
             build_table(ring(2, "x^8+x^4"))
+
+    def test_ideal_count_checked_before_tables(self, monkeypatch):
+        # the count prod(e_i + 1) follows from the factorization, so the cap
+        # trips before the tables are laid out and self-checked
+        monkeypatch.setattr(oracle, "_self_check",
+                            lambda *args: pytest.fail("tables were built"))
+        with pytest.raises(LatticeTooLargeError, match="more than 24 ideals"):
+            build_table(ring(2, "x^8+x^4"))
+        with pytest.raises(LatticeTooLargeError, match="more than 3 ideals"):
+            build_table(R_X3, Limits(max_oracle_ideals=3))
 
     def test_prime_powers_are_principal(self):
         table = build_table(R_MIXED)
