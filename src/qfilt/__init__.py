@@ -54,7 +54,7 @@ from .filters import (
     trivial_filter,
     up_to,
 )
-from .ideals import QuotientRing, principal_ideal
+from .ideals import QuotientRing
 from .poly import poly_from_literal, poly_from_str
 from .schemes import (
     AffineLine,
@@ -68,6 +68,7 @@ from .schemes import (
     restrict_sheaf,
     sheaf,
     sheaf_contains,
+    sheaf_from_poly,
     sheaf_intersect,
     sheaf_is_idempotent,
     sheaf_product,

@@ -32,16 +32,16 @@ every component is Improper as well.
 Filters are built two ways.  presented() is the one validating entry,
 for literals, classification and callers of the API: it checks that every
 point is a closed point of the scheme, listed once, with an exponent in
-0,1,2,... or INF, and brings a caller's killed pattern to the scheme's
-normal form.  _normal() is the trusted constructor that every engine
-operation uses: it only clamps, folds, drops and sorts.  It relies on one
-invariant: its parts come from filters (or ideal sheaves) already in
-normal form, combined by min, max or sum or cut down to a chart, so the
-points still lie on the scheme, the exponents stay valid, and the killed
-pattern stays normal (unions and intersections of explicit patterns are
-explicit, and a chart's pattern is listed on its own components).  So
-every result of meet, join, product and restrict is a fixed point of
-presented().
+0,1,2,... or INF, and that the killed pattern lists only components of
+the scheme, and brings it to the scheme's normal form.  _normal() is the
+trusted constructor that every engine operation uses: it only clamps,
+folds, drops and sorts.  It relies on one invariant: its parts come from
+filters (or ideal sheaves) already in normal form, combined by min, max
+or sum or cut down to a chart, so the points still lie on the scheme, the
+exponents stay valid, and the killed pattern stays normal (unions and
+intersections of explicit patterns are explicit, and a chart's pattern is
+listed on its own components).  So every result of meet, join, product
+and restrict is a fixed point of presented().
 
 Meet and join of filters are the pointwise min and max of exponents, the
 product adds them (INF absorbing), and all three preserve this
@@ -53,6 +53,7 @@ symbolic disjoint union, fails to be local and its local closure is
 Improper.
 """
 
+import itertools
 import operator
 from dataclasses import dataclass
 from functools import reduce
@@ -152,15 +153,11 @@ def presented(scheme, default: int | float = 0, exceptions=(), killed=()) -> Loc
     """Build a Presented filter in normal form from caller-supplied parts:
     the one validating entry (see the module docstring)."""
     kcs = killed if isinstance(killed, ComponentSet) else ComponentSet.of(killed)
-    kcs = scheme.normal_pattern(kcs)
+    kcs = scheme.checked_pattern(kcs)
     default = _check_exp(default)
-    pairs = list(exceptions.items()) if isinstance(exceptions, dict) else list(exceptions)
     acc: dict[SpecPoint, int | float] = {}
-    for pt, v in pairs:
-        if pt.kind != "closed":
-            raise QfiltError(f"{pt} is not a closed point")
-        if not scheme.has_point(pt):
-            raise QfiltError(f"point {pt} does not lie on {scheme}")
+    for pt, v in exceptions.items() if isinstance(exceptions, dict) else exceptions:
+        scheme.check_closed_point(pt)
         if pt in acc:
             raise QfiltError(f"duplicate exponent for {pt}")
         acc[pt] = _check_exp(v, pt)
@@ -468,8 +465,6 @@ def glue_filters(scheme, chart_data: dict, rest: str | None = None) -> LocalFilt
 def enumerate_quotient_filters(scheme: Scheme,
                                limits: Limits = DEFAULT_LIMITS) -> tuple[LocalFilter, ...]:
     """All local filters on an Artinian quotient, one per exponent vector."""
-    import itertools
-
     if scheme.ring.degree > limits.max_quotient_degree:
         raise QfiltError(
             f"lattice too large: modulus degree {scheme.ring.degree} "

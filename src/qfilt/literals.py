@@ -33,10 +33,11 @@ from .filters import (
     filter_base,
     generate,
     improper_filter,
+    is_principal,
     presented,
     principal_filter,
 )
-from .ideals import QuotientRing, principal_ideal
+from .ideals import QuotientRing
 from .poly import poly_from_literal, poly_from_str, poly_to_str
 from .schemes import (
     AffineLine,
@@ -45,7 +46,7 @@ from .schemes import (
     IdealSheaf,
     ProjLine,
     sheaf,
-    sheaf_from_affine_ideal,
+    sheaf_from_poly,
 )
 from .spectrum import (
     INF_NAME,
@@ -224,7 +225,7 @@ def _components_from_literal(lit: dict) -> ComponentSet:
 def _component_indices(items) -> list[int]:
     out = []
     for item in items:
-        if isinstance(item, int):
+        if isinstance(item, int) and not isinstance(item, bool):
             out.append(item)
         elif isinstance(item, str) and item.startswith("comp:") and item[5:].isdigit():
             out.append(int(item[5:]))
@@ -247,8 +248,7 @@ def ideal_from_literal(scheme, lit) -> IdealSheaf:
     if isinstance(lit, str):
         if not scheme.affine:
             raise ParseError(f"polynomial ideal literals need an affine chart, not {scheme}")
-        gen = poly_from_literal(lit, scheme.field)
-        return sheaf_from_affine_ideal(scheme, principal_ideal(scheme.field, gen))
+        return sheaf_from_poly(scheme, poly_from_literal(lit, scheme.field))
     if isinstance(lit, dict):
         _check_keys(lit, _IDEAL_KEYS, "ideal literal")
         orders = {point_from_literal(scheme, k): v for k, v in
@@ -313,8 +313,6 @@ def base_from_literal(scheme, lit) -> FilterBase:
     kind = _kind(lit, _FILTER_KEYS, "filter")
     if kind in ("generated", "cofinite-family"):
         return _base_from_literal(scheme, lit, kind)
-    from .filters import is_principal
-
     flt = filter_from_literal(scheme, lit)
     ok, least = is_principal(flt)
     if not ok:

@@ -35,6 +35,18 @@ means the stalk is zero, so such orders are normalized into the killed
 pattern and stored orders stay strictly below the cap.  This normal form
 makes structural equality coincide with equality of subsheaves.
 
+Ideal sheaves are built two ways, as filters are.  sheaf() is the one
+validating entry, for literals, classification and callers of the API: it
+checks that every point is a closed point of the scheme with an order in
+0,1,2,..., and that every component a killed pattern lists is one of the
+scheme's.  sheaf_from_poly() reads the ideal of a polynomial on a
+one-chart scheme.  _normal() is the trusted constructor behind every
+engine result: it only folds, drops and sorts.  Its parts come from ideal
+sheaves already in normal form, combined pointwise or cut down to a chart,
+so the points still lie on the scheme, the orders stay integers (INF only
+on killed components), and the killed pattern stays normal; every engine
+result is a fixed point of sheaf().
+
 Products, sums and intersections of ideal sheaves act pointwise on
 effective orders (the order at a vanishing component counts as INF), and
 containment is the reversed pointwise comparison.  glue_ideals assembles a
@@ -43,6 +55,7 @@ disagree on the overlap.
 """
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -50,8 +63,8 @@ from typing import NamedTuple
 from .config import DEFAULT_LIMITS, INF, Limits
 from .errors import GluingError, QfiltError, RingMismatchError
 from .fields import BaseField, PrimeField, SymbolicAlgClosed, check_label
-from .ideals import AffineIdeal, QuotientRing, quotient_reduce
-from .poly import PrimePoly, factor, is_irreducible, irreducibles, x_poly
+from .ideals import QuotientRing
+from .poly import PrimePoly, factor, irreducibles, is_irreducible, poly_gcd, x_poly
 from .spectrum import (
     ComponentSet,
     SpecClosedSet,
@@ -108,7 +121,9 @@ class Scheme:
     missing from the line), chart_table (one Chart per chart id; on the
     symbolic union the template every component's chart follows), affine
     (polynomials in x name the ideals) and name (str).  normal_pattern and
-    covers answer the two questions asked of a component pattern."""
+    covers answer the two questions asked of a component pattern;
+    check_closed_point and checked_pattern vet a caller's points and
+    patterns."""
 
     kind: str
     field: BaseField | None = None
@@ -144,6 +159,20 @@ class Scheme:
 
     def has_component(self, c: int) -> bool:
         return self.component_count is None or 0 <= c < self.component_count
+
+    def check_closed_point(self, pt: SpecPoint) -> None:
+        if pt.kind != "closed":
+            raise QfiltError(f"{pt} is not a closed point")
+        if not self.has_point(pt):
+            raise QfiltError(f"point {pt} does not lie on {self}")
+
+    def checked_pattern(self, cs: ComponentSet) -> ComponentSet:
+        """The normal form of a caller's pattern, whose every listed index
+        must name a component."""
+        for c in cs.members:
+            if not self.has_component(c):
+                raise QfiltError(f"{self} has no component {c}")
+        return self.normal_pattern(cs)
 
     def normal_pattern(self, cs: ComponentSet) -> ComponentSet:
         """The normal form of a component pattern on this scheme."""
@@ -399,89 +428,78 @@ class IdealSheaf:
 
 
 def sheaf(scheme, orders=(), killed=()) -> IdealSheaf:
-    """Build an IdealSheaf in normal form.
+    """Build an IdealSheaf in normal form from caller-supplied parts: the
+    one validating entry (see the module docstring).
 
     orders maps closed points to vanishing orders >= 1; killed lists
     components (iterable or ComponentSet) where the sheaf is zero.  Orders
     at or above a finite stalk length are folded into killed."""
-    if isinstance(killed, ComponentSet):
-        kcs = killed
-    else:
-        kcs = ComponentSet.of(killed)
-    kcs = scheme.normal_pattern(kcs)
-    pairs = list(orders.items()) if isinstance(orders, dict) else list(orders)
+    kcs = killed if isinstance(killed, ComponentSet) else ComponentSet.of(killed)
+    kcs = scheme.checked_pattern(kcs)
     acc: dict[SpecPoint, int] = {}
-    for pt, n in pairs:
-        if pt.kind != "closed":
-            raise QfiltError(f"{pt} is not a closed point")
-        if not scheme.has_point(pt):
-            raise QfiltError(f"point {pt} does not lie on {scheme}")
-        if not isinstance(n, int) or n < 0:
+    for pt, n in orders.items() if isinstance(orders, dict) else orders:
+        scheme.check_closed_point(pt)
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise QfiltError(f"order at {pt} must be a nonnegative integer")
         if n:
             acc[pt] = max(acc.get(pt, 0), n)
-    for pt, n in list(acc.items()):
-        cap = scheme.closed_cap(pt)
-        if n >= cap:
-            kcs = kcs.union(ComponentSet.of([pt.component]))
-    kept = [(pt, n) for pt, n in acc.items() if not kcs.contains(pt.component)]
-    return IdealSheaf(scheme, kcs, tuple(sorted(kept, key=lambda kv: kv[0].sort_key())))
+    return _normal(scheme, acc, kcs)
+
+
+def _normal(scheme, orders: dict, killed: ComponentSet) -> IdealSheaf:
+    """The normal form of valid parts: `orders` maps closed points of the
+    scheme to orders (0 and INF allowed; INF only on killed components),
+    and `killed` is in the scheme's normal form.  Nothing is checked here."""
+    if scheme.component_type == "artinian":
+        # an order at the stalk length kills the component
+        full = [pt.component for pt, n in orders.items() if n >= scheme.closed_cap(pt)]
+        if full:
+            killed = killed.union(ComponentSet.of(full))
+    kept = [(pt, n) for pt, n in orders.items() if n and not killed.contains(pt.component)]
+    return IdealSheaf(scheme, killed, tuple(sorted(kept, key=lambda kv: kv[0].sort_key())))
 
 
 def unit_sheaf(scheme) -> IdealSheaf:
-    return sheaf(scheme)
+    return _normal(scheme, {}, ComponentSet.none())
 
 
 def zero_sheaf(scheme) -> IdealSheaf:
-    return sheaf(scheme, killed=ComponentSet.all())
+    return _normal(scheme, {}, scheme.normal_pattern(ComponentSet.all()))
 
 
-def sheaf_from_affine_ideal(scheme, ideal: AffineIdeal) -> IdealSheaf:
-    """Interpret an ideal of the chart coordinate ring on a one-chart
-    scheme (the affine line or an Artinian quotient)."""
+def sheaf_from_poly(scheme, gen) -> IdealSheaf:
+    """The ideal sheaf of (gen) on a one-chart scheme whose coordinate ring
+    is k[x] (the affine line) or k[x]/(f) (an Artinian quotient): its orders
+    are the multiplicities of the prime factors of gen, or of gcd(gen, f) on
+    a quotient, since that generates the same ideal there."""
     if not scheme.affine:
         raise QfiltError(f"{scheme} does not take affine-ideal input; use point orders")
-    if ideal.field != scheme.field:
-        raise RingMismatchError(f"ring mismatch: {ideal.field} vs {scheme.field}")
-    if ideal.kind == "zero":
+    prime = isinstance(gen, PrimePoly)
+    if prime != isinstance(scheme.field, PrimeField) or prime and gen.p != scheme.field.p:
+        raise RingMismatchError("ring mismatch: generator is over a different field")
+    if scheme.ring is not None:
+        gen = poly_gcd(gen, scheme.ring.modulus)
+    elif prime and gen.is_zero:
         return zero_sheaf(scheme)
-    if ideal.kind == "unit":
-        return unit_sheaf(scheme)
-    # the ideal generated by g in k[x]/(f) is (gcd(g, f))
-    gen = ideal.gen if scheme.ring is None else quotient_reduce(scheme.ring, ideal.gen)
-    orders = []
-    for q, m in factor(gen):
-        pt = scheme.point_named(q)
-        orders.append((pt, min(m, scheme.closed_cap(pt))))
-    return sheaf(scheme, orders)
+    return _normal(scheme, {scheme.point_named(q): m for q, m in factor(gen)}, ComponentSet.none())
 
 
 def sheaf_product(a: IdealSheaf, b: IdealSheaf) -> IdealSheaf:
-    check_same_scheme(a.scheme, b.scheme)
-    pts = {pt for pt, _ in a.orders} | {pt for pt, _ in b.orders}
-    orders = {pt: a.order_at(pt) + b.order_at(pt) for pt in pts}
-    finite = {pt: int(n) for pt, n in orders.items() if n != INF}
-    return sheaf(a.scheme, finite, a.killed.union(b.killed))
+    return _pointwise(a, b, operator.add, a.killed.union(b.killed))
 
 
 def sheaf_intersect(a: IdealSheaf, b: IdealSheaf) -> IdealSheaf:
-    check_same_scheme(a.scheme, b.scheme)
-    pts = {pt for pt, _ in a.orders} | {pt for pt, _ in b.orders}
-    orders = {pt: max(a.order_at(pt), b.order_at(pt)) for pt in pts}
-    finite = {pt: int(n) for pt, n in orders.items() if n != INF}
-    return sheaf(a.scheme, finite, a.killed.union(b.killed))
+    return _pointwise(a, b, max, a.killed.union(b.killed))
 
 
 def sheaf_sum(a: IdealSheaf, b: IdealSheaf) -> IdealSheaf:
+    return _pointwise(a, b, min, a.killed.intersect(b.killed))
+
+
+def _pointwise(a: IdealSheaf, b: IdealSheaf, op, killed: ComponentSet) -> IdealSheaf:
     check_same_scheme(a.scheme, b.scheme)
     pts = {pt for pt, _ in a.orders} | {pt for pt, _ in b.orders}
-    killed = a.killed.intersect(b.killed)
-    orders = {}
-    for pt in pts:
-        n = min(a.order_at(pt), b.order_at(pt))
-        if n and n != INF:
-            orders[pt] = int(n)
-    return sheaf(a.scheme, orders, killed)
+    return _normal(a.scheme, {pt: op(a.order_at(pt), b.order_at(pt)) for pt in pts}, killed)
 
 
 def sheaf_contains(a: IdealSheaf, b: IdealSheaf) -> bool:
@@ -503,8 +521,8 @@ def restrict_sheaf(a: IdealSheaf, cid: int) -> IdealSheaf:
     chart = a.scheme.chart(cid)
     if chart.scheme is a.scheme:
         return a
-    kept = [(pt, n) for pt, n in a.orders if chart.has(pt)]
-    return sheaf(chart.scheme, kept, chart.killed(a.killed))
+    kept = {pt: n for pt, n in a.orders if chart.has(pt)}
+    return _normal(chart.scheme, kept, chart.killed(a.killed))
 
 
 def glue_ideals(scheme, chart_data: dict, rest: str | None = None) -> IdealSheaf:
@@ -524,7 +542,7 @@ def glue_ideals(scheme, chart_data: dict, rest: str | None = None) -> IdealSheaf
         lambda pt, c0, n0, c1, n1:
             f"overlap mismatch at point {pt}: order {n0} in chart {c0}, {n1} in chart {c1}")
     killed = ComponentSet.of(dead) if rest == "unit" else ComponentSet.cofinite(alive)
-    return sheaf(scheme, orders, killed)
+    return _normal(scheme, orders, scheme.normal_pattern(killed))
 
 
 # ---------------------------------------------------------------------------

@@ -237,10 +237,7 @@ def all_set(scheme) -> SpecClosedSet:
 def finite_closed(scheme, points) -> SpecClosedSet:
     pts = sorted_points(set(points))
     for pt in pts:
-        if pt.kind != "closed":
-            raise QfiltError(f"{pt} is not a closed point")
-        if not scheme.has_point(pt):
-            raise QfiltError(f"point {pt} does not lie on {scheme}")
+        scheme.check_closed_point(pt)
     if not pts:
         return empty_set(scheme)
     finite_all = scheme.all_closed_points()
@@ -260,10 +257,7 @@ def all_of_closed(scheme) -> SpecClosedSet:
 def cofinite_closed(scheme, excluded) -> SpecClosedSet:
     pts = sorted_points(set(excluded))
     for pt in pts:
-        if pt.kind != "closed":
-            raise QfiltError(f"{pt} is not a closed point")
-        if not scheme.has_point(pt):
-            raise QfiltError(f"point {pt} does not lie on {scheme}")
+        scheme.check_closed_point(pt)
     finite_all = scheme.all_closed_points()
     if finite_all is not None:
         rest = [p for p in finite_all if p not in set(pts)]
@@ -361,14 +355,10 @@ class TorsionSheafData:
 
 
 def module_data(scheme, divisors=(), free=False) -> TorsionSheafData:
-    pairs = list(divisors.items()) if isinstance(divisors, dict) else list(divisors)
     out: list[tuple[SpecPoint, int]] = []
-    for pt, e in pairs:
-        if pt.kind != "closed":
-            raise QfiltError(f"divisor point {pt} is not closed")
-        if not scheme.has_point(pt):
-            raise QfiltError(f"point {pt} does not lie on {scheme}")
-        if not isinstance(e, int) or e < 1:
+    for pt, e in divisors.items() if isinstance(divisors, dict) else divisors:
+        scheme.check_closed_point(pt)
+        if not isinstance(e, int) or isinstance(e, bool) or e < 1:
             raise QfiltError(f"divisor exponent at {pt} must be a positive integer")
         cap = scheme.closed_cap(pt)
         if e > cap:
@@ -382,7 +372,7 @@ def module_data(scheme, divisors=(), free=False) -> TorsionSheafData:
         cs = free
     else:
         cs = ComponentSet.of(free)
-    cs = scheme.normal_pattern(cs)
+    cs = scheme.checked_pattern(cs)
     divisor_key = lambda pair: (pair[0].sort_key(), pair[1])
     return TorsionSheafData(scheme, tuple(sorted(out, key=divisor_key)), cs)
 

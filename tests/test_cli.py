@@ -16,6 +16,7 @@ GOLDEN = ROOT / "qbench" / "golden"
 A1 = '{"kind":"affine_line","field":"symbolic"}'
 UZ = '{"kind":"disjoint_union","components":"Z"}'
 P1 = '{"kind":"proj_line","field":"symbolic"}'
+U2 = '{"kind":"disjoint_union","components":[{"p":2},{"p":3}]}'
 
 
 @pytest.fixture()
@@ -71,6 +72,20 @@ MALFORMED = {
                            "--filter", '{"kind":"improper"}'],
     "free_string": ["member", "--scheme", UZ, "--module", '{"free":"yes"}',
                     "--filter", '{"kind":"improper"}'],
+    "order_true": ["classify", "--scheme", A1,
+                   "--filter", '{"kind":"principal","ideal":{"orders":{"pt:a":true}}}'],
+    "divisor_true": ["member", "--scheme", A1, "--module", '{"divisors":{"pt:a":true}}',
+                     "--filter", '{"kind":"improper"}'],
+    "kill_true": ["classify", "--scheme", U2,
+                  "--filter", '{"kind":"exponents","kill":[true]}'],
+    "kill_missing_component": ["classify", "--scheme", U2,
+                               "--filter", '{"kind":"exponents","kill":[5]}'],
+    "kill_on_line": ["classify", "--scheme", A1,
+                     "--filter", '{"kind":"principal","ideal":{"kill":[3]}}'],
+    "free_missing_component": ["member", "--scheme", A1, "--module", '{"free":[9]}',
+                               "--filter", '{"kind":"improper"}'],
+    "kill_negative": ["classify", "--scheme", U2,
+                      "--filter", '{"kind":"principal","ideal":{"kill":[-1]}}'],
 }
 
 

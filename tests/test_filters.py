@@ -37,7 +37,11 @@ from qfilt.schemes import (
     AffineQuotient,
     DisjointUnion,
     ProjLine,
+    restrict_sheaf,
     sheaf,
+    sheaf_intersect,
+    sheaf_product,
+    sheaf_sum,
     unit_sheaf,
     zero_sheaf,
 )
@@ -393,9 +397,9 @@ def test_product_contains_factors(f, g):
 
 
 # ---------------------------------------------------------------------------
-# engine results are in normal form: the trusted constructor behind meet,
-# join, product and restrict relies on it, over the scheme shapes of the
-# laws benchmark
+# engine results are in normal form: the trusted constructors behind meet,
+# join, product and restrict, and behind the ideal-sheaf operations, rely
+# on it, over the scheme shapes of the laws benchmark
 
 F2 = PrimeField(2)
 LINE_F2 = AffineLine(F2)
@@ -467,3 +471,33 @@ def test_engine_results_are_normal(data):
             assert all(rc.value(pt) == r.value(pt) for pt in points if chart.has(pt))
             if scheme.component_type == "field":
                 assert _dead(rc, 0) == _dead(r, chart.components[0])
+
+
+def shape_sheaf(data, shape):
+    scheme, points, _, kills, _ = shape
+    pts = data.draw(st.lists(st.sampled_from(points), unique=True, max_size=3)) if points else []
+    return sheaf(scheme, {pt: data.draw(st.integers(0, 3)) for pt in pts},
+                 data.draw(st.sampled_from(kills)))
+
+
+def assert_normal_sheaf(r):
+    """r is what the validating constructor makes of its own parts, with
+    sorted, positive orders strictly below each stalk length."""
+    assert sheaf(r.scheme, r.orders, r.killed) == r
+    keys = [pt.sort_key() for pt, _ in r.orders]
+    assert keys == sorted(set(keys))
+    assert all(0 < n < r.scheme.closed_cap(pt) for pt, n in r.orders)
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_engine_sheaves_are_normal(data):
+    shape = data.draw(st.sampled_from(NORMAL_FORM_SHAPES))
+    charts = shape[4]
+    a, b = shape_sheaf(data, shape), shape_sheaf(data, shape)
+    results = [sheaf_product(a, b), sheaf_intersect(a, b), sheaf_sum(a, b)]
+    for r in results:
+        assert_normal_sheaf(r)
+    for c in charts:
+        for r in [a, *results]:
+            assert_normal_sheaf(restrict_sheaf(r, c))

@@ -4,7 +4,7 @@ import pytest
 
 from qfilt.errors import GluingError, QfiltError, RingMismatchError
 from qfilt.fields import PrimeField, SymbolicAlgClosed
-from qfilt.ideals import QuotientRing, principal_ideal
+from qfilt.ideals import QuotientRing
 from qfilt.poly import factored_from_str, poly_from_str
 from qfilt.schemes import (
     AffineLine,
@@ -16,7 +16,7 @@ from qfilt.schemes import (
     restrict_sheaf,
     sheaf,
     sheaf_contains,
-    sheaf_from_affine_ideal,
+    sheaf_from_poly,
     sheaf_intersect,
     sheaf_is_idempotent,
     sheaf_product,
@@ -82,11 +82,9 @@ class TestSheafConstruction:
             sheaf(A1, {inf_point(): 1})
 
     def test_from_affine_ideal(self):
-        ideal = principal_ideal(SymbolicAlgClosed(), factored_from_str("(x-a)^2*(x-b)"))
-        s = sheaf_from_affine_ideal(A1, ideal)
+        s = sheaf_from_poly(A1, factored_from_str("(x-a)^2*(x-b)"))
         assert s == sheaf(A1, {A: 2, B: 1})
-        z = principal_ideal(SymbolicAlgClosed(), factored_from_str("1"))
-        assert sheaf_from_affine_ideal(A1, z) == unit_sheaf(A1)
+        assert sheaf_from_poly(A1, factored_from_str("1")) == unit_sheaf(A1)
 
 
 class TestSheafArithmetic:
