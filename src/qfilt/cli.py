@@ -1,5 +1,12 @@
 """qfilt command line: job runner, filter operations, classification, oracle.
 
+One table, `COMMANDS`, defines every kind of job command: the keys it may
+carry, its runner and its table view.  A job file is checked once before
+anything runs (structure, keys, field types, ops and names); a literal's own
+error appears when its command runs, and output is all or nothing.  Each
+subcommand except `explain` builds the command a job file would hold and runs
+it as a one-command job.
+
 All machine output is JSON with sorted keys so repeated runs are byte
 identical.  Tables are rendered from the machine document, never computed
 separately.  Exit codes: 0 success, 2 validation failure, 3 oracle mismatch.
@@ -7,6 +14,7 @@ separately.  Exit codes: 0 success, 2 validation failure, 3 oracle mismatch.
 
 import json
 import sys
+from typing import Callable, NamedTuple
 
 import click
 
@@ -43,10 +51,6 @@ class ValidationFailure(click.ClickException):
     exit_code = 2
 
 
-class OracleMismatch(click.ClickException):
-    exit_code = 3
-
-
 def _load_json(text: str, what: str):
     try:
         return json.loads(text)
@@ -62,11 +66,12 @@ def _guard(fn, *args):
         raise ValidationFailure(str(e)) from e
 
 
-def _emit(doc: dict, fmt: str, out: str | None) -> None:
+def _emit(doc: dict, fmt: str, out: str | None, table: Callable[[], str]) -> None:
+    """Print doc as JSON, or as the text table() builds for --format table."""
     if fmt == "json":
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
-        text = "\n".join(_render_table(doc)) + "\n"
+        text = table() + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -110,120 +115,44 @@ def _classify_doc(report: ClassificationReport, name: str | None = None) -> dict
     return doc
 
 
-def _spec_doc(scheme, degree_bound, labels) -> dict:
-    poset = spec(scheme, degree_bound, labels, DEFAULT_LIMITS)
-    pts = list(poset.points())
-    return {
-        "scheme": scheme_to_literal(scheme),
-        "generic": [point_to_literal(p) for p in poset.generic],
-        "closed": [point_to_literal(p) for p in poset.closed],
-        "symbolic_closed": poset.symbolic_closed,
-        "symbolic_components": poset.symbolic_components,
-        "specializations": [[point_to_literal(a), point_to_literal(b)]
-                            for a in pts for b in pts
-                            if a != b and poset.leq(a, b)],
-    }
-
-
-def _member_doc(scheme, module_lit, filter_lit) -> dict:
-    data = _guard(module_from_literal, scheme, module_lit)
-    flt = _guard(filter_from_literal, scheme, filter_lit)
-    return {"module": module_to_literal(data),
-            "filter": filter_to_literal(flt),
-            "member": member(data, flt)}
-
-
-def _oracle_doc(ring_desc: str, length_bound: int) -> dict:
-    parts = {}
-    for piece in ring_desc.split(","):
-        key, _, value = piece.partition(":")
-        parts[key.strip()] = value.strip()
-    if set(parts) != {"p", "mod"} or not parts["p"].isdigit():
-        raise ValidationFailure(
-            f"bad --ring {ring_desc!r}; expected the form p:2,mod:x^3")
-    p = int(parts["p"])
-    ring = _guard(lambda: QuotientRing.make(PrimeField(p), poly_from_str(parts["mod"], p)))
-    report = _guard(verify_ring, ring, length_bound)
-    return {"ring": ring_desc,
-            "passed": report.passed,
-            "checks": [{"name": n, "ok": ok, "detail": d}
-                       for n, ok, d in report.checks]}
-
-
-_OP_ARITY = {"meet": 2, "join": 2, "product": 2, "restrict": 1,
-             "localize": 1, "generate": 1}
-# restrict/localize results live on a chart or stalk, not on the job
-# scheme, so only lattice results can be named for reuse
-_NAMED_OPS = ("meet", "join", "product", "generate")
-
-
-def _op_doc(op: str, scheme, operand_lits: list, chart, point_text) -> dict:
-    doc = {"op": op}
-    if op == "generate":
-        base = _guard(base_from_literal, scheme, operand_lits[0])
-        local, closure = flt_ops.is_local(base)
-        doc["local"] = local
-        doc["result"] = filter_to_literal(closure)
-        return doc
-    operands = [_guard(filter_from_literal, scheme, lit) for lit in operand_lits]
-    doc["operands"] = [filter_to_literal(f) for f in operands]
-    if op in ("meet", "join", "product"):
-        result = _guard(getattr(flt_ops, op), operands[0], operands[1])
-        doc["result"] = filter_to_literal(result)
-    elif op == "restrict":
-        if chart is None:
-            raise ValidationFailure("op restrict needs --chart")
-        doc["chart"] = chart
-        result = _guard(flt_ops.restrict, operands[0], chart)
-        doc["result"] = filter_to_literal(result)
-    else:
-        if point_text is None:
-            raise ValidationFailure("op localize needs --point")
-        pt = _guard(point_from_literal, scheme, point_text)
-        doc["point"] = point_text
-        doc["result"] = stalk_to_literal(_guard(flt_ops.localize, operands[0], pt))
-    return doc
-
-
-def _explain_lines(report: ClassificationReport) -> list[str]:
-    scheme = report.filter.scheme
-    lines = [f"filter: {report.filter}"]
+def _explain_lines(doc: dict, filter_text: str) -> list[str]:
+    """The correspondence chain of a classify document, as prose."""
+    lines = [f"filter: {filter_text}"]
     lines.append("prelocalizing: yes (every local filter cuts out a "
                  "subcategory closed under subobjects, quotients and sums)")
-    if report.localizing:
+    if doc["localizing"]:
         lines.append("localizing: yes (closed under products, so the "
                      "subcategory is also closed under extensions)")
-        lines.append(f"  support: {_specclosed_str(report.supp)} "
+        lines.append(f"  support: {_specclosed_str(doc['supp'])} "
                      "(the specialization-closed set of points where torsion lives)")
     else:
         lines.append("localizing: no (not closed under products)")
-    if report.closed:
+    if doc["closed"]:
         lines.append("closed: yes (principal filter, so the subcategory is "
                      "closed under arbitrary products)")
-        lines.append(f"  subscheme: V({_ideal_str(report.subscheme.ideal)}) "
+        lines.append(f"  subscheme: V({_ideal_str(doc['subscheme']['ideal'])}) "
                      "(modules over the closed subscheme cut out by the least member)")
     else:
         lines.append("closed: no (no least member)")
-    if report.bilocalizing:
+    if doc["bilocalizing"]:
         lines.append("bilocalizing: yes (least member is idempotent)")
-        lines.append(f"  clopen: {_specclosed_str(report.clopen)} with complement "
-                     f"ideal {_ideal_str(report.complement)} "
+        lines.append(f"  clopen: {_specclosed_str(doc['clopen'])} with complement "
+                     f"ideal {_ideal_str(doc['complement'])} "
                      "(the category splits off the summand supported there)")
     else:
         lines.append("bilocalizing: no")
-    if report.prime is not None:
-        lines.append(f"prime: yes, at {point_to_literal_on(scheme, report.prime)}")
+    if doc["prime_at"] is not None:
+        lines.append(f"prime: yes, at {doc['prime_at']}")
     else:
         lines.append("prime: no")
     return lines
 
 
 # ---------------------------------------------------------------------------
-# table rendering (derived views of the machine documents)
+# table views (derived from the machine documents)
 
 
-def _specclosed_str(lit_or_obj) -> str:
-    s = lit_or_obj if isinstance(lit_or_obj, dict) else specclosed_to_literal(lit_or_obj)
+def _specclosed_str(s: dict) -> str:
     kind = s["kind"]
     if kind in ("empty", "all"):
         return kind
@@ -237,8 +166,7 @@ def _specclosed_str(lit_or_obj) -> str:
     return "comps{" + ",".join(str(c) for c in comps) + "}"
 
 
-def _ideal_str(lit_or_obj) -> str:
-    lit = lit_or_obj if isinstance(lit_or_obj, dict) else ideal_to_literal(lit_or_obj)
+def _ideal_str(lit: dict) -> str:
     parts = [f"{pt}^{n}" if n != 1 else pt for pt, n in sorted(lit["orders"].items())]
     if "kill" in lit:
         parts.extend(f"comp:{c}" for c in lit["kill"])
@@ -289,90 +217,182 @@ def _classify_row(doc: dict) -> list[str]:
             " ".join(attachments) if attachments else "-"]
 
 
-_CLASSIFY_HEADERS = ["filter", "localizing", "closed", "bilocalizing",
-                     "prime-at", "attachments"]
+def _classify_table(docs: list[dict]) -> list[str]:
+    return _align(["filter", "localizing", "closed", "bilocalizing", "prime-at",
+                   "attachments"], [_classify_row(d) for d in docs])
 
 
-def _render_one(doc: dict) -> list[str]:
-    if "checks" in doc:
-        lines = []
-        for c in doc["checks"]:
-            mark = "ok" if c["ok"] else "FAIL"
-            extra = f" ({c['detail']})" if c["detail"] else ""
-            lines.append(f"[{mark}] {doc['ring']}: {c['name']}{extra}")
-        lines.append(f"oracle: {'passed' if doc['passed'] else 'FAILED'}")
-        return lines
-    if "chain" in doc:
-        return list(doc["chain"])
-    if "rows" in doc:
-        return _align(_CLASSIFY_HEADERS, [_classify_row(r) for r in doc["rows"]])
-    if "bilocalizing" in doc:
-        return _align(_CLASSIFY_HEADERS, [_classify_row(doc)])
-    if "member" in doc:
-        return [f"member: {_flag(doc['member'])}"]
-    if "specializations" in doc:
-        lines = [f"generic: {' '.join(doc['generic']) or '-'}",
-                 f"closed: {' '.join(doc['closed']) or '-'}"]
-        if doc["symbolic_closed"]:
-            lines.append("plus a symbolic family of closed points")
-        if doc["symbolic_components"]:
-            lines.append("plus a symbolic family of components")
-        lines.extend(f"{a} ~> {b}" for a, b in doc["specializations"])
-        return lines
-    if "op" in doc:
-        lines = [f"op: {doc['op']}"]
-        if "local" in doc:
-            lines.append(f"local: {_flag(doc['local'])}")
-        result = doc["result"]
-        if "kind" in result and result["kind"] in ("up_to", "all_powers",
-                                                   "everything", "full_only"):
-            bound = f" bound={result['bound']}" if "bound" in result else ""
-            lines.append(f"stalk: {result['kind']}{bound}")
-        else:
-            lines.append("result: " + _filter_str(result))
-        return lines
-    return [json.dumps(doc, sort_keys=True)]
+def _spec_view(doc: dict) -> list[str]:
+    lines = [f"generic: {' '.join(doc['generic']) or '-'}",
+             f"closed: {' '.join(doc['closed']) or '-'}"]
+    if doc["symbolic_closed"]:
+        lines.append("plus a symbolic family of closed points")
+    if doc["symbolic_components"]:
+        lines.append("plus a symbolic family of components")
+    lines.extend(f"{a} ~> {b}" for a, b in doc["specializations"])
+    return lines
 
 
-def _render_table(doc: dict) -> list[str]:
-    if "results" in doc:
-        lines = []
-        for i, res in enumerate(doc["results"]):
-            if i:
-                lines.append("")
-            lines.extend(_render_one(res))
-        return lines
-    return _render_one(doc)
+def _op_view(doc: dict) -> list[str]:
+    lines = [f"op: {doc['op']}"]
+    result = doc["result"]
+    if doc["op"] == "generate":
+        lines.append(f"local: {_flag(doc['local'])}")
+    if doc["op"] == "localize":
+        bound = f" bound={result['bound']}" if "bound" in result else ""
+        lines.append(f"stalk: {result['kind']}{bound}")
+    else:
+        lines.append("result: " + _filter_str(result))
+    return lines
+
+
+def _oracle_view(doc: dict) -> list[str]:
+    lines = []
+    for c in doc["checks"]:
+        mark = "ok" if c["ok"] else "FAIL"
+        extra = f" ({c['detail']})" if c["detail"] else ""
+        lines.append(f"[{mark}] {doc['ring']}: {c['name']}{extra}")
+    lines.append(f"oracle: {'passed' if doc['passed'] else 'FAILED'}")
+    return lines
 
 
 # ---------------------------------------------------------------------------
-# job files
+# command runners: (job, command) -> document
 
 
-def _job_scheme(job: dict):
-    if "scheme" not in job:
-        raise ValidationFailure("job file defines no scheme")
-    return _guard(scheme_from_literal, job["scheme"])
+class _Job:
+    """A checked job file while it runs: its scheme, and its filters with
+    the results named so far."""
+
+    def __init__(self, lit: dict, degree_bound):
+        self._scheme = _guard(scheme_from_literal, lit["scheme"]) if "scheme" in lit else None
+        self.filters = dict(lit.get("filters", {}))
+        self.modules = lit.get("modules", {})
+        self.degree_bound = degree_bound
+
+    @property
+    def scheme(self):
+        if self._scheme is None:
+            raise ValidationFailure("job file defines no scheme")
+        return self._scheme
+
+    def filter_lit(self, ref):
+        """The literal of a filter given by name or inline."""
+        return self.filters[ref] if isinstance(ref, str) else ref
+
+    def classified(self, ref) -> dict:
+        flt = filter_from_literal(self.scheme, self.filter_lit(ref))
+        return _classify_doc(classify(flt), ref if isinstance(ref, str) else None)
 
 
-# the keys a job file and each kind of command may carry, each read by
-# _run_job, and the types of the command fields that are not literals
-_JOB_KEYS = {"schema", "scheme", "filters", "modules", "commands"}
-_COMMAND_KEYS = {
-    "spec": {"cmd", "degree_bound", "labels"},
-    "op": {"cmd", "op", "args", "chart", "point", "name"},
-    "classify": {"cmd", "filter"},
-    "member": {"cmd", "module", "filter"},
-    "table": {"cmd", "filters"},
-    "oracle": {"cmd", "ring", "length_bound"},
+def _run_spec(job: _Job, cmd: dict) -> dict:
+    poset = spec(job.scheme, cmd.get("degree_bound", job.degree_bound),
+                 cmd.get("labels", ()), DEFAULT_LIMITS)
+    pts = list(poset.points())
+    return {
+        "scheme": scheme_to_literal(job.scheme),
+        "generic": [point_to_literal(p) for p in poset.generic],
+        "closed": [point_to_literal(p) for p in poset.closed],
+        "symbolic_closed": poset.symbolic_closed,
+        "symbolic_components": poset.symbolic_components,
+        "specializations": [[point_to_literal(a), point_to_literal(b)]
+                            for a in pts for b in pts
+                            if a != b and poset.leq(a, b)],
+    }
+
+
+def _run_op(job: _Job, cmd: dict) -> dict:
+    op, args = cmd["op"], cmd["args"]
+    doc = {"op": op}
+    if op == "generate":
+        base = base_from_literal(job.scheme, job.filter_lit(args[0]))
+        doc["local"], closure = flt_ops.is_local(base)
+        doc["result"] = filter_to_literal(closure)
+    else:
+        operands = [filter_from_literal(job.scheme, job.filter_lit(a)) for a in args]
+        doc["operands"] = [filter_to_literal(f) for f in operands]
+        if op == "restrict":
+            doc["chart"] = cmd["chart"]
+            doc["result"] = filter_to_literal(flt_ops.restrict(operands[0], cmd["chart"]))
+        elif op == "localize":
+            doc["point"] = cmd["point"]
+            pt = point_from_literal(job.scheme, cmd["point"])
+            doc["result"] = stalk_to_literal(flt_ops.localize(operands[0], pt))
+        else:
+            doc["result"] = filter_to_literal(getattr(flt_ops, op)(*operands))
+    if "name" in cmd:
+        job.filters[cmd["name"]] = doc["result"]
+        doc["name"] = cmd["name"]
+    return doc
+
+
+def _run_member(job: _Job, cmd: dict) -> dict:
+    ref = cmd.get("module")
+    data = module_from_literal(job.scheme, job.modules[ref] if isinstance(ref, str) else ref)
+    flt = filter_from_literal(job.scheme, job.filter_lit(cmd.get("filter")))
+    return {"module": module_to_literal(data),
+            "filter": filter_to_literal(flt),
+            "member": member(data, flt)}
+
+
+def _run_oracle(job: _Job, cmd: dict) -> dict:
+    ring_desc = cmd.get("ring", "")
+    parts = {}
+    for piece in ring_desc.split(","):
+        key, _, value = piece.partition(":")
+        parts[key.strip()] = value.strip()
+    if set(parts) != {"p", "mod"} or not parts["p"].isdigit():
+        raise ValidationFailure(
+            f"bad --ring {ring_desc!r}; expected the form p:2,mod:x^3")
+    p = int(parts["p"])
+    ring = QuotientRing.make(PrimeField(p), poly_from_str(parts["mod"], p))
+    report = verify_ring(ring, cmd.get("length_bound", 4))
+    return {"ring": ring_desc,
+            "passed": report.passed,
+            "checks": [{"name": n, "ok": ok, "detail": d}
+                       for n, ok, d in report.checks]}
+
+
+# ---------------------------------------------------------------------------
+# the command table and the job runner
+
+
+class Command(NamedTuple):
+    keys: frozenset      # the keys a command of this kind may carry; an op adds its _OPS field
+    run: Callable        # (job, command) -> document
+    view: Callable       # document -> table lines
+
+
+COMMANDS = {
+    "spec": Command(frozenset({"cmd", "degree_bound", "labels"}), _run_spec, _spec_view),
+    "op": Command(frozenset({"cmd", "op", "args"}), _run_op, _op_view),
+    "classify": Command(frozenset({"cmd", "filter"}),
+                        lambda job, cmd: job.classified(cmd.get("filter")),
+                        lambda doc: _classify_table([doc])),
+    "member": Command(frozenset({"cmd", "module", "filter"}), _run_member,
+                      lambda doc: [f"member: {_flag(doc['member'])}"]),
+    "table": Command(frozenset({"cmd", "filters"}),
+                     lambda job, cmd: {"rows": [job.classified(ref) for ref in
+                                                cmd.get("filters", sorted(job.filters))]},
+                     lambda doc: _classify_table(doc["rows"])),
+    "oracle": Command(frozenset({"cmd", "ring", "length_bound"}), _run_oracle, _oracle_view),
 }
+
+# each op's operand count and the one field it reads besides its operands;
+# restrict and localize results live on a chart or a stalk, not on the job
+# scheme, so only the other ops can name their result for later commands
+_OPS = {"meet": (2, "name"), "join": (2, "name"), "product": (2, "name"),
+        "generate": (1, "name"), "restrict": (1, "chart"), "localize": (1, "point")}
+
+_JOB_KEYS = {"schema", "scheme", "filters", "modules", "commands"}
+# the types of the command fields that are not literals; none is a boolean
 _COMMAND_TYPES = {
     "degree_bound": ((int, type(None)), "an integer"),
     "labels": (list, "a list of labels"),
     "op": (str, "an op name"),
     "args": (list, "a list of filters"),
-    "chart": ((int, type(None)), "a chart index"),
-    "point": ((str, type(None)), "a point literal"),
+    "chart": (int, "a chart index"),
+    "point": (str, "a point literal"),
     "name": (str, "a filter name"),
     "filters": (list, "a list of filters"),
     "ring": (str, "a ring descriptor"),
@@ -380,109 +400,81 @@ _COMMAND_TYPES = {
 }
 
 
-def _check_job(job: dict) -> None:
-    """Reject unknown keys and wrongly typed structure in a job file."""
+def _check_job(job) -> None:
+    """Reject, before anything runs, a job whose structure, keys, field
+    types, ops or filter and module names are wrong."""
+    if not isinstance(job, dict):
+        raise ParseError("job file must be a JSON object")
+    if "schema" not in job:
+        raise ParseError("job file has no schema version field")
+    if job["schema"] != SCHEMA_VERSION:
+        raise ParseError(
+            f"unsupported schema version {job['schema']!r}; this build reads {SCHEMA_VERSION}")
     _check_keys(job, _JOB_KEYS, "job file")
-    _typed(job, "filters", {}, dict, "an object of name: filter")
-    _typed(job, "modules", {}, dict, "an object of name: module")
+    defined = set(_typed(job, "filters", {}, dict, "an object of name: filter"))
+    modules = _typed(job, "modules", {}, dict, "an object of name: module")
     for i, cmd in enumerate(_typed(job, "commands", [], list, "a list of commands")):
         if not isinstance(cmd, dict):
             raise ParseError(f"command {i} must be an object, not {cmd!r}")
         kind = cmd.get("cmd")
-        if not isinstance(kind, str) or kind not in _COMMAND_KEYS:
+        if not isinstance(kind, str) or kind not in COMMANDS:
             raise ParseError(f"command {i}: unknown command {kind!r}")
-        _check_keys(cmd, _COMMAND_KEYS[kind], f"command {i} ({kind})")
-        for key in cmd.keys() & _COMMAND_TYPES.keys():
-            _typed(cmd, key, None, *_COMMAND_TYPES[key])
-
-
-def _validate_names(job: dict) -> None:
-    defined = set(job.get("filters", {}))
-    modules = set(job.get("modules", {}))
-    for i, cmd in enumerate(job.get("commands", [])):
-        where = f"command {i} ({cmd['cmd']})"
-        for ref in _referenced_filters(cmd):
+        for key in sorted(cmd.keys() & _COMMAND_TYPES.keys()):
+            if isinstance(_typed(cmd, key, None, *_COMMAND_TYPES[key]), bool):
+                raise ParseError(f"{key!r} must be {_COMMAND_TYPES[key][1]}, not {cmd[key]!r}")
+        keys, where = COMMANDS[kind].keys, f"command {i} ({kind})"
+        if kind == "op":
+            op, args = cmd.get("op"), cmd.get("args", [])
+            if op not in _OPS:
+                raise ParseError(f"command {i}: unknown op {op!r}")
+            count, field = _OPS[op]
+            keys, where = keys | {field}, f"command {i} (op {op})"
+            if len(args) != count:
+                raise ParseError(f"command {i}: op {op} takes {count} operand(s), got {len(args)}")
+            if field != "name" and field not in cmd:
+                raise ParseError(f"command {i}: op {op} needs a {field}")
+        _check_keys(cmd, keys, where)
+        for ref in [cmd.get("filter"), *cmd.get("args", []), *cmd.get("filters", [])]:
             if isinstance(ref, str) and ref not in defined:
-                raise ValidationFailure(f"{where}: filter {ref!r} is not defined")
+                raise ParseError(f"{where}: filter {ref!r} is not defined")
         mod = cmd.get("module")
         if isinstance(mod, str) and mod not in modules:
-            raise ValidationFailure(f"{where}: module {mod!r} is not defined")
-        if "name" in cmd and cmd.get("op") in _NAMED_OPS:
+            raise ParseError(f"{where}: module {mod!r} is not defined")
+        if "name" in cmd:
             defined.add(cmd["name"])
 
 
-def _referenced_filters(cmd: dict):
-    kind = cmd.get("cmd")
-    if kind == "op":
-        return [a for a in cmd.get("args", []) if isinstance(a, str)]
-    if kind in ("classify", "member"):
-        ref = cmd.get("filter")
-        return [ref] if isinstance(ref, str) else []
-    if kind == "table":
-        return [f for f in cmd.get("filters", []) if isinstance(f, str)]
-    return []
-
-
-def _resolve_filter_lit(job_filters: dict, ref):
-    return job_filters[ref] if isinstance(ref, str) else ref
-
-
-def _run_job(job: dict, degree_bound) -> dict:
-    if not isinstance(job, dict):
-        raise ValidationFailure("job file must be a JSON object")
-    if "schema" not in job:
-        raise ValidationFailure("job file has no schema version field")
-    if job["schema"] != SCHEMA_VERSION:
-        raise ValidationFailure(
-            f"unsupported schema version {job['schema']!r}; this build reads {SCHEMA_VERSION}")
+def _run_job(job, degree_bound=None) -> dict:
     _guard(_check_job, job)
-    commands = job.get("commands", [])
-    _validate_names(job)
-    named = dict(job.get("filters", {}))
-    scheme = _job_scheme(job) if commands else None
-    results = []
-    for i, cmd in enumerate(commands):
-        kind = cmd.get("cmd")
-        where = f"command {i}"
-        if kind == "spec":
-            results.append(_guard(_spec_doc, scheme, cmd.get("degree_bound", degree_bound),
-                                  cmd.get("labels", ())))
-        elif kind == "op":
-            op = cmd.get("op")
-            if op not in _OP_ARITY:
-                raise ValidationFailure(f"{where}: unknown op {op!r}")
-            args = cmd.get("args", [])
-            if len(args) != _OP_ARITY[op]:
-                raise ValidationFailure(
-                    f"{where}: op {op} takes {_OP_ARITY[op]} operand(s), got {len(args)}")
-            lits = [_resolve_filter_lit(named, a) for a in args]
-            doc = _op_doc(op, scheme, lits, cmd.get("chart"), cmd.get("point"))
-            if "name" in cmd and op in _NAMED_OPS:
-                named[cmd["name"]] = doc["result"]
-                doc["name"] = cmd["name"]
-            results.append(doc)
-        elif kind == "classify":
-            lit = _resolve_filter_lit(named, cmd.get("filter"))
-            flt = _guard(filter_from_literal, scheme, lit)
-            results.append(_classify_doc(classify(flt),
-                                         cmd.get("filter") if isinstance(cmd.get("filter"), str) else None))
-        elif kind == "member":
-            mod_lit = cmd.get("module")
-            if isinstance(mod_lit, str):
-                mod_lit = job.get("modules", {})[mod_lit]
-            results.append(_member_doc(scheme, mod_lit,
-                                       _resolve_filter_lit(named, cmd.get("filter"))))
-        elif kind == "table":
-            refs = cmd.get("filters", sorted(named))
-            rows = []
-            for ref in refs:
-                flt = _guard(filter_from_literal, scheme, _resolve_filter_lit(named, ref))
-                rows.append(_classify_doc(classify(flt),
-                                          ref if isinstance(ref, str) else None))
-            results.append({"rows": rows})
-        else:
-            results.append(_oracle_doc(cmd.get("ring", ""), cmd.get("length_bound", 4)))
-    return {"schema": SCHEMA_VERSION, "results": results}
+    state = _Job(job, degree_bound)
+    return {"schema": SCHEMA_VERSION,
+            "results": [_guard(COMMANDS[cmd["cmd"]].run, state, cmd)
+                        for cmd in job.get("commands", [])]}
+
+
+def _execute(job, fmt: str, out: str | None, degree_bound=None, one=False) -> None:
+    """Run a job and print its document, or with one=True the result of its
+    one command; exit 3 if an oracle command failed."""
+    doc = _run_job(job, degree_bound)
+    commands, results = job.get("commands", []), doc["results"]
+    if not results:
+        return
+
+    def table():
+        return "\n\n".join("\n".join(COMMANDS[cmd["cmd"]].view(res))
+                           for cmd, res in zip(commands, results))
+
+    _emit(results[0] if one else doc, fmt, out, table)
+    if any(cmd["cmd"] == "oracle" and not res["passed"]
+           for cmd, res in zip(commands, results)):
+        sys.exit(3)
+
+
+def _one_command(command: dict, fmt: str, out: str | None, scheme_json=None) -> None:
+    job = {"schema": SCHEMA_VERSION, "commands": [command]}
+    if scheme_json is not None:
+        job["scheme"] = _load_json(scheme_json, "--scheme")
+    _execute(job, fmt, out, one=True)
 
 
 # ---------------------------------------------------------------------------
@@ -504,12 +496,7 @@ def run(job_path, fmt, out, degree_bound):
     """Run the commands in a job file."""
     with open(job_path, encoding="utf-8") as fh:
         job = _load_json(fh.read(), job_path)
-    doc = _run_job(job, degree_bound)
-    if not doc["results"]:
-        return
-    _emit(doc, fmt, out)
-    if any(not r["passed"] for r in doc["results"] if "passed" in r):
-        sys.exit(3)
+    _execute(job, fmt, out, degree_bound)
 
 
 @main.command("classify")
@@ -519,9 +506,8 @@ def run(job_path, fmt, out, degree_bound):
 @OUT_OPT
 def classify_cmd(scheme_json, filter_json, fmt, out):
     """Classify one filter and print its flags and attachments."""
-    scheme = _guard(scheme_from_literal, _load_json(scheme_json, "--scheme"))
-    flt = _guard(filter_from_literal, scheme, _load_json(filter_json, "--filter"))
-    _emit(_classify_doc(classify(flt)), fmt, out)
+    _one_command({"cmd": "classify", "filter": _load_json(filter_json, "--filter")},
+                 fmt, out, scheme_json)
 
 
 @main.command("spec")
@@ -533,13 +519,12 @@ def classify_cmd(scheme_json, filter_json, fmt, out):
 @OUT_OPT
 def spec_cmd(scheme_json, degree_bound, labels, fmt, out):
     """Enumerate the points of a scheme with their specialization order."""
-    scheme = _guard(scheme_from_literal, _load_json(scheme_json, "--scheme"))
-    label_list = tuple(l for l in labels.split(",") if l)
-    _emit(_guard(_spec_doc, scheme, degree_bound, label_list), fmt, out)
+    _one_command({"cmd": "spec", "degree_bound": degree_bound,
+                  "labels": [l for l in labels.split(",") if l]}, fmt, out, scheme_json)
 
 
 @main.command("op")
-@click.argument("opname", type=click.Choice(sorted(_OP_ARITY)))
+@click.argument("opname", type=click.Choice(sorted(_OPS)))
 @SCHEME_OPT
 @click.option("--filter", "filter_jsons", multiple=True,
               help="Filter literal (JSON); repeat for binary ops.")
@@ -549,13 +534,13 @@ def spec_cmd(scheme_json, degree_bound, labels, fmt, out):
 @OUT_OPT
 def op_cmd(opname, scheme_json, filter_jsons, chart, point, fmt, out):
     """Apply a filter operation: meet, join, product, restrict, localize, generate."""
-    scheme = _guard(scheme_from_literal, _load_json(scheme_json, "--scheme"))
-    if len(filter_jsons) != _OP_ARITY[opname]:
-        raise ValidationFailure(
-            f"op {opname} takes {_OP_ARITY[opname]} --filter operand(s), "
-            f"got {len(filter_jsons)}")
-    lits = [_load_json(f, "--filter") for f in filter_jsons]
-    _emit(_op_doc(opname, scheme, lits, chart, point), fmt, out)
+    command = {"cmd": "op", "op": opname,
+               "args": [_load_json(f, "--filter") for f in filter_jsons]}
+    if chart is not None:
+        command["chart"] = chart
+    if point is not None:
+        command["point"] = point
+    _one_command(command, fmt, out, scheme_json)
 
 
 @main.command("member")
@@ -566,9 +551,8 @@ def op_cmd(opname, scheme_json, filter_jsons, chart, point, fmt, out):
 @OUT_OPT
 def member_cmd(scheme_json, module_json, filter_json, fmt, out):
     """Decide whether the subcategory of a filter contains a module."""
-    scheme = _guard(scheme_from_literal, _load_json(scheme_json, "--scheme"))
-    _emit(_member_doc(scheme, _load_json(module_json, "--module"),
-                      _load_json(filter_json, "--filter")), fmt, out)
+    _one_command({"cmd": "member", "module": _load_json(module_json, "--module"),
+                  "filter": _load_json(filter_json, "--filter")}, fmt, out, scheme_json)
 
 
 @main.command("explain")
@@ -580,10 +564,9 @@ def explain_cmd(scheme_json, filter_json, fmt, out):
     """Walk the correspondence chain for one filter: flags, support, attachments."""
     scheme = _guard(scheme_from_literal, _load_json(scheme_json, "--scheme"))
     flt = _guard(filter_from_literal, scheme, _load_json(filter_json, "--filter"))
-    report = classify(flt)
-    doc = _classify_doc(report)
-    doc["chain"] = _explain_lines(report)
-    _emit(doc, fmt, out)
+    doc = _classify_doc(classify(flt))
+    doc["chain"] = _explain_lines(doc, str(flt))
+    _emit(doc, fmt, out, lambda: "\n".join(doc["chain"]))
 
 
 @main.group()
@@ -599,10 +582,7 @@ def oracle():
 @OUT_OPT
 def oracle_verify(ring, length_bound, fmt, out):
     """Cross-check the symbolic engine against brute force on one ring."""
-    doc = _oracle_doc(ring, length_bound)
-    _emit(doc, fmt, out)
-    if not doc["passed"]:
-        sys.exit(3)
+    _one_command({"cmd": "oracle", "ring": ring, "length_bound": length_bound}, fmt, out)
 
 
 if __name__ == "__main__":

@@ -86,6 +86,10 @@ MALFORMED = {
                                "--filter", '{"kind":"improper"}'],
     "kill_negative": ["classify", "--scheme", U2,
                       "--filter", '{"kind":"principal","ideal":{"kill":[-1]}}'],
+    "chart_on_meet": ["op", "meet", "--scheme", A1, "--filter", '{"kind":"improper"}',
+                      "--filter", '{"kind":"improper"}', "--chart", "9"],
+    "chart_on_localize": ["op", "localize", "--scheme", A1, "--filter", '{"kind":"improper"}',
+                          "--point", "pt:a", "--chart", "3"],
 }
 
 
@@ -235,6 +239,21 @@ MALFORMED_JOBS = {
         {"cmd": "classify", "filter": "G"}]},
     "length_bound_zero": {"commands": [{"cmd": "oracle", "ring": "p:2,mod:x^2",
                                         "length_bound": 0}]},
+    "chart_false": {"commands": [{"cmd": "op", "op": "restrict", "args": ["F"],
+                                  "chart": False}]},
+    "degree_bound_true": {"commands": [{"cmd": "spec", "degree_bound": True}]},
+    "length_bound_true": {"commands": [{"cmd": "oracle", "ring": "p:2,mod:x^2+x",
+                                        "length_bound": True}]},
+    "chart_on_meet": {"commands": [{"cmd": "op", "op": "meet", "args": ["F", "F"],
+                                    "chart": 0}]},
+    "point_on_restrict": {"commands": [{"cmd": "op", "op": "restrict", "args": ["F"],
+                                        "chart": 0, "point": "pt:a"}]},
+    "chart_on_generate": {"commands": [{"cmd": "op", "op": "generate", "args": ["F"],
+                                        "chart": 0}]},
+    "unused_name_on_localize": {"commands": [{"cmd": "op", "op": "localize", "args": ["F"],
+                                              "point": "pt:a", "name": "G"}]},
+    "bad_scheme_oracle_only": {"scheme": {"kind": "nope"},
+                               "commands": [{"cmd": "oracle", "ring": "p:2,mod:x^2"}]},
 }
 
 
@@ -309,3 +328,61 @@ class TestRun:
         assert res.exit_code == 0 and res.output == ""
         doc = json.loads(out.read_text())
         assert doc["results"][0]["result"]["exceptions"] == {"pt:a": 5}
+
+    def test_oracle_needs_no_scheme(self, runner, tmp_path):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"schema": 1, "commands": [
+            {"cmd": "oracle", "ring": "p:2,mod:x^2"}]}))
+        res = invoke(runner, ["run", str(path)])
+        assert res.exit_code == 0
+        single = invoke(runner, ["oracle", "verify", "--ring", "p:2,mod:x^2"])
+        assert json.loads(res.output)["results"][0] == json.loads(single.output)
+
+
+FA2 = '{"kind":"exponents","default":0,"exceptions":{"pt:a":2}}'
+FAB = '{"kind":"exponents","default":0,"exceptions":{"pt:a":1,"pt:b":1}}'
+F2LINE = '{"kind":"affine_line","field":{"p":2}}'
+
+# (subcommand arguments, scheme or None, the command a job file would hold)
+ONE_COMMAND = {
+    "classify": (["classify", "--scheme", A1, "--filter", FA2], A1,
+                 {"cmd": "classify", "filter": json.loads(FA2)}),
+    "member": (["member", "--scheme", A1, "--module", '{"divisors":{"pt:a":2}}',
+                "--filter", FAB], A1,
+               {"cmd": "member", "module": {"divisors": {"pt:a": 2}},
+                "filter": json.loads(FAB)}),
+    "spec": (["spec", "--scheme", F2LINE, "--degree-bound", "2"], F2LINE,
+             {"cmd": "spec", "degree_bound": 2}),
+    "oracle": (["oracle", "verify", "--ring", "p:2,mod:x^2+x", "--length-bound", "2"], None,
+               {"cmd": "oracle", "ring": "p:2,mod:x^2+x", "length_bound": 2}),
+    **{op: (["op", op, "--scheme", A1, "--filter", FA2, "--filter", FAB], A1,
+            {"cmd": "op", "op": op, "args": [json.loads(FA2), json.loads(FAB)]})
+       for op in ("meet", "join", "product")},
+    "restrict": (["op", "restrict", "--scheme", P1, "--chart", "1", "--filter",
+                  '{"kind":"exponents","default":0,"exceptions":{"pt:inf":1}}'], P1,
+                 {"cmd": "op", "op": "restrict", "chart": 1, "args": [
+                     {"kind": "exponents", "default": 0, "exceptions": {"pt:inf": 1}}]}),
+    "localize": (["op", "localize", "--scheme", A1, "--point", "pt:a", "--filter", FA2], A1,
+                 {"cmd": "op", "op": "localize", "point": "pt:a",
+                  "args": [json.loads(FA2)]}),
+    "generate": (["op", "generate", "--scheme", UZ, "--filter", '{"kind":"cofinite-family"}'],
+                 UZ, {"cmd": "op", "op": "generate", "args": [{"kind": "cofinite-family"}]}),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("args,scheme,command", ONE_COMMAND.values(), ids=ONE_COMMAND.keys())
+def test_subcommand_is_one_command_job(runner, tmp_path, args, scheme, command, fmt):
+    job = {"schema": 1, "commands": [command]}
+    if scheme is not None:
+        job["scheme"] = json.loads(scheme)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    single = invoke(runner, args + ["--format", fmt])
+    whole = invoke(runner, ["run", str(path), "--format", fmt])
+    assert single.exit_code == whole.exit_code == 0
+    if fmt == "json":
+        result = json.loads(whole.output)["results"][0]
+        assert single.output == json.dumps(result, indent=2, sort_keys=True) + "\n"
+    else:
+        assert single.output == whole.output
