@@ -17,7 +17,7 @@ from .classify import (
     points_to_localizing,
     specclosed_to_localizing,
 )
-from .config import DEFAULT_LIMITS, INF, Limits
+from .config import INF
 from .errors import (
     GluingError,
     LatticeTooLargeError,

@@ -20,7 +20,6 @@ import click
 
 from . import filters as flt_ops
 from .classify import ClassificationReport, classify, member
-from .config import DEFAULT_LIMITS
 from .errors import ParseError, QfiltError
 from .fields import PrimeField
 from .ideals import QuotientRing
@@ -264,11 +263,10 @@ class _Job:
     """A checked job file while it runs: its scheme, and its filters with
     the results named so far."""
 
-    def __init__(self, lit: dict, degree_bound):
+    def __init__(self, lit: dict):
         self._scheme = _guard(scheme_from_literal, lit["scheme"]) if "scheme" in lit else None
         self.filters = dict(lit.get("filters", {}))
         self.modules = lit.get("modules", {})
-        self.degree_bound = degree_bound
 
     @property
     def scheme(self):
@@ -286,18 +284,18 @@ class _Job:
 
 
 def _run_spec(job: _Job, cmd: dict) -> dict:
-    poset = spec(job.scheme, cmd.get("degree_bound", job.degree_bound),
-                 cmd.get("labels", ()), DEFAULT_LIMITS)
-    pts = list(poset.points())
+    poset = spec(job.scheme, cmd.get("degree_bound"), cmd.get("labels", ()))
     return {
         "scheme": scheme_to_literal(job.scheme),
         "generic": [point_to_literal(p) for p in poset.generic],
         "closed": [point_to_literal(p) for p in poset.closed],
         "symbolic_closed": poset.symbolic_closed,
         "symbolic_components": poset.symbolic_components,
-        "specializations": [[point_to_literal(a), point_to_literal(b)]
-                            for a in pts for b in pts
-                            if a != b and poset.leq(a, b)],
+        # only a generic point specializes, to the closed points of its
+        # component; no scheme has both several generic and any closed points
+        "specializations": [[point_to_literal(g), point_to_literal(pt)]
+                            for g in poset.generic for pt in poset.closed
+                            if pt.component == g.component],
     }
 
 
@@ -444,18 +442,18 @@ def _check_job(job) -> None:
             defined.add(cmd["name"])
 
 
-def _run_job(job, degree_bound=None) -> dict:
+def _run_job(job) -> dict:
     _guard(_check_job, job)
-    state = _Job(job, degree_bound)
+    state = _Job(job)
     return {"schema": SCHEMA_VERSION,
             "results": [_guard(COMMANDS[cmd["cmd"]].run, state, cmd)
                         for cmd in job.get("commands", [])]}
 
 
-def _execute(job, fmt: str, out: str | None, degree_bound=None, one=False) -> None:
+def _execute(job, fmt: str, out: str | None, one=False) -> None:
     """Run a job and print its document, or with one=True the result of its
     one command; exit 3 if an oracle command failed."""
-    doc = _run_job(job, degree_bound)
+    doc = _run_job(job)
     commands, results = job.get("commands", []), doc["results"]
     if not results:
         return
@@ -490,13 +488,11 @@ def main():
 @click.argument("job_path", type=click.Path(exists=True, dir_okay=False))
 @FORMAT_OPT
 @OUT_OPT
-@click.option("--degree-bound", type=int, default=None,
-              help="Default closed-point degree bound for spec commands.")
-def run(job_path, fmt, out, degree_bound):
+def run(job_path, fmt, out):
     """Run the commands in a job file."""
     with open(job_path, encoding="utf-8") as fh:
         job = _load_json(fh.read(), job_path)
-    _execute(job, fmt, out, degree_bound)
+    _execute(job, fmt, out)
 
 
 @main.command("classify")

@@ -1,26 +1,16 @@
-"""Size limits for the symbolic engine and the brute-force verifier.
+"""Size caps for the symbolic engine and the brute-force verifier.
 
-Every bound that keeps a computation desk-scale lives here so that callers
-can tighten or relax them in one place instead of hunting for magic numbers.
-The defaults are generous enough for every shipped example and test.
+Every bound that keeps a computation desk-scale is a constant here, read by
+the one module that enforces it.  The values are generous enough for every
+shipped example and test; input past a cap is rejected with a QfiltError.
 """
-
-from dataclasses import dataclass
 
 INF = float("inf")
 
-
-@dataclass(frozen=True)
-class Limits:
-    """Caps enforced by validating constructors and enumeration routines."""
-
-    max_prime: int = 257            # largest prime modulus for a coefficient field
-    max_poly_enumeration: int = 2_000_000   # candidate count guard for irreducible sieves
-    max_quotient_degree: int = 6    # modulus degree for divisor-lattice enumeration
-    max_union_components: int = 64  # explicit disjoint-union component count
-    max_oracle_elements: int = 4096     # finite-ring size for exhaustive tables
-    max_oracle_ideals: int = 24     # ideal count for filter enumeration
-    max_subcat_length: int = 8      # composition-length bound for module enumeration
-
-
-DEFAULT_LIMITS = Limits()
+MAX_PRIME = 257                     # largest prime modulus for a coefficient field
+MAX_POLY_ENUMERATION = 2_000_000    # candidate count guard for irreducible sieves
+MAX_QUOTIENT_DEGREE = 6             # modulus degree for divisor-lattice enumeration
+MAX_UNION_COMPONENTS = 64           # explicit disjoint-union component count
+MAX_ORACLE_ELEMENTS = 4096          # finite-ring size for exhaustive tables
+MAX_ORACLE_IDEALS = 24              # ideal count for filter enumeration
+MAX_SUBCAT_LENGTH = 8               # composition-length bound for module enumeration

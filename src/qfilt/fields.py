@@ -15,7 +15,7 @@ valid element labels.
 import re
 from dataclasses import dataclass
 
-from .config import DEFAULT_LIMITS, Limits
+from .config import MAX_PRIME
 from .errors import QfiltError
 
 RESERVED_LABELS = frozenset({"inf", "gen"})
@@ -39,12 +39,12 @@ class PrimeField:
 
     p: int
 
-    def validate(self, limits: Limits = DEFAULT_LIMITS) -> "PrimeField":
+    def __post_init__(self):
+        # the cap comes first: trial division of a huge p never ends
+        if self.p > MAX_PRIME:
+            raise QfiltError(f"field size {self.p} exceeds limit {MAX_PRIME}")
         if not is_prime(self.p):
             raise QfiltError(f"modulus {self.p} is not prime")
-        if self.p > limits.max_prime:
-            raise QfiltError(f"prime {self.p} exceeds limit {limits.max_prime}")
-        return self
 
     def __str__(self) -> str:
         return f"F{self.p}"
@@ -74,11 +74,8 @@ def field_from_literal(value) -> BaseField:
     """Build a field from its literal form: {"p": 2} or "symbolic"."""
     if value == "symbolic":
         return SymbolicAlgClosed()
-    if isinstance(value, dict) and set(value) == {"p"}:
-        try:
-            return PrimeField(int(value["p"])).validate()
-        except (TypeError, ValueError):
-            pass
+    if isinstance(value, dict) and set(value) == {"p"} and type(value["p"]) is int:
+        return PrimeField(value["p"])
     raise QfiltError(f"bad field literal {value!r}")
 
 

@@ -58,7 +58,7 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 
-from .config import DEFAULT_LIMITS, INF, Limits
+from .config import INF, MAX_QUOTIENT_DEGREE
 from .errors import GluingError, QfiltError, UnsupportedFamilyError
 from .schemes import (
     IdealSheaf,
@@ -462,13 +462,12 @@ def glue_filters(scheme, chart_data: dict, rest: str | None = None) -> LocalFilt
 # finite enumeration
 
 
-def enumerate_quotient_filters(scheme: Scheme,
-                               limits: Limits = DEFAULT_LIMITS) -> tuple[LocalFilter, ...]:
+def enumerate_quotient_filters(scheme: Scheme) -> tuple[LocalFilter, ...]:
     """All local filters on an Artinian quotient, one per exponent vector."""
-    if scheme.ring.degree > limits.max_quotient_degree:
+    if scheme.ring.degree > MAX_QUOTIENT_DEGREE:
         raise QfiltError(
             f"lattice too large: modulus degree {scheme.ring.degree} "
-            f"exceeds {limits.max_quotient_degree}"
+            f"exceeds {MAX_QUOTIENT_DEGREE}"
         )
     prime_pts = scheme.primes()
     ranges = [range(cap + 1) for _, cap in prime_pts]

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .config import DEFAULT_LIMITS, Limits
+from .config import MAX_ORACLE_ELEMENTS, MAX_ORACLE_IDEALS, MAX_SUBCAT_LENGTH
 from .errors import LatticeTooLargeError, QfiltError
 from .ideals import QuotientRing
 from .poly import PrimePoly
@@ -109,27 +109,27 @@ class FiniteRingTable:
         return frozenset(r for r in range(self.size) if smul(r, x) == zero)
 
 
-def _checked_primes(ring: QuotientRing, limits: Limits):
+def _checked_primes(ring: QuotientRing):
     """The prime factors of the modulus, once the element count p^deg and
-    the ideal count prod(e_i + 1) are within the oracle's limits.  k[x]/(f)
+    the ideal count prod(e_i + 1) are within the oracle's caps.  k[x]/(f)
     is a principal ideal ring whose ideals are the monic divisors of f, so
     the ideal count is exact."""
     n = ring.modulus.p ** ring.modulus.degree
-    if n > limits.max_oracle_elements:
+    if n > MAX_ORACLE_ELEMENTS:
         raise LatticeTooLargeError(
-            f"{n} ring elements exceed the oracle limit {limits.max_oracle_elements}")
+            f"{n} ring elements exceed the oracle limit {MAX_ORACLE_ELEMENTS}")
     primes = ring.prime_factors()
-    if math.prod(e + 1 for _, e in primes) > limits.max_oracle_ideals:
+    if math.prod(e + 1 for _, e in primes) > MAX_ORACLE_IDEALS:
         raise LatticeTooLargeError(
-            f"more than {limits.max_oracle_ideals} ideals; lattice too large")
+            f"more than {MAX_ORACLE_IDEALS} ideals; lattice too large")
     return primes
 
 
-def build_table(ring: QuotientRing, limits: Limits = DEFAULT_LIMITS) -> FiniteRingTable:
+def build_table(ring: QuotientRing) -> FiniteRingTable:
     """Lay out k[x]/(f) as tables, self-check the axioms, enumerate ideals.
-    The limits are checked from the factorization before any table is laid
+    The caps are checked from the factorization before any table is laid
     out; the enumeration keeps its own cap on the ideals it finds."""
-    primes = _checked_primes(ring, limits)
+    primes = _checked_primes(ring)
     modulus = ring.modulus
     p, deg = modulus.p, modulus.degree
     n = p ** deg
@@ -142,7 +142,7 @@ def build_table(ring: QuotientRing, limits: Limits = DEFAULT_LIMITS) -> FiniteRi
     zero = pos[PrimePoly.make(p, (0,))]
     one = pos[PrimePoly.make(p, (1,))]
     _self_check(n, add, mul, zero, one)
-    ideals = _enumerate_ideals(n, add, mul, limits)
+    ideals = _enumerate_ideals(n, add, mul)
     return FiniteRingTable(ring, reps, add, mul, zero, one, ideals,
                            tuple(m for _, m in primes),
                            tuple(q.degree for q, _ in primes),
@@ -170,7 +170,7 @@ def _self_check(n: int, add, mul, zero: int, one: int) -> None:
             raise QfiltError("distributivity fails")
 
 
-def _enumerate_ideals(n: int, add, mul, limits: Limits) -> tuple[IdealSet, ...]:
+def _enumerate_ideals(n: int, add, mul) -> tuple[IdealSet, ...]:
     found: set[IdealSet] = set()
     for a in range(n):
         found.add(frozenset(mul[a][r] for r in range(n)))
@@ -183,12 +183,9 @@ def _enumerate_ideals(n: int, add, mul, limits: Limits) -> tuple[IdealSet, ...]:
             if s not in found:
                 found.add(s)
                 changed = True
-        if len(found) > limits.max_oracle_ideals:
+        if len(found) > MAX_ORACLE_IDEALS:
             raise LatticeTooLargeError(
-                f"more than {limits.max_oracle_ideals} ideals; lattice too large")
-    if len(found) > limits.max_oracle_ideals:
-        raise LatticeTooLargeError(
-            f"more than {limits.max_oracle_ideals} ideals; lattice too large")
+                f"more than {MAX_ORACLE_IDEALS} ideals; lattice too large")
     return tuple(sorted(found, key=lambda s: (-len(s), sorted(s))))
 
 
@@ -529,8 +526,8 @@ def _multiset_module(table: FiniteRingTable, multiset: tuple) -> ExplicitModule:
     return mod
 
 
-def enumerate_subcategories(table: FiniteRingTable, length_bound: int = 4,
-                            limits: Limits = DEFAULT_LIMITS) -> tuple[SubcategoryData, ...]:
+def enumerate_subcategories(table: FiniteRingTable,
+                            length_bound: int = 4) -> tuple[SubcategoryData, ...]:
     """All prelocalizing subcategories with certified flags.
 
     Candidates are sets of indecomposable classes; closure under
@@ -543,7 +540,7 @@ def enumerate_subcategories(table: FiniteRingTable, length_bound: int = 4,
     The bound must reach the largest prime exponent e: R/(p^e) has length
     e, and below that no module tells the subcategories with and without
     it apart."""
-    _check_length_bound(table.ring, table.prime_exponents, length_bound, limits)
+    _check_length_bound(table.ring, table.prime_exponents, length_bound)
     keys = _indecomposable_keys(table)
     # one shared pass of submodule enumeration: for each module the set of
     # (submodule class, quotient class) pairs
@@ -590,12 +587,11 @@ def enumerate_subcategories(table: FiniteRingTable, length_bound: int = 4,
     return tuple(sorted(out, key=lambda s: s.exponents))
 
 
-def _check_length_bound(ring: QuotientRing, exponents, length_bound: int,
-                        limits: Limits) -> None:
+def _check_length_bound(ring: QuotientRing, exponents, length_bound: int) -> None:
     """The length bound must stay within the cap and reach the largest
     prime exponent."""
-    if length_bound > limits.max_subcat_length:
-        raise QfiltError(f"length bound {length_bound} exceeds {limits.max_subcat_length}")
+    if length_bound > MAX_SUBCAT_LENGTH:
+        raise QfiltError(f"length bound {length_bound} exceeds {MAX_SUBCAT_LENGTH}")
     least_bound = max(exponents, default=0)
     if length_bound < least_bound:
         raise QfiltError(f"length bound {length_bound} is below the largest prime exponent "
@@ -655,8 +651,7 @@ def sheaf_to_ideal_set(ideal_sheaf, table: FiniteRingTable) -> IdealSet:
     return table.principal(elem)
 
 
-def verify_ring(ring: QuotientRing, length_bound: int = 4,
-                limits: Limits = DEFAULT_LIMITS) -> OracleReport:
+def verify_ring(ring: QuotientRing, length_bound: int = 4) -> OracleReport:
     """Cross-check the symbolic engine against brute force on one ring."""
     from .classify import classify, member
     from .filters import (enumerate_quotient_filters, is_principal,
@@ -669,11 +664,11 @@ def verify_ring(ring: QuotientRing, length_bound: int = 4,
     # what follows from the factorization is checked before build_table
     # lays out a table, in the order the stages below would check it: the
     # element and ideal counts, the modulus degree, the length bound
-    primes = _checked_primes(ring, limits)
+    primes = _checked_primes(ring)
     scheme = AffineQuotient(ring)
-    engine_filters = enumerate_quotient_filters(scheme, limits)
-    _check_length_bound(ring, [e for _, e in primes], length_bound, limits)
-    table = build_table(ring, limits)
+    engine_filters = enumerate_quotient_filters(scheme)
+    _check_length_bound(ring, [e for _, e in primes], length_bound)
+    table = build_table(ring)
     report.record("ring axioms", True)
 
     expected = math.prod(m + 1 for m in table.prime_exponents)
@@ -727,7 +722,7 @@ def verify_ring(ring: QuotientRing, length_bound: int = 4,
     report.record("least members match", principal_ok)
     report.record("Gabriel condition matches product closure", gabriel_ok)
 
-    subs = enumerate_subcategories(table, length_bound, limits)
+    subs = enumerate_subcategories(table, length_bound)
     by_exponents = {}
     for f in engine_filters:
         key = tuple(mult if f.improper else int(f.exponents.value(pt))

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .config import DEFAULT_LIMITS
+from .config import MAX_POLY_ENUMERATION
 from .errors import ParseError, QfiltError, RingMismatchError
 from .fields import PrimeField, SymbolicAlgClosed, check_label
 
@@ -156,13 +156,13 @@ def monic_polys(p: int, degree: int):
 
 
 @lru_cache(maxsize=None)
-def irreducibles(p: int, degree: int, max_candidates: int = DEFAULT_LIMITS.max_poly_enumeration) -> tuple[PrimePoly, ...]:
+def irreducibles(p: int, degree: int) -> tuple[PrimePoly, ...]:
     """All monic irreducibles of exactly the given degree, sorted."""
     if degree < 1:
         return ()
-    if p ** degree > max_candidates:
+    if p ** degree > MAX_POLY_ENUMERATION:
         raise QfiltError(f"irreducible enumeration over F{p} at degree {degree} is too large")
-    smaller = [q for d in range(1, degree // 2 + 1) for q in irreducibles(p, d, max_candidates)]
+    smaller = [q for d in range(1, degree // 2 + 1) for q in irreducibles(p, d)]
     found = []
     for f in monic_polys(p, degree):
         if degree > 1 and f.coeffs[0] == 0:

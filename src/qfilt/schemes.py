@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .config import DEFAULT_LIMITS, INF, Limits
+from .config import INF, MAX_UNION_COMPONENTS
 from .errors import GluingError, QfiltError, RingMismatchError
 from .fields import BaseField, PrimeField, SymbolicAlgClosed, check_label
 from .ideals import QuotientRing
@@ -226,14 +226,14 @@ class Scheme:
             raise QfiltError(f"{self} has no closed points")
         raise QfiltError(f"point {pt} does not lie on {self}")
 
-    def spec_points(self, degree_bound, labels, limits: Limits):
+    def spec_points(self, degree_bound, labels):
         if self.closed is not None:
             return (self.all_closed_points(), self.generic_points(), False,
                     self.component_count is None)
         if isinstance(self.field, PrimeField):
             bound = degree_bound or 1
             closed = [closed_point(q) for d in range(1, bound + 1)
-                      for q in irreducibles(self.field.p, d, limits.max_poly_enumeration)]
+                      for q in irreducibles(self.field.p, d)]
         else:
             closed = [closed_point(check_label(l)) for l in labels]
         kept = tuple(pt for pt in closed if pt not in self.removed)
@@ -300,14 +300,14 @@ def AffineQuotient(ring: QuotientRing) -> Scheme:
     return Scheme("affine_quotient", ring.field, ring)
 
 
-def _explicit_union(fields, limits: Limits = DEFAULT_LIMITS) -> Scheme:
+def _explicit_union(fields) -> Scheme:
     """The disjoint union of finitely many spectra of fields."""
     fields = tuple(fields)
     if not fields:
         raise QfiltError("a disjoint union needs at least one component")
-    if len(fields) > limits.max_union_components:
+    if len(fields) > MAX_UNION_COMPONENTS:
         raise QfiltError(
-            f"{len(fields)} components exceed the explicit limit {limits.max_union_components}"
+            f"{len(fields)} components exceed the explicit limit {MAX_UNION_COMPONENTS}"
         )
     return Scheme("disjoint_union", components=fields)
 

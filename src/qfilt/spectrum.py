@@ -36,7 +36,7 @@ maximal ideal, plus a pattern of components carrying a free summand.
 import dataclasses
 from dataclasses import dataclass
 
-from .config import DEFAULT_LIMITS, INF, Limits
+from .config import INF
 from .errors import QfiltError
 from .poly import PrimePoly
 
@@ -320,14 +320,14 @@ class SpecPoset:
         return a.kind == "generic" and a.component == b.component
 
 
-def spec(scheme, degree_bound: int | None = None, labels=(), limits: Limits = DEFAULT_LIMITS) -> SpecPoset:
+def spec(scheme, degree_bound: int | None = None, labels=()) -> SpecPoset:
     """Enumerate the spectrum of a scheme model.
 
     degree_bound caps the degree of closed points over a prime field;
     labels lists the symbolic labels to materialize.  Symbolic families
     beyond the enumerated part are reported by the symbolic_* flags."""
     closed, generic, symbolic_closed, symbolic_components = scheme.spec_points(
-        degree_bound, tuple(labels), limits
+        degree_bound, tuple(labels)
     )
     return SpecPoset(scheme, sorted_points(closed), sorted_points(generic),
                      symbolic_closed, symbolic_components)

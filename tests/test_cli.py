@@ -7,7 +7,9 @@ import pytest
 from click.testing import CliRunner
 
 from qfilt.cli import main
+from qfilt.literals import point_to_literal, scheme_from_literal
 from qfilt.oracle import OracleReport
+from qfilt.spectrum import spec
 
 ROOT = Path(__file__).resolve().parent.parent
 JOBS = ROOT / "jobs"
@@ -90,6 +92,20 @@ MALFORMED = {
                       "--filter", '{"kind":"improper"}', "--chart", "9"],
     "chart_on_localize": ["op", "localize", "--scheme", A1, "--filter", '{"kind":"improper"}',
                           "--point", "pt:a", "--chart", "3"],
+    "oracle_p_zero": ["oracle", "verify", "--ring", "p:0,mod:x"],
+    "oracle_p_composite": ["oracle", "verify", "--ring", "p:4,mod:x"],
+    "oracle_p_prime_power": ["oracle", "verify", "--ring", "p:9,mod:x^2"],
+    # 2^61 - 1 is prime; trial division would not finish before the cap
+    "field_p_huge_prime": ["classify", "--scheme",
+                           '{"kind":"affine_line","field":{"p":2305843009213693951}}',
+                           "--filter", '{"kind":"improper"}'],
+    "field_p_float": ["classify", "--scheme", '{"kind":"affine_line","field":{"p":2.9}}',
+                      "--filter", '{"kind":"improper"}'],
+    "field_p_string": ["classify", "--scheme", '{"kind":"affine_line","field":{"p":"7"}}',
+                       "--filter", '{"kind":"improper"}'],
+    "quotient_p_float": ["classify", "--scheme",
+                         '{"kind":"affine_quotient","p":3.5,"modulus":"x^2"}',
+                         "--filter", '{"kind":"improper"}'],
 }
 
 
@@ -98,6 +114,36 @@ def test_malformed_literal_exit_2(runner, args):
     res = invoke(runner, args)
     assert res.exit_code == 2
     assert res.stderr.startswith("Error:")
+
+
+# one input just past each size cap in qfilt.config, with that cap's message
+CAPS = {
+    "MAX_PRIME": (["classify", "--scheme", '{"kind":"affine_line","field":{"p":263}}',
+                   "--filter", '{"kind":"improper"}'], "field size 263 exceeds limit 257"),
+    "MAX_POLY_ENUMERATION": (
+        ["classify", "--scheme", '{"kind":"affine_line","field":{"p":2}}', "--filter",
+         '{"kind":"exponents","default":0,"exceptions":{"pt:x^21+x+1":1}}'],
+        "irreducible enumeration over F2 at degree 21 is too large"),
+    "MAX_UNION_COMPONENTS": (
+        ["classify", "--scheme",
+         json.dumps({"kind": "disjoint_union", "components": [{"p": 2}] * 65}),
+         "--filter", '{"kind":"improper"}'], "65 components exceed the explicit limit 64"),
+    "MAX_ORACLE_ELEMENTS": (["oracle", "verify", "--ring", "p:3,mod:x^8"],
+                            "6561 ring elements exceed the oracle limit 4096"),
+    "MAX_ORACLE_IDEALS": (["oracle", "verify", "--ring", "p:2,mod:x^8+x^4"],
+                          "more than 24 ideals; lattice too large"),
+    "MAX_QUOTIENT_DEGREE": (["oracle", "verify", "--ring", "p:2,mod:x^7"],
+                            "modulus degree 7 exceeds 6"),
+    "MAX_SUBCAT_LENGTH": (["oracle", "verify", "--ring", "p:2,mod:x^2", "--length-bound", "9"],
+                          "length bound 9 exceeds 8"),
+}
+
+
+@pytest.mark.parametrize("args,message", CAPS.values(), ids=CAPS.keys())
+def test_size_cap_exit_2(runner, args, message):
+    res = invoke(runner, args)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("Error:") and message in res.stderr
 
 
 class TestOps:
@@ -158,13 +204,31 @@ class TestMemberSpec:
             "--filter", '{"kind":"exponents","default":0,"exceptions":{"pt:a":1}}'])
         assert json.loads(res.output)["member"] is False
 
+    # scheme, degree bound, labels, closed points, specializations; the
+    # quotient's points are closed components and the union's generic ones,
+    # so neither has a specialization
+    SPEC_CASES = [
+        ('{"kind":"affine_line","field":{"p":2}}', 4, (), 8, 8),
+        ('{"kind":"proj_line","field":{"p":2}}', 3, (), 6, 6),
+        (P1, None, ("a", "b"), 3, 3),
+        ('{"kind":"affine_quotient","p":2,"modulus":"x^5+x^3"}', None, (), 2, 0),
+        (U2, None, (), 0, 0),
+    ]
+
     def test_spec_counts(self, runner):
-        res = invoke(runner, ["spec", "--scheme",
-                              '{"kind":"affine_line","field":{"p":2}}',
-                              "--degree-bound", "4"])
-        doc = json.loads(res.output)
-        assert len(doc["closed"]) == 8
-        assert len(doc["specializations"]) == 8
+        # the list is the pair scan of SpecPoset.leq, in its order
+        for scheme, degree, labels, closed, pairs in self.SPEC_CASES:
+            args = ["spec", "--scheme", scheme, "--labels", ",".join(labels)]
+            if degree is not None:
+                args += ["--degree-bound", str(degree)]
+            doc = json.loads(invoke(runner, args).output)
+            assert len(doc["closed"]) == closed
+            assert len(doc["specializations"]) == pairs
+            poset = spec(scheme_from_literal(json.loads(scheme)), degree, labels)
+            pts = poset.points()
+            assert doc["specializations"] == [[point_to_literal(a), point_to_literal(b)]
+                                              for a in pts for b in pts
+                                              if a != b and poset.leq(a, b)]
 
     def test_spec_labels(self, runner):
         res = invoke(runner, ["spec", "--scheme", A1, "--labels", "a,b"])

@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from qfilt import oracle
-from qfilt.config import Limits
 from qfilt.errors import LatticeTooLargeError, QfiltError
 from qfilt.fields import PrimeField
 from qfilt.ideals import QuotientRing
@@ -62,8 +61,9 @@ class TestTable:
                             lambda *args: pytest.fail("tables were built"))
         with pytest.raises(LatticeTooLargeError, match="more than 24 ideals"):
             build_table(ring(2, "x^8+x^4"))
+        monkeypatch.setattr(oracle, "MAX_ORACLE_IDEALS", 3)
         with pytest.raises(LatticeTooLargeError, match="more than 3 ideals"):
-            build_table(R_X3, Limits(max_oracle_ideals=3))
+            build_table(R_X3)
 
     def test_prime_powers_are_principal(self):
         table = build_table(R_MIXED)

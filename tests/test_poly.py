@@ -85,10 +85,10 @@ class TestIrreducibleCounts:
     # monic irreducibles over F2 by degree: 2, 1, 2, 3
     @pytest.mark.parametrize("degree,count", [(1, 2), (2, 1), (3, 2), (4, 3)])
     def test_f2_counts(self, degree, count):
-        assert len(irreducibles(2, degree, 10**6)) == count
+        assert len(irreducibles(2, degree)) == count
 
     def test_f3_linear(self):
-        assert len(irreducibles(3, 1, 10**6)) == 3
+        assert len(irreducibles(3, 1)) == 3
 
 
 class TestFactored:
