@@ -50,12 +50,18 @@ class ValidationFailure(click.ClickException):
     exit_code = 2
 
 
+# past Python's limit on the digits of an integer it converts from text
+_TOO_LONG = "an integer with too many digits to read"
+
+
 def _load_json(text: str, what: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ValidationFailure(
             f"{what}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
+    except ValueError as e:
+        raise ValidationFailure(f"{what}: {_TOO_LONG}") from e
 
 
 def _guard(fn, *args):
@@ -342,7 +348,10 @@ def _run_oracle(job: _Job, cmd: dict) -> dict:
     if set(parts) != {"p", "mod"} or not parts["p"].isdigit():
         raise ValidationFailure(
             f"bad --ring {ring_desc!r}; expected the form p:2,mod:x^3")
-    p = int(parts["p"])
+    try:
+        p = int(parts["p"])
+    except ValueError as e:
+        raise ValidationFailure(f"bad --ring: p is {_TOO_LONG}") from e
     ring = QuotientRing.make(PrimeField(p), poly_from_str(parts["mod"], p))
     report = verify_ring(ring, cmd.get("length_bound", 4))
     return {"ring": ring_desc,

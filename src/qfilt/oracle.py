@@ -14,24 +14,28 @@ rather than assumed.
 A finite module is its elements 0..n-1 (0 the zero) with list tables for
 addition and for multiplication by each ring element.  R/I numbers the
 cosets of I, and a direct sum numbers its tuples by mixed radix, so every
-table is built by index arithmetic.  Submodules are the sums of the
-module's distinct cyclic submodules R·g, closed under sums from 0 the way
-ideals are closed from principal ones.  The class of a submodule and of
-its quotient is read off index sets: the submodule's elements, and one
-representative per coset with the coset index as its name.  The direct
-sums of indecomposables are built once per ring table and shared by the
+table is built by index arithmetic.  The submodules of a direct sum
+M' + R/(p^j) come from those of M' by Goursat's lemma, each exactly once:
+a submodule is its intersection with M', the image p^a·R/(p^j) of its
+last coordinate, and the coset of M' that the image's generator lifts to.
+The classes of a submodule N and of its quotient are read off counts: for
+each scalar r that picks out p_i^j times the p_i-primary part, |r·N| is
+|N| / |N ∩ ker r| and |r·(M/N)| is |r·M| / |N ∩ r·M|.  The direct sums of
+indecomposables are built once per ring table and shared by the
 subcategory enumeration and the membership check.
 
 verify_ring() bundles all of these cross-checks for one ring and reports
 each as a named pass/fail line with counterexample details on failure.
 Whatever the factorization of f decides (the element and ideal counts,
-the modulus degree, the least length bound) is checked before any table
-is laid out.  The engine's side of the bridge, its scheme of the ring and
-the ideal sheaf of each ideal, is built once per ring table.
+the modulus degree, the least length bound, the size of the largest
+module) is checked before any table is laid out.  The engine's side of
+the bridge, its scheme of the ring and the ideal sheaf of each ideal, is
+built once per ring table.
 """
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -58,8 +62,9 @@ class FiniteRingTable:
     prime_exponents: tuple[int, ...]
     prime_degrees: tuple[int, ...]
     prime_elements: tuple[int, ...]  # element index of each prime factor
-    # the add and smul tables of the direct sum of indecomposables of each
-    # multiset, built once; tables alone, so that no cycle keeps them alive
+    # [add table, smul table] of the direct sum of indecomposables of each
+    # multiset, each built once, the add table when first read; tables
+    # alone, so that no cycle keeps them alive
     modules: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -89,6 +94,21 @@ class FiniteRingTable:
                   for i, e in enumerate(self.prime_exponents)]
         return tuple(tuple(sum(members <= power for power in per) for per in powers)
                      for members in self.ideals)
+
+    @cached_property
+    def primary_scalars(self) -> tuple[int, ...]:
+        """r_ij = p_i^j · prod_{l != i} p_l^(e_l) for each prime i and
+        0 <= j < e_i, in that order.  The second factor kills every primary
+        part but the i-th and is invertible on it, so r_ij·X is p_i^j times
+        the p_i-primary part of X."""
+        out = []
+        for i, e in enumerate(self.prime_exponents):
+            others = self.one
+            for l, e_l in enumerate(self.prime_exponents):
+                if l != i:
+                    others = self.mul[others][self.prime_power(l, e_l)]
+            out.extend(self.mul[others][self.prime_power(i, j)] for j in range(e))
+        return tuple(out)
 
     @cached_property
     def scheme(self):
@@ -319,17 +339,23 @@ class ExplicitModule:
     """A finite module on the elements 0..n-1, element 0 its zero.
 
     `add_table[x][y]` is x + y and `smul_table[r][x]` is r·x for the ring
-    element of index r; the rows are read-only."""
+    element of index r; the rows are read-only.  `addition` is the add
+    table, or a function that builds it when first read: the add table of
+    a long direct sum is the largest table there is, and often unread."""
 
     table: FiniteRingTable
-    add_table: list[list[int]]
+    addition: list[list[int]] | Callable[[], list[list[int]]]
     smul_table: list[list[int]]
 
     zero = 0
 
+    @cached_property
+    def add_table(self) -> list[list[int]]:
+        return self.addition() if callable(self.addition) else self.addition
+
     @property
     def size(self) -> int:
-        return len(self.add_table)
+        return len(self.smul_table[0])
 
     @property
     def elements(self) -> range:
@@ -372,73 +398,103 @@ def direct_sum(mods) -> ExplicitModule:
     mods = list(mods)
     out = mods[0]
     for mod in mods[1:]:
-        n = mod.size
         out = ExplicitModule(
             out.table,
-            [[x * n + y for x in ra for y in rb] for ra in out.add_table for rb in mod.add_table],
-            [[x * n + y for x in ra for y in rb]
-             for ra, rb in zip(out.smul_table, mod.smul_table)])
+            _sum_rows(itertools.product(out.add_table, mod.add_table), mod.size),
+            _sum_rows(zip(out.smul_table, mod.smul_table), mod.size))
     return out
+
+
+def _sum_rows(pairs, n: int) -> list[list[int]]:
+    """The rows of a direct sum's table from pairs of summand rows, the
+    second summand of size n."""
+    return [[x * n + y for x in ra for y in rb] for ra, rb in pairs]
 
 
 def zero_module(table: FiniteRingTable) -> ExplicitModule:
     return ExplicitModule(table, [[0]], [[0]] * table.size)
 
 
-def submodules(mod: ExplicitModule) -> tuple[frozenset, ...]:
-    """All submodules, as sums of cyclic submodules R·g.
+def submodules(table: FiniteRingTable, multiset: tuple, prefix=None) -> tuple[frozenset, ...]:
+    """All submodules of the direct sum over `multiset`, each exactly once.
 
-    Each distinct R·g is computed once; the set found is closed under
-    adding one of them, starting from 0, which reaches every submodule
-    since each is the sum of the cyclic submodules of its elements.  W + R·g
-    is skipped when g already lies in W."""
-    generated = {}
-    for g in mod.elements:
-        generated.setdefault(frozenset(row[g] for row in mod.smul_table), g)
-    bottom = frozenset([mod.zero])
-    cyclic = [(g, span) for span, g in generated.items() if span != bottom]
-    add = mod.add_table
-    found = {bottom}
-    frontier = [bottom]
-    while frontier:
-        w = frontier.pop()
-        rows = [add[x] for x in w]
-        for g, span in cyclic:
-            if g in w:
-                continue
-            grown = frozenset([row[y] for row in rows for y in span])
-            if grown not in found:
-                found.add(grown)
-                frontier.append(grown)
-    return tuple(found)
+    The sum is M = M' + C, with M' the sum over multiset[:-1] and C =
+    R/(p_i^j) its last summand.  By Goursat's lemma a submodule N is one
+    triple: its part A0 = N ∩ M', a submodule of M'; the level a with
+    pi_C(N) = p_i^a·C; and a coset z + A0 of M'/A0 with p_i^(j-a)·z in A0,
+    since (p_i^(j-a)) annihilates y_a = p_i^a·1 in C.  N is then the set
+    of (s·z + x, s·y_a) for x in A0 and one ring element s per element of
+    p_i^a·C.  `prefix` is submodules(table, multiset[:-1]) when the caller
+    has it."""
+    if not multiset:
+        return (frozenset([0]),)
+    if prefix is None:
+        prefix = submodules(table, multiset[:-1])
+    head = _multiset_module(table, multiset[:-1])
+    add, smul = head.add_table, head.smul_table
+    i, j = multiset[-1]
+    # the ring element r is coset[r] in C, as in cyclic_module
+    coset, reps = cosets(table.add, table.principal(table.prime_power(i, j)))
+    n = len(reps)
+    levels = []
+    for a in range(j + 1):
+        row = table.mul[table.prime_power(i, a)]
+        picks = {}  # each element of p_i^a·C, with one s reaching it from 1
+        for s in range(table.size):
+            picks.setdefault(coset[row[s]], s)
+        levels.append((smul[table.prime_power(i, j - a)], picks.items()))
+    out = []
+    for low in prefix:
+        _, lifts = cosets(add, low)
+        for killer, picks in levels:
+            for z in lifts:
+                if killer[z] in low:
+                    members = []
+                    for c, s in picks:
+                        shift = add[smul[s][z]]
+                        members.extend([shift[x] * n + c for x in low])
+                    out.append(frozenset(members))
+    return tuple(out)
 
 
 def iso_class(mod: ExplicitModule) -> tuple[tuple[int, ...], ...]:
-    """Multiplicities of the indecomposables R/(p_i^j), from the sizes of
-    the p_i^j-images of the p_i-primary part."""
-    return _class_of(mod, mod.elements, mod.elements)
+    """Multiplicities of the indecomposables R/(p_i^j), from the sizes
+    |r·M| for the table's primary scalars r."""
+    sizes = [len(set(mod.smul_table[r])) for r in mod.table.primary_scalars]
+    return _class_from_sizes(mod.table, sizes)
 
 
-def _class_of(mod: ExplicitModule, reps, name) -> tuple[tuple[int, ...], ...]:
-    """iso_class of the module whose elements are `name[x]` for x in `reps`:
-    a submodule when `name` is the identity and `reps` its elements, a
-    quotient when `name` is the coset index and `reps` one element per
-    coset.  `reps` must be closed under smul up to `name`."""
+def subquotient_classes(mod: ExplicitModule, subs) -> list[tuple]:
+    """The (submodule, quotient) class pair of each submodule N in `subs`,
+    from counts: |r·N| = |N| / |N ∩ ker r| and |r·(M/N)| = |r·M| / |N ∩ r·M|
+    for each primary scalar r."""
     table = mod.table
-    smul = mod.smul_table
-    zero = name[mod.zero]
+    rows = [mod.smul_table[r] for r in table.primary_scalars]
+    kernels = [frozenset(x for x, y in enumerate(row) if y == mod.zero) for row in rows]
+    images = [frozenset(row) for row in rows]
+    classes = {}
+
+    def of(sizes):
+        if sizes not in classes:
+            classes[sizes] = _class_from_sizes(table, sizes)
+        return classes[sizes]
+
+    return [(of(tuple(len(sub) // len(sub & k) for k in kernels)),
+             of(tuple(len(im) // len(sub & im) for im in images))) for sub in subs]
+
+
+def _class_from_sizes(table: FiniteRingTable, sizes) -> tuple[tuple[int, ...], ...]:
+    """The class of a module X from |r·X| for each primary scalar r, in the
+    order of table.primary_scalars."""
     out = []
+    k = 0
     for i, e in enumerate(table.prime_exponents):
-        killer = smul[table.prime_power(i, e)]
-        part = [x for x in reps if name[killer[x]] == zero]
         base = table.ring.modulus.p ** table.prime_degrees[i]
-        logs = []
-        for j in range(e + 1):
-            row = smul[table.prime_power(i, j)]
-            logs.append(round(math.log(len({name[row[x]] for x in part}), base)))
+        # log_base |p_i^j · X_i| for j = 0..e, the last one 0
+        logs = [round(math.log(size, base)) for size in sizes[k:k + e]] + [0]
+        k += e
         ge = [logs[j - 1] - logs[j] for j in range(1, e + 1)]  # count with exp >= j
-        counts = tuple(ge[j] - (ge[j + 1] if j + 1 < e else 0) for j in range(e))
-        out.append(counts)
+        out.append(tuple(ge[j] - (ge[j + 1] if j + 1 < e else 0) for j in range(e)))
     return tuple(out)
 
 
@@ -510,20 +566,35 @@ def _all_multisets(keys, length_bound: int):
 
 
 def _multiset_module(table: FiniteRingTable, multiset: tuple) -> ExplicitModule:
-    """The direct sum of R/(p_i^j) over a multiset of keys (i, j), kept on
-    the table; each sum adds one indecomposable to its prefix's module."""
+    """The direct sum of R/(p_i^j) over a multiset of keys (i, j), its
+    tables kept on the table; each sum adds one indecomposable to its
+    prefix's module.  A sum's add table is built when first read: only the
+    sums that submodules() extends read it."""
     tables = table.modules.get(multiset)
-    if tables is not None:
-        return ExplicitModule(table, *tables)
-    if not multiset:
-        mod = zero_module(table)
-    elif len(multiset) == 1:
-        mod = cyclic_module(table, table.principal(table.prime_power(*multiset[0])))
-    else:
-        mod = direct_sum([_multiset_module(table, multiset[:-1]),
-                          _multiset_module(table, multiset[-1:])])
-    table.modules[multiset] = mod.add_table, mod.smul_table
-    return mod
+    if tables is None:
+        if len(multiset) > 1:
+            head = _multiset_module(table, multiset[:-1])
+            last = _multiset_module(table, multiset[-1:])
+            tables = [None, _sum_rows(zip(head.smul_table, last.smul_table), last.size)]
+        else:
+            mod = (cyclic_module(table, table.principal(table.prime_power(*multiset[0])))
+                   if multiset else zero_module(table))
+            tables = [mod.add_table, mod.smul_table]
+        table.modules[multiset] = tables
+    if tables[0] is None:
+        return ExplicitModule(table, lambda: _multiset_add(table, multiset), tables[1])
+    return ExplicitModule(table, *tables)
+
+
+def _multiset_add(table: FiniteRingTable, multiset: tuple) -> list[list[int]]:
+    """The add table of a sum of two or more summands, kept with its smul
+    table once built."""
+    tables = table.modules[multiset]
+    if tables[0] is None:
+        last = _multiset_module(table, multiset[-1:])
+        tables[0] = _sum_rows(itertools.product(
+            _multiset_module(table, multiset[:-1]).add_table, last.add_table), last.size)
+    return tables[0]
 
 
 def enumerate_subcategories(table: FiniteRingTable,
@@ -540,18 +611,22 @@ def enumerate_subcategories(table: FiniteRingTable,
     The bound must reach the largest prime exponent e: R/(p^e) has length
     e, and below that no module tells the subcategories with and without
     it apart."""
-    _check_length_bound(table.ring, table.prime_exponents, length_bound)
+    _check_length_bound(table.ring, table.prime_exponents, table.prime_degrees,
+                        length_bound)
     keys = _indecomposable_keys(table)
     # one shared pass of submodule enumeration: for each module the set of
-    # (submodule class, quotient class) pairs
+    # (submodule class, quotient class) pairs.  Each multiset's submodules
+    # come from its prefix's, listed before it; only prefixes' are kept
+    multisets = _all_multisets(keys, length_bound)
+    prefixes = {ms[:-1] for ms in multisets}
     triples = []
-    for ms in _all_multisets(keys, length_bound):
+    subs_of = {}
+    for ms in multisets:
+        subs = submodules(table, ms, subs_of.get(ms[:-1]))
+        if ms in prefixes:
+            subs_of[ms] = subs
         mod = _multiset_module(table, ms)
-        pairs = set()
-        for sub in submodules(mod):
-            coset, reps = cosets(mod.add_table, sub)
-            pairs.add((_class_of(mod, sub, mod.elements), _class_of(mod, reps, coset)))
-        triples.append((iso_class(mod), pairs))
+        triples.append((iso_class(mod), set(subquotient_classes(mod, subs))))
     out = []
     for subset in itertools.product(*([[False, True]] * len(keys))):
         allowed = frozenset(k for k, keep in zip(keys, subset) if keep)
@@ -587,15 +662,20 @@ def enumerate_subcategories(table: FiniteRingTable,
     return tuple(sorted(out, key=lambda s: s.exponents))
 
 
-def _check_length_bound(ring: QuotientRing, exponents, length_bound: int) -> None:
+def _check_length_bound(ring: QuotientRing, exponents, degrees, length_bound: int) -> None:
     """The length bound must stay within the cap and reach the largest
-    prime exponent."""
+    prime exponent, and the largest module it builds, (p^d)^L for the
+    largest residue degree d, must stay within the element cap."""
     if length_bound > MAX_SUBCAT_LENGTH:
         raise QfiltError(f"length bound {length_bound} exceeds {MAX_SUBCAT_LENGTH}")
     least_bound = max(exponents, default=0)
     if length_bound < least_bound:
         raise QfiltError(f"length bound {length_bound} is below the largest prime exponent "
                          f"of {ring}; use a length bound of at least {least_bound}")
+    n = (ring.modulus.p ** max(degrees, default=0)) ** length_bound
+    if n > MAX_ORACLE_ELEMENTS:
+        raise LatticeTooLargeError(f"modules of length {length_bound} over {ring} reach {n} "
+                                   f"elements, over the oracle limit {MAX_ORACLE_ELEMENTS}")
 
 
 def oracle_member(mod: ExplicitModule, flt: ExplicitFilter) -> bool:
@@ -663,11 +743,13 @@ def verify_ring(ring: QuotientRing, length_bound: int = 4) -> OracleReport:
     report = OracleReport(ring)
     # what follows from the factorization is checked before build_table
     # lays out a table, in the order the stages below would check it: the
-    # element and ideal counts, the modulus degree, the length bound
+    # element and ideal counts, the modulus degree, the length bound and
+    # the largest module
     primes = _checked_primes(ring)
     scheme = AffineQuotient(ring)
     engine_filters = enumerate_quotient_filters(scheme)
-    _check_length_bound(ring, [e for _, e in primes], length_bound)
+    _check_length_bound(ring, [e for _, e in primes], [q.degree for q, _ in primes],
+                        length_bound)
     table = build_table(ring)
     report.record("ring axioms", True)
 

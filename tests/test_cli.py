@@ -106,6 +106,11 @@ MALFORMED = {
     "quotient_p_float": ["classify", "--scheme",
                          '{"kind":"affine_quotient","p":3.5,"modulus":"x^2"}',
                          "--filter", '{"kind":"improper"}'],
+    # past Python's 4,300-digit limit on reading an integer from text
+    "oracle_p_5000_digits": ["oracle", "verify", "--ring", f"p:{'9' * 5000},mod:x"],
+    "field_p_5000_digits": ["classify", "--scheme",
+                            f'{{"kind":"affine_line","field":{{"p":{"9" * 5000}}}}}',
+                            "--filter", '{"kind":"improper"}'],
 }
 
 
@@ -130,6 +135,10 @@ CAPS = {
          "--filter", '{"kind":"improper"}'], "65 components exceed the explicit limit 64"),
     "MAX_ORACLE_ELEMENTS": (["oracle", "verify", "--ring", "p:3,mod:x^8"],
                             "6561 ring elements exceed the oracle limit 4096"),
+    "MAX_ORACLE_ELEMENTS_modules": (
+        ["oracle", "verify", "--ring", "p:3,mod:x^2+1"],
+        "modules of length 4 over F3[x]/(x^2+1) reach 6561 elements, "
+        "over the oracle limit 4096"),
     "MAX_ORACLE_IDEALS": (["oracle", "verify", "--ring", "p:2,mod:x^8+x^4"],
                           "more than 24 ideals; lattice too large"),
     "MAX_QUOTIENT_DEGREE": (["oracle", "verify", "--ring", "p:2,mod:x^7"],

@@ -1,6 +1,9 @@
 """Brute-force ground truth over finite rings and its engine cross-checks."""
 
+import functools
 import itertools
+import math
+import operator
 
 import pytest
 
@@ -9,6 +12,7 @@ from qfilt.errors import LatticeTooLargeError, QfiltError
 from qfilt.fields import PrimeField
 from qfilt.ideals import QuotientRing
 from qfilt.oracle import (
+    ExplicitModule,
     build_table,
     check_prelocalizing,
     cosets,
@@ -24,6 +28,7 @@ from qfilt.oracle import (
     oracle_member,
     product_two_ways,
     submodules,
+    subquotient_classes,
     verify_ring,
 )
 from qfilt.poly import PrimePoly, poly_from_str
@@ -140,32 +145,65 @@ class TestModules:
 
     def test_submodule_count_of_square(self):
         # k[x]/(x) ^ 2 over F2 has 5 submodules: 0, three lines, itself
-        table = build_table(R_X3)
-        x1 = table.principal(table.prime_power(0, 1))
-        square = direct_sum([cyclic_module(table, x1), cyclic_module(table, x1)])
-        assert len(submodules(square)) == 5
+        assert len(submodules(build_table(R_X3), ((0, 1), (0, 1)))) == 5
 
-    @pytest.mark.parametrize("p,mods", [(2, ("x^2", "x")), (3, ("x", "x"))])
+    @pytest.mark.parametrize("p,mods", [
+        (2, ("x^2", "x")),
+        (3, ("x", "x")),
+        (2, ("x^2", "x^2")),  # a repeated summand
+        (2, ("x^2+x+1", "x^2+x+1")),  # residue degree 2
+        (2, ("x", "x+1")),  # two primes
+    ])
     def test_submodules_match_closed_subsets(self, p, mods):
-        # F2[x]/(x^2) + F2[x]/(x) and (F3)^2: every subset closed under
-        # add and smul, against the cyclic-sum enumeration
-        table = build_table(ring(p, "x^2"))
-        mod = direct_sum(cyclic_module(table, table.principal(table.index(poly_from_str(m, p))))
-                         for m in mods)
+        # the sum of R/(m) over `mods`, R = F_p[x] modulo their product, such
+        # as F2[x]/(x^2) + F2[x]/(x) and (F3)^2: every subset closed under
+        # add and smul, against the enumeration through the last summand
+        polys = [poly_from_str(m, p) for m in mods]
+        modulus = functools.reduce(operator.mul, polys)
+        table = build_table(QuotientRing.make(PrimeField(p), modulus))
+        ideals = [table.principal(table.index(m)) for m in polys]
+        keys = [(i, j) for i, e in enumerate(table.prime_exponents) for j in range(1, e + 1)]
+        multiset = tuple(next(k for k in keys if table.principal(table.prime_power(*k)) == ideal)
+                         for ideal in ideals)
+        mod = direct_sum(cyclic_module(table, ideal) for ideal in ideals)
         reference = set()
         for bits in itertools.product((False, True), repeat=mod.size):
             sub = frozenset(x for x, keep in zip(mod.elements, bits) if keep)
             if sub and all(mod.add(x, y) in sub for x in sub for y in sub) and \
                     all(mod.smul(r, x) in sub for r in range(table.size) for x in sub):
                 reference.add(sub)
-        found = submodules(mod)
+        found = submodules(table, multiset)
         assert len(found) == len(set(found))
         assert set(found) == reference
+
+    @pytest.mark.parametrize("rg,multiset", [
+        (R_MIXED, ((0, 1), (1, 1), (1, 2))),
+        (ring(3, "x^2"), ((0, 1), (0, 2), (0, 2))),
+        (ring(2, "x^2+x+1"), ((0, 1), (0, 1))),
+    ], ids=str)
+    def test_subquotient_classes_match_image_sizes(self, rg, multiset):
+        # each submodule and its quotient laid out as modules of their own,
+        # their classes read from the sizes of the images p_i^j·X_i
+        table = build_table(rg)
+        mod = direct_sum(cyclic_module(table, table.principal(table.prime_power(*key)))
+                         for key in multiset)
+        subs = submodules(table, multiset)
+        for sub, pair in zip(subs, subquotient_classes(mod, subs)):
+            members = sorted(sub)
+            name = {x: k for k, x in enumerate(members)}
+            part = ExplicitModule(table,
+                                  [[name[mod.add(x, y)] for y in members] for x in members],
+                                  [[name[row[x]] for x in members] for row in mod.smul_table])
+            coset, reps = cosets(mod.add_table, sub)
+            quotient = ExplicitModule(table,
+                                      [[coset[mod.add(x, y)] for y in reps] for x in reps],
+                                      [[coset[row[x]] for x in reps] for row in mod.smul_table])
+            assert pair == (_image_class(part), _image_class(quotient))
 
     def test_quotient_by_itself_is_zero(self):
         table = build_table(R_X3)
         mod = cyclic_module(table, table.principal(table.prime_power(0, 2)))
-        total = max(submodules(mod), key=len)
+        total = max(submodules(table, ((0, 2),)), key=len)
         coset, reps = cosets(mod.add_table, total)
         assert reps == [mod.zero] and set(coset) == {0}
 
@@ -173,6 +211,22 @@ class TestModules:
         table = build_table(R_MIXED)
         # one per prime power: x, (x+1), (x+1)^2
         assert len(indecomposable_modules(table)) == 3
+
+
+def _image_class(mod):
+    """Multiplicities of the R/(p_i^j) in `mod`, from the sizes of the sets
+    p_i^j·X_i, X_i the elements killed by p_i^(e_i)."""
+    table = mod.table
+    out = []
+    for i, e in enumerate(table.prime_exponents):
+        killer = mod.smul_table[table.prime_power(i, e)]
+        part = [x for x in mod.elements if killer[x] == mod.zero]
+        base = table.ring.modulus.p ** table.prime_degrees[i]
+        logs = [round(math.log(len({mod.smul(table.prime_power(i, j), x) for x in part}), base))
+                for j in range(e + 1)]
+        ge = [logs[j - 1] - logs[j] for j in range(1, e + 1)]
+        out.append(tuple(ge[j] - (ge[j + 1] if j + 1 < e else 0) for j in range(e)))
+    return tuple(out)
 
 
 class TestSubcategories:
@@ -214,7 +268,7 @@ class TestMember:
 
 
 class TestVerifyRing:
-    @pytest.mark.parametrize("rg", [R_X3, R_SPLIT])
+    @pytest.mark.parametrize("rg", [R_X3, R_SPLIT, ring(5, "x^2")])
     def test_small_rings_pass(self, rg):
         report = verify_ring(rg)
         assert report.passed, "\n".join(report.lines())
@@ -222,8 +276,9 @@ class TestVerifyRing:
 
 
 def _monic_moduli():
-    """Every monic modulus of degree <= 3 over F2 and F3 and of degree 2 over F5."""
-    for p, degrees in ((2, (1, 2, 3)), (3, (1, 2, 3)), (5, (2,))):
+    """Every monic modulus of degree <= 4 over F2, of degree <= 3 over F3 and
+    of degree 2 over F5."""
+    for p, degrees in ((2, (1, 2, 3, 4)), (3, (1, 2, 3)), (5, (2,))):
         for d in degrees:
             for low in itertools.product(range(p), repeat=d):
                 yield QuotientRing.make(PrimeField(p), PrimePoly.make(p, (*low, 1)))
@@ -232,8 +287,8 @@ def _monic_moduli():
 SWEEP = list(_monic_moduli())
 
 
-def test_sweep_covers_78_rings():
-    assert len(SWEEP) == len(set(SWEEP)) == 78
+def test_sweep_covers_94_rings():
+    assert len(SWEEP) == len(set(SWEEP)) == 94
 
 
 @pytest.mark.parametrize("rg", SWEEP, ids=str)
