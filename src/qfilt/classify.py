@@ -100,17 +100,14 @@ def localizing_to_specclosed(flt: LocalFilter) -> SpecClosedSet:
     if not flt.killed.is_none:
         # disjoint unions: exactly the killed components contribute
         return component_set(scheme, flt.killed)
-    r = flt.exponents
-    if r.default == 0:
-        return finite_closed(scheme, [pt for pt, v in r.exceptions if v > 0])
-    return cofinite_closed(scheme, [pt for pt, v in r.exceptions if v == 0])
+    if flt.default == 0:
+        return finite_closed(scheme, [pt for pt, v in flt.exceptions if v > 0])
+    return cofinite_closed(scheme, [pt for pt, v in flt.exceptions if v == 0])
 
 
-def specclosed_to_localizing(subset) -> LocalFilter:
-    """The product-closed filter with the given support.
-
-    Accepts a SpecClosedSet or an explicit iterable of points (which must
-    be specialization-closed)."""
+def specclosed_to_localizing(subset: SpecClosedSet) -> LocalFilter:
+    """The product-closed filter with the given support, a SpecClosedSet;
+    points_to_localizing takes raw points."""
     if isinstance(subset, SpecClosedSet):
         scheme = subset.scheme
         if subset.kind == "empty":
@@ -173,7 +170,7 @@ def member(data: TorsionSheafData, flt: LocalFilter) -> bool:
         return True
     if not kill_admitted(flt, data.free):
         return False
-    return all(e <= flt.exponents.value(pt) for pt, e in data.divisors)
+    return all(e <= flt.value(pt) for pt, e in data.divisors)
 
 
 def filter_from_modules(scheme, modules) -> LocalFilter:

@@ -21,7 +21,7 @@ import click
 from . import filters as flt_ops
 from .classify import ClassificationReport, classify, member
 from .errors import ParseError, QfiltError
-from .fields import PrimeField
+from .fields import TOO_MANY_DIGITS, PrimeField, parse_decimal
 from .ideals import QuotientRing
 from .literals import (
     SCHEMA_VERSION,
@@ -50,10 +50,6 @@ class ValidationFailure(click.ClickException):
     exit_code = 2
 
 
-# past Python's limit on the digits of an integer it converts from text
-_TOO_LONG = "an integer with too many digits to read"
-
-
 def _load_json(text: str, what: str):
     try:
         return json.loads(text)
@@ -61,7 +57,7 @@ def _load_json(text: str, what: str):
         raise ValidationFailure(
             f"{what}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
     except ValueError as e:
-        raise ValidationFailure(f"{what}: {_TOO_LONG}") from e
+        raise ValidationFailure(f"{what}: {TOO_MANY_DIGITS}") from e
 
 
 def _guard(fn, *args):
@@ -297,11 +293,8 @@ def _run_spec(job: _Job, cmd: dict) -> dict:
         "closed": [point_to_literal(p) for p in poset.closed],
         "symbolic_closed": poset.symbolic_closed,
         "symbolic_components": poset.symbolic_components,
-        # only a generic point specializes, to the closed points of its
-        # component; no scheme has both several generic and any closed points
-        "specializations": [[point_to_literal(g), point_to_literal(pt)]
-                            for g in poset.generic for pt in poset.closed
-                            if pt.component == g.component],
+        "specializations": [[point_to_literal(a), point_to_literal(b)]
+                            for a, b in poset.specializations],
     }
 
 
@@ -345,13 +338,10 @@ def _run_oracle(job: _Job, cmd: dict) -> dict:
     for piece in ring_desc.split(","):
         key, _, value = piece.partition(":")
         parts[key.strip()] = value.strip()
-    if set(parts) != {"p", "mod"} or not parts["p"].isdigit():
+    if set(parts) != {"p", "mod"}:
         raise ValidationFailure(
             f"bad --ring {ring_desc!r}; expected the form p:2,mod:x^3")
-    try:
-        p = int(parts["p"])
-    except ValueError as e:
-        raise ValidationFailure(f"bad --ring: p is {_TOO_LONG}") from e
+    p = parse_decimal(parts["p"], "--ring p")
     ring = QuotientRing.make(PrimeField(p), poly_from_str(parts["mod"], p))
     report = verify_ring(ring, cmd.get("length_bound", 4))
     return {"ring": ring_desc,

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 
 from .config import MAX_PRIME
-from .errors import QfiltError
+from .errors import ParseError, QfiltError
 
 RESERVED_LABELS = frozenset({"inf", "gen"})
 _LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -68,6 +68,21 @@ def check_label(label: str) -> str:
     if label in RESERVED_LABELS:
         raise QfiltError(f"label {label!r} is reserved")
     return label
+
+
+# past Python's limit on the digits of an integer it converts from text
+TOO_MANY_DIGITS = "an integer with too many digits to read"
+
+
+def parse_decimal(text: str, what: str) -> int:
+    """The integer a string of decimal digits spells, `what` naming it in
+    the ParseError for any other string, or for one too long to convert."""
+    if not text.isdecimal():
+        raise ParseError(f"bad {what} {text!r}: expected decimal digits")
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"bad {what}: {TOO_MANY_DIGITS}") from None
 
 
 def field_from_literal(value) -> BaseField:

@@ -7,11 +7,11 @@ this package every such filter that the engine can reach has a finite
 presentation, and LocalFilter stores exactly that presentation:
 
   Improper            the filter of all ideal subsheaves (zero included);
-  Presented           an ExponentFunction r on closed points (a default
-                      value plus finitely many exceptions, values in
-                      0,1,2,... or INF) together with a ComponentSet of
-                      killed components, field components whose zero ideal
-                      belongs to the filter.
+  Presented           exponents r on closed points (a default value plus
+                      finitely many exceptions, values in 0,1,2,... or INF)
+                      together with a ComponentSet of killed components,
+                      field components whose zero ideal belongs to the
+                      filter.
 
 A Presented filter contains an ideal sheaf exactly when the sheaf's
 vanishing order at every closed point x is at most r(x) and its vanishing
@@ -75,41 +75,31 @@ from .spectrum import ComponentSet, SpecPoint, generic_point
 
 
 @dataclass(frozen=True)
-class ExponentFunction:
-    """Closed-point exponents: a default plus finitely many exceptions."""
+class LocalFilter:
+    """A finitely presented local filter of ideal subsheaves: closed-point
+    exponents, a default plus finitely many exceptions, and the killed
+    components.  An improper filter carries default 0 and no exceptions."""
 
+    scheme: object
+    improper: bool
     default: int | float
     exceptions: tuple[tuple[SpecPoint, int | float], ...]
+    killed: ComponentSet
 
     def value(self, pt: SpecPoint) -> int | float:
+        """The exponent at a closed point; INF on the improper filter."""
+        if self.improper:
+            return INF
         for p, v in self.exceptions:
             if p == pt:
                 return v
         return self.default
 
-    def support(self) -> tuple[SpecPoint, ...]:
-        return tuple(pt for pt, _ in self.exceptions)
-
-
-@dataclass(frozen=True)
-class LocalFilter:
-    """A finitely presented local filter of ideal subsheaves."""
-
-    scheme: object
-    improper: bool
-    exponents: ExponentFunction
-    killed: ComponentSet
-
-    def value(self, pt: SpecPoint) -> int | float:
-        if self.improper:
-            return INF
-        return self.exponents.value(pt)
-
     def __str__(self) -> str:
         if self.improper:
             return "improper"
-        parts = [f"default={_show_exp(self.exponents.default)}"]
-        for pt, v in self.exponents.exceptions:
+        parts = [f"default={_show_exp(self.default)}"]
+        for pt, v in self.exceptions:
             parts.append(f"{pt}:{_show_exp(v)}")
         if not self.killed.is_none:
             parts.append(f"kill {self.killed}")
@@ -142,11 +132,8 @@ FULL_ONLY = StalkFilter("full_only")
 # constructors
 
 
-_NO_EXPONENTS = ExponentFunction(0, ())
-
-
 def improper_filter(scheme) -> LocalFilter:
-    return LocalFilter(scheme, True, _NO_EXPONENTS, ComponentSet.none())
+    return LocalFilter(scheme, True, 0, (), ComponentSet.none())
 
 
 def presented(scheme, default: int | float = 0, exceptions=(), killed=()) -> LocalFilter:
@@ -174,7 +161,7 @@ def _normal(scheme, default, exponents: dict, killed: ComponentSet) -> LocalFilt
     # components have no closed points, so the default is moot there
     if scheme.component_type == "artinian":
         for c in killed.members:
-            pt, cap = scheme.component_point(c)
+            pt, cap = scheme.closed[c]
             exponents[pt] = cap
         improper = True
         for pt, cap in scheme.closed:
@@ -189,7 +176,7 @@ def _normal(scheme, default, exponents: dict, killed: ComponentSet) -> LocalFilt
         default = 0
     exc = tuple(sorted(((pt, v) for pt, v in exponents.items() if v != default),
                        key=lambda kv: kv[0].sort_key()))
-    return LocalFilter(scheme, False, ExponentFunction(default, exc), killed)
+    return LocalFilter(scheme, False, default, exc, killed)
 
 
 def _check_exp(v, pt: SpecPoint | None = None):
@@ -231,8 +218,8 @@ def kill_admitted(flt: LocalFilter, pattern: ComponentSet) -> bool:
         return True
     if scheme.component_type != "artinian":
         return False
-    return all(flt.exponents.value(pt) >= cap
-               for pt, cap in map(scheme.component_point, leftovers.members))
+    return all(flt.value(pt) >= cap
+               for pt, cap in (scheme.closed[c] for c in leftovers.members))
 
 
 def contains(flt: LocalFilter, ideal: IdealSheaf) -> bool:
@@ -242,7 +229,7 @@ def contains(flt: LocalFilter, ideal: IdealSheaf) -> bool:
         return True
     if not kill_admitted(flt, ideal.killed):
         return False
-    return all(n <= flt.exponents.value(pt) for pt, n in ideal.orders)
+    return all(n <= flt.value(pt) for pt, n in ideal.orders)
 
 
 def localize(flt: LocalFilter, pt: SpecPoint) -> StalkFilter:
@@ -255,7 +242,7 @@ def localize(flt: LocalFilter, pt: SpecPoint) -> StalkFilter:
     if pt.kind == "generic":
         # only field components stay killed in normal form
         return EVERYTHING if flt.killed.contains(pt.component) else FULL_ONLY
-    v = flt.exponents.value(pt)
+    v = flt.value(pt)
     cap = scheme.closed_cap(pt)
     if v == INF:
         return ALL_POWERS
@@ -271,8 +258,8 @@ def restrict(flt: LocalFilter, cid: int) -> LocalFilter:
         return flt
     if flt.improper:
         return improper_filter(chart.scheme)
-    kept = {pt: v for pt, v in flt.exponents.exceptions if chart.has(pt)}
-    return _normal(chart.scheme, flt.exponents.default, kept, chart.killed(flt.killed))
+    kept = {pt: v for pt, v in flt.exceptions if chart.has(pt)}
+    return _normal(chart.scheme, flt.default, kept, chart.killed(flt.killed))
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +293,8 @@ def product(a: LocalFilter, b: LocalFilter) -> LocalFilter:
 
 
 def _pointwise(a: LocalFilter, b: LocalFilter, op, killed: ComponentSet) -> LocalFilter:
-    da, db = a.exponents.default, b.exponents.default
-    va, vb = dict(a.exponents.exceptions), dict(b.exponents.exceptions)
+    da, db = a.default, b.default
+    va, vb = dict(a.exceptions), dict(b.exceptions)
     exponents = {pt: op(va.get(pt, da), vb.get(pt, db)) for pt in va.keys() | vb.keys()}
     return _normal(a.scheme, op(da, db), exponents, killed)
 
@@ -320,12 +307,11 @@ def is_principal(flt: LocalFilter) -> tuple[bool, IdealSheaf | None]:
     """Whether the filter has a least member, and that member if so."""
     if flt.improper:
         return True, zero_sheaf(flt.scheme)
-    r = flt.exponents
-    if r.default != 0:
+    if flt.default != 0:
         return False, None
-    if any(v == INF for _, v in r.exceptions):
+    if any(v == INF for _, v in flt.exceptions):
         return False, None
-    least = sheaf(flt.scheme, {pt: int(v) for pt, v in r.exceptions}, flt.killed)
+    least = sheaf(flt.scheme, {pt: int(v) for pt, v in flt.exceptions}, flt.killed)
     return True, least
 
 
@@ -333,11 +319,10 @@ def is_product_closed(flt: LocalFilter) -> bool:
     """Whether the filter is closed under products of members."""
     if flt.improper:
         return True
-    r = flt.exponents
-    if r.default not in (0, INF):
+    if flt.default not in (0, INF):
         return False
     return all(v == INF or v == flt.scheme.closed_cap(pt) or v == 0
-               for pt, v in r.exceptions)
+               for pt, v in flt.exceptions)
 
 
 def is_prime(flt: LocalFilter) -> SpecPoint | None:
@@ -347,20 +332,19 @@ def is_prime(flt: LocalFilter) -> SpecPoint | None:
     scheme = flt.scheme
     if flt.improper:
         return None
-    r = flt.exponents
     # in normal form only field components are killed
     if scheme.component_type == "curve":
-        if r.default != INF:
+        if flt.default != INF:
             return None
-        low = [pt for pt, _ in r.exceptions] or [generic_point(0)]
+        low = [pt for pt, _ in flt.exceptions] or [generic_point(0)]
     elif scheme.component_type == "artinian":
-        low = [pt for pt, cap in scheme.closed if r.value(pt) < cap]
+        low = [pt for pt, cap in scheme.closed if flt.value(pt) < cap]
     else:
         alive = scheme.normal_pattern(flt.killed.invert())
         if not alive.is_finite:
             return None
         low = [generic_point(c) for c in sorted(alive.members)]
-    if len(low) == 1 and (low[0].kind == "generic" or r.value(low[0]) == 0):
+    if len(low) == 1 and (low[0].kind == "generic" or flt.value(low[0]) == 0):
         return low[0]
     return None
 
@@ -371,15 +355,13 @@ def is_prime(flt: LocalFilter) -> SpecPoint | None:
 
 @dataclass(frozen=True)
 class FilterBase:
-    """A generating set for a filter: finitely many ideal sheaves, or one
-    named symbolic family."""
+    """A generating set for a filter: finitely many ideal sheaves, or the
+    family of ideal sheaves vanishing on finitely many components of the
+    symbolic disjoint union (cofinite=True)."""
 
     scheme: object
     generators: tuple[IdealSheaf, ...] = ()
-    family: str | None = None
-
-
-COFINITE_FAMILY = "cofinite-components"
+    cofinite: bool = False
 
 
 def filter_base(scheme, generators) -> FilterBase:
@@ -398,17 +380,15 @@ def cofinite_family(scheme) -> FilterBase:
         raise UnsupportedFamilyError(
             "the cofinite-components family lives on the symbolic disjoint union only"
         )
-    return FilterBase(scheme, (), COFINITE_FAMILY)
+    return FilterBase(scheme, (), cofinite=True)
 
 
 def generate(base: FilterBase) -> LocalFilter:
     """Smallest local filter containing the base."""
-    if base.family == COFINITE_FAMILY:
+    if base.cofinite:
         # every component admits a member vanishing there, so the local
         # closure contains every ideal sheaf
         return improper_filter(base.scheme)
-    if base.family is not None:
-        raise UnsupportedFamilyError(f"unsupported symbolic family {base.family!r}")
     least = reduce(sheaf_intersect, base.generators)
     return principal_filter(base.scheme, least)
 
@@ -421,10 +401,7 @@ def is_local(base: FilterBase) -> tuple[bool, LocalFilter]:
     its members, which is local on every model here.  The cofinite family
     on the symbolic disjoint union is the counterexample: it is a filter
     but not a local one, and its local closure is Improper."""
-    closure = generate(base)
-    if base.family == COFINITE_FAMILY:
-        return False, closure
-    return True, closure
+    return not base.cofinite, generate(base)
 
 
 # ---------------------------------------------------------------------------
@@ -443,15 +420,15 @@ def glue_filters(scheme, chart_data: dict, rest: str | None = None) -> LocalFilt
         pieces, lambda flt, i: flt.improper or flt.killed.contains(i),
         "incompatible charts: improper on one chart only")
     live = [(cid, chart, flt) for cid, chart, flt in pieces if not flt.improper]
-    default = live[0][2].exponents.default if live else 0
+    default = live[0][2].default if live else 0
     for cid, _chart, flt in live[1:]:
-        if flt.exponents.default != default:
+        if flt.default != default:
             raise GluingError(
                 f"incompatible defaults: {_show_exp(default)} in chart {live[0][0]}, "
-                f"{_show_exp(flt.exponents.default)} in chart {cid}"
+                f"{_show_exp(flt.default)} in chart {cid}"
             )
     exceptions = glue_points(
-        live, lambda flt: flt.exponents.support(), lambda flt, pt: flt.exponents.value(pt),
+        live, lambda flt: [pt for pt, _ in flt.exceptions], LocalFilter.value,
         lambda pt, c0, v0, c1, v1:
             f"incompatible at point {pt}: {_show_exp(v0)} in chart {c0}, {_show_exp(v1)} in chart {c1}")
     killed = ComponentSet.of(dead) if rest == "trivial" else ComponentSet.cofinite(alive)

@@ -21,8 +21,9 @@ from .poly import Poly, PrimePoly, factor, poly_to_literal
 class QuotientRing:
     """k[x]/(modulus) for a prime field k and a monic modulus of degree >= 1.
 
-    Equality and hashing use the field and the modulus; the prime factors
-    are derived from them."""
+    Equality and hashing use the field and the modulus; `factors`, the
+    monic prime factors of the modulus with multiplicity, sorted, is derived
+    from them."""
 
     field: BaseField
     modulus: Poly
@@ -41,10 +42,6 @@ class QuotientRing:
         if modulus.degree < 1:
             raise QfiltError("quotient modulus must be nonconstant")
         return QuotientRing(field, modulus.monic())
-
-    def prime_factors(self) -> tuple[tuple[PrimePoly, int], ...]:
-        """Monic prime factors of the modulus with multiplicity, sorted."""
-        return self.factors
 
     @property
     def degree(self) -> int:

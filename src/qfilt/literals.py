@@ -23,9 +23,8 @@ keys throughout so that serialized output is deterministic.
 
 from .config import INF
 from .errors import ParseError, QfiltError
-from .fields import PrimeField, check_label, field_from_literal, field_to_literal
+from .fields import PrimeField, check_label, field_from_literal, field_to_literal, parse_decimal
 from .filters import (
-    COFINITE_FAMILY,
     FilterBase,
     LocalFilter,
     StalkFilter,
@@ -163,10 +162,7 @@ def point_from_literal(scheme, text: str) -> SpecPoint:
             raise ParseError(f"{scheme} has no generic point 'gen'")
         return pt
     if text.startswith("comp:"):
-        try:
-            c = int(text[5:])
-        except ValueError:
-            raise ParseError(f"bad component literal {text!r}") from None
+        c = parse_decimal(text[5:], "component")
         pt = generic_point(c)
         if not scheme.has_point(pt):
             raise ParseError(f"{scheme} has no component {c}")
@@ -227,8 +223,8 @@ def _component_indices(items) -> list[int]:
     for item in items:
         if isinstance(item, int) and not isinstance(item, bool):
             out.append(item)
-        elif isinstance(item, str) and item.startswith("comp:") and item[5:].isdigit():
-            out.append(int(item[5:]))
+        elif isinstance(item, str) and item.startswith("comp:"):
+            out.append(parse_decimal(item[5:], "component"))
         else:
             raise ParseError(f"bad component {item!r}; use an index or 'comp:N'")
     return out
@@ -272,8 +268,8 @@ def _exponent_from_literal(v):
         return INF
     if isinstance(v, int) and not isinstance(v, bool):
         return v
-    if isinstance(v, str) and v.isdigit():
-        return int(v)
+    if isinstance(v, str):
+        return parse_decimal(v, "exponent")
     raise ParseError(f"bad exponent {v!r}; use an integer or \"inf\"")
 
 
@@ -285,7 +281,7 @@ def filter_from_literal(scheme, lit) -> LocalFilter:
     kind = _kind(lit, _FILTER_KEYS, "filter")
     if kind in ("generated", "cofinite-family"):
         base = _base_from_literal(scheme, lit, kind)
-        if base.family == COFINITE_FAMILY:
+        if base.cofinite:
             raise QfiltError(
                 "the cofinite-components family is not a local filter; "
                 "apply 'op generate' to it instead")
@@ -323,11 +319,10 @@ def base_from_literal(scheme, lit) -> FilterBase:
 def filter_to_literal(flt: LocalFilter) -> dict:
     if flt.improper:
         return {"kind": "improper"}
-    out = {"kind": "exponents",
-           "default": _exponent_to_literal(flt.exponents.default)}
-    if flt.exponents.exceptions:
+    out = {"kind": "exponents", "default": _exponent_to_literal(flt.default)}
+    if flt.exceptions:
         out["exceptions"] = {point_to_literal(pt): _exponent_to_literal(v)
-                             for pt, v in flt.exponents.exceptions}
+                             for pt, v in flt.exceptions}
     out.update(components_to_literal(flt.killed))
     return out
 

@@ -22,7 +22,8 @@ The classes of a submodule N and of its quotient are read off counts: for
 each scalar r that picks out p_i^j times the p_i-primary part, |r·N| is
 |N| / |N ∩ ker r| and |r·(M/N)| is |r·M| / |N ∩ r·M|.  The direct sums of
 indecomposables are built once per ring table and shared by the
-subcategory enumeration and the membership check.
+subcategory enumeration and the membership check, which reads the element
+annihilators of each module once for all filters.
 
 verify_ring() bundles all of these cross-checks for one ring and reports
 each as a named pass/fail line with counterexample details on failure.
@@ -125,9 +126,6 @@ class FiniteRingTable:
         points = [pt for pt, _ in self.scheme.primes()]
         return tuple(sheaf(self.scheme, dict(zip(points, exps))) for exps in self.ideal_exponents)
 
-    def annihilator(self, smul, zero, x) -> IdealSet:
-        return frozenset(r for r in range(self.size) if smul(r, x) == zero)
-
 
 def _checked_primes(ring: QuotientRing):
     """The prime factors of the modulus, once the element count p^deg and
@@ -138,7 +136,7 @@ def _checked_primes(ring: QuotientRing):
     if n > MAX_ORACLE_ELEMENTS:
         raise LatticeTooLargeError(
             f"{n} ring elements exceed the oracle limit {MAX_ORACLE_ELEMENTS}")
-    primes = ring.prime_factors()
+    primes = ring.factors
     if math.prod(e + 1 for _, e in primes) > MAX_ORACLE_IDEALS:
         raise LatticeTooLargeError(
             f"more than {MAX_ORACLE_IDEALS} ideals; lattice too large")
@@ -357,16 +355,6 @@ class ExplicitModule:
     def size(self) -> int:
         return len(self.smul_table[0])
 
-    @property
-    def elements(self) -> range:
-        return range(self.size)
-
-    def add(self, x: int, y: int) -> int:
-        return self.add_table[x][y]
-
-    def smul(self, r: int, x: int) -> int:
-        return self.smul_table[r][x]
-
 
 def cosets(add_table, sub) -> tuple[list[int], list[int]]:
     """The cosets of the subgroup `sub` of a group given by its addition
@@ -389,20 +377,6 @@ def cyclic_module(table: FiniteRingTable, ideal: IdealSet) -> ExplicitModule:
     return ExplicitModule(table,
                           [[coset[table.add[a][b]] for b in reps] for a in reps],
                           [[coset[row[a]] for a in reps] for row in table.mul])
-
-
-def direct_sum(mods) -> ExplicitModule:
-    """The direct sum of M_1, ..., M_k, its tuples numbered by mixed radix:
-    (x_1, ..., x_k) is ((x_1 n_2 + x_2) n_3 + ...) n_k + x_k, the order of
-    itertools.product."""
-    mods = list(mods)
-    out = mods[0]
-    for mod in mods[1:]:
-        out = ExplicitModule(
-            out.table,
-            _sum_rows(itertools.product(out.add_table, mod.add_table), mod.size),
-            _sum_rows(zip(out.smul_table, mod.smul_table), mod.size))
-    return out
 
 
 def _sum_rows(pairs, n: int) -> list[list[int]]:
@@ -542,13 +516,6 @@ def _indecomposable_keys(table: FiniteRingTable):
     return [(i, j) for i, e in enumerate(table.prime_exponents) for j in range(1, e + 1)]
 
 
-def indecomposable_modules(table: FiniteRingTable):
-    """R/(p_i^j) for every prime factor and exponent.  p_i is invertible on
-    the other primary components, so the principal ideal covers them and the
-    cyclic module is genuinely indecomposable."""
-    return {key: _multiset_module(table, (key,)) for key in _indecomposable_keys(table)}
-
-
 def _all_multisets(keys, length_bound: int):
     """Multisets of indecomposable keys with total length <= bound; the
     length of (i, j) is j."""
@@ -678,15 +645,11 @@ def _check_length_bound(ring: QuotientRing, exponents, degrees, length_bound: in
                                    f"elements, over the oracle limit {MAX_ORACLE_ELEMENTS}")
 
 
-def oracle_member(mod: ExplicitModule, flt: ExplicitFilter) -> bool:
-    """Elementwise annihilator test: Ann(x) in F for every x."""
-    table = flt.table
-    member_sets = {table.ideals[i] for i in flt.members}
-    for x in mod.elements:
-        ann = frozenset(r for r in range(table.size) if mod.smul(r, x) == mod.zero)
-        if ann not in member_sets:
-            return False
-    return True
+def element_annihilators(mod: ExplicitModule) -> frozenset[IdealSet]:
+    """Ann(x) for every element x.  A filter's subcategory holds the module
+    exactly when each of them is a member of the filter."""
+    return frozenset(frozenset(r for r, y in enumerate(column) if y == mod.zero)
+                     for column in set(zip(*mod.smul_table)))
 
 
 def oracle_join(table: FiniteRingTable, a: ExplicitFilter, b: ExplicitFilter) -> ExplicitFilter:
@@ -807,7 +770,7 @@ def verify_ring(ring: QuotientRing, length_bound: int = 4) -> OracleReport:
     subs = enumerate_subcategories(table, length_bound)
     by_exponents = {}
     for f in engine_filters:
-        key = tuple(mult if f.improper else int(f.exponents.value(pt))
+        key = tuple(mult if f.improper else int(f.value(pt))
                     for pt, mult in scheme.primes())
         by_exponents[key] = classify(f)
     flags_ok = len(subs) == len(engine_filters)
@@ -821,12 +784,13 @@ def verify_ring(ring: QuotientRing, length_bound: int = 4) -> OracleReport:
 
     keys = _indecomposable_keys(table)
     primes = scheme.primes()
+    member_sets = [(f, {table.ideals[i] for i in e.members}) for f, e in pairing]
     membership_ok = True
     for ms in _all_multisets(keys, length_bound):
-        mod = _multiset_module(table, ms)
+        anns = element_annihilators(_multiset_module(table, ms))
         data = module_data(scheme, [(primes[i][0], j) for i, j in ms])
-        for f, e in pairing:
-            if member(data, f) != oracle_member(mod, e):
+        for f, members in member_sets:
+            if member(data, f) != (anns <= members):
                 membership_ok = False
     report.record("membership via annihilators matches", membership_ok)
     return report

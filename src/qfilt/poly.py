@@ -28,7 +28,7 @@ from functools import lru_cache
 
 from .config import MAX_POLY_ENUMERATION
 from .errors import ParseError, QfiltError, RingMismatchError
-from .fields import PrimeField, SymbolicAlgClosed, check_label
+from .fields import PrimeField, SymbolicAlgClosed, check_label, parse_decimal
 
 
 @dataclass(frozen=True)
@@ -137,22 +137,11 @@ class PrimePoly:
         return f"PrimePoly({self.p}, {poly_to_str(self)!r})"
 
 
-def x_poly(p: int) -> PrimePoly:
-    return PrimePoly(p, (0, 1))
-
-
 def poly_gcd(a: PrimePoly, b: PrimePoly) -> PrimePoly:
     """Monic greatest common divisor; gcd(0, 0) = 0."""
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
-
-
-def monic_polys(p: int, degree: int):
-    """Yield all monic polynomials of the given degree in ascending order."""
-    for tail in itertools.product(range(p), repeat=degree):
-        # tail is read high-to-low so the stream is sorted like sort_key()
-        yield PrimePoly(p, tuple(reversed(tail)) + (1,))
 
 
 @lru_cache(maxsize=None)
@@ -164,7 +153,10 @@ def irreducibles(p: int, degree: int) -> tuple[PrimePoly, ...]:
         raise QfiltError(f"irreducible enumeration over F{p} at degree {degree} is too large")
     smaller = [q for d in range(1, degree // 2 + 1) for q in irreducibles(p, d)]
     found = []
-    for f in monic_polys(p, degree):
+    # every monic polynomial of the degree, its tail read high-to-low so
+    # that the candidates come sorted like sort_key()
+    for tail in itertools.product(range(p), repeat=degree):
+        f = PrimePoly(p, tuple(reversed(tail)) + (1,))
         if degree > 1 and f.coeffs[0] == 0:
             continue
         if all((f % q).coeffs for q in smaller):
@@ -288,13 +280,13 @@ def poly_from_str(text: str, p: int) -> PrimePoly:
         if not m or (m.group(2) is None and m.group(3) is None):
             raise ParseError(f"bad term {chunk!r} in polynomial literal {text!r}")
         sign = -1 if m.group(1) == "-" else 1
-        coeff = int(m.group(2)) if m.group(2) is not None else 1
+        coeff = 1 if m.group(2) is None else parse_decimal(m.group(2), "coefficient")
         if m.group(3) is None:
             exp = 0
             if m.group(4) is not None:
                 raise ParseError(f"bad term {chunk!r} in polynomial literal {text!r}")
         else:
-            exp = int(m.group(4)) if m.group(4) is not None else 1
+            exp = 1 if m.group(4) is None else parse_decimal(m.group(4), "exponent")
         coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
     out = [0] * (max(coeffs) + 1)
     for exp, c in coeffs.items():
@@ -326,7 +318,8 @@ def factored_from_str(text: str) -> FactoredPoly:
             raise ParseError(
                 f"bad factor {part!r}: symbolic polynomials must be products of (x-label)^k"
             )
-        pairs.append((m.group(1), int(m.group(2)) if m.group(2) else 1))
+        mult = parse_decimal(m.group(2), "multiplicity") if m.group(2) else 1
+        pairs.append((m.group(1), mult))
     return FactoredPoly.make(pairs)
 
 

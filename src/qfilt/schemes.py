@@ -62,9 +62,9 @@ from typing import NamedTuple
 
 from .config import INF, MAX_UNION_COMPONENTS
 from .errors import GluingError, QfiltError, RingMismatchError
-from .fields import BaseField, PrimeField, SymbolicAlgClosed, check_label
+from .fields import BaseField, PrimeField, SymbolicAlgClosed
 from .ideals import QuotientRing
-from .poly import PrimePoly, factor, irreducibles, is_irreducible, poly_gcd, x_poly
+from .poly import PrimePoly, factor, is_irreducible, poly_gcd
 from .spectrum import (
     ComponentSet,
     SpecClosedSet,
@@ -75,12 +75,6 @@ from .spectrum import (
     inf_point,
     INF_NAME,
 )
-
-
-def _valid_closed_name_on_line(field: BaseField, name) -> bool:
-    if isinstance(field, PrimeField):
-        return isinstance(name, PrimePoly) and name.p == field.p and is_irreducible(name)
-    return isinstance(name, str) and name != INF_NAME
 
 
 def _derived():
@@ -117,13 +111,13 @@ class Scheme:
     component_count (None on the symbolic union), component_type ("curve",
     "artinian" or "field", shared by every component), closed (((point,
     stalk length), ...) in component order when there are finitely many
-    closed points, else None), added/removed (closed points beyond or
-    missing from the line), chart_table (one Chart per chart id; on the
-    symbolic union the template every component's chart follows), affine
-    (polynomials in x name the ideals) and name (str).  normal_pattern and
-    covers answer the two questions asked of a component pattern;
-    check_closed_point and checked_pattern vet a caller's points and
-    patterns."""
+    closed points, else None; closed[c] is the one point of Artinian
+    component c), added/removed (closed points beyond or missing from the
+    line), chart_table (one Chart per chart id; on the symbolic union the
+    template every component's chart follows), affine (polynomials in x
+    name the ideals) and name (str).  normal_pattern and covers answer the
+    two questions asked of a component pattern; check_closed_point and
+    checked_pattern vet a caller's points and patterns."""
 
     kind: str
     field: BaseField | None = None
@@ -154,9 +148,6 @@ class Scheme:
             raise QfiltError(f"{self} has no chart {cid}")
         return self.chart_table[cid]
 
-    def chart_scheme(self, cid: int) -> "Scheme":
-        return self.chart(cid).scheme
-
     def has_component(self, c: int) -> bool:
         return self.component_count is None or 0 <= c < self.component_count
 
@@ -181,10 +172,6 @@ class Scheme:
     def covers(self, cs: ComponentSet) -> bool:
         """Whether a component pattern in normal form holds every component."""
         return cs.is_all if self.component_count is None else len(cs.members) == self.component_count
-
-    def component_point(self, c: int) -> tuple[SpecPoint, int]:
-        """The one closed point of Artinian component c and its stalk length."""
-        return self.closed[c]
 
     def generic_points(self):
         if self.component_type == "artinian" or self.component_count is None:
@@ -214,7 +201,10 @@ class Scheme:
             return True
         if pt.component != 0 or pt in self.removed:
             return False
-        return _valid_closed_name_on_line(self.field, pt.name)
+        name = pt.name
+        if isinstance(self.field, PrimeField):
+            return isinstance(name, PrimePoly) and name.p == self.field.p and is_irreducible(name)
+        return isinstance(name, str) and name != INF_NAME
 
     def closed_cap(self, pt: SpecPoint):
         if self.closed is None:
@@ -226,19 +216,6 @@ class Scheme:
             raise QfiltError(f"{self} has no closed points")
         raise QfiltError(f"point {pt} does not lie on {self}")
 
-    def spec_points(self, degree_bound, labels):
-        if self.closed is not None:
-            return (self.all_closed_points(), self.generic_points(), False,
-                    self.component_count is None)
-        if isinstance(self.field, PrimeField):
-            bound = degree_bound or 1
-            closed = [closed_point(q) for d in range(1, bound + 1)
-                      for q in irreducibles(self.field.p, d)]
-        else:
-            closed = [closed_point(check_label(l)) for l in labels]
-        kept = tuple(pt for pt in closed if pt not in self.removed)
-        return kept + self.added, self.generic_points(), True, False
-
     def __str__(self) -> str:
         return self.name
 
@@ -246,7 +223,8 @@ class Scheme:
 def _derive(s: Scheme) -> dict:
     """The derived fields of a scheme, from its defining fields."""
     if s.kind in _LINE_NAMES:
-        zero = closed_point(x_poly(s.field.p) if isinstance(s.field, PrimeField) else "0")
+        zero = closed_point(PrimePoly(s.field.p, (0, 1)) if isinstance(s.field, PrimeField)
+                            else "0")
         charts = (Chart(s, (0,)),)
         if s.kind == "proj_line":
             charts = (Chart(Scheme("affine_line", s.field), (0,), (inf_point(),)),
@@ -258,7 +236,7 @@ def _derive(s: Scheme) -> dict:
                     name=f"{_LINE_NAMES[s.kind]}({s.field})")
     if s.kind == "affine_quotient":
         closed = tuple((SpecPoint("closed", i, q), e)
-                       for i, (q, e) in enumerate(s.ring.prime_factors()))
+                       for i, (q, e) in enumerate(s.ring.factors))
         return dict(component_count=len(closed), component_type="artinian",
                     closed=closed, added=(), removed=(),
                     chart_table=(Chart(s, tuple(range(len(closed)))),), affine=True,

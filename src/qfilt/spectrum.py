@@ -36,9 +36,9 @@ maximal ideal, plus a pattern of components carrying a free summand.
 import dataclasses
 from dataclasses import dataclass
 
-from .config import INF
 from .errors import QfiltError
-from .poly import PrimePoly
+from .fields import PrimeField, check_label
+from .poly import PrimePoly, irreducibles
 
 INF_NAME = "inf"
 
@@ -242,16 +242,12 @@ def finite_closed(scheme, points) -> SpecClosedSet:
         return empty_set(scheme)
     finite_all = scheme.all_closed_points()
     if finite_all is not None and set(pts) == set(finite_all):
-        return all_of_closed(scheme)
+        # every closed point, which is everything only on a scheme without
+        # generic points, an Artinian quotient
+        if not scheme.generic_points():
+            return all_set(scheme)
+        return SpecClosedSet(scheme, "cofinite_closed", ())
     return SpecClosedSet(scheme, "finite", pts)
-
-
-def all_of_closed(scheme) -> SpecClosedSet:
-    """The set of all closed points; equals "all" only when the scheme has
-    no generic points (Artinian quotients)."""
-    if not scheme.generic_points():
-        return all_set(scheme)
-    return SpecClosedSet(scheme, "cofinite_closed", ())
 
 
 def cofinite_closed(scheme, excluded) -> SpecClosedSet:
@@ -272,7 +268,7 @@ def component_set(scheme, components: ComponentSet, points=()) -> SpecClosedSet:
     component, so any pattern there is empty or everything."""
     cs = scheme.normal_pattern(components)
     if scheme.component_type == "artinian":
-        return finite_closed(scheme, [*points, *(scheme.component_point(c)[0] for c in cs.members)])
+        return finite_closed(scheme, [*points, *(scheme.closed[c][0] for c in cs.members)])
     if cs.is_none:
         return finite_closed(scheme, points)
     if scheme.covers(cs):
@@ -302,35 +298,48 @@ def is_specialization_closed(subset, scheme) -> bool:
 
 @dataclass(frozen=True)
 class SpecPoset:
-    """Enumerated part of a spectrum with its specialization order."""
+    """Enumerated part of a spectrum with its specialization order:
+    `specializations` lists the pairs x < y of the atom order, each a
+    generic point and a closed point of its component, sorted by x, then y."""
 
     scheme: object
     closed: tuple[SpecPoint, ...]
     generic: tuple[SpecPoint, ...]
-    symbolic_closed: bool = False
-    symbolic_components: bool = False
-
-    def points(self) -> tuple[SpecPoint, ...]:
-        return self.generic + self.closed
-
-    def leq(self, a: SpecPoint, b: SpecPoint) -> bool:
-        """Atom order: a <= b iff b lies in the closure of {a}."""
-        if a == b:
-            return True
-        return a.kind == "generic" and a.component == b.component
+    specializations: tuple[tuple[SpecPoint, SpecPoint], ...]
+    symbolic_closed: bool
+    symbolic_components: bool
 
 
 def spec(scheme, degree_bound: int | None = None, labels=()) -> SpecPoset:
     """Enumerate the spectrum of a scheme model.
 
-    degree_bound caps the degree of closed points over a prime field;
-    labels lists the symbolic labels to materialize.  Symbolic families
-    beyond the enumerated part are reported by the symbolic_* flags."""
-    closed, generic, symbolic_closed, symbolic_components = scheme.spec_points(
-        degree_bound, tuple(labels)
-    )
-    return SpecPoset(scheme, sorted_points(closed), sorted_points(generic),
-                     symbolic_closed, symbolic_components)
+    degree_bound (default 1) caps the degree of closed points on a line over
+    a prime field; labels lists the points to materialize on a line over a
+    symbolic field.  Either is an error on any other scheme.  The closed
+    points of a line beyond the enumerated part, and the components of the
+    symbolic union, are reported by the symbolic_* flags."""
+    labels = tuple(labels)
+    line = scheme.closed is None
+    prime_line = line and isinstance(scheme.field, PrimeField)
+    if degree_bound is not None and not prime_line:
+        raise QfiltError(f"a degree bound needs a line over a prime field, not {scheme}")
+    if labels and (not line or prime_line):
+        raise QfiltError(f"labels need a line over a symbolic field, not {scheme}")
+    if degree_bound is not None and degree_bound < 1:
+        raise QfiltError(f"degree bound must be a positive integer, not {degree_bound}")
+    if prime_line:
+        names = [q for d in range(1, (degree_bound or 1) + 1)
+                 for q in irreducibles(scheme.field.p, d)]
+    else:
+        names = [check_label(l) for l in labels]
+    if line:
+        closed = [pt for pt in map(closed_point, names) if pt not in scheme.removed]
+        closed += scheme.added
+    else:
+        closed = scheme.all_closed_points()
+    closed, generic = sorted_points(closed), sorted_points(scheme.generic_points())
+    pairs = tuple((g, pt) for g in generic for pt in closed if pt.component == g.component)
+    return SpecPoset(scheme, closed, generic, pairs, line, scheme.component_count is None)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +402,7 @@ def supp_ass(data: TorsionSheafData):
         )
     torsion = [pt for pt, _ in data.divisors]
     if scheme.component_type == "artinian":
-        free_pts = [scheme.component_point(c)[0] for c in free.members]
+        free_pts = [scheme.closed[c][0] for c in free.members]
     else:
         free_pts = [generic_point(c) for c in free.members]
     return component_set(scheme, free, torsion), frozenset(torsion + free_pts)

@@ -40,14 +40,12 @@ from qfilt.filters import (
 )
 from qfilt.ideals import QuotientRing
 from qfilt.oracle import (
+    _multiset_module,
     build_table,
-    direct_sum,
     engine_filter_to_explicit,
     enumerate_filters,
     enumerate_subcategories,
-    indecomposable_modules,
     verify_ring,
-    zero_module,
 )
 from qfilt.poly import irreducibles, poly_from_str
 from qfilt.schemes import (
@@ -103,8 +101,7 @@ def test_criterion_1_affine_line_table():
             if flt.improper:
                 expect_loc = expect_closed = expect_biloc = True
             else:
-                vals = [flt.exponents.default] \
-                    + [v for _, v in flt.exponents.exceptions]
+                vals = [flt.default] + [v for _, v in flt.exceptions]
                 expect_loc = all(v in (0, INF) for v in vals)
                 expect_closed = all(v != INF for v in vals)
                 expect_biloc = all(v == 0 for v in vals)
@@ -198,29 +195,26 @@ def test_criterion_6_membership():
     x = scheme.primes()[0][0]
     with criterion(6, "membership agrees with elementwise annihilators", 10.0):
         table = build_table(ring)
-        cyclics = indecomposable_modules(table)
+        # the sums of R/(x^j), j = 1, 2, 3, as verify_ring builds them
         multisets = [()]
         for count in range(1, 5):
             for parts in itertools.combinations_with_replacement(
-                    sorted(cyclics), count):
+                    [(0, 1), (0, 2), (0, 3)], count):
                 if sum(j for _, j in parts) <= 4:
                     multisets.append(parts)
         filters = enumerate_quotient_filters(scheme)
         assert len(filters) == 4
         pairs = 0
         for parts in multisets:
-            if parts:
-                mod = direct_sum(cyclics[key] for key in parts)
-                data = module_data(scheme, [(x, j) for _, j in parts])
-            else:
-                mod = zero_module(table)
-                data = module_data(scheme)
+            mod = _multiset_module(table, parts)
+            data = module_data(scheme, [(x, j) for _, j in parts])
             for flt in filters:
                 explicit = engine_filter_to_explicit(flt, table)
                 elementwise = all(
-                    table.ideal_index(table.annihilator(mod.smul, mod.zero, m))
+                    table.ideal_index(frozenset(r for r in range(table.size)
+                                                if mod.smul_table[r][m] == mod.zero))
                     in explicit.members
-                    for m in mod.elements)
+                    for m in range(mod.size))
                 assert member(data, flt) == elementwise, (parts, flt)
                 pairs += 1
         assert pairs == len(multisets) * 4 and pairs >= 40
@@ -233,11 +227,19 @@ def test_criterion_7_spectrum_counts():
         gen = poset.generic[0]
         assert len(poset.closed) == 8
         for pt in poset.closed:
-            assert poset.leq(gen, pt)
-            assert not poset.leq(pt, gen)
+            assert _atom_leq(gen, pt)
+            assert not _atom_leq(pt, gen)
         for a in poset.closed:
             for b in poset.closed:
-                assert poset.leq(a, b) == (a == b)
+                assert _atom_leq(a, b) == (a == b)
+        points = poset.generic + poset.closed
+        assert poset.specializations == tuple(
+            (a, b) for a in points for b in points if a != b and _atom_leq(a, b))
+
+
+def _atom_leq(a, b):
+    """The atom order: a <= b iff b lies in the closure of {a}."""
+    return a == b or a.kind == "generic" and a.component == b.component
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ A1 = '{"kind":"affine_line","field":"symbolic"}'
 UZ = '{"kind":"disjoint_union","components":"Z"}'
 P1 = '{"kind":"proj_line","field":"symbolic"}'
 U2 = '{"kind":"disjoint_union","components":[{"p":2},{"p":3}]}'
+F2LINE = '{"kind":"affine_line","field":{"p":2}}'
+QUOTIENT = '{"kind":"affine_quotient","p":2,"modulus":"x^5+x^3"}'
 
 
 @pytest.fixture()
@@ -111,6 +113,19 @@ MALFORMED = {
     "field_p_5000_digits": ["classify", "--scheme",
                             f'{{"kind":"affine_line","field":{{"p":{"9" * 5000}}}}}',
                             "--filter", '{"kind":"improper"}'],
+    # digit strings: "²" passes str.isdigit() but int() rejects it
+    "exponent_superscript": ["classify", "--scheme", A1,
+                             "--filter", '{"kind":"exponents","default":"²"}'],
+    "exponent_5000_digits": ["classify", "--scheme", A1,
+                             "--filter", f'{{"kind":"exponents","default":"{"9" * 5000}"}}'],
+    "kill_superscript": ["classify", "--scheme", U2,
+                         "--filter", '{"kind":"exponents","kill":["comp:²"]}'],
+    "kill_5000_digits": ["classify", "--scheme", U2,
+                         "--filter", f'{{"kind":"exponents","kill":["comp:{"9" * 5000}"]}}'],
+    "coefficient_5000_digits": ["classify", "--scheme", F2LINE, "--filter",
+                                f'{{"kind":"principal","ideal":"{"9" * 5000}x+1"}}'],
+    "multiplicity_5000_digits": ["classify", "--scheme", A1, "--filter",
+                                 f'{{"kind":"principal","ideal":"(x-a)^{"9" * 5000}"}}'],
 }
 
 
@@ -217,15 +232,20 @@ class TestMemberSpec:
     # quotient's points are closed components and the union's generic ones,
     # so neither has a specialization
     SPEC_CASES = [
-        ('{"kind":"affine_line","field":{"p":2}}', 4, (), 8, 8),
+        (F2LINE, 4, (), 8, 8),
+        (F2LINE, None, (), 2, 2),
         ('{"kind":"proj_line","field":{"p":2}}', 3, (), 6, 6),
         (P1, None, ("a", "b"), 3, 3),
-        ('{"kind":"affine_quotient","p":2,"modulus":"x^5+x^3"}', None, (), 2, 0),
+        (QUOTIENT, None, (), 2, 0),
         (U2, None, (), 0, 0),
     ]
 
     def test_spec_counts(self, runner):
-        # the list is the pair scan of SpecPoset.leq, in its order
+        # the list is the pair scan of the atom order (a <= b iff b lies in
+        # the closure of {a}), generic points first, in its order
+        def leq(a, b):
+            return a == b or a.kind == "generic" and a.component == b.component
+
         for scheme, degree, labels, closed, pairs in self.SPEC_CASES:
             args = ["spec", "--scheme", scheme, "--labels", ",".join(labels)]
             if degree is not None:
@@ -234,10 +254,10 @@ class TestMemberSpec:
             assert len(doc["closed"]) == closed
             assert len(doc["specializations"]) == pairs
             poset = spec(scheme_from_literal(json.loads(scheme)), degree, labels)
-            pts = poset.points()
+            pts = poset.generic + poset.closed
             assert doc["specializations"] == [[point_to_literal(a), point_to_literal(b)]
                                               for a in pts for b in pts
-                                              if a != b and poset.leq(a, b)]
+                                              if a != b and leq(a, b)]
 
     def test_spec_labels(self, runner):
         res = invoke(runner, ["spec", "--scheme", A1, "--labels", "a,b"])
@@ -274,6 +294,12 @@ class TestOracleCommand:
         res = invoke(runner, ["oracle", "verify", "--ring", ring, "--length-bound", bound])
         assert res.exit_code == 2
         assert res.stderr.startswith("Error:") and f"at least {least}" in res.stderr
+
+    def test_ring_p_not_digits(self, runner):
+        # "²" passes str.isdigit(), but it is no integer, too long or not
+        res = invoke(runner, ["oracle", "verify", "--ring", "p:²,mod:x"])
+        assert res.exit_code == 2
+        assert "expected decimal digits" in res.stderr and "too many" not in res.stderr
 
     def test_bound_from_factorization_exit_2(self, runner):
         # F2[x]/(x^12) has 4096 elements; what its factorization rules out
@@ -327,6 +353,17 @@ MALFORMED_JOBS = {
                                               "point": "pt:a", "name": "G"}]},
     "bad_scheme_oracle_only": {"scheme": {"kind": "nope"},
                                "commands": [{"cmd": "oracle", "ring": "p:2,mod:x^2"}]},
+    "spec_degree_bound_zero": {"scheme": json.loads(F2LINE),
+                               "commands": [{"cmd": "spec", "degree_bound": 0}]},
+    "spec_degree_bound_negative": {"scheme": json.loads(F2LINE),
+                                   "commands": [{"cmd": "spec", "degree_bound": -3}]},
+    "spec_degree_bound_symbolic_line": {"commands": [{"cmd": "spec", "degree_bound": 2}]},
+    "spec_degree_bound_quotient": {"scheme": json.loads(QUOTIENT),
+                                   "commands": [{"cmd": "spec", "degree_bound": 1}]},
+    "spec_labels_prime_line": {"scheme": json.loads(F2LINE),
+                               "commands": [{"cmd": "spec", "labels": ["a"]}]},
+    "spec_labels_union": {"scheme": json.loads(U2),
+                          "commands": [{"cmd": "spec", "labels": ["a"]}]},
 }
 
 
@@ -414,7 +451,6 @@ class TestRun:
 
 FA2 = '{"kind":"exponents","default":0,"exceptions":{"pt:a":2}}'
 FAB = '{"kind":"exponents","default":0,"exceptions":{"pt:a":1,"pt:b":1}}'
-F2LINE = '{"kind":"affine_line","field":{"p":2}}'
 
 # (subcommand arguments, scheme or None, the command a job file would hold)
 ONE_COMMAND = {

@@ -79,7 +79,7 @@ def setup_module():
 class TestNormalForm:
     def test_default_exceptions_dropped(self):
         f = presented(A1, 0, {A: 0, B: 2})
-        assert f.exponents.exceptions == ((B, 2),)
+        assert f.exceptions == ((B, 2),)
 
     def test_quotient_caps_clamp(self):
         f = presented(Q, 0, {QPT("x"): 5})
@@ -87,7 +87,7 @@ class TestNormalForm:
 
     def test_quotient_default_folds(self):
         f = presented(Q, INF, {QPT("x+1"): 1})
-        assert f.exponents.default == 0
+        assert f.default == 0
         assert f.value(QPT("x")) == 1 and f.value(QPT("x+1")) == 1
 
     def test_quotient_inf_default_reaches_zero_ideal(self):
@@ -231,7 +231,7 @@ class TestRestrict:
     def test_union_chart(self):
         f = presented(UZ, 0, killed=ComponentSet.of([3]))
         assert restrict(f, 3).improper
-        assert restrict(f, 5) == trivial_filter(UZ.chart_scheme(5))
+        assert restrict(f, 5) == trivial_filter(UZ.chart(5).scheme)
 
     def test_single_chart_identity(self):
         f = presented(A1, 0, {A: 2})
@@ -245,24 +245,24 @@ class TestGlue:
         assert glued == f
 
     def test_proj_conflict_names_point(self):
-        c0 = presented(P1.chart_scheme(0), 0, {A: 1})
-        c1 = presented(P1.chart_scheme(1), 0, {A: 2})
+        c0 = presented(P1.chart(0).scheme, 0, {A: 1})
+        c1 = presented(P1.chart(1).scheme, 0, {A: 2})
         with pytest.raises(GluingError, match="pt:a"):
             glue_filters(P1, {0: c0, 1: c1})
 
     def test_proj_default_conflict(self):
-        c0 = presented(P1.chart_scheme(0), 0)
-        c1 = presented(P1.chart_scheme(1), INF)
+        c0 = presented(P1.chart(0).scheme, 0)
+        c1 = presented(P1.chart(1).scheme, INF)
         with pytest.raises(GluingError):
             glue_filters(P1, {0: c0, 1: c1})
 
     def test_union_rest_trivial(self):
-        chart = improper_filter(UZ.chart_scheme(4))
+        chart = improper_filter(UZ.chart(4).scheme)
         glued = glue_filters(UZ, {4: chart})
         assert glued == presented(UZ, 0, killed=ComponentSet.of([4]))
 
     def test_union_rest_improper(self):
-        chart = trivial_filter(UZ.chart_scheme(4))
+        chart = trivial_filter(UZ.chart(4).scheme)
         glued = glue_filters(UZ, {4: chart}, rest="improper")
         assert glued == presented(UZ, 0, killed=ComponentSet.cofinite([4]))
 
@@ -433,11 +433,11 @@ def assert_normal(r):
     if r.improper:
         assert r == improper_filter(r.scheme)
         return
-    assert presented(r.scheme, r.exponents.default, r.exponents.exceptions, r.killed) == r
-    keys = [pt.sort_key() for pt, _ in r.exponents.exceptions]
+    assert presented(r.scheme, r.default, r.exceptions, r.killed) == r
+    keys = [pt.sort_key() for pt, _ in r.exceptions]
     assert keys == sorted(set(keys))
-    assert all(v != r.exponents.default and v <= r.scheme.closed_cap(pt)
-               for pt, v in r.exponents.exceptions)
+    assert all(v != r.default and v <= r.scheme.closed_cap(pt)
+               for pt, v in r.exceptions)
 
 
 def _dead(flt, c):

@@ -13,7 +13,7 @@ F2 = PrimeField(2)
 class TestQuotientRing:
     def test_make_and_factors(self):
         ring = QuotientRing.make(F2, poly_from_str("x^3+x", 2))
-        factors = ring.prime_factors()
+        factors = ring.factors
         assert [(str(q), m) for q, m in
                 ((poly_from_str("x", 2), 1), (poly_from_str("x+1", 2), 2))] \
             == [(str(q), m) for q, m in factors]

@@ -124,7 +124,7 @@ class TestFilters:
         with pytest.raises(QfiltError):
             filter_from_literal(UZ, {"kind": "cofinite-family"})
         base = base_from_literal(UZ, {"kind": "cofinite-family"})
-        assert base.family is not None
+        assert base.cofinite
 
     def test_base_from_plain_filter(self):
         base = base_from_literal(A1, {"kind": "exponents", "default": 0,

@@ -17,15 +17,13 @@ from qfilt.oracle import (
     check_prelocalizing,
     cosets,
     cyclic_module,
-    direct_sum,
+    element_annihilators,
     enumerate_filters,
     enumerate_subcategories,
     filter_min,
-    indecomposable_modules,
     is_gabriel,
     iso_class,
     oracle_join,
-    oracle_member,
     product_two_ways,
     submodules,
     subquotient_classes,
@@ -128,19 +126,32 @@ class TestFilters:
             assert all(least <= table.ideals[i] for i in f.members)
 
 
+def _direct_sum(mods):
+    """M_1 + ... + M_k laid out tuple by tuple, its tuples numbered in the
+    order of itertools.product, as the oracle numbers a direct sum."""
+    mods = list(mods)
+    tuples = list(itertools.product(*(range(m.size) for m in mods)))
+    index = {t: k for k, t in enumerate(tuples)}
+    add = [[index[tuple(m.add_table[a][b] for m, a, b in zip(mods, s, t))] for t in tuples]
+           for s in tuples]
+    smul = [[index[tuple(m.smul_table[r][a] for m, a in zip(mods, t))] for t in tuples]
+            for r in range(mods[0].table.size)]
+    return ExplicitModule(mods[0].table, add, smul)
+
+
 class TestModules:
     def test_cyclic_sizes(self):
         table = build_table(R_X3)
         x2 = table.principal(table.prime_power(0, 2))
-        assert len(cyclic_module(table, x2).elements) == 4
+        assert cyclic_module(table, x2).size == 4
 
     def test_iso_class_separates_same_size(self):
         table = build_table(R_X3)
         x1 = table.principal(table.prime_power(0, 1))
         x2 = table.principal(table.prime_power(0, 2))
         chain = cyclic_module(table, x2)
-        square = direct_sum([cyclic_module(table, x1), cyclic_module(table, x1)])
-        assert len(chain.elements) == len(square.elements) == 4
+        square = _direct_sum([cyclic_module(table, x1), cyclic_module(table, x1)])
+        assert chain.size == square.size == 4
         assert iso_class(chain) != iso_class(square)
 
     def test_submodule_count_of_square(self):
@@ -165,12 +176,12 @@ class TestModules:
         keys = [(i, j) for i, e in enumerate(table.prime_exponents) for j in range(1, e + 1)]
         multiset = tuple(next(k for k in keys if table.principal(table.prime_power(*k)) == ideal)
                          for ideal in ideals)
-        mod = direct_sum(cyclic_module(table, ideal) for ideal in ideals)
+        mod = _direct_sum(cyclic_module(table, ideal) for ideal in ideals)
         reference = set()
         for bits in itertools.product((False, True), repeat=mod.size):
-            sub = frozenset(x for x, keep in zip(mod.elements, bits) if keep)
-            if sub and all(mod.add(x, y) in sub for x in sub for y in sub) and \
-                    all(mod.smul(r, x) in sub for r in range(table.size) for x in sub):
+            sub = frozenset(x for x, keep in enumerate(bits) if keep)
+            if sub and all(mod.add_table[x][y] in sub for x in sub for y in sub) and \
+                    all(mod.smul_table[r][x] in sub for r in range(table.size) for x in sub):
                 reference.add(sub)
         found = submodules(table, multiset)
         assert len(found) == len(set(found))
@@ -185,18 +196,18 @@ class TestModules:
         # each submodule and its quotient laid out as modules of their own,
         # their classes read from the sizes of the images p_i^j·X_i
         table = build_table(rg)
-        mod = direct_sum(cyclic_module(table, table.principal(table.prime_power(*key)))
-                         for key in multiset)
+        mod = _direct_sum(cyclic_module(table, table.principal(table.prime_power(*key)))
+                          for key in multiset)
         subs = submodules(table, multiset)
         for sub, pair in zip(subs, subquotient_classes(mod, subs)):
             members = sorted(sub)
             name = {x: k for k, x in enumerate(members)}
             part = ExplicitModule(table,
-                                  [[name[mod.add(x, y)] for y in members] for x in members],
+                                  [[name[mod.add_table[x][y]] for y in members] for x in members],
                                   [[name[row[x]] for x in members] for row in mod.smul_table])
             coset, reps = cosets(mod.add_table, sub)
             quotient = ExplicitModule(table,
-                                      [[coset[mod.add(x, y)] for y in reps] for x in reps],
+                                      [[coset[mod.add_table[x][y]] for y in reps] for x in reps],
                                       [[coset[row[x]] for x in reps] for row in mod.smul_table])
             assert pair == (_image_class(part), _image_class(quotient))
 
@@ -209,8 +220,16 @@ class TestModules:
 
     def test_indecomposables(self):
         table = build_table(R_MIXED)
-        # one per prime power: x, (x+1), (x+1)^2
-        assert len(indecomposable_modules(table)) == 3
+        # one per prime power: x, (x+1), (x+1)^2; p_i is invertible on the
+        # other primary parts, so R/(p_i^j) is the indecomposable of key (i, j)
+        keys = [(0, 1), (1, 1), (1, 2)]
+        assert [(i, j) for i, e in enumerate(table.prime_exponents)
+                for j in range(1, e + 1)] == keys
+        for i, j in keys:
+            mod = cyclic_module(table, table.principal(table.prime_power(i, j)))
+            expected = [[0] * e for e in table.prime_exponents]
+            expected[i][j - 1] = 1
+            assert iso_class(mod) == tuple(map(tuple, expected))
 
 
 def _image_class(mod):
@@ -220,10 +239,11 @@ def _image_class(mod):
     out = []
     for i, e in enumerate(table.prime_exponents):
         killer = mod.smul_table[table.prime_power(i, e)]
-        part = [x for x in mod.elements if killer[x] == mod.zero]
+        part = [x for x in range(mod.size) if killer[x] == mod.zero]
         base = table.ring.modulus.p ** table.prime_degrees[i]
-        logs = [round(math.log(len({mod.smul(table.prime_power(i, j), x) for x in part}), base))
-                for j in range(e + 1)]
+        images = [{mod.smul_table[table.prime_power(i, j)][x] for x in part}
+                  for j in range(e + 1)]
+        logs = [round(math.log(len(image), base)) for image in images]
         ge = [logs[j - 1] - logs[j] for j in range(1, e + 1)]
         out.append(tuple(ge[j] - (ge[j + 1] if j + 1 < e else 0) for j in range(e)))
     return tuple(out)
@@ -262,9 +282,10 @@ class TestMember:
             expected = all(
                 table.ideal_index(frozenset(
                     r for r in range(table.size)
-                    if mod.smul(r, m) == mod.zero)) in flt.members
-                for m in mod.elements)
-            assert oracle_member(mod, flt) == expected
+                    if mod.smul_table[r][m] == mod.zero)) in flt.members
+                for m in range(mod.size))
+            members = {table.ideals[i] for i in flt.members}
+            assert (element_annihilators(mod) <= members) == expected
 
 
 class TestVerifyRing:
@@ -294,5 +315,5 @@ def test_sweep_covers_94_rings():
 @pytest.mark.parametrize("rg", SWEEP, ids=str)
 def test_sweep_small_rings_pass(rg):
     """Every ring passes at the least length bound it admits."""
-    report = verify_ring(rg, length_bound=max(m for _, m in rg.prime_factors()))
+    report = verify_ring(rg, length_bound=max(m for _, m in rg.factors))
     assert report.passed, "\n".join(report.lines())

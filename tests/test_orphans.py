@@ -1,0 +1,60 @@
+"""Every public function, class and method in the package has a caller."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import qfilt
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qfilt"
+
+# looked up by name from outside the package, by qbench/spans.py
+ALLOWED = {"ProjChartOne"}
+
+
+def _names(node) -> list[str]:
+    """Every identifier a node reads or writes, as a name or an attribute."""
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def _is_click_command(node) -> bool:
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+
+def _public_definitions(tree):
+    """(qualified name, node) of each public top-level function and class
+    and each public method of a top-level class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if not _is_click_command(node):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def orphans() -> list[str]:
+    """Public names with no reference outside their own definition anywhere
+    in the package but its __init__.py, a top-level name exported there
+    aside."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    used = Counter(name for file, tree in trees.items() if file != "__init__.py"
+                   for name in _names(tree))
+    exported = set(vars(qfilt))
+    out = []
+    for file, tree in trees.items():
+        for qualname, node in _public_definitions(tree):
+            if "." not in qualname and qualname in exported:
+                continue
+            if used[node.name] <= _names(node).count(node.name):
+                out.append(qualname)
+    return out
+
+
+def test_every_public_name_has_a_caller():
+    assert set(orphans()) == ALLOWED

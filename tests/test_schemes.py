@@ -146,14 +146,14 @@ class TestRestrictGlue:
         assert glue_ideals(U3, charts) == s
 
     def test_union_glue_rest(self):
-        chart0 = sheaf(UZ.chart_scheme(0), {}, ComponentSet.of([0]))
+        chart0 = sheaf(UZ.chart(0).scheme, {}, ComponentSet.of([0]))
         zero_rest = glue_ideals(UZ, {0: chart0}, rest="zero")
         assert zero_rest == sheaf(UZ, {}, ComponentSet.cofinite([]))
         unit_rest = glue_ideals(UZ, {0: chart0}, rest="unit")
         assert unit_rest == sheaf(UZ, {}, ComponentSet.of([0]))
 
     def test_one_chart_restrict_glue(self):
-        c1 = P1.chart_scheme(1)
+        c1 = P1.chart(1).scheme
         for s in (sheaf(A1, {A: 2, B: 1}), sheaf(Q, {QPT("x+1"): 1}, [0]),
                   sheaf(c1, {A: 1, inf_point(): 2})):
             r = restrict_sheaf(s, 0)
@@ -164,8 +164,8 @@ class TestRestrictGlue:
 
     def test_glue_conflict(self):
         with pytest.raises(GluingError):
-            glue_ideals(P1, {0: sheaf(P1.chart_scheme(0), {A: 1, B: 1}),
-                             1: sheaf(P1.chart_scheme(1), {A: 2})})
+            glue_ideals(P1, {0: sheaf(P1.chart(0).scheme, {A: 1, B: 1}),
+                             1: sheaf(P1.chart(1).scheme, {A: 2})})
 
 
 class TestClosedSubscheme:

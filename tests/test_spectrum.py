@@ -80,14 +80,20 @@ class TestPoints:
         assert Q.closed_cap(Q.primes()[1][0]) == 2
 
 
+def _atom_leq(a, b):
+    """The atom order: a <= b iff b lies in the closure of {a}."""
+    return a == b or a.kind == "generic" and a.component == b.component
+
+
 class TestSpecPoset:
     def test_generic_below_all(self):
         poset = spec(A1F2, degree_bound=4)
         gen = poset.generic[0]
         assert len(poset.closed) == 2 + 1 + 2 + 3
         for pt in poset.closed:
-            assert poset.leq(gen, pt)
-            assert not poset.leq(pt, gen)
+            assert _atom_leq(gen, pt)
+            assert not _atom_leq(pt, gen)
+        assert poset.specializations == tuple((gen, pt) for pt in poset.closed)
 
     def test_labels_materialize(self):
         poset = spec(A1, labels=("a", "b"))
@@ -101,7 +107,8 @@ class TestSpecPoset:
     def test_union_components(self):
         poset = spec(DisjointUnion.explicit([PrimeField(2), PrimeField(3)]))
         assert len(poset.generic) == 2
-        assert not poset.leq(generic_point(0), generic_point(1))
+        assert not _atom_leq(generic_point(0), generic_point(1))
+        assert poset.specializations == ()
 
 
 class TestSpecClosed:
