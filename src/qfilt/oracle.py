@@ -6,6 +6,10 @@ ring is laid out as explicit addition/multiplication tables, its ideals
 are found by closing principal ideals under sums, filters are enumerated
 as up-closed intersection-closed subsets of the ideal list, and both
 definitions of the filter product are evaluated element by element.
+The tables are built by index arithmetic on coefficient digits, each row
+from an earlier one, with no polynomial arithmetic per entry.  Each colon
+ideal a^{-1}L, and the set of products xy of each pair of ideals, is
+computed once per ring table and read by every filter product after.
 Subcategories are enumerated independently of the filter lattice, as sets
 of indecomposable module classes certified by explicit submodule
 enumeration, and the bijection between the two enumerations is checked
@@ -67,13 +71,14 @@ class FiniteRingTable:
     # multiset, each built once, the add table when first read; tables
     # alone, so that no cycle keeps them alive
     modules: dict = field(default_factory=dict, compare=False, repr=False)
+    # a^{-1}L of each (element, ideal) pair, and the products xy of each
+    # pair of ideal indices, each computed when first read
+    colons: dict = field(default_factory=dict, compare=False, repr=False)
+    products: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def size(self) -> int:
         return len(self.reps)
-
-    def index(self, poly: PrimePoly) -> int:
-        return self.reps.index(poly % self.ring.modulus)
 
     def prime_power(self, i: int, j: int) -> int:
         """Element index of (i-th prime factor)**j."""
@@ -85,8 +90,10 @@ class FiniteRingTable:
     def principal(self, a: int) -> IdealSet:
         return frozenset(self.mul[a][r] for r in range(self.size))
 
-    def ideal_index(self, members: IdealSet) -> int:
-        return self.ideals.index(members)
+    @cached_property
+    def ideal_index(self) -> dict[IdealSet, int]:
+        """The position of each ideal in `ideals`."""
+        return {members: i for i, members in enumerate(self.ideals)}
 
     @cached_property
     def ideal_exponents(self) -> tuple[tuple[int, ...], ...]:
@@ -146,25 +153,53 @@ def _checked_primes(ring: QuotientRing):
 def build_table(ring: QuotientRing) -> FiniteRingTable:
     """Lay out k[x]/(f) as tables, self-check the axioms, enumerate ideals.
     The caps are checked from the factorization before any table is laid
-    out; the enumeration keeps its own cap on the ideals it finds."""
+    out; the enumeration keeps its own cap on the ideals it finds.
+
+    Element i is the polynomial whose coefficients of x^0..x^(deg-1) are
+    the base-p digits of i, most significant first, in the order of
+    itertools.product; reps[0] is the zero polynomial, so the zero of every
+    module is 0.  The tables are built by index arithmetic: a row for a is
+    the row for a - x^k shifted by one lookup per entry, adding x^k for
+    `add` and adding x^k·b for `mul`, x^k·b read off the companion matrix
+    of f."""
     primes = _checked_primes(ring)
     modulus = ring.modulus
     p, deg = modulus.p, modulus.degree
     n = p ** deg
-    # reps[0] is the zero polynomial, so the zero of every module is 0
-    reps = tuple(PrimePoly.make(p, coeffs)
-                 for coeffs in itertools.product(range(p), repeat=deg))
-    pos = {r: i for i, r in enumerate(reps)}
-    add = tuple(tuple(pos[(a + b) % modulus] for b in reps) for a in reps)
-    mul = tuple(tuple(pos[(a * b) % modulus] for b in reps) for a in reps)
-    zero = pos[PrimePoly.make(p, (0,))]
-    one = pos[PrimePoly.make(p, (1,))]
+    digits = list(itertools.product(range(p), repeat=deg))  # coefficients of x^0..
+    reps = tuple(PrimePoly.make(p, coeffs) for coeffs in digits)
+    weights = [p ** (deg - 1 - k) for k in range(deg)]  # the index of x^k
+
+    def index(coeffs) -> int:
+        return sum(c % p * w for c, w in zip(coeffs, weights))
+
+    # plus[k][b] is b + x^k, and times_x[b] is x·b by the companion matrix
+    # of the monic f = x^deg + sum_k tail[k]·x^k
+    plus = [[b + w if digits[b][k] < p - 1 else b - (p - 1) * w for b in range(n)]
+            for k, w in enumerate(weights)]
+    tail = modulus.coeffs[:deg]
+    times_x = [index([-d[-1] * tail[0]] + [d[k - 1] - d[-1] * tail[k] for k in range(1, deg)])
+               for d in digits]
+    powers = [list(range(n))]  # powers[k][b] is x^k·b
+    for _ in range(1, deg):
+        powers.append([times_x[b] for b in powers[-1]])
+    # each a > 0 is a - x^k plus x^k for the last nonzero coefficient k
+    steps = [(a, max(k for k, d in enumerate(digits[a]) if d)) for a in range(1, n)]
+    add = [list(range(n))]
+    for a, k in steps:
+        add.append([plus[k][y] for y in add[a - weights[k]]])
+    mul = [[0] * n]
+    for a, k in steps:
+        mul.append([add[u][v] for u, v in zip(mul[a - weights[k]], powers[k])])
+    add = tuple(map(tuple, add))
+    mul = tuple(map(tuple, mul))
+    zero, one = 0, index((1,))
     _self_check(n, add, mul, zero, one)
     ideals = _enumerate_ideals(n, add, mul)
     return FiniteRingTable(ring, reps, add, mul, zero, one, ideals,
                            tuple(m for _, m in primes),
                            tuple(q.degree for q, _ in primes),
-                           tuple(pos[q % modulus] for q, _ in primes))
+                           tuple(index((q % modulus).coeffs) for q, _ in primes))
 
 
 def _self_check(n: int, add, mul, zero: int, one: int) -> None:
@@ -217,14 +252,14 @@ class ExplicitFilter:
     def __post_init__(self):
         ideals = self.table.ideals
         unit = frozenset(range(self.table.size))
-        if self.table.ideal_index(unit) not in self.members:
+        if self.table.ideal_index[unit] not in self.members:
             raise QfiltError("a filter must contain the unit ideal")
         for i in self.members:
             for j in range(len(ideals)):
                 if ideals[i] <= ideals[j] and j not in self.members:
                     raise QfiltError("filter is not upward closed")
             for k in self.members:
-                if self.table.ideal_index(ideals[i] & ideals[k]) not in self.members:
+                if self.table.ideal_index[ideals[i] & ideals[k]] not in self.members:
                     raise QfiltError("filter is not intersection closed")
 
 
@@ -236,7 +271,7 @@ def enumerate_filters(table: FiniteRingTable) -> tuple[ExplicitFilter, ...]:
     order = sorted(range(n), key=lambda i: -len(ideals[i]))
     supersets = {i: [j for j in range(n) if i != j and ideals[i] <= ideals[j]]
                  for i in range(n)}
-    unit_idx = table.ideal_index(frozenset(range(table.size)))
+    unit_idx = table.ideal_index[frozenset(range(table.size))]
     out: list[ExplicitFilter] = []
 
     def walk(k: int, chosen: set[int]):
@@ -244,7 +279,7 @@ def enumerate_filters(table: FiniteRingTable) -> tuple[ExplicitFilter, ...]:
             if unit_idx not in chosen:
                 return
             for i, j in itertools.combinations(chosen, 2):
-                if table.ideal_index(ideals[i] & ideals[j]) not in chosen:
+                if table.ideal_index[ideals[i] & ideals[j]] not in chosen:
                     return
             out.append(ExplicitFilter(table, frozenset(chosen)))
             return
@@ -258,8 +293,13 @@ def enumerate_filters(table: FiniteRingTable) -> tuple[ExplicitFilter, ...]:
 
 
 def inverse_ideal(table: FiniteRingTable, a: int, members: IdealSet) -> IdealSet:
-    """a^{-1}L = {b : ab in L}."""
-    return frozenset(b for b in range(table.size) if table.mul[a][b] in members)
+    """a^{-1}L = {b : ab in L}, kept on the table."""
+    key = (a, members)
+    out = table.colons.get(key)
+    if out is None:
+        row = table.mul[a]
+        out = table.colons[key] = frozenset(b for b in range(table.size) if row[b] in members)
+    return out
 
 
 def check_prelocalizing(flt: ExplicitFilter) -> bool:
@@ -292,10 +332,13 @@ def product_two_ways(f1: ExplicitFilter, f2: ExplicitFilter):
     via_ide = set()
     for i1 in f1.members:
         for i2 in f2.members:
-            span = _ideal_product(table, ideals[i1], ideals[i2])
-            for li, l in enumerate(ideals):
-                if span <= l:
-                    via_ide.add(li)
+            # an ideal holds the span of the products exactly when it holds
+            # the products, since it is closed under addition
+            prods = table.products.get((i1, i2))
+            if prods is None:
+                prods = table.products[i1, i2] = frozenset(
+                    table.mul[x][y] for x in ideals[i1] for y in ideals[i2])
+            via_ide.update(li for li, l in enumerate(ideals) if prods <= l)
     a = ExplicitFilter(table, frozenset(via_inv))
     b = ExplicitFilter(table, frozenset(via_ide))
     return a, b, a.members == b.members
@@ -506,11 +549,6 @@ class OracleReport:
     def passed(self) -> bool:
         return all(ok for _, ok, _ in self.checks)
 
-    def lines(self):
-        for name, ok, detail in self.checks:
-            mark = "ok" if ok else "FAIL"
-            yield f"[{mark}] {self.ring}: {name}" + (f" ({detail})" if detail else "")
-
 
 def _indecomposable_keys(table: FiniteRingTable):
     return [(i, j) for i, e in enumerate(table.prime_exponents) for j in range(1, e + 1)]
@@ -661,7 +699,7 @@ def oracle_join(table: FiniteRingTable, a: ExplicitFilter, b: ExplicitFilter) ->
     while changed:
         changed = False
         for i, j in itertools.combinations(list(members), 2):
-            k = table.ideal_index(ideals[i] & ideals[j])
+            k = table.ideal_index[ideals[i] & ideals[j]]
             if k not in members:
                 members.add(k)
                 changed = True

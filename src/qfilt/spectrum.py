@@ -34,6 +34,7 @@ maximal ideal, plus a pattern of components carrying a free summand.
 """
 
 import dataclasses
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import QfiltError
@@ -205,17 +206,6 @@ class SpecClosedSet:
     points: tuple[SpecPoint, ...] = ()
     components: ComponentSet | None = None
 
-    def member(self, pt: SpecPoint) -> bool:
-        if self.kind == "empty":
-            return False
-        if self.kind == "all":
-            return True
-        if self.kind == "finite":
-            return pt in self.points
-        if self.kind == "cofinite_closed":
-            return pt.kind == "closed" and pt not in self.points
-        return self.components.contains(pt.component)
-
     def __str__(self) -> str:
         if self.kind in ("empty", "all"):
             return self.kind
@@ -332,6 +322,9 @@ def spec(scheme, degree_bound: int | None = None, labels=()) -> SpecPoset:
                  for q in irreducibles(scheme.field.p, d)]
     else:
         names = [check_label(l) for l in labels]
+        repeated = [l for l, count in Counter(names).items() if count > 1]
+        if repeated:
+            raise QfiltError(f"label {repeated[0]!r} is listed more than once")
     if line:
         closed = [pt for pt in map(closed_point, names) if pt not in scheme.removed]
         closed += scheme.added

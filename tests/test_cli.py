@@ -126,6 +126,7 @@ MALFORMED = {
                                 f'{{"kind":"principal","ideal":"{"9" * 5000}x+1"}}'],
     "multiplicity_5000_digits": ["classify", "--scheme", A1, "--filter",
                                  f'{{"kind":"principal","ideal":"(x-a)^{"9" * 5000}"}}'],
+    "spec_labels_repeated": ["spec", "--scheme", A1, "--labels", "a,a"],
 }
 
 
@@ -364,6 +365,7 @@ MALFORMED_JOBS = {
                                "commands": [{"cmd": "spec", "labels": ["a"]}]},
     "spec_labels_union": {"scheme": json.loads(U2),
                           "commands": [{"cmd": "spec", "labels": ["a"]}]},
+    "spec_labels_repeated": {"commands": [{"cmd": "spec", "labels": ["a", "b", "a"]}]},
 }
 
 

@@ -122,7 +122,7 @@ class TestFilters:
         table = build_table(R_X3)
         for f in enumerate_filters(table):
             least = filter_min(f)
-            assert table.ideal_index(least) in f.members
+            assert table.ideal_index[least] in f.members
             assert all(least <= table.ideals[i] for i in f.members)
 
 
@@ -172,7 +172,7 @@ class TestModules:
         polys = [poly_from_str(m, p) for m in mods]
         modulus = functools.reduce(operator.mul, polys)
         table = build_table(QuotientRing.make(PrimeField(p), modulus))
-        ideals = [table.principal(table.index(m)) for m in polys]
+        ideals = [table.principal(table.reps.index(m % modulus)) for m in polys]
         keys = [(i, j) for i, e in enumerate(table.prime_exponents) for j in range(1, e + 1)]
         multiset = tuple(next(k for k in keys if table.principal(table.prime_power(*k)) == ideal)
                          for ideal in ideals)
@@ -263,6 +263,27 @@ class TestSubcategories:
                sum(1 for s in subs if s.bilocalizing))
         assert got == counts
 
+    @pytest.mark.parametrize("rg", [R_MIXED, ring(3, "x^2"), ring(2, "x^2+x+1")], ids=str)
+    def test_shared_submodule_pass_matches_fresh_enumeration(self, rg, monkeypatch):
+        # every multiset's submodules, as the shared pass derives them from
+        # its prefix's, against an enumeration of that multiset alone
+        table = build_table(rg)
+        calls = []
+
+        def recording(table, multiset, prefix=None):
+            calls.append((multiset, real(table, multiset, prefix)))
+            return calls[-1][1]
+
+        real = oracle.submodules
+        monkeypatch.setattr(oracle, "submodules", recording)
+        enumerate_subcategories(table)
+        monkeypatch.undo()
+        keys = [(i, j) for i, e in enumerate(table.prime_exponents) for j in range(1, e + 1)]
+        assert {ms for ms, _ in calls} == set(oracle._all_multisets(keys, 4))
+        for multiset, found in calls:
+            fresh = submodules(table, multiset)
+            assert len(found) == len(fresh) and set(found) == set(fresh), multiset
+
     def test_length_bound_cap(self):
         with pytest.raises(QfiltError):
             enumerate_subcategories(build_table(R_X3), length_bound=9)
@@ -280,9 +301,9 @@ class TestMember:
         mod = cyclic_module(table, table.principal(table.prime_power(0, 2)))
         for flt in enumerate_filters(table):
             expected = all(
-                table.ideal_index(frozenset(
+                table.ideal_index[frozenset(
                     r for r in range(table.size)
-                    if mod.smul_table[r][m] == mod.zero)) in flt.members
+                    if mod.smul_table[r][m] == mod.zero)] in flt.members
                 for m in range(mod.size))
             members = {table.ideals[i] for i in flt.members}
             assert (element_annihilators(mod) <= members) == expected
@@ -292,14 +313,18 @@ class TestVerifyRing:
     @pytest.mark.parametrize("rg", [R_X3, R_SPLIT, ring(5, "x^2")])
     def test_small_rings_pass(self, rg):
         report = verify_ring(rg)
-        assert report.passed, "\n".join(report.lines())
+        assert report.passed, _failures(report)
         assert len(report.checks) == 11
 
 
+def _failures(report) -> str:
+    return "\n".join(f"{name} ({detail})" for name, ok, detail in report.checks if not ok)
+
+
 def _monic_moduli():
-    """Every monic modulus of degree <= 4 over F2, of degree <= 3 over F3 and
-    of degree 2 over F5."""
-    for p, degrees in ((2, (1, 2, 3, 4)), (3, (1, 2, 3)), (5, (2,))):
+    """Every monic modulus of degree <= 4 over F2 and over F3, and of degree
+    2 and 3 over F5."""
+    for p, degrees in ((2, (1, 2, 3, 4)), (3, (1, 2, 3, 4)), (5, (2, 3))):
         for d in degrees:
             for low in itertools.product(range(p), repeat=d):
                 yield QuotientRing.make(PrimeField(p), PrimePoly.make(p, (*low, 1)))
@@ -308,12 +333,58 @@ def _monic_moduli():
 SWEEP = list(_monic_moduli())
 
 
-def test_sweep_covers_94_rings():
-    assert len(SWEEP) == len(set(SWEEP)) == 94
+def test_sweep_covers_300_rings():
+    assert len(SWEEP) == len(set(SWEEP)) == 300
+
+
+@functools.cache
+def _pair_polys(p, d):
+    """The polynomials of degree < d over F_p in the order build_table
+    numbers them, the index of the sum of each pair (a sum needs no
+    reduction), the distinct products of pairs, and the position of each
+    pair's product among them.  Shared by every modulus of degree d."""
+    reps = [PrimePoly.make(p, coeffs) for coeffs in itertools.product(range(p), repeat=d)]
+    pos = {r: i for i, r in enumerate(reps)}
+    sums = tuple(tuple(pos[a + b] for b in reps) for a in reps)
+    products = {}
+    where = [[products.setdefault(a * b, len(products)) for b in reps] for a in reps]
+    return tuple(reps), pos, sums, list(products), where
+
+
+def _check_kernels(table):
+    """The tables against PrimePoly arithmetic, each memoised a^{-1}L against
+    its set-builder definition, and each memoised product set of two ideals
+    against the closure under addition: an ideal holds one exactly when it
+    holds the other."""
+    f = table.ring.modulus
+    reps, pos, sums, products, where = _pair_polys(f.p, f.degree)
+    reduced = [pos[q % f] for q in products]
+    assert table.reps == reps
+    assert table.add == sums
+    assert table.mul == tuple(tuple(reduced[k] for k in row) for row in where)
+    size = range(table.size)
+    assert table.colons
+    for (a, members), colon in table.colons.items():
+        assert colon == frozenset(b for b in size if table.mul[a][b] in members)
+    ideals = table.ideals
+    assert set(table.products) == set(itertools.product(range(len(ideals)), repeat=2))
+    for (i1, i2), prods in table.products.items():
+        span = oracle._ideal_product(table, ideals[i1], ideals[i2])
+        assert [prods <= l for l in ideals] == [span <= l for l in ideals]
 
 
 @pytest.mark.parametrize("rg", SWEEP, ids=str)
-def test_sweep_small_rings_pass(rg):
-    """Every ring passes at the least length bound it admits."""
+def test_sweep_small_rings_pass(rg, monkeypatch):
+    """Every ring passes at the least length bound it admits, and the table
+    verify_ring built and its memos match their references."""
+    tables = []
+
+    def recording(ring):
+        tables.append(build_table(ring))
+        return tables[-1]
+
+    monkeypatch.setattr(oracle, "build_table", recording)
     report = verify_ring(rg, length_bound=max(m for _, m in rg.factors))
-    assert report.passed, "\n".join(report.lines())
+    assert report.passed, _failures(report)
+    (table,) = tables
+    _check_kernels(table)

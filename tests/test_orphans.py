@@ -12,10 +12,12 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "qfilt"
 ALLOWED = {"ProjChartOne"}
 
 
-def _names(node) -> list[str]:
-    """Every identifier a node reads or writes, as a name or an attribute."""
-    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-            if isinstance(n, (ast.Name, ast.Attribute))]
+def _names(node, attributes_only: bool) -> list[str]:
+    """Every identifier a node reads or writes as an attribute, and unless
+    `attributes_only` as a bare name too.  A method is reached only through
+    an attribute, so a bare name of the same spelling is no use of it."""
+    return [n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) or (not attributes_only and isinstance(n, ast.Name))]
 
 
 def _is_click_command(node) -> bool:
@@ -43,15 +45,17 @@ def orphans() -> list[str]:
     aside."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
-    used = Counter(name for file, tree in trees.items() if file != "__init__.py"
-                   for name in _names(tree))
+    used = {method: Counter(name for file, tree in trees.items() if file != "__init__.py"
+                            for name in _names(tree, method))
+            for method in (False, True)}
     exported = set(vars(qfilt))
     out = []
     for file, tree in trees.items():
         for qualname, node in _public_definitions(tree):
-            if "." not in qualname and qualname in exported:
+            method = "." in qualname
+            if not method and qualname in exported:
                 continue
-            if used[node.name] <= _names(node).count(node.name):
+            if used[method][node.name] <= _names(node, method).count(node.name):
                 out.append(qualname)
     return out
 

@@ -100,6 +100,10 @@ class TestSpecPoset:
         assert len(poset.closed) == 2
         assert poset.symbolic_closed
 
+    def test_repeated_label_rejected(self):
+        with pytest.raises(QfiltError, match="label 'a' is listed more than once"):
+            spec(A1, labels=("a", "b", "a"))
+
     def test_proj_line_has_inf(self):
         poset = spec(P1, labels=("a",))
         assert inf_point() in poset.closed
