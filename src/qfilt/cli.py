@@ -58,6 +58,8 @@ def _load_json(text: str, what: str):
             f"{what}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
     except ValueError as e:
         raise ValidationFailure(f"{what}: {TOO_MANY_DIGITS}") from e
+    except RecursionError as e:
+        raise ValidationFailure(f"{what}: JSON nested too deeply") from e
 
 
 def _guard(fn, *args):
@@ -65,6 +67,8 @@ def _guard(fn, *args):
         return fn(*args)
     except (ParseError, QfiltError) as e:
         raise ValidationFailure(str(e)) from e
+    except RecursionError as e:  # a literal that json could still parse
+        raise ValidationFailure("input nested too deeply") from e
 
 
 def _emit(doc: dict, fmt: str, out: str | None, table: Callable[[], str]) -> None:
@@ -74,8 +78,11 @@ def _emit(doc: dict, fmt: str, out: str | None, table: Callable[[], str]) -> Non
     else:
         text = table() + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ValidationFailure(f"cannot write --out {out}: {e.strerror}") from e
     else:
         click.echo(text, nl=False)
 
@@ -404,7 +411,7 @@ def _check_job(job) -> None:
         raise ParseError("job file must be a JSON object")
     if "schema" not in job:
         raise ParseError("job file has no schema version field")
-    if job["schema"] != SCHEMA_VERSION:
+    if type(job["schema"]) is not int or job["schema"] != SCHEMA_VERSION:
         raise ParseError(
             f"unsupported schema version {job['schema']!r}; this build reads {SCHEMA_VERSION}")
     _check_keys(job, _JOB_KEYS, "job file")
@@ -489,8 +496,12 @@ def main():
 @OUT_OPT
 def run(job_path, fmt, out):
     """Run the commands in a job file."""
-    with open(job_path, encoding="utf-8") as fh:
-        job = _load_json(fh.read(), job_path)
+    try:
+        with open(job_path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise ValidationFailure(f"{job_path}: not UTF-8 text: {e.reason}") from e
+    job = _load_json(text, job_path)
     _execute(job, fmt, out)
 
 

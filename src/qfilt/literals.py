@@ -264,7 +264,7 @@ def ideal_to_literal(ideal: IdealSheaf) -> dict:
 
 
 def _exponent_from_literal(v):
-    if v == "inf" or v == INF:
+    if v == "inf":
         return INF
     if isinstance(v, int) and not isinstance(v, bool):
         return v

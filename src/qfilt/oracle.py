@@ -7,9 +7,10 @@ are found by closing principal ideals under sums, filters are enumerated
 as up-closed intersection-closed subsets of the ideal list, and both
 definitions of the filter product are evaluated element by element.
 The tables are built by index arithmetic on coefficient digits, each row
-from an earlier one, with no polynomial arithmetic per entry.  Each colon
-ideal a^{-1}L, and the set of products xy of each pair of ideals, is
-computed once per ring table and read by every filter product after.
+from an earlier one, with no polynomial arithmetic per entry.  What the
+filter tests read is laid out beside them once per ring: the index of each
+colon ideal a^{-1}L, and the set of products xy of each pair of ideals.  A
+filter, and each element annihilator, is a set of ideal indices.
 Subcategories are enumerated independently of the filter lattice, as sets
 of indecomposable module classes certified by explicit submodule
 enumeration, and the bijection between the two enumerations is checked
@@ -71,10 +72,6 @@ class FiniteRingTable:
     # multiset, each built once, the add table when first read; tables
     # alone, so that no cycle keeps them alive
     modules: dict = field(default_factory=dict, compare=False, repr=False)
-    # a^{-1}L of each (element, ideal) pair, and the products xy of each
-    # pair of ideal indices, each computed when first read
-    colons: dict = field(default_factory=dict, compare=False, repr=False)
-    products: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -94,6 +91,19 @@ class FiniteRingTable:
     def ideal_index(self) -> dict[IdealSet, int]:
         """The position of each ideal in `ideals`."""
         return {members: i for i, members in enumerate(self.ideals)}
+
+    @cached_property
+    def colon(self) -> tuple[tuple[int, ...], ...]:
+        """colon[l][a] is the index of a^{-1}L = {b : ab in L}, L the l-th ideal."""
+        return tuple(tuple(self.ideal_index[frozenset(b for b, y in enumerate(row) if y in l)]
+                           for row in self.mul) for l in self.ideals)
+
+    @cached_property
+    def products(self) -> tuple[tuple[frozenset, ...], ...]:
+        """products[i][j] is the set of products xy, x in the i-th ideal and
+        y in the j-th."""
+        return tuple(tuple(frozenset(self.mul[x][y] for x in i1 for y in i2)
+                           for i2 in self.ideals) for i1 in self.ideals)
 
     @cached_property
     def ideal_exponents(self) -> tuple[tuple[int, ...], ...]:
@@ -292,52 +302,31 @@ def enumerate_filters(table: FiniteRingTable) -> tuple[ExplicitFilter, ...]:
     return tuple(sorted(out, key=lambda f: (-len(f.members), sorted(f.members))))
 
 
-def inverse_ideal(table: FiniteRingTable, a: int, members: IdealSet) -> IdealSet:
-    """a^{-1}L = {b : ab in L}, kept on the table."""
-    key = (a, members)
-    out = table.colons.get(key)
-    if out is None:
-        row = table.mul[a]
-        out = table.colons[key] = frozenset(b for b in range(table.size) if row[b] in members)
-    return out
-
-
 def check_prelocalizing(flt: ExplicitFilter) -> bool:
     """Whether a^{-1}L stays in the filter for every a and member L."""
-    table = flt.table
-    member_sets = {table.ideals[i] for i in flt.members}
-    for i in flt.members:
-        for a in range(table.size):
-            if inverse_ideal(table, a, table.ideals[i]) not in member_sets:
-                return False
-    return True
+    return all(c in flt.members for i in flt.members for c in flt.table.colon[i])
 
 
 def product_two_ways(f1: ExplicitFilter, f2: ExplicitFilter):
     """The filter product by its two definitions.
 
     via_inverse: L is a member when some L' in f1 contains L with a^{-1}L
-    in f2 for every a in L'.  via_ideals: L contains a product of members.
+    in f2 for every a in L', that is when L' misses every a with a^{-1}L
+    outside f2.  via_ideals: L contains a product of members.
     Returns (via_inverse, via_ideals, equal)."""
     table = f1.table
     ideals = table.ideals
-    f2_sets = {ideals[i] for i in f2.members}
     via_inv = set()
     for li, l in enumerate(ideals):
-        for j in f1.members:
-            lp = ideals[j]
-            if l <= lp and all(inverse_ideal(table, a, l) in f2_sets for a in lp):
-                via_inv.add(li)
-                break
+        bad = {a for a, c in enumerate(table.colon[li]) if c not in f2.members}
+        if any(l <= ideals[j] and bad.isdisjoint(ideals[j]) for j in f1.members):
+            via_inv.add(li)
     via_ide = set()
     for i1 in f1.members:
         for i2 in f2.members:
             # an ideal holds the span of the products exactly when it holds
             # the products, since it is closed under addition
-            prods = table.products.get((i1, i2))
-            if prods is None:
-                prods = table.products[i1, i2] = frozenset(
-                    table.mul[x][y] for x in ideals[i1] for y in ideals[i2])
+            prods = table.products[i1][i2]
             via_ide.update(li for li, l in enumerate(ideals) if prods <= l)
     a = ExplicitFilter(table, frozenset(via_inv))
     b = ExplicitFilter(table, frozenset(via_ide))
@@ -616,8 +605,7 @@ def enumerate_subcategories(table: FiniteRingTable,
     The bound must reach the largest prime exponent e: R/(p^e) has length
     e, and below that no module tells the subcategories with and without
     it apart."""
-    _check_length_bound(table.ring, table.prime_exponents, table.prime_degrees,
-                        length_bound)
+    _check_length_bound(table.ring, length_bound)
     keys = _indecomposable_keys(table)
     # one shared pass of submodule enumeration: for each module the set of
     # (submodule class, quotient class) pairs.  Each multiset's submodules
@@ -667,26 +655,27 @@ def enumerate_subcategories(table: FiniteRingTable,
     return tuple(sorted(out, key=lambda s: s.exponents))
 
 
-def _check_length_bound(ring: QuotientRing, exponents, degrees, length_bound: int) -> None:
+def _check_length_bound(ring: QuotientRing, length_bound: int) -> None:
     """The length bound must stay within the cap and reach the largest
     prime exponent, and the largest module it builds, (p^d)^L for the
     largest residue degree d, must stay within the element cap."""
     if length_bound > MAX_SUBCAT_LENGTH:
         raise QfiltError(f"length bound {length_bound} exceeds {MAX_SUBCAT_LENGTH}")
-    least_bound = max(exponents, default=0)
+    least_bound = max((e for _, e in ring.factors), default=0)
     if length_bound < least_bound:
         raise QfiltError(f"length bound {length_bound} is below the largest prime exponent "
                          f"of {ring}; use a length bound of at least {least_bound}")
-    n = (ring.modulus.p ** max(degrees, default=0)) ** length_bound
+    n = (ring.modulus.p ** max((q.degree for q, _ in ring.factors), default=0)) ** length_bound
     if n > MAX_ORACLE_ELEMENTS:
         raise LatticeTooLargeError(f"modules of length {length_bound} over {ring} reach {n} "
                                    f"elements, over the oracle limit {MAX_ORACLE_ELEMENTS}")
 
 
-def element_annihilators(mod: ExplicitModule) -> frozenset[IdealSet]:
-    """Ann(x) for every element x.  A filter's subcategory holds the module
-    exactly when each of them is a member of the filter."""
-    return frozenset(frozenset(r for r, y in enumerate(column) if y == mod.zero)
+def element_annihilators(mod: ExplicitModule) -> frozenset[int]:
+    """The ideal index of Ann(x) for every element x.  A filter's
+    subcategory holds the module exactly when each of them is a member."""
+    index = mod.table.ideal_index
+    return frozenset(index[frozenset(r for r, y in enumerate(column) if y == mod.zero)]
                      for column in set(zip(*mod.smul_table)))
 
 
@@ -723,15 +712,6 @@ def engine_filter_to_explicit(flt, table: FiniteRingTable) -> ExplicitFilter:
         idx for idx, ideal in enumerate(table.ideal_sheaves) if contains(flt, ideal)))
 
 
-def sheaf_to_ideal_set(ideal_sheaf, table: FiniteRingTable) -> IdealSet:
-    """The explicit element set of an ideal sheaf on the quotient."""
-    elem = table.one
-    for i, (pt, mult) in enumerate(table.scheme.primes()):
-        e = mult if ideal_sheaf.killed.contains(i) else int(ideal_sheaf.order_at(pt))
-        elem = table.mul[elem][table.prime_power(i, e)]
-    return table.principal(elem)
-
-
 def verify_ring(ring: QuotientRing, length_bound: int = 4) -> OracleReport:
     """Cross-check the symbolic engine against brute force on one ring."""
     from .classify import classify, member
@@ -746,11 +726,10 @@ def verify_ring(ring: QuotientRing, length_bound: int = 4) -> OracleReport:
     # lays out a table, in the order the stages below would check it: the
     # element and ideal counts, the modulus degree, the length bound and
     # the largest module
-    primes = _checked_primes(ring)
+    _checked_primes(ring)
     scheme = AffineQuotient(ring)
     engine_filters = enumerate_quotient_filters(scheme)
-    _check_length_bound(ring, [e for _, e in primes], [q.degree for q, _ in primes],
-                        length_bound)
+    _check_length_bound(ring, length_bound)
     table = build_table(ring)
     report.record("ring axioms", True)
 
@@ -798,7 +777,7 @@ def verify_ring(ring: QuotientRing, length_bound: int = 4) -> OracleReport:
     gabriel_ok = True
     for f, e in pairing:
         ok, least = is_principal(f)
-        if not ok or sheaf_to_ideal_set(least, table) != filter_min(e):
+        if not ok or least != table.ideal_sheaves[table.ideal_index[filter_min(e)]]:
             principal_ok = False
         if is_gabriel(e) != is_product_closed(f):
             gabriel_ok = False
@@ -822,13 +801,12 @@ def verify_ring(ring: QuotientRing, length_bound: int = 4) -> OracleReport:
 
     keys = _indecomposable_keys(table)
     primes = scheme.primes()
-    member_sets = [(f, {table.ideals[i] for i in e.members}) for f, e in pairing]
     membership_ok = True
     for ms in _all_multisets(keys, length_bound):
         anns = element_annihilators(_multiset_module(table, ms))
         data = module_data(scheme, [(primes[i][0], j) for i, j in ms])
-        for f, members in member_sets:
-            if member(data, f) != (anns <= members):
+        for f, e in pairing:
+            if member(data, f) != (anns <= e.members):
                 membership_ok = False
     report.record("membership via annihilators matches", membership_ok)
     return report

@@ -149,7 +149,9 @@ def irreducibles(p: int, degree: int) -> tuple[PrimePoly, ...]:
     """All monic irreducibles of exactly the given degree, sorted."""
     if degree < 1:
         return ()
-    if p ** degree > MAX_POLY_ENUMERATION:
+    # p >= 2, so a degree past the cap's bit length is over the cap, and
+    # p ** degree is formed only for small degrees
+    if degree >= MAX_POLY_ENUMERATION.bit_length() or p ** degree > MAX_POLY_ENUMERATION:
         raise QfiltError(f"irreducible enumeration over F{p} at degree {degree} is too large")
     smaller = [q for d in range(1, degree // 2 + 1) for q in irreducibles(p, d)]
     found = []

@@ -318,7 +318,9 @@ def spec(scheme, degree_bound: int | None = None, labels=()) -> SpecPoset:
     if degree_bound is not None and degree_bound < 1:
         raise QfiltError(f"degree bound must be a positive integer, not {degree_bound}")
     if prime_line:
-        names = [q for d in range(1, (degree_bound or 1) + 1)
+        # highest degree first, so that a bound past the enumeration cap
+        # fails before any work; the points are sorted below
+        names = [q for d in range(degree_bound or 1, 0, -1)
                  for q in irreducibles(scheme.field.p, d)]
     else:
         names = [check_label(l) for l in labels]

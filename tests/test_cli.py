@@ -1,13 +1,16 @@
 """The qfilt CLI: commands, job files, exit codes, determinism."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qfilt.cli import main
-from qfilt.literals import point_to_literal, scheme_from_literal
+from qfilt.cli import _COMMAND_TYPES, _JOB_KEYS, _OPS, COMMANDS, main
+from qfilt.literals import (_FILTER_KEYS, _FREE_KEYS, _IDEAL_KEYS, _MODULE_KEYS,
+                            _SCHEME_KEYS, point_to_literal, scheme_from_literal)
 from qfilt.oracle import OracleReport
 from qfilt.spectrum import spec
 
@@ -127,14 +130,54 @@ MALFORMED = {
     "multiplicity_5000_digits": ["classify", "--scheme", A1, "--filter",
                                  f'{{"kind":"principal","ideal":"(x-a)^{"9" * 5000}"}}'],
     "spec_labels_repeated": ["spec", "--scheme", A1, "--labels", "a,a"],
+    # JSON reads 1e999 and Infinity as a float; an exponent is an integer or "inf"
+    "exponent_1e999": ["classify", "--scheme", A1,
+                       "--filter", '{"kind":"exponents","default":1e999}'],
+    "exponent_infinity": ["classify", "--scheme", A1, "--filter",
+                          '{"kind":"exponents","default":0,"exceptions":{"pt:a":Infinity}}'],
+    "filter_nested_too_deeply": ["classify", "--scheme", A1, "--filter", "[" * 100_000],
+    "scheme_nested_too_deeply": ["classify", "--scheme", "[" * 100_000,
+                                 "--filter", '{"kind":"improper"}'],
+    # the files below are written to the working directory of each case
+    "run_nested_too_deeply": ["run", "deep.json"],
+    "run_not_utf8": ["run", "utf16.json"],
+    "out_is_directory": ["classify", "--scheme", A1, "--filter", '{"kind":"improper"}',
+                         "--out", "."],
+    "out_missing_directory": ["classify", "--scheme", A1, "--filter", '{"kind":"improper"}',
+                              "--out", "missing/out.json"],
+    "spec_degree_bound_huge": ["spec", "--scheme", F2LINE, "--degree-bound", str(10**30)],
 }
+FILES = {"deep.json": b"[" * 100_000, "utf16.json": b"\xff\xfe{}"}
 
 
 @pytest.mark.parametrize("args", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_literal_exit_2(runner, args):
+def test_malformed_literal_exit_2(runner, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    for name, data in FILES.items():
+        (tmp_path / name).write_bytes(data)
     res = invoke(runner, args)
     assert res.exit_code == 2
     assert res.stderr.startswith("Error:")
+
+
+def test_deep_nesting_exit_2(runner):
+    """JSON nested near the recursion limit either fails to parse or parses
+    and fails later, depending on the stack depth of the caller; both exit 2."""
+    for depth in range(850, 1001, 10):
+        nest = "[" * depth + "]" * depth
+        res = invoke(runner, ["classify", "--scheme", A1,
+                              "--filter", f'{{"kind":"exponents","default":{nest}}}'])
+        assert res.exit_code == 2 and res.stderr.startswith("Error:"), depth
+
+
+def test_spec_past_enumeration_cap_fails_fast(runner):
+    # degree 40 is far past the cap; walking the degrees upward would
+    # enumerate every degree up to 20 first
+    start = time.perf_counter()
+    res = invoke(runner, ["spec", "--scheme", F2LINE, "--degree-bound", "40"])
+    assert res.exit_code == 2
+    assert "irreducible enumeration over F2 at degree 40 is too large" in res.stderr
+    assert time.perf_counter() - start < 2
 
 
 # one input just past each size cap in qfilt.config, with that cap's message
@@ -366,6 +409,12 @@ MALFORMED_JOBS = {
     "spec_labels_union": {"scheme": json.loads(U2),
                           "commands": [{"cmd": "spec", "labels": ["a"]}]},
     "spec_labels_repeated": {"commands": [{"cmd": "spec", "labels": ["a", "b", "a"]}]},
+    # True == 1 and 1.0 == 1 in Python; the schema is the integer 1
+    "schema_true": {"schema": True},
+    "schema_float": {"schema": 1.0},
+    "exception_infinity": {"filters": {"F": {"kind": "exponents", "default": 0,
+                                          "exceptions": {"pt:a": float("inf")}}}},
+    "default_infinity": {"filters": {"F": {"kind": "exponents", "default": float("inf")}}},
 }
 
 
@@ -497,3 +546,63 @@ def test_subcommand_is_one_command_job(runner, tmp_path, args, scheme, command, 
         assert single.output == json.dumps(result, indent=2, sort_keys=True) + "\n"
     else:
         assert single.output == whole.output
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: random JSON shapes built from the grammar's own keys and words
+
+CMD_KEYS = set().union(_COMMAND_TYPES, *(c.keys for c in COMMANDS.values()))
+KEYS = sorted(set().union(*_SCHEME_KEYS.values(), *_FILTER_KEYS.values(), _IDEAL_KEYS,
+                          _MODULE_KEYS, _FREE_KEYS, _JOB_KEYS, CMD_KEYS))
+# polynomials come from this list alone: text like "x^20" would reach the
+# exponential irreducibility paths of the poly layer
+WORDS = sorted({*_SCHEME_KEYS, *_FILTER_KEYS, *COMMANDS, *_OPS, "inf", "Z", "symbolic",
+                "F", "G", "M", "pt:a", "pt:b", "pt:inf", "pt:x", "pt:x+1", "pt:x^2+x+1",
+                "pt:x-a", "comp:0", "comp:1", "gen:0", "x", "x+1", "x^2", "x^3+x",
+                "x^2+x+1", "x-a", "(x-a)^2", "p:2,mod:x^2", "p:3,mod:x", "p:2,mod:x^2+x"})
+LEAVES = (st.none() | st.booleans() | st.integers(-1, 4)
+          | st.sampled_from([1.0, 2.5, -0.0, 1e300, float("inf"), float("-inf"), float("nan")])
+          | st.sampled_from(WORDS) | st.text(alphabet="abx:-_, ", max_size=4))
+VALUES = st.recursive(LEAVES, lambda kids: st.lists(kids, max_size=2) | st.dictionaries(
+    st.sampled_from(KEYS + WORDS), kids, max_size=2), max_leaves=3)
+
+
+def _shaped(head, words, keys):
+    """An object whose `head` key holds one of `words` or a random value,
+    with a few of `keys`, each holding a random value."""
+    return st.builds(lambda h, rest: {**rest, head: h}, st.sampled_from(sorted(words)) | VALUES,
+                     st.dictionaries(st.sampled_from(sorted(keys)), VALUES, max_size=3))
+
+
+FILTERS = (st.sampled_from([FA2, FAB, '{"kind":"improper"}', '{"kind":"cofinite-family"}',
+                            '{"kind":"principal","ideal":"x-a"}']).map(json.loads)
+           | _shaped("kind", _FILTER_KEYS, set().union(*_FILTER_KEYS.values())) | VALUES)
+JOB_LITS = st.fixed_dictionaries({
+    "schema": st.just(1) | VALUES,
+    "scheme": st.sampled_from([A1, UZ, P1, U2, F2LINE, QUOTIENT]).map(json.loads)
+    | _shaped("kind", _SCHEME_KEYS, set().union(*_SCHEME_KEYS.values())) | VALUES,
+    "filters": st.fixed_dictionaries({"F": FILTERS, "G": FILTERS}),
+    "modules": st.fixed_dictionaries({"M": _shaped("divisors", WORDS, _MODULE_KEYS) | VALUES}),
+    "commands": st.lists(_shaped("cmd", COMMANDS, CMD_KEYS), max_size=2)})
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(job=JOB_LITS)
+def test_fuzzed_literals_exit_cleanly(runner, tmp_path, job):
+    """Every input either answers or exits 2 or 3 with a message; none ends
+    in an exception.  The job's scheme, filters and module also go to the
+    subcommands."""
+    scheme, f, g, module = (json.dumps(x) for x in (job["scheme"], job["filters"]["F"],
+                                                    job["filters"]["G"], job["modules"]["M"]))
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    for args in (["classify", "--scheme", scheme, "--filter", f],
+                 ["explain", "--scheme", scheme, "--filter", f],
+                 ["member", "--scheme", scheme, "--module", module, "--filter", f],
+                 ["op", "meet", "--scheme", scheme, "--filter", f, "--filter", g],
+                 ["run", str(path)]):
+        res = runner.invoke(main, args)
+        assert res.exit_code in (0, 2, 3), (args, res.output)
+        assert res.exception is None or isinstance(res.exception, SystemExit), \
+            (args, repr(res.exception))

@@ -305,8 +305,7 @@ class TestMember:
                     r for r in range(table.size)
                     if mod.smul_table[r][m] == mod.zero)] in flt.members
                 for m in range(mod.size))
-            members = {table.ideals[i] for i in flt.members}
-            assert (element_annihilators(mod) <= members) == expected
+            assert (element_annihilators(mod) <= flt.members) == expected
 
 
 class TestVerifyRing:
@@ -352,10 +351,10 @@ def _pair_polys(p, d):
 
 
 def _check_kernels(table):
-    """The tables against PrimePoly arithmetic, each memoised a^{-1}L against
-    its set-builder definition, and each memoised product set of two ideals
-    against the closure under addition: an ideal holds one exactly when it
-    holds the other."""
+    """The tables against PrimePoly arithmetic, every entry of `colon`
+    against the set-builder definition of a^{-1}L, and every entry of
+    `products` against {xy} and against the closure under addition: an
+    ideal holds the products exactly when it holds their span."""
     f = table.ring.modulus
     reps, pos, sums, products, where = _pair_polys(f.p, f.degree)
     reduced = [pos[q % f] for q in products]
@@ -363,20 +362,25 @@ def _check_kernels(table):
     assert table.add == sums
     assert table.mul == tuple(tuple(reduced[k] for k in row) for row in where)
     size = range(table.size)
-    assert table.colons
-    for (a, members), colon in table.colons.items():
-        assert colon == frozenset(b for b in size if table.mul[a][b] in members)
     ideals = table.ideals
-    assert set(table.products) == set(itertools.product(range(len(ideals)), repeat=2))
-    for (i1, i2), prods in table.products.items():
-        span = oracle._ideal_product(table, ideals[i1], ideals[i2])
-        assert [prods <= l for l in ideals] == [span <= l for l in ideals]
+    assert len(table.colon) == len(ideals)
+    for l, row in zip(ideals, table.colon):
+        assert len(row) == table.size
+        for a, c in enumerate(row):
+            assert ideals[c] == {b for b in size if table.mul[a][b] in l}
+    assert len(table.products) == len(ideals)
+    for i1, row in zip(ideals, table.products):
+        assert len(row) == len(ideals)
+        for i2, prods in zip(ideals, row):
+            assert prods == {table.mul[x][y] for x in i1 for y in i2}
+            span = oracle._ideal_product(table, i1, i2)
+            assert [prods <= l for l in ideals] == [span <= l for l in ideals]
 
 
 @pytest.mark.parametrize("rg", SWEEP, ids=str)
 def test_sweep_small_rings_pass(rg, monkeypatch):
     """Every ring passes at the least length bound it admits, and the table
-    verify_ring built and its memos match their references."""
+    verify_ring built and the tables derived from it match their references."""
     tables = []
 
     def recording(ring):
