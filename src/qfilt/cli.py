@@ -3,9 +3,10 @@
 One table, `COMMANDS`, defines every kind of job command: the keys it may
 carry, its runner and its table view.  A job file is checked once before
 anything runs (structure, keys, field types, ops and names); a literal's own
-error appears when its command runs, and output is all or nothing.  Each
-subcommand except `explain` builds the command a job file would hold and runs
-it as a one-command job.
+error appears when its command runs, and output is all or nothing.  Every
+subcommand builds the command a job file would hold and runs it as a
+one-command job; `explain` adds the correspondence chain to the document of
+its classify command.
 
 All machine output is JSON with sorted keys so repeated runs are byte
 identical.  Tables are rendered from the machine document, never computed
@@ -123,9 +124,9 @@ def _classify_doc(report: ClassificationReport, name: str | None = None) -> dict
     return doc
 
 
-def _explain_lines(doc: dict, filter_text: str) -> list[str]:
+def _explain_lines(doc: dict) -> list[str]:
     """The correspondence chain of a classify document, as prose."""
-    lines = [f"filter: {filter_text}"]
+    lines = [f"filter: {_filter_str(doc['filter'])}"]
     lines.append("prelocalizing: yes (every local filter cuts out a "
                  "subcategory closed under subobjects, quotients and sums)")
     if doc["localizing"]:
@@ -474,11 +475,16 @@ def _execute(job, fmt: str, out: str | None, one=False) -> None:
         sys.exit(3)
 
 
-def _one_command(command: dict, fmt: str, out: str | None, scheme_json=None) -> None:
+def _one_job(command: dict, scheme_json=None) -> dict:
+    """The job file that holds one command, with the --scheme literal if given."""
     job = {"schema": SCHEMA_VERSION, "commands": [command]}
     if scheme_json is not None:
         job["scheme"] = _load_json(scheme_json, "--scheme")
-    _execute(job, fmt, out, one=True)
+    return job
+
+
+def _one_command(command: dict, fmt: str, out: str | None, scheme_json=None) -> None:
+    _execute(_one_job(command, scheme_json), fmt, out, one=True)
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +574,9 @@ def member_cmd(scheme_json, module_json, filter_json, fmt, out):
 @OUT_OPT
 def explain_cmd(scheme_json, filter_json, fmt, out):
     """Walk the correspondence chain for one filter: flags, support, attachments."""
-    scheme = _guard(scheme_from_literal, _load_json(scheme_json, "--scheme"))
-    flt = _guard(filter_from_literal, scheme, _load_json(filter_json, "--filter"))
-    doc = _classify_doc(classify(flt))
-    doc["chain"] = _explain_lines(doc, str(flt))
+    command = {"cmd": "classify", "filter": _load_json(filter_json, "--filter")}
+    doc = _run_job(_one_job(command, scheme_json))["results"][0]
+    doc["chain"] = _explain_lines(doc)
     _emit(doc, fmt, out, lambda: "\n".join(doc["chain"]))
 
 

@@ -95,16 +95,6 @@ class LocalFilter:
                 return v
         return self.default
 
-    def __str__(self) -> str:
-        if self.improper:
-            return "improper"
-        parts = [f"default={_show_exp(self.default)}"]
-        for pt, v in self.exceptions:
-            parts.append(f"{pt}:{_show_exp(v)}")
-        if not self.killed.is_none:
-            parts.append(f"kill {self.killed}")
-        return "filter(" + ", ".join(parts) + ")"
-
 
 def _show_exp(v) -> str:
     return "inf" if v == INF else str(v)

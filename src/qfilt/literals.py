@@ -247,8 +247,10 @@ def ideal_from_literal(scheme, lit) -> IdealSheaf:
         return sheaf_from_poly(scheme, poly_from_literal(lit, scheme.field))
     if isinstance(lit, dict):
         _check_keys(lit, _IDEAL_KEYS, "ideal literal")
-        orders = {point_from_literal(scheme, k): v for k, v in
-                  _typed(lit, "orders", {}, dict, "an object of point: order").items()}
+        # pairs, not a dict, so that two spellings of one point ("pt:a" and
+        # "a") reach sheaf() as a repeat; exceptions are read the same way
+        orders = [(point_from_literal(scheme, k), v) for k, v in
+                  _typed(lit, "orders", {}, dict, "an object of point: order").items()]
         return sheaf(scheme, orders, _components_from_literal(lit))
     raise ParseError(f"bad ideal literal {lit!r}")
 
@@ -290,8 +292,8 @@ def filter_from_literal(scheme, lit) -> LocalFilter:
         return improper_filter(scheme)
     if kind == "exponents":
         default = _exponent_from_literal(lit.get("default", 0))
-        exceptions = {point_from_literal(scheme, k): _exponent_from_literal(v) for k, v in
-                      _typed(lit, "exceptions", {}, dict, "an object of point: exponent").items()}
+        exceptions = [(point_from_literal(scheme, k), _exponent_from_literal(v)) for k, v in
+                      _typed(lit, "exceptions", {}, dict, "an object of point: exponent").items()]
         return presented(scheme, default, exceptions, _components_from_literal(lit))
     return principal_filter(scheme, ideal_from_literal(scheme, lit.get("ideal")))
 

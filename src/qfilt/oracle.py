@@ -750,19 +750,16 @@ def verify_ring(ring: QuotientRing, length_bound: int = 4) -> OracleReport:
     report.record("every filter is prelocalizing",
                   all(check_prelocalizing(f) for f in oracle_filters))
 
-    products_ok = engine_products_ok = True
-    detail = ""
+    # each check's detail names the last pair it fails on; empty when it holds
+    definitions = engine = ""
     for (fa, ea), (fb, eb) in itertools.product(pairing, repeat=2):
         via_inv, via_ide, eq = product_two_ways(ea, eb)
         if not eq:
-            products_ok = False
-            detail = f"definitions differ on {sorted(ea.members)} * {sorted(eb.members)}"
+            definitions = f"definitions differ on {sorted(ea.members)} * {sorted(eb.members)}"
         if engine_filter_to_explicit(fproduct(fa, fb), table).members != via_inv.members:
-            engine_products_ok = False
-            detail = f"engine differs on {sorted(ea.members)} * {sorted(eb.members)}"
-    report.record("product definitions agree", products_ok, detail if not products_ok else "")
-    report.record("engine product matches oracle", engine_products_ok,
-                  detail if not engine_products_ok else "")
+            engine = f"engine differs on {sorted(ea.members)} * {sorted(eb.members)}"
+    report.record("product definitions agree", not definitions, definitions)
+    report.record("engine product matches oracle", not engine, engine)
 
     lattice_ok = True
     for (fa, ea), (fb, eb) in itertools.combinations(pairing, 2):

@@ -54,10 +54,6 @@ class PrimePoly:
         return not self.coeffs
 
     @property
-    def is_one(self) -> bool:
-        return self.coeffs == (1,)
-
-    @property
     def leading(self) -> int:
         if self.is_zero:
             raise QfiltError("zero polynomial has no leading coefficient")
@@ -220,15 +216,8 @@ class FactoredPoly:
         return FactoredPoly(tuple(sorted(acc.items())))
 
     @property
-    def degree(self) -> int:
-        return sum(m for _, m in self.factors)
-
-    @property
     def is_one(self) -> bool:
         return not self.factors
-
-    def __str__(self) -> str:
-        return factored_to_str(self)
 
 
 Poly = PrimePoly | FactoredPoly

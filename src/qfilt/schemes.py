@@ -377,14 +377,6 @@ class IdealSheaf:
     killed: ComponentSet
     orders: tuple[tuple[SpecPoint, int], ...]
 
-    @property
-    def is_unit(self) -> bool:
-        return not self.orders and self.killed.is_none
-
-    @property
-    def is_zero(self) -> bool:
-        return self.scheme.covers(self.killed)
-
     def order_at(self, pt: SpecPoint) -> int | float:
         """Effective vanishing order; INF over killed components."""
         if self.killed.contains(pt.component):
@@ -394,16 +386,6 @@ class IdealSheaf:
                 return n
         return 0
 
-    def __str__(self) -> str:
-        if self.is_unit:
-            return "O"
-        if self.is_zero:
-            return "0"
-        parts = [f"{pt}^{n}" if n > 1 else str(pt) for pt, n in self.orders]
-        if not self.killed.is_none:
-            parts.append(f"zero-on {self.killed}")
-        return "<" + ", ".join(parts) + ">"
-
 
 def sheaf(scheme, orders=(), killed=()) -> IdealSheaf:
     """Build an IdealSheaf in normal form from caller-supplied parts: the
@@ -411,7 +393,8 @@ def sheaf(scheme, orders=(), killed=()) -> IdealSheaf:
 
     orders maps closed points to vanishing orders >= 1; killed lists
     components (iterable or ComponentSet) where the sheaf is zero.  Orders
-    at or above a finite stalk length are folded into killed."""
+    at or above a finite stalk length are folded into killed; a point given
+    twice is rejected."""
     kcs = killed if isinstance(killed, ComponentSet) else ComponentSet.of(killed)
     kcs = scheme.checked_pattern(kcs)
     acc: dict[SpecPoint, int] = {}
@@ -419,8 +402,9 @@ def sheaf(scheme, orders=(), killed=()) -> IdealSheaf:
         scheme.check_closed_point(pt)
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise QfiltError(f"order at {pt} must be a nonnegative integer")
-        if n:
-            acc[pt] = max(acc.get(pt, 0), n)
+        if pt in acc:
+            raise QfiltError(f"duplicate order for {pt}")
+        acc[pt] = n
     return _normal(scheme, acc, kcs)
 
 
@@ -533,9 +517,6 @@ class ClosedSubscheme:
 
     ideal: IdealSheaf
     support: SpecClosedSet
-
-    def __str__(self) -> str:
-        return f"V({self.ideal})"
 
 
 def closed_subscheme(ideal: IdealSheaf) -> ClosedSubscheme:

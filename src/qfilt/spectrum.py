@@ -181,10 +181,6 @@ class ComponentSet:
             return ComponentSet(False, explicit)
         return ComponentSet(self.complement, frozenset(self.members))
 
-    def __str__(self) -> str:
-        body = ",".join(str(i) for i in sorted(self.members))
-        return f"all-but{{{body}}}" if self.complement else f"{{{body}}}"
-
 
 _NO_COMPONENTS = ComponentSet(False, frozenset())
 
@@ -206,15 +202,6 @@ class SpecClosedSet:
     points: tuple[SpecPoint, ...] = ()
     components: ComponentSet | None = None
 
-    def __str__(self) -> str:
-        if self.kind in ("empty", "all"):
-            return self.kind
-        if self.kind == "finite":
-            return "{" + ", ".join(str(p) for p in self.points) + "}"
-        if self.kind == "cofinite_closed":
-            return "closed-minus{" + ", ".join(str(p) for p in self.points) + "}"
-        return f"components {self.components}"
-
 
 def empty_set(scheme) -> SpecClosedSet:
     return SpecClosedSet(scheme, "empty")
@@ -232,11 +219,9 @@ def finite_closed(scheme, points) -> SpecClosedSet:
         return empty_set(scheme)
     finite_all = scheme.all_closed_points()
     if finite_all is not None and set(pts) == set(finite_all):
-        # every closed point, which is everything only on a scheme without
-        # generic points, an Artinian quotient
-        if not scheme.generic_points():
-            return all_set(scheme)
-        return SpecClosedSet(scheme, "cofinite_closed", ())
+        # every closed point: only an Artinian quotient lists its closed
+        # points, and it has no generic points, so this is everything
+        return all_set(scheme)
     return SpecClosedSet(scheme, "finite", pts)
 
 
@@ -352,10 +337,6 @@ class TorsionSheafData:
     scheme: object
     divisors: tuple[tuple[SpecPoint, int], ...]
     free: ComponentSet
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.divisors and self.free.is_none
 
 
 def module_data(scheme, divisors=(), free=False) -> TorsionSheafData:

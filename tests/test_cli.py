@@ -1,6 +1,7 @@
 """The qfilt CLI: commands, job files, exit codes, determinism."""
 
 import json
+import re
 import time
 from pathlib import Path
 
@@ -60,6 +61,47 @@ class TestClassify:
         res = invoke(runner, ["classify", "--scheme", '{"kind":', "--filter", "{}"])
         assert res.exit_code == 2
         assert "line 1" in res.output and "column" in res.output
+
+    @pytest.mark.parametrize("scheme,flt,localizing,normal", [
+        (A1, '{"kind":"exponents","default":2}', False, {"kind": "exponents", "default": 2}),
+        # (x^2) is (gcd(x^2, x^3+x)) = (x) there, the whole stalk at x
+        ('{"kind":"affine_quotient","p":2,"modulus":"x^3+x"}',
+         '{"kind":"principal","ideal":"x^2"}', True,
+         {"kind": "exponents", "default": 0, "exceptions": {"pt:x": 1}}),
+        (F2LINE, '{"kind":"principal","ideal":"0"}', True, {"kind": "improper"}),
+    ])
+    def test_answers(self, runner, scheme, flt, localizing, normal):
+        doc = json.loads(invoke(runner, ["classify", "--scheme", scheme, "--filter", flt]).output)
+        assert doc["localizing"] is localizing
+        assert doc["filter"] == normal
+
+    # (scheme, filter, the cells of its row): every branch of the filter,
+    # ideal and closed-set cells
+    ROWS = [
+        (A1, '{"kind":"improper"}',
+         ["improper", "yes", "yes", "yes", "-", "supp=all V(comp:0) clopen=all"]),
+        (A1, '{"kind":"exponents","default":0}',
+         ["default=0 -", "yes", "yes", "yes", "-", "supp=empty V(1) clopen=empty"]),
+        (A1, '{"kind":"exponents","default":0,"exceptions":{"pt:a":2}}',
+         ["default=0 pt:a:2", "no", "yes", "no", "-", "V(pt:a^2)"]),
+        (A1, '{"kind":"exponents","default":0,"exceptions":{"pt:a":"inf","pt:b":"inf"}}',
+         ["default=0 pt:a:inf pt:b:inf", "yes", "no", "no", "-", "supp={pt:a,pt:b}"]),
+        (A1, '{"kind":"exponents","default":"inf","exceptions":{"pt:a":0,"pt:b":0}}',
+         ["default=inf pt:a:0 pt:b:0", "yes", "no", "no", "-", "supp=all-but{pt:a,pt:b}"]),
+        (UZ, '{"kind":"exponents","kill":[1,2]}',
+         ["default=0 kill{1,2}", "yes", "yes", "yes", "-",
+          "supp=comps{1,2} V(comp:1 comp:2) clopen=comps{1,2}"]),
+        (UZ, '{"kind":"exponents","kill_all_but":[1,2]}',
+         ["default=0 kill(all-but{1,2})", "yes", "yes", "yes", "-",
+          "supp=comps(all-but{1,2}) V(comps(all-but{1,2})) clopen=comps(all-but{1,2})"]),
+    ]
+
+    @pytest.mark.parametrize("scheme,flt,cells", ROWS)
+    def test_table_cells(self, runner, scheme, flt, cells):
+        res = invoke(runner, ["classify", "--scheme", scheme, "--filter", flt,
+                              "--format", "table"])
+        header, rule, row = res.output.splitlines()
+        assert re.split(r"\s{2,}", row) == cells
 
 
 MALFORMED = {
@@ -146,8 +188,41 @@ MALFORMED = {
     "out_missing_directory": ["classify", "--scheme", A1, "--filter", '{"kind":"improper"}',
                               "--out", "missing/out.json"],
     "spec_degree_bound_huge": ["spec", "--scheme", F2LINE, "--degree-bound", str(10**30)],
+    "run_job_list": ["run", "list.json"],
+    "run_no_schema": ["run", "no_schema.json"],
+    "run_classify_no_scheme": ["run", "no_scheme.json"],
+    "divisor_point_int": ["member", "--scheme", A1, "--module", '{"divisors":[[5,1]]}',
+                          "--filter", '{"kind":"improper"}'],
+    "localize_gen_on_quotient": ["op", "localize", "--scheme", QUOTIENT, "--point", "gen",
+                                 "--filter", '{"kind":"improper"}'],
+    "generate_default_inf": ["op", "generate", "--scheme", A1,
+                             "--filter", '{"kind":"exponents","default":"inf"}'],
+    "restrict_missing_chart": ["op", "restrict", "--scheme", P1, "--chart", "5",
+                               "--filter", '{"kind":"improper"}'],
+    "union_no_components": ["classify", "--scheme", '{"kind":"disjoint_union","components":[]}',
+                            "--filter", '{"kind":"improper"}'],
+    "ideal_trailing_plus": ["classify", "--scheme", F2LINE,
+                            "--filter", '{"kind":"principal","ideal":"x^2+"}'],
+    "ideal_constant_power": ["classify", "--scheme", F2LINE,
+                             "--filter", '{"kind":"principal","ideal":"3^2"}'],
+    "ideal_empty": ["classify", "--scheme", A1, "--filter", '{"kind":"principal","ideal":""}'],
+    # two spellings of one point in one object
+    "exceptions_two_spellings": ["classify", "--scheme", F2LINE, "--filter",
+                                 '{"kind":"exponents","default":0,'
+                                 '"exceptions":{"pt:x":1,"x":2}}'],
+    "principal_orders_two_spellings": ["classify", "--scheme", F2LINE, "--filter",
+                                       '{"kind":"principal","ideal":{"orders":{"pt:x":1,"x":3}}}'],
+    "generated_orders_two_spellings": ["classify", "--scheme", F2LINE, "--filter",
+                                       '{"kind":"generated","ideals":'
+                                       '[{"orders":{"pt:x":1,"x":3}}]}'],
+    "exceptions_two_spellings_symbolic": ["classify", "--scheme", A1, "--filter",
+                                          '{"kind":"exponents","default":0,'
+                                          '"exceptions":{"pt:a":1,"a":2}}'],
 }
-FILES = {"deep.json": b"[" * 100_000, "utf16.json": b"\xff\xfe{}"}
+FILES = {"deep.json": b"[" * 100_000, "utf16.json": b"\xff\xfe{}", "list.json": b"[]",
+         "no_schema.json": b'{"commands": []}',
+         "no_scheme.json": b'{"schema": 1, "commands": [{"cmd": "classify", '
+                           b'"filter": {"kind": "improper"}}]}'}
 
 
 @pytest.mark.parametrize("args", MALFORMED.values(), ids=MALFORMED.keys())
@@ -158,6 +233,16 @@ def test_malformed_literal_exit_2(runner, tmp_path, monkeypatch, args):
     res = invoke(runner, args)
     assert res.exit_code == 2
     assert res.stderr.startswith("Error:")
+
+
+@pytest.mark.parametrize("case,point", [("exceptions_two_spellings", "pt:x"),
+                                        ("principal_orders_two_spellings", "pt:x"),
+                                        ("generated_orders_two_spellings", "pt:x"),
+                                        ("exceptions_two_spellings_symbolic", "pt:a")])
+def test_two_spellings_of_a_point_named(runner, case, point):
+    res = invoke(runner, MALFORMED[case])
+    assert res.exit_code == 2
+    assert "duplicate" in res.stderr and res.stderr.rstrip().endswith(f"for {point}")
 
 
 def test_deep_nesting_exit_2(runner):
@@ -240,6 +325,17 @@ class TestOps:
             "--filter", '{"kind":"exponents","default":0,"exceptions":{"pt:a":2}}'])
         assert json.loads(res.output)["result"] == {"kind": "up_to", "bound": 2}
 
+    @pytest.mark.parametrize("scheme,flt,point,kind", [
+        (A1, '{"kind":"exponents","default":"inf"}', "pt:a", "all_powers"),
+        (A1, '{"kind":"improper"}', "pt:a", "everything"),
+        (UZ, '{"kind":"exponents","kill":[1]}', "comp:0", "full_only"),
+    ])
+    def test_localize_stalk_kinds(self, runner, scheme, flt, point, kind):
+        args = ["op", "localize", "--scheme", scheme, "--point", point, "--filter", flt]
+        assert json.loads(invoke(runner, args).output)["result"] == {"kind": kind}
+        assert invoke(runner, args + ["--format", "table"]).output \
+            == f"op: localize\nstalk: {kind}\n"
+
     def test_restrict(self, runner):
         res = invoke(runner, [
             "op", "restrict", "--scheme", P1, "--chart", "1",
@@ -271,6 +367,19 @@ class TestMemberSpec:
             "--module", '{"divisors":{"pt:a":2}}',
             "--filter", '{"kind":"exponents","default":0,"exceptions":{"pt:a":1}}'])
         assert json.loads(res.output)["member"] is False
+
+    def test_free_module_on_killed_component(self, runner):
+        res = invoke(runner, ["member", "--scheme", UZ, "--module", '{"free":[0]}',
+                              "--filter", '{"kind":"exponents","kill":[0]}'])
+        assert json.loads(res.output)["member"] is True
+
+    def test_module_divisors_keep_repeats(self, runner):
+        # a module is a multiset of summands, so two spellings of one point
+        # are two summands
+        res = invoke(runner, ["member", "--scheme", F2LINE,
+                              "--module", '{"divisors":{"pt:x":1,"x":2}}',
+                              "--filter", '{"kind":"improper"}'])
+        assert json.loads(res.output)["module"]["divisors"] == [["pt:x", 1], ["pt:x", 2]]
 
     # scheme, degree bound, labels, closed points, specializations; the
     # quotient's points are closed components and the union's generic ones,
@@ -309,6 +418,10 @@ class TestMemberSpec:
         assert doc["closed"] == ["pt:a", "pt:b"]
         assert doc["symbolic_closed"] is True
 
+    def test_spec_table_symbolic_union(self, runner):
+        res = invoke(runner, ["spec", "--scheme", UZ, "--format", "table"])
+        assert res.output == "generic: -\nclosed: -\nplus a symbolic family of components\n"
+
 
 class TestExplain:
     def test_chain_lines(self, runner):
@@ -319,6 +432,14 @@ class TestExplain:
         assert "prelocalizing: yes" in res.output
         assert "localizing: yes" in res.output
         assert "bilocalizing: yes" in res.output
+
+    @pytest.mark.parametrize("flt,line", [
+        ('{"kind":"exponents","default":1}', "closed: no (no least member)"),
+        ('{"kind":"exponents","default":"inf","exceptions":{"pt:a":0}}', "prime: yes, at pt:a"),
+    ])
+    def test_chain_line(self, runner, flt, line):
+        res = invoke(runner, ["explain", "--scheme", A1, "--filter", flt, "--format", "table"])
+        assert line in res.output.splitlines()
 
 
 class TestOracleCommand:
@@ -393,6 +514,7 @@ MALFORMED_JOBS = {
                                         "chart": 0, "point": "pt:a"}]},
     "chart_on_generate": {"commands": [{"cmd": "op", "op": "generate", "args": ["F"],
                                         "chart": 0}]},
+    "unknown_op": {"commands": [{"cmd": "op", "op": "twist", "args": ["F"]}]},
     "unused_name_on_localize": {"commands": [{"cmd": "op", "op": "localize", "args": ["F"],
                                               "point": "pt:a", "name": "G"}]},
     "bad_scheme_oracle_only": {"scheme": {"kind": "nope"},
@@ -546,6 +668,25 @@ def test_subcommand_is_one_command_job(runner, tmp_path, args, scheme, command, 
         assert single.output == json.dumps(result, indent=2, sort_keys=True) + "\n"
     else:
         assert single.output == whole.output
+
+
+@pytest.mark.parametrize("scheme,flt", [(A1, FA2), (A1, '{"kind":"improper"}'),
+                                        (UZ, '{"kind":"exponents","kill_all_but":[1]}')],
+                         ids=["exceptions", "improper", "kill_all_but"])
+def test_explain_is_classify_plus_chain(runner, tmp_path, scheme, flt):
+    """explain prints its classify command's document plus the chain, whose
+    first line is the filter cell of the classify table."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"schema": 1, "scheme": json.loads(scheme),
+                                "commands": [{"cmd": "classify", "filter": json.loads(flt)}]}))
+    args = ["--scheme", scheme, "--filter", flt]
+    doc = json.loads(invoke(runner, ["explain", *args]).output)
+    chain = doc.pop("chain")
+    assert doc == json.loads(invoke(runner, ["run", str(path)]).output)["results"][0]
+    row = invoke(runner, ["classify", *args, "--format", "table"]).output.splitlines()[2]
+    assert chain[0] == "filter: " + re.split(r"\s{2,}", row)[0]
+    assert invoke(runner, ["explain", *args, "--format", "table"]).output \
+        == "\n".join(chain) + "\n"
 
 
 # ---------------------------------------------------------------------------

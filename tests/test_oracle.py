@@ -315,6 +315,22 @@ class TestVerifyRing:
         assert report.passed, _failures(report)
         assert len(report.checks) == 11
 
+    def test_product_checks_keep_their_own_detail(self, monkeypatch):
+        # both product checks fail: the definitions disagree on every pair,
+        # and the least filter, the unit ideal alone, is not the engine's
+        # product of improper filters
+        def broken(f1, f2):
+            _, via_ide, _ = product_two_ways(f1, f2)
+            unit = f1.table.ideal_index[frozenset(range(f1.table.size))]
+            return oracle.ExplicitFilter(f1.table, frozenset({unit})), via_ide, False
+
+        monkeypatch.setattr(oracle, "product_two_ways", broken)
+        checks = {name: (ok, detail) for name, ok, detail in verify_ring(R_X3).checks}
+        ok, detail = checks["product definitions agree"]
+        assert not ok and detail.startswith("definitions differ on "), detail
+        ok, detail = checks["engine product matches oracle"]
+        assert not ok and detail.startswith("engine differs on "), detail
+
 
 def _failures(report) -> str:
     return "\n".join(f"{name} ({detail})" for name, ok, detail in report.checks if not ok)

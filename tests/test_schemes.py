@@ -63,7 +63,7 @@ class TestSheafConstruction:
                  (sheaf(UZ, {}, ComponentSet.cofinite([0])), False, False),
                  (sheaf(U3, {}, [0, 1, 2]), False, True), (sheaf(U3, {}, [0, 2]), False, False)]
         for s, unit, zero in cases:
-            assert (s.is_unit, s.is_zero) == (unit, zero), str(s)
+            assert (s == unit_sheaf(s.scheme), s == zero_sheaf(s.scheme)) == (unit, zero), s
 
     def test_quotient_cap_folds_into_killed(self):
         x1 = QPT("x+1")
