@@ -8,13 +8,22 @@ subcommand builds the command a job file would hold and runs it as a
 one-command job; `explain` adds the correspondence chain to the document of
 its classify command.
 
+A job parses each named filter at most once and classifies it at most
+once; an op that names its result rebinds the name.  An error raised while
+a command runs is reported with the command's index and kind.
+
 All machine output is JSON with sorted keys so repeated runs are byte
-identical.  Tables are rendered from the machine document, never computed
-separately.  Exit codes: 0 success, 2 validation failure, 3 oracle mismatch.
+identical; `_json_text` renders it, byte for byte as
+`json.dumps(doc, indent=2, sort_keys=True)` would, without the stdlib's
+pure-Python indent encoder.  Tables are rendered from the machine document,
+never computed separately.  Exit codes: 0 success, 2 validation failure,
+3 oracle mismatch.
 """
 
 import json
 import sys
+from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 import click
@@ -72,10 +81,38 @@ def _guard(fn, *args):
         raise ValidationFailure("input nested too deeply") from e
 
 
+def _json_text(o, pad: str = "\n") -> str:
+    """o as json.dumps(o, indent=2, sort_keys=True) writes it, for str keys;
+    pad is the newline and indent that precede o's closing bracket."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if type(o) is int:
+        return repr(o)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _json_text(o[k], inner)
+             for k in sorted(o)]) + pad + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in o]) + pad + "]"
+    return json.dumps(o)  # a float or an int subclass, as the stdlib writes it
+
+
 def _emit(doc: dict, fmt: str, out: str | None, table: Callable[[], str]) -> None:
     """Print doc as JSON, or as the text table() builds for --format table."""
     if fmt == "json":
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = _json_text(doc) + "\n"
     else:
         text = table() + "\n"
     if out:
@@ -139,7 +176,7 @@ def _explain_lines(doc: dict) -> list[str]:
     if doc["closed"]:
         lines.append("closed: yes (principal filter, so the subcategory is "
                      "closed under arbitrary products)")
-        lines.append(f"  subscheme: V({_ideal_str(doc['subscheme']['ideal'])}) "
+        lines.append(f"  subscheme: V{_ideal_str(doc['subscheme']['ideal'])} "
                      "(modules over the closed subscheme cut out by the least member)")
     else:
         lines.append("closed: no (no least member)")
@@ -269,6 +306,17 @@ def _oracle_view(doc: dict) -> list[str]:
 # command runners: (job, command) -> document
 
 
+class _Parsed:
+    """A parsed filter, classified when first asked."""
+
+    def __init__(self, flt: flt_ops.LocalFilter):
+        self.filter = flt
+
+    @cached_property
+    def report(self) -> ClassificationReport:
+        return classify(self.filter)
+
+
 class _Job:
     """A checked job file while it runs: its scheme, and its filters with
     the results named so far."""
@@ -277,6 +325,7 @@ class _Job:
         self._scheme = _guard(scheme_from_literal, lit["scheme"]) if "scheme" in lit else None
         self.filters = dict(lit.get("filters", {}))
         self.modules = lit.get("modules", {})
+        self._parsed: dict[str, _Parsed] = {}  # name -> its parse, while the name holds
 
     @property
     def scheme(self):
@@ -284,13 +333,26 @@ class _Job:
             raise ValidationFailure("job file defines no scheme")
         return self._scheme
 
+    def bind(self, name: str, lit: dict) -> None:
+        """Name an op's result, dropping the parse of what the name held."""
+        self.filters[name] = lit
+        self._parsed.pop(name, None)
+
     def filter_lit(self, ref):
         """The literal of a filter given by name or inline."""
         return self.filters[ref] if isinstance(ref, str) else ref
 
+    def parsed(self, ref) -> _Parsed:
+        """The filter given by name or inline.  A named filter is parsed once
+        per binding; an inline literal on every use."""
+        if not isinstance(ref, str):
+            return _Parsed(filter_from_literal(self.scheme, ref))
+        if ref not in self._parsed:
+            self._parsed[ref] = _Parsed(filter_from_literal(self.scheme, self.filters[ref]))
+        return self._parsed[ref]
+
     def classified(self, ref) -> dict:
-        flt = filter_from_literal(self.scheme, self.filter_lit(ref))
-        return _classify_doc(classify(flt), ref if isinstance(ref, str) else None)
+        return _classify_doc(self.parsed(ref).report, ref if isinstance(ref, str) else None)
 
 
 def _run_spec(job: _Job, cmd: dict) -> dict:
@@ -314,7 +376,7 @@ def _run_op(job: _Job, cmd: dict) -> dict:
         doc["local"], closure = flt_ops.is_local(base)
         doc["result"] = filter_to_literal(closure)
     else:
-        operands = [filter_from_literal(job.scheme, job.filter_lit(a)) for a in args]
+        operands = [job.parsed(a).filter for a in args]
         doc["operands"] = [filter_to_literal(f) for f in operands]
         if op == "restrict":
             doc["chart"] = cmd["chart"]
@@ -326,7 +388,7 @@ def _run_op(job: _Job, cmd: dict) -> dict:
         else:
             doc["result"] = filter_to_literal(getattr(flt_ops, op)(*operands))
     if "name" in cmd:
-        job.filters[cmd["name"]] = doc["result"]
+        job.bind(cmd["name"], doc["result"])
         doc["name"] = cmd["name"]
     return doc
 
@@ -334,7 +396,7 @@ def _run_op(job: _Job, cmd: dict) -> dict:
 def _run_member(job: _Job, cmd: dict) -> dict:
     ref = cmd.get("module")
     data = module_from_literal(job.scheme, job.modules[ref] if isinstance(ref, str) else ref)
-    flt = filter_from_literal(job.scheme, job.filter_lit(cmd.get("filter")))
+    flt = job.parsed(cmd.get("filter")).filter
     return {"module": module_to_literal(data),
             "filter": filter_to_literal(flt),
             "member": member(data, flt)}
@@ -405,6 +467,11 @@ _COMMAND_TYPES = {
 }
 
 
+def _where(i: int, cmd: dict) -> str:
+    """How messages name the i-th command of a job."""
+    return f"command {i} (op {cmd['op']})" if cmd["cmd"] == "op" else f"command {i} ({cmd['cmd']})"
+
+
 def _check_job(job) -> None:
     """Reject, before anything runs, a job whose structure, keys, field
     types, ops or filter and module names are wrong."""
@@ -427,17 +494,18 @@ def _check_job(job) -> None:
         for key in sorted(cmd.keys() & _COMMAND_TYPES.keys()):
             if isinstance(_typed(cmd, key, None, *_COMMAND_TYPES[key]), bool):
                 raise ParseError(f"{key!r} must be {_COMMAND_TYPES[key][1]}, not {cmd[key]!r}")
-        keys, where = COMMANDS[kind].keys, f"command {i} ({kind})"
+        keys = COMMANDS[kind].keys
         if kind == "op":
             op, args = cmd.get("op"), cmd.get("args", [])
             if op not in _OPS:
                 raise ParseError(f"command {i}: unknown op {op!r}")
             count, field = _OPS[op]
-            keys, where = keys | {field}, f"command {i} (op {op})"
+            keys = keys | {field}
             if len(args) != count:
                 raise ParseError(f"command {i}: op {op} takes {count} operand(s), got {len(args)}")
             if field != "name" and field not in cmd:
                 raise ParseError(f"command {i}: op {op} needs a {field}")
+        where = _where(i, cmd)
         _check_keys(cmd, keys, where)
         for ref in [cmd.get("filter"), *cmd.get("args", []), *cmd.get("filters", [])]:
             if isinstance(ref, str) and ref not in defined:
@@ -452,9 +520,13 @@ def _check_job(job) -> None:
 def _run_job(job) -> dict:
     _guard(_check_job, job)
     state = _Job(job)
-    return {"schema": SCHEMA_VERSION,
-            "results": [_guard(COMMANDS[cmd["cmd"]].run, state, cmd)
-                        for cmd in job.get("commands", [])]}
+    results = []
+    for i, cmd in enumerate(job.get("commands", [])):
+        try:
+            results.append(_guard(COMMANDS[cmd["cmd"]].run, state, cmd))
+        except ValidationFailure as e:
+            raise ValidationFailure(f"{_where(i, cmd)}: {e.message}") from e
+    return {"schema": SCHEMA_VERSION, "results": results}
 
 
 def _execute(job, fmt: str, out: str | None, one=False) -> None:

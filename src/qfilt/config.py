@@ -9,6 +9,7 @@ INF = float("inf")
 
 MAX_PRIME = 257                     # largest prime modulus for a coefficient field
 MAX_POLY_ENUMERATION = 2_000_000    # candidate count guard for irreducible sieves
+MAX_POLY_DEGREE = 1024              # degree of a polynomial read from a literal or --ring
 MAX_QUOTIENT_DEGREE = 6             # modulus degree for divisor-lattice enumeration
 MAX_UNION_COMPONENTS = 64           # explicit disjoint-union component count
 MAX_ORACLE_ELEMENTS = 4096          # finite-ring size for exhaustive tables, and the size of

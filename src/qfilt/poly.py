@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .config import MAX_POLY_ENUMERATION
+from .config import MAX_POLY_DEGREE, MAX_POLY_ENUMERATION
 from .errors import ParseError, QfiltError, RingMismatchError
 from .fields import PrimeField, SymbolicAlgClosed, check_label, parse_decimal
 
@@ -279,7 +279,10 @@ def poly_from_str(text: str, p: int) -> PrimePoly:
         else:
             exp = 1 if m.group(4) is None else parse_decimal(m.group(4), "exponent")
         coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
-    out = [0] * (max(coeffs) + 1)
+    degree = max(coeffs)
+    if degree > MAX_POLY_DEGREE:
+        raise ParseError(f"polynomial degree {degree} exceeds limit {MAX_POLY_DEGREE}")
+    out = [0] * (degree + 1)
     for exp, c in coeffs.items():
         out[exp] = c
     return PrimePoly.make(p, out)

@@ -9,7 +9,8 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qfilt.cli import _COMMAND_TYPES, _JOB_KEYS, _OPS, COMMANDS, main
+from qfilt import cli
+from qfilt.cli import _COMMAND_TYPES, _JOB_KEYS, _OPS, COMMANDS, _json_text, main
 from qfilt.literals import (_FILTER_KEYS, _FREE_KEYS, _IDEAL_KEYS, _MODULE_KEYS,
                             _SCHEME_KEYS, point_to_literal, scheme_from_literal)
 from qfilt.oracle import OracleReport
@@ -218,6 +219,10 @@ MALFORMED = {
     "exceptions_two_spellings_symbolic": ["classify", "--scheme", A1, "--filter",
                                           '{"kind":"exponents","default":0,'
                                           '"exceptions":{"pt:a":1,"a":2}}'],
+    # a dense list of a billion coefficients, were the degree not capped first
+    "generated_degree_huge": ["classify", "--scheme", F2LINE, "--filter",
+                             '{"kind":"generated","ideals":["x^1000000000"]}'],
+    "oracle_modulus_degree_huge": ["oracle", "verify", "--ring", "p:2,mod:x^1000000000+1"],
 }
 FILES = {"deep.json": b"[" * 100_000, "utf16.json": b"\xff\xfe{}", "list.json": b"[]",
          "no_schema.json": b'{"commands": []}',
@@ -269,6 +274,11 @@ def test_spec_past_enumeration_cap_fails_fast(runner):
 CAPS = {
     "MAX_PRIME": (["classify", "--scheme", '{"kind":"affine_line","field":{"p":263}}',
                    "--filter", '{"kind":"improper"}'], "field size 263 exceeds limit 257"),
+    "MAX_POLY_DEGREE": (
+        ["classify", "--scheme", F2LINE, "--filter",
+         '{"kind":"generated","ideals":["x^1025+x"]}'], "polynomial degree 1025 exceeds limit 1024"),
+    "MAX_POLY_DEGREE_ring": (["oracle", "verify", "--ring", "p:2,mod:x^1025"],
+                             "polynomial degree 1025 exceeds limit 1024"),
     "MAX_POLY_ENUMERATION": (
         ["classify", "--scheme", '{"kind":"affine_line","field":{"p":2}}', "--filter",
          '{"kind":"exponents","default":0,"exceptions":{"pt:x^21+x+1":1}}'],
@@ -297,6 +307,13 @@ def test_size_cap_exit_2(runner, args, message):
     res = invoke(runner, args)
     assert res.exit_code == 2
     assert res.stderr.startswith("Error:") and message in res.stderr
+
+
+def test_poly_degree_at_cap_answers(runner):
+    res = invoke(runner, ["classify", "--scheme", F2LINE, "--filter",
+                          '{"kind":"principal","ideal":"x^1024"}'])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["subscheme"]["ideal"] == {"orders": {"pt:x": 1024}}
 
 
 class TestOps:
@@ -670,9 +687,9 @@ def test_subcommand_is_one_command_job(runner, tmp_path, args, scheme, command, 
         assert single.output == whole.output
 
 
-@pytest.mark.parametrize("scheme,flt", [(A1, FA2), (A1, '{"kind":"improper"}'),
+@pytest.mark.parametrize("scheme,flt", [(A1, FA2), (A1, FAB), (A1, '{"kind":"improper"}'),
                                         (UZ, '{"kind":"exponents","kill_all_but":[1]}')],
-                         ids=["exceptions", "improper", "kill_all_but"])
+                         ids=["exceptions", "two_points", "improper", "kill_all_but"])
 def test_explain_is_classify_plus_chain(runner, tmp_path, scheme, flt):
     """explain prints its classify command's document plus the chain, whose
     first line is the filter cell of the classify table."""
@@ -683,10 +700,126 @@ def test_explain_is_classify_plus_chain(runner, tmp_path, scheme, flt):
     doc = json.loads(invoke(runner, ["explain", *args]).output)
     chain = doc.pop("chain")
     assert doc == json.loads(invoke(runner, ["run", str(path)]).output)["results"][0]
-    row = invoke(runner, ["classify", *args, "--format", "table"]).output.splitlines()[2]
-    assert chain[0] == "filter: " + re.split(r"\s{2,}", row)[0]
+    row = re.split(r"\s{2,}", invoke(runner, ["classify", *args, "--format", "table"])
+                   .output.splitlines()[2])
+    assert chain[0] == "filter: " + row[0]
+    # the subscheme line names V(I) as the attachments cell does
+    subscheme, = (line for line in chain if line.startswith("  subscheme: "))
+    cell = subscheme.removeprefix("  subscheme: ").split(" (modules")[0]
+    assert cell.startswith("V(") and cell in row[-1]
     assert invoke(runner, ["explain", *args, "--format", "table"]).output \
         == "\n".join(chain) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# JSON rendering: byte for byte what json.dumps(indent=2, sort_keys=True) writes
+
+
+class _Int(int):
+    pass
+
+
+JSON_TEXT = st.text(max_size=5) | st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t",
+                                                  "\x7f", "é", "\u2028", "\U0001f600", ""])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40)
+    | st.integers(-5, 5).map(_Int) | st.floats() | JSON_TEXT,
+    lambda kids: st.lists(kids, max_size=3) | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(JSON_TEXT, kids, max_size=3),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=JSON_VALUES)
+def test_json_text_is_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def _is_canonical(text: str) -> bool:
+    return text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("args", [
+    *(args for args, _, _ in ONE_COMMAND.values()),
+    ["explain", "--scheme", A1, "--filter", FA2],
+    *(["run", str(job)] for job in sorted(JOBS.glob("*.json"))),
+], ids=[*ONE_COMMAND, "explain", *(job.stem for job in sorted(JOBS.glob("*.json")))])
+def test_json_output_round_trips(runner, args):
+    res = invoke(runner, args)
+    assert res.exit_code == 0 and _is_canonical(res.stdout)
+
+
+# ---------------------------------------------------------------------------
+# a job parses and classifies each named filter once per binding
+
+
+def _run_job_file(runner, tmp_path, job):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"schema": 1, "scheme": json.loads(A1), **job}))
+    return invoke(runner, ["run", str(path)])
+
+
+def test_rebound_name_is_parsed_again(runner, tmp_path):
+    res = _run_job_file(runner, tmp_path, {
+        "filters": {"F": json.loads('{"kind":"exponents","default":0,"exceptions":{"pt:a":1}}')},
+        "commands": [{"cmd": "classify", "filter": "F"},
+                     {"cmd": "op", "op": "product", "args": ["F", "F"], "name": "F"},
+                     {"cmd": "classify", "filter": "F"},
+                     {"cmd": "table", "filters": ["F"]},
+                     {"cmd": "op", "op": "meet", "args": ["F", "F"]}]})
+    assert res.exit_code == 0
+    first, _, classified, table, meet = json.loads(res.output)["results"]
+    assert first["filter"]["exceptions"] == {"pt:a": 1}
+    assert classified["filter"]["exceptions"] == {"pt:a": 2}
+    assert table["rows"][0]["filter"]["exceptions"] == {"pt:a": 2}
+    assert meet["operands"][0]["exceptions"] == {"pt:a": 2}
+
+
+def test_bad_named_literal_fails_at_first_use(runner, tmp_path):
+    res = _run_job_file(runner, tmp_path, {
+        "filters": {"G": {"kind": "improper"},
+                    "F": {"kind": "exponents", "exceptions": [1, 2]}},
+        "commands": [{"cmd": "classify", "filter": "G"},
+                     {"cmd": "op", "op": "meet", "args": ["G", "F"]},
+                     {"cmd": "table", "filters": ["F"]}]})
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == ("Error: command 1 (op meet): 'exceptions' must be an object "
+                          "of point: exponent, not [1, 2]\n")
+
+
+def test_named_filters_parsed_and_classified_once(runner, tmp_path, monkeypatch):
+    lits = {f"f{i}": {"kind": "exponents", "default": 0, "exceptions": {"pt:a": i}}
+            for i in range(6)}
+    inline = {"kind": "exponents", "default": 0, "exceptions": {"pt:b": 1}}
+    names = {json.dumps(lit, sort_keys=True): name
+             for name, lit in [*lits.items(), ("inline", inline)]}
+    parsed, classified, made = [], [], {}
+
+    def counted_parse(scheme, lit):
+        flt = parse(scheme, lit)
+        parsed.append(names[json.dumps(lit, sort_keys=True)])
+        made[id(flt)] = (parsed[-1], flt)
+        return flt
+
+    def counted_classify(flt):
+        classified.append(made[id(flt)][0])
+        return classify(flt)
+
+    parse, classify = cli.filter_from_literal, cli.classify
+    monkeypatch.setattr(cli, "filter_from_literal", counted_parse)
+    monkeypatch.setattr(cli, "classify", counted_classify)
+    res = _run_job_file(runner, tmp_path, {"filters": lits, "commands": [
+        {"cmd": "table", "filters": sorted(lits)},
+        {"cmd": "op", "op": "meet", "args": ["f1", "f2"]},
+        {"cmd": "op", "op": "join", "args": ["f3", "f4"]},
+        {"cmd": "op", "op": "product", "args": ["f5", "f0"]},
+        {"cmd": "op", "op": "localize", "args": ["f4"], "point": "pt:a"},
+        {"cmd": "classify", "filter": "f5"},
+        {"cmd": "classify", "filter": inline},
+        {"cmd": "classify", "filter": inline}]})
+    assert res.exit_code == 0
+    # an inline literal is parsed and classified on each use
+    assert sorted(parsed) == sorted(classified) == [*sorted(lits), "inline", "inline"]
 
 
 # ---------------------------------------------------------------------------
