@@ -51,7 +51,6 @@ from .literals import (
     specclosed_to_literal,
     stalk_to_literal,
 )
-from .oracle import verify_ring
 from .poly import poly_from_str
 from .spectrum import spec
 
@@ -403,6 +402,10 @@ def _run_member(job: _Job, cmd: dict) -> dict:
 
 
 def _run_oracle(job: _Job, cmd: dict) -> dict:
+    # the oracle is imported here, so that commands which never verify a
+    # ring do not pay for loading it
+    from .oracle import verify_ring
+
     ring_desc = cmd.get("ring", "")
     parts = {}
     for piece in ring_desc.split(","):

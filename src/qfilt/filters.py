@@ -35,13 +35,17 @@ point is a closed point of the scheme, listed once, with an exponent in
 0,1,2,... or INF, and that the killed pattern lists only components of
 the scheme, and brings it to the scheme's normal form.  _normal() is the
 trusted constructor that every engine operation uses: it only clamps,
-folds, drops and sorts.  It relies on one invariant: its parts come from
-filters (or ideal sheaves) already in normal form, combined by min, max
-or sum or cut down to a chart, so the points still lie on the scheme, the
-exponents stay valid, and the killed pattern stays normal (unions and
-intersections of explicit patterns are explicit, and a chart's pattern is
-listed on its own components).  So every result of meet, join, product
-and restrict is a fixed point of presented().
+folds and drops.  It relies on one invariant: its parts come from filters
+(or ideal sheaves) already in normal form, combined by min, max or sum or
+cut down to a chart, so the points still lie on the scheme, the exponents
+stay valid, and the killed pattern stays normal (unions and intersections
+of explicit patterns are explicit, and a chart's pattern is listed on its
+own components).  Its exponents arrive as (point, exponent) pairs in point
+order: meet, join and product merge the operands' sorted exception tables
+in one pass (spectrum.merge_tables), and restriction and gluing keep that
+order, so _normal sorts nothing; presented(), the one caller that hands
+it unsorted parts, sorts them first.  So every result of meet, join,
+product and restrict is a fixed point of presented().
 
 Meet and join of filters are the pointwise min and max of exponents, the
 product adds them (INF absorbing), and all three preserve this
@@ -71,7 +75,7 @@ from .schemes import (
     sheaf_intersect,
     zero_sheaf,
 )
-from .spectrum import ComponentSet, SpecPoint, generic_point
+from .spectrum import ComponentSet, SpecPoint, generic_point, merge_tables, sorted_table
 
 
 @dataclass(frozen=True)
@@ -138,35 +142,40 @@ def presented(scheme, default: int | float = 0, exceptions=(), killed=()) -> Loc
         if pt in acc:
             raise QfiltError(f"duplicate exponent for {pt}")
         acc[pt] = _check_exp(v, pt)
-    return _normal(scheme, default, acc, kcs)
+    return _normal(scheme, default, sorted_table(acc.items()), kcs)
 
 
-def _normal(scheme, default, exponents: dict, killed: ComponentSet) -> LocalFilter:
-    """The normal form of valid parts: `exponents` maps closed points of the
-    scheme to exponents (the dict is updated in place), and `killed` is in
-    the scheme's normal form.  Nothing is checked here."""
+def _normal(scheme, default, exponents, killed: ComponentSet) -> LocalFilter:
+    """The normal form of valid parts: `exponents` lists (point, exponent)
+    pairs at closed points of the scheme in point order, each point once,
+    and `killed` is in the scheme's normal form.  Nothing is checked here."""
     # an Artinian component is its one point, killed at the stalk length,
     # and the default folds into explicit values there; killing every
     # component (on a curve, its one component) swallows the filter; field
     # components have no closed points, so the default is moot there
     if scheme.component_type == "artinian":
+        values = [default] * len(scheme.closed)
+        for pt, v in exponents:
+            values[pt.component] = v
         for c in killed.members:
-            pt, cap = scheme.closed[c]
-            exponents[pt] = cap
-        improper = True
-        for pt, cap in scheme.closed:
-            v = exponents[pt] = min(exponents.get(pt, default), cap)
-            improper = improper and v >= cap
+            values[c] = INF
+        exc, improper = [], True
+        for (pt, cap), v in zip(scheme.closed, values):
+            if v < cap:
+                improper = False
+            else:
+                v = cap
+            if v:
+                exc.append((pt, v))
         if improper:
             return improper_filter(scheme)
-        default, killed = 0, ComponentSet.none()
-    elif scheme.covers(killed):
+        return LocalFilter(scheme, False, 0, tuple(exc), ComponentSet.none())
+    if not killed.is_none and scheme.covers(killed):
         return improper_filter(scheme)
-    elif scheme.component_type == "field":
+    if scheme.component_type == "field":
         default = 0
-    exc = tuple(sorted(((pt, v) for pt, v in exponents.items() if v != default),
-                       key=lambda kv: kv[0].sort_key()))
-    return LocalFilter(scheme, False, default, exc, killed)
+    return LocalFilter(scheme, False, default,
+                       tuple([kv for kv in exponents if kv[1] != default]), killed)
 
 
 def _check_exp(v, pt: SpecPoint | None = None):
@@ -181,13 +190,13 @@ def _check_exp(v, pt: SpecPoint | None = None):
 
 def trivial_filter(scheme) -> LocalFilter:
     """The filter containing only the unit ideal."""
-    return _normal(scheme, 0, {}, ComponentSet.none())
+    return _normal(scheme, 0, (), ComponentSet.none())
 
 
 def principal_filter(scheme, ideal: IdealSheaf) -> LocalFilter:
     """The filter of all ideal sheaves containing the given one."""
     check_same_scheme(scheme, ideal.scheme)
-    return _normal(scheme, 0, dict(ideal.orders), ideal.killed)
+    return _normal(scheme, 0, ideal.orders, ideal.killed)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +257,7 @@ def restrict(flt: LocalFilter, cid: int) -> LocalFilter:
         return flt
     if flt.improper:
         return improper_filter(chart.scheme)
-    kept = {pt: v for pt, v in flt.exceptions if chart.has(pt)}
+    kept = [kv for kv in flt.exceptions if chart.has(kv[0])]
     return _normal(chart.scheme, flt.default, kept, chart.killed(flt.killed))
 
 
@@ -258,7 +267,8 @@ def restrict(flt: LocalFilter, cid: int) -> LocalFilter:
 
 def meet(a: LocalFilter, b: LocalFilter) -> LocalFilter:
     """Intersection of filters: pointwise min of exponents."""
-    check_same_scheme(a.scheme, b.scheme)
+    if a.scheme is not b.scheme:
+        check_same_scheme(a.scheme, b.scheme)
     if a.improper:
         return b
     if b.improper:
@@ -268,25 +278,30 @@ def meet(a: LocalFilter, b: LocalFilter) -> LocalFilter:
 
 def join(a: LocalFilter, b: LocalFilter) -> LocalFilter:
     """Smallest local filter containing both: pointwise max of exponents."""
-    check_same_scheme(a.scheme, b.scheme)
-    if a.improper or b.improper:
-        return improper_filter(a.scheme)
+    if a.scheme is not b.scheme:
+        check_same_scheme(a.scheme, b.scheme)
+    if a.improper:
+        return a
+    if b.improper:
+        return b
     return _pointwise(a, b, max, a.killed.union(b.killed))
 
 
 def product(a: LocalFilter, b: LocalFilter) -> LocalFilter:
     """The product filter, generated by products of members; exponents add."""
-    check_same_scheme(a.scheme, b.scheme)
-    if a.improper or b.improper:
-        return improper_filter(a.scheme)
+    if a.scheme is not b.scheme:
+        check_same_scheme(a.scheme, b.scheme)
+    if a.improper:
+        return a
+    if b.improper:
+        return b
     return _pointwise(a, b, operator.add, a.killed.union(b.killed))
 
 
 def _pointwise(a: LocalFilter, b: LocalFilter, op, killed: ComponentSet) -> LocalFilter:
     da, db = a.default, b.default
-    va, vb = dict(a.exceptions), dict(b.exceptions)
-    exponents = {pt: op(va.get(pt, da), vb.get(pt, db)) for pt in va.keys() | vb.keys()}
-    return _normal(a.scheme, op(da, db), exponents, killed)
+    return _normal(a.scheme, op(da, db), merge_tables(a.exceptions, b.exceptions, op, da, db),
+                   killed)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +455,6 @@ def enumerate_quotient_filters(scheme: Scheme) -> tuple[LocalFilter, ...]:
     ranges = [range(cap + 1) for _, cap in prime_pts]
     out = []
     for exps in itertools.product(*ranges):
-        exceptions = {pt: e for (pt, _), e in zip(prime_pts, exps)}
+        exceptions = [(pt, e) for (pt, _), e in zip(prime_pts, exps)]
         out.append(_normal(scheme, 0, exceptions, ComponentSet.none()))
     return tuple(out)

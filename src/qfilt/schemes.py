@@ -41,11 +41,12 @@ checks that every point is a closed point of the scheme with an order in
 0,1,2,..., and that every component a killed pattern lists is one of the
 scheme's.  sheaf_from_poly() reads the ideal of a polynomial on a
 one-chart scheme.  _normal() is the trusted constructor behind every
-engine result: it only folds, drops and sorts.  Its parts come from ideal
+engine result: it only folds and drops.  Its parts come from ideal
 sheaves already in normal form, combined pointwise or cut down to a chart,
 so the points still lie on the scheme, the orders stay integers (INF only
-on killed components), and the killed pattern stays normal; every engine
-result is a fixed point of sheaf().
+on killed components), and the killed pattern stays normal; its orders
+arrive in point order, as the filters' exponents do, so it sorts nothing.
+Every engine result is a fixed point of sheaf().
 
 Products, sums and intersections of ideal sheaves act pointwise on
 effective orders (the order at a vanishing component counts as INF), and
@@ -74,6 +75,8 @@ from .spectrum import (
     generic_point,
     inf_point,
     INF_NAME,
+    merge_tables,
+    sorted_table,
 )
 
 
@@ -97,7 +100,9 @@ class Chart(NamedTuple):
 
     def killed(self, cs: ComponentSet) -> ComponentSet:
         """A component pattern of the whole scheme, as seen on the chart."""
-        return ComponentSet.of(i for i, c in enumerate(self.components) if cs.contains(c))
+        if cs.is_none:
+            return cs
+        return ComponentSet.of([i for i, c in enumerate(self.components) if cs.contains(c)])
 
 
 _LINE_NAMES = {"affine_line": "A1", "proj_line": "P1", "proj_chart_one": "P1-chart1"}
@@ -345,20 +350,21 @@ def glue_components(pieces, killed_on, mismatch: str) -> tuple[set, set]:
     return dead, alive
 
 
-def glue_points(pieces, points_of, value_at, mismatch) -> dict:
-    """Merge per-chart values at closed points: points_of(data) lists the
-    points a chart records, value_at(data, pt) reads a value.  Charts
-    holding the same point must agree there, else mismatch(pt, chart, value,
-    other chart, other value) names the first disagreement."""
+def glue_points(pieces, points_of, value_at, mismatch) -> list:
+    """Merge per-chart values at closed points into one table in point
+    order: points_of(data) lists the points a chart records, value_at(data,
+    pt) reads a value.  Charts holding the same point must agree there, else
+    mismatch(pt, chart, value, other chart, other value) names the first
+    disagreement."""
     points = {pt for _cid, _chart, data in pieces for pt in points_of(data)}
-    merged = {}
+    merged = []
     for pt in sorted(points, key=SpecPoint.sort_key):
         held = [(cid, value_at(data, pt)) for cid, chart, data in pieces if chart.has(pt)]
         (c0, v0), *others = held
         for c1, v1 in others:
             if v1 != v0:
                 raise GluingError(mismatch(pt, c0, v0, c1, v1))
-        merged[pt] = v0
+        merged.append((pt, v0))
     return merged
 
 
@@ -405,28 +411,32 @@ def sheaf(scheme, orders=(), killed=()) -> IdealSheaf:
         if pt in acc:
             raise QfiltError(f"duplicate order for {pt}")
         acc[pt] = n
-    return _normal(scheme, acc, kcs)
+    return _normal(scheme, sorted_table(acc.items()), kcs)
 
 
-def _normal(scheme, orders: dict, killed: ComponentSet) -> IdealSheaf:
-    """The normal form of valid parts: `orders` maps closed points of the
-    scheme to orders (0 and INF allowed; INF only on killed components),
-    and `killed` is in the scheme's normal form.  Nothing is checked here."""
+def _normal(scheme, orders, killed: ComponentSet) -> IdealSheaf:
+    """The normal form of valid parts: `orders` lists (point, order) pairs
+    at closed points of the scheme in point order, each point once (0 and
+    INF allowed; INF only on killed components), and `killed` is in the
+    scheme's normal form.  Nothing is checked here."""
     if scheme.component_type == "artinian":
         # an order at the stalk length kills the component
-        full = [pt.component for pt, n in orders.items() if n >= scheme.closed_cap(pt)]
+        full = [pt.component for pt, n in orders if n >= scheme.closed[pt.component][1]]
         if full:
             killed = killed.union(ComponentSet.of(full))
-    kept = [(pt, n) for pt, n in orders.items() if n and not killed.contains(pt.component)]
-    return IdealSheaf(scheme, killed, tuple(sorted(kept, key=lambda kv: kv[0].sort_key())))
+    if killed.is_none:
+        kept = [kv for kv in orders if kv[1]]
+    else:
+        kept = [(pt, n) for pt, n in orders if n and not killed.contains(pt.component)]
+    return IdealSheaf(scheme, killed, tuple(kept))
 
 
 def unit_sheaf(scheme) -> IdealSheaf:
-    return _normal(scheme, {}, ComponentSet.none())
+    return _normal(scheme, (), ComponentSet.none())
 
 
 def zero_sheaf(scheme) -> IdealSheaf:
-    return _normal(scheme, {}, scheme.normal_pattern(ComponentSet.all()))
+    return _normal(scheme, (), scheme.normal_pattern(ComponentSet.all()))
 
 
 def sheaf_from_poly(scheme, gen) -> IdealSheaf:
@@ -443,7 +453,8 @@ def sheaf_from_poly(scheme, gen) -> IdealSheaf:
         gen = poly_gcd(gen, scheme.ring.modulus)
     elif prime and gen.is_zero:
         return zero_sheaf(scheme)
-    return _normal(scheme, {scheme.point_named(q): m for q, m in factor(gen)}, ComponentSet.none())
+    return _normal(scheme, sorted_table((scheme.point_named(q), m) for q, m in factor(gen)),
+                   ComponentSet.none())
 
 
 def sheaf_product(a: IdealSheaf, b: IdealSheaf) -> IdealSheaf:
@@ -460,8 +471,17 @@ def sheaf_sum(a: IdealSheaf, b: IdealSheaf) -> IdealSheaf:
 
 def _pointwise(a: IdealSheaf, b: IdealSheaf, op, killed: ComponentSet) -> IdealSheaf:
     check_same_scheme(a.scheme, b.scheme)
-    pts = {pt for pt, _ in a.orders} | {pt for pt, _ in b.orders}
-    return _normal(a.scheme, {pt: op(a.order_at(pt), b.order_at(pt)) for pt in pts}, killed)
+    return _normal(a.scheme, merge_tables(_effective(a, b), _effective(b, a), op, 0, 0), killed)
+
+
+def _effective(a: IdealSheaf, b: IdealSheaf):
+    """a's orders, plus INF at each point b lists on a component that a
+    kills: with 0 everywhere else, a's effective order at every point that
+    a or b lists."""
+    if a.killed.is_none:
+        return a.orders
+    dead = [(pt, INF) for pt, _ in b.orders if a.killed.contains(pt.component)]
+    return sorted_table(a.orders + tuple(dead)) if dead else a.orders
 
 
 def sheaf_contains(a: IdealSheaf, b: IdealSheaf) -> bool:
@@ -469,8 +489,7 @@ def sheaf_contains(a: IdealSheaf, b: IdealSheaf) -> bool:
     check_same_scheme(a.scheme, b.scheme)
     if not a.killed.issubset(b.killed):
         return False
-    pts = {pt for pt, _ in a.orders} | {pt for pt, _ in b.orders}
-    return all(a.order_at(pt) <= b.order_at(pt) for pt in pts)
+    return all(le for _, le in merge_tables(_effective(a, b), _effective(b, a), operator.le, 0, 0))
 
 
 def sheaf_is_idempotent(a: IdealSheaf) -> bool:
@@ -483,7 +502,7 @@ def restrict_sheaf(a: IdealSheaf, cid: int) -> IdealSheaf:
     chart = a.scheme.chart(cid)
     if chart.scheme is a.scheme:
         return a
-    kept = {pt: n for pt, n in a.orders if chart.has(pt)}
+    kept = [kv for kv in a.orders if chart.has(kv[0])]
     return _normal(chart.scheme, kept, chart.killed(a.killed))
 
 

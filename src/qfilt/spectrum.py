@@ -15,6 +15,11 @@ incomparable.  A subset is specialization closed when it is upward closed
 for that order; on the schemes here this means that it either avoids the
 generic points or contains whole components.
 
+Tables of (point, value) pairs, the exceptions of a filter and the orders
+of an ideal sheaf, are stored in point order (SpecPoint.sort_key):
+sorted_table puts a caller's pairs in that order, and merge_tables
+combines two stored tables pointwise in one pass.
+
 ComponentSet is a finite-or-cofinite pattern of connected components, the
 only component patterns the engine ever needs; over a symbolic Z-indexed
 disjoint union the cofinite side is genuinely infinite.  Every stored
@@ -101,6 +106,47 @@ def sorted_points(points) -> tuple[SpecPoint, ...]:
     return tuple(sorted(points, key=SpecPoint.sort_key))
 
 
+def _point_of(pair):
+    return pair[0]._sort_key
+
+
+def sorted_table(pairs) -> list:
+    """(point, value) pairs in point order, the order of every stored table."""
+    return sorted(pairs, key=_point_of)
+
+
+def merge_tables(ta, tb, op, da, db) -> list:
+    """op(a's value, b's value) at each point that table ta or tb lists, as
+    one table in point order.  Both tables hold (point, value) pairs in
+    point order, each point once, and a point that a table lacks reads da
+    (for ta) or db (for tb).  On one scheme distinct closed points have
+    distinct sort keys, so comparing keys decides both order and identity."""
+    if not tb:
+        return [(pt, op(v, db)) for pt, v in ta]
+    if not ta:
+        return [(pt, op(da, v)) for pt, v in tb]
+    out = []
+    i = j = 0
+    na, nb = len(ta), len(tb)
+    while i < na and j < nb:
+        pa, va = ta[i]
+        pb, vb = tb[j]
+        ka, kb = pa._sort_key, pb._sort_key
+        if ka == kb:
+            out.append((pa, op(va, vb)))
+            i += 1
+            j += 1
+        elif ka < kb:
+            out.append((pa, op(va, db)))
+            i += 1
+        else:
+            out.append((pb, op(da, vb)))
+            j += 1
+    out += [(pt, op(v, db)) for pt, v in ta[i:]]
+    out += [(pt, op(da, v)) for pt, v in tb[j:]]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # component patterns
 
@@ -151,6 +197,12 @@ class ComponentSet:
         return not self.complement
 
     def union(self, other: "ComponentSet") -> "ComponentSet":
+        # the empty pattern, which every curve and quotient filter stores,
+        # leaves the other operand as it is
+        if other.is_none:
+            return self
+        if self.is_none:
+            return other
         if not self.complement and not other.complement:
             return ComponentSet(False, self.members | other.members)
         if self.complement and other.complement:
@@ -159,6 +211,10 @@ class ComponentSet:
         return ComponentSet(True, cof.members - fin.members)
 
     def intersect(self, other: "ComponentSet") -> "ComponentSet":
+        if self.is_none:
+            return self
+        if other.is_none:
+            return other
         if not self.complement and not other.complement:
             return ComponentSet(False, self.members & other.members)
         if self.complement and other.complement:

@@ -1,7 +1,10 @@
 """The qfilt CLI: commands, job files, exit codes, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import qfilt
 from qfilt import cli
 from qfilt.cli import _COMMAND_TYPES, _JOB_KEYS, _OPS, COMMANDS, _json_text, main
 from qfilt.literals import (_FILTER_KEYS, _FREE_KEYS, _IDEAL_KEYS, _MODULE_KEYS,
@@ -466,6 +470,19 @@ class TestOracleCommand:
         doc = json.loads(res.output)
         assert doc["passed"] and len(doc["checks"]) == 11
 
+    def test_oracle_imported_only_to_verify(self):
+        # a fresh interpreter, since this one has imported the oracle already
+        env = dict(os.environ, PYTHONPATH=str(Path(qfilt.__file__).parents[1]))
+        probe = "import sys, qfilt.cli; print('qfilt.oracle' in sys.modules)"
+        res = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0 and res.stdout == "False\n", res.stderr
+        res = subprocess.run([sys.executable, "-m", "qfilt.cli", "oracle", "verify",
+                              "--ring", "p:2,mod:x^2"], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["passed"] is True
+
     def test_bad_ring_descriptor(self, runner):
         res = invoke(runner, ["oracle", "verify", "--ring", "mod:x^2"])
         assert res.exit_code == 2
@@ -491,14 +508,15 @@ class TestOracleCommand:
         assert res.stderr.startswith("Error:")
 
     def test_mismatch_exits_3(self, runner, monkeypatch):
-        from qfilt import cli as cli_mod
+        from qfilt import oracle as oracle_mod
 
         def fake_verify(ring, length_bound):
             report = OracleReport(ring)
             report.record("forced", False, "synthetic failure")
             return report
 
-        monkeypatch.setattr(cli_mod, "verify_ring", fake_verify)
+        # the CLI imports verify_ring from the oracle module when it runs
+        monkeypatch.setattr(oracle_mod, "verify_ring", fake_verify)
         res = invoke(runner, ["oracle", "verify", "--ring", "p:2,mod:x^2"])
         assert res.exit_code == 3
         assert json.loads(res.output)["passed"] is False

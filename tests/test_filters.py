@@ -39,6 +39,7 @@ from qfilt.schemes import (
     ProjLine,
     restrict_sheaf,
     sheaf,
+    sheaf_contains,
     sheaf_intersect,
     sheaf_product,
     sheaf_sum,
@@ -501,3 +502,126 @@ def test_engine_sheaves_are_normal(data):
     for c in charts:
         for r in [a, *results]:
             assert_normal_sheaf(restrict_sheaf(r, c))
+
+
+# ---------------------------------------------------------------------------
+# the one-pass merge of exception tables against the dict formula it
+# replaced: whole results, over every pair from a grid of operands per
+# shape (improper ones, default INF, disjoint and overlapping exception
+# sets) and over random draws
+
+
+def _filter_parts(f):
+    """Default, exceptions and killed pattern; the improper filter is INF
+    everywhere with every component killed."""
+    if f.improper:
+        return INF, {}, ComponentSet.all()
+    return f.default, dict(f.exceptions), f.killed
+
+
+def reference_pointwise(a, b, op, kills):
+    """op over the union of the exception points through dicts, brought to
+    normal form by the validating constructor."""
+    da, va, ka = _filter_parts(a)
+    db, vb, kb = _filter_parts(b)
+    exponents = {pt: op(va.get(pt, da), vb.get(pt, db)) for pt in va.keys() | vb.keys()}
+    return presented(a.scheme, op(da, db), exponents, kills(ka, kb))
+
+
+FILTER_OPS = [
+    (meet, min, ComponentSet.intersect),
+    (join, max, ComponentSet.union),
+    (product, lambda x, y: x + y, ComponentSet.union),
+]
+
+
+def _point_tables(points, values):
+    """Exception tables on none, each half (disjoint) and all of the points,
+    the values cycling through `values` from each start."""
+    half = len(points) // 2
+    subsets = [points[:half], points[half:], points] if points else []
+    return [{}] + [{pt: values[(i + k) % len(values)] for k, pt in enumerate(pts)}
+                   for pts in subsets for i in range(len(values))]
+
+
+def grid_filters(shape):
+    scheme, points, _, kills, _ = shape
+    out = [improper_filter(scheme)]
+    for table in _point_tables(points, [0, 1, 2, INF]):
+        for default in (0, 1, INF):
+            for killed in kills:
+                out.append(presented(scheme, default, table, killed))
+    return out
+
+
+def assert_ops_match_reference(f, g):
+    for engine_op, op, kills in FILTER_OPS:
+        assert engine_op(f, g) == reference_pointwise(f, g, op, kills), (engine_op.__name__, f, g)
+
+
+@pytest.mark.parametrize("shape", NORMAL_FORM_SHAPES, ids=lambda s: str(s[0]))
+def test_merge_matches_dict_formula_on_grid(shape):
+    flts = grid_filters(shape)
+    for f in flts:
+        for g in flts:
+            assert_ops_match_reference(f, g)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_merge_matches_dict_formula(data):
+    shape = data.draw(st.sampled_from(NORMAL_FORM_SHAPES))
+    assert_ops_match_reference(shape_filter(data, shape), shape_filter(data, shape))
+
+
+def reference_sheaf_op(a, b, op, kills):
+    """op over effective orders (order_at) at the union of the listed
+    points, brought to normal form by the validating constructor; points on
+    the result's killed components are dropped, as the stored form does."""
+    killed = kills(a.killed, b.killed)
+    pts = {pt for pt, _ in a.orders} | {pt for pt, _ in b.orders}
+    orders = {pt: op(a.order_at(pt), b.order_at(pt)) for pt in pts
+              if not killed.contains(pt.component)}
+    return sheaf(a.scheme, orders, killed)
+
+
+def reference_sheaf_contains(a, b):
+    pts = {pt for pt, _ in a.orders} | {pt for pt, _ in b.orders}
+    return a.killed.issubset(b.killed) and all(a.order_at(pt) <= b.order_at(pt) for pt in pts)
+
+
+SHEAF_OPS = [
+    (sheaf_product, lambda x, y: x + y, ComponentSet.union),
+    (sheaf_intersect, max, ComponentSet.union),
+    (sheaf_sum, min, ComponentSet.intersect),
+]
+
+
+def grid_sheaves(shape):
+    scheme, points, _, kills, _ = shape
+    out = [unit_sheaf(scheme), zero_sheaf(scheme)]
+    for table in _point_tables(points, [1, 2, 3]):
+        for killed in kills:
+            out.append(sheaf(scheme, table, killed))
+    return out
+
+
+def assert_sheaf_ops_match_reference(a, b):
+    for engine_op, op, kills in SHEAF_OPS:
+        assert engine_op(a, b) == reference_sheaf_op(a, b, op, kills), (engine_op.__name__, a, b)
+    assert sheaf_contains(a, b) == reference_sheaf_contains(a, b), (a, b)
+
+
+@pytest.mark.parametrize("shape", NORMAL_FORM_SHAPES, ids=lambda s: str(s[0]))
+def test_sheaf_merge_matches_order_at_on_grid(shape):
+    sheaves = grid_sheaves(shape)
+    for a in sheaves:
+        for b in sheaves:
+            assert_sheaf_ops_match_reference(a, b)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_sheaf_merge_matches_order_at(data):
+    shape = data.draw(st.sampled_from(NORMAL_FORM_SHAPES))
+    assert_sheaf_ops_match_reference(shape_sheaf(data, shape), shape_sheaf(data, shape))
