@@ -68,12 +68,85 @@ class TestTable:
         with pytest.raises(LatticeTooLargeError, match="more than 3 ideals"):
             build_table(R_X3)
 
+    # (table, entry, new value, on both sides of the diagonal) of
+    # F2[x]/(x^3), element 4 the one, and the law the broken table fails
+    @pytest.mark.parametrize("which,a,b,value,symmetric,message", [
+        ("add", 0, 0, 1, True, "ring tables fail the unit laws"),
+        ("mul", 1, 3, 1, False, "ring tables are not commutative"),
+        ("add", 1, 1, 1, True, "addition is not associative"),
+        ("mul", 1, 1, 2, True, "multiplication is not associative"),
+        ("mul", 1, 1, 1, True, "distributivity fails"),
+    ])
+    def test_self_check_names_the_broken_law(self, which, a, b, value, symmetric, message):
+        table = build_table(R_X3)
+        tables = {"add": table.add, "mul": table.mul}
+        tables[which] = _with_entry(tables[which], a, b, value, symmetric)
+        with pytest.raises(QfiltError, match=f"^{message}$"):
+            oracle._self_check(table.size, tables["add"], tables["mul"], table.zero, table.one)
+
+    def test_self_check_samples_above_64_elements(self):
+        # F3[x]/(x^4) has 81 elements, so only every second element is
+        # sampled; 2 and 4 are among them
+        table = build_table(ring(3, "x^4"))
+        add = _with_entry(table.add, 2, 4, 0)
+        with pytest.raises(QfiltError, match="^addition is not associative$"):
+            oracle._self_check(table.size, add, table.mul, table.zero, table.one)
+
+    def test_self_check_matches_entry_by_entry_scan(self):
+        # every one-entry change of either table of F2[x]/(x^2+x), on both
+        # sides of the diagonal or on one, fails the law the scan of every
+        # triple fails first, or passes as it does
+        table = build_table(R_SPLIT)
+        for which, (a, b), value, symmetric in itertools.product(
+                ("add", "mul"), itertools.product(range(table.size), repeat=2),
+                range(table.size), (True, False)):
+            tables = {"add": table.add, "mul": table.mul}
+            tables[which] = _with_entry(tables[which], a, b, value, symmetric)
+            args = (table.size, tables["add"], tables["mul"], table.zero, table.one)
+            assert _law_failed(oracle._self_check, *args) == \
+                _law_failed(_reference_self_check, *args), (which, a, b, value, symmetric)
+
     def test_prime_powers_are_principal(self):
         table = build_table(R_MIXED)
         for i, e in enumerate(table.prime_exponents):
             for j in range(e + 1):
                 idx = table.prime_power(i, j)
                 assert 0 <= idx < table.size
+
+
+def _with_entry(rows, a, b, value, symmetric=True):
+    """The table with entry (a, b), and (b, a) too when symmetric, set to value."""
+    rows = [list(row) for row in rows]
+    rows[a][b] = value
+    if symmetric:
+        rows[b][a] = value
+    return tuple(map(tuple, rows))
+
+
+def _reference_self_check(n, add, mul, zero, one):
+    """The ring axioms entry by entry, every triple in order."""
+    rng = range(n)
+    for a in rng:
+        if add[a][zero] != a or mul[a][one] != a or mul[a][zero] != zero:
+            raise QfiltError("ring tables fail the unit laws")
+        for b in rng:
+            if add[a][b] != add[b][a] or mul[a][b] != mul[b][a]:
+                raise QfiltError("ring tables are not commutative")
+    for a, b, c in itertools.product(rng, repeat=3):
+        if add[add[a][b]][c] != add[a][add[b][c]]:
+            raise QfiltError("addition is not associative")
+        if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+            raise QfiltError("multiplication is not associative")
+        if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+            raise QfiltError("distributivity fails")
+
+
+def _law_failed(check, *args):
+    try:
+        check(*args)
+    except QfiltError as exc:
+        return str(exc)
+    return None
 
 
 class TestFilters:
@@ -117,6 +190,21 @@ class TestFilters:
                 j = oracle_join(table, a, b)
                 assert a.members <= j.members and b.members <= j.members
                 assert j.members in member_sets
+
+    @pytest.mark.parametrize("kept,message", [
+        (["(x)", "(x+1)", "(0)"], "a filter must contain the unit ideal"),
+        (["(1)", "(0)"], "filter is not upward closed"),
+        (["(1)", "(x)", "(x+1)"], "filter is not intersection closed"),
+    ])
+    def test_non_filters_are_rejected(self, kept, message):
+        # F2[x]/(x^2+x): elements by coefficient digits, x is 1, 1 is 2
+        table = build_table(R_SPLIT)
+        ideals = {"(1)": frozenset(range(4)), "(x)": frozenset({0, 1}),
+                  "(x+1)": frozenset({0, 3}), "(0)": frozenset({0})}
+        assert set(ideals.values()) == set(table.ideals)
+        members = frozenset(table.ideal_index[ideals[name]] for name in kept)
+        with pytest.raises(QfiltError, match=f"^{message}$"):
+            oracle.ExplicitFilter(table, members)
 
     def test_filter_min(self):
         table = build_table(R_X3)
@@ -370,7 +458,8 @@ def _check_kernels(table):
     """The tables against PrimePoly arithmetic, every entry of `colon`
     against the set-builder definition of a^{-1}L, and every entry of
     `products` against {xy} and against the closure under addition: an
-    ideal holds the products exactly when it holds their span."""
+    ideal holds the products exactly when it holds their span.  Every entry
+    of `up`, `meet`, `colon_range` and `product_up` against its definition."""
     f = table.ring.modulus
     reps, pos, sums, products, where = _pair_polys(f.p, f.degree)
     reduced = [pos[q % f] for q in products]
@@ -391,20 +480,90 @@ def _check_kernels(table):
             assert prods == {table.mul[x][y] for x in i1 for y in i2}
             span = oracle._ideal_product(table, i1, i2)
             assert [prods <= l for l in ideals] == [span <= l for l in ideals]
+    n = len(ideals)
+    assert len(table.up) == len(table.meet) == n
+    for i in range(n):
+        assert table.up[i] == {j for j in range(n) if ideals[i] <= ideals[j]}
+        assert len(table.meet[i]) == n
+        for k in range(n):
+            assert ideals[table.meet[i][k]] == ideals[i] & ideals[k]
+    assert len(table.colon_range) == len(table.product_up) == n
+    for l in range(n):
+        assert len(table.colon_range[l]) == len(table.product_up[l]) == n
+        for j in range(n):
+            assert table.colon_range[l][j] == {table.colon[l][a] for a in ideals[j]}
+            assert table.product_up[l][j] == {k for k in range(n)
+                                              if table.products[l][j] <= ideals[k]}
+
+
+def _class_inside(cls, allowed: frozenset) -> bool:
+    """Whether every indecomposable in the class is in the allowed set of
+    (prime index, exponent) pairs."""
+    return all(c == 0 or (i, j + 1) in allowed
+               for i, per in enumerate(cls) for j, c in enumerate(per))
+
+
+def _reference_subcategories(table, length_bound):
+    """enumerate_subcategories with each subset of keys a frozenset, each
+    class tested key by key and each least ideal's flags worked out anew."""
+    keys = oracle._indecomposable_keys(table)
+    triples = []
+    for ms in oracle._all_multisets(keys, length_bound):
+        mod = oracle._multiset_module(table, ms)
+        triples.append((iso_class(mod), set(subquotient_classes(mod, submodules(table, ms)))))
+    out = []
+    for subset in itertools.product(*([[False, True]] * len(keys))):
+        allowed = frozenset(k for k, keep in zip(keys, subset) if keep)
+        preloc = True
+        for p_cls, pairs in triples:
+            if not _class_inside(p_cls, allowed):
+                continue
+            if not all(_class_inside(k, allowed) and _class_inside(q, allowed)
+                       for k, q in pairs):
+                preloc = False
+                break
+        if not preloc:
+            continue
+        localizing = True
+        for p_cls, pairs in triples:
+            if _class_inside(p_cls, allowed):
+                continue
+            if any(_class_inside(k, allowed) and _class_inside(q, allowed)
+                   for k, q in pairs):
+                localizing = False
+                break
+        least = frozenset(range(table.size))
+        for key in allowed:
+            least = least & table.principal(table.prime_power(*key))
+        closed = _class_inside(iso_class(cyclic_module(table, least)), allowed)
+        idem = oracle._ideal_product(table, least, least) == least
+        exponents = tuple(max((j for (i, j) in allowed if i == l), default=0)
+                          for l in range(len(table.prime_exponents)))
+        out.append(oracle.SubcategoryData(exponents, preloc, localizing, closed,
+                                          localizing and closed and idem))
+    return tuple(sorted(out, key=lambda s: s.exponents))
 
 
 @pytest.mark.parametrize("rg", SWEEP, ids=str)
 def test_sweep_small_rings_pass(rg, monkeypatch):
-    """Every ring passes at the least length bound it admits, and the table
-    verify_ring built and the tables derived from it match their references."""
-    tables = []
+    """Every ring passes at the least length bound it admits, the table
+    verify_ring built and the tables derived from it match their references,
+    and so do the subcategories it enumerated."""
+    tables, subcategories = [], []
 
     def recording(ring):
         tables.append(build_table(ring))
         return tables[-1]
 
+    def recording_subcategories(table, length_bound):
+        subcategories.append(enumerate_subcategories(table, length_bound))
+        return subcategories[-1]
+
     monkeypatch.setattr(oracle, "build_table", recording)
-    report = verify_ring(rg, length_bound=max(m for _, m in rg.factors))
+    monkeypatch.setattr(oracle, "enumerate_subcategories", recording_subcategories)
+    bound = max(m for _, m in rg.factors)
+    report = verify_ring(rg, length_bound=bound)
     assert report.passed, _failures(report)
     (table,) = tables
     _check_kernels(table)
+    assert subcategories == [_reference_subcategories(table, bound)]
