@@ -19,8 +19,6 @@ inverts that: the smallest local filter whose subcategory contains the
 given sheaves.
 """
 
-from dataclasses import dataclass
-
 from .config import INF
 from .errors import QfiltError
 from .filters import (
@@ -53,22 +51,31 @@ from .spectrum import (
     finite_closed,
     is_specialization_closed,
 )
+from .values import Value
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Value):
     """Flags and attachments for the subcategory of a local filter."""
 
-    filter: LocalFilter
-    prelocalizing: bool
-    localizing: bool
-    closed: bool
-    bilocalizing: bool
-    prime: SpecPoint | None
-    supp: SpecClosedSet | None
-    subscheme: ClosedSubscheme | None
-    clopen: SpecClosedSet | None
-    complement: IdealSheaf | None
+    __slots__ = ("filter", "prelocalizing", "localizing", "closed", "bilocalizing", "prime",
+                 "supp", "subscheme", "clopen", "complement")
+
+    def __init__(self, filter: LocalFilter, prelocalizing: bool, localizing: bool, closed: bool,
+                 bilocalizing: bool, prime: SpecPoint | None, supp: SpecClosedSet | None,
+                 subscheme: ClosedSubscheme | None, clopen: SpecClosedSet | None,
+                 complement: IdealSheaf | None):
+        (set_filter, set_prelocalizing, set_localizing, set_closed, set_bilocalizing, set_prime,
+         set_supp, set_subscheme, set_clopen, set_complement) = ClassificationReport._setters
+        set_filter(self, filter)
+        set_prelocalizing(self, prelocalizing)
+        set_localizing(self, localizing)
+        set_closed(self, closed)
+        set_bilocalizing(self, bilocalizing)
+        set_prime(self, prime)
+        set_supp(self, supp)
+        set_subscheme(self, subscheme)
+        set_clopen(self, clopen)
+        set_complement(self, complement)
 
 
 def classify(flt: LocalFilter) -> ClassificationReport:

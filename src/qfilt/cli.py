@@ -410,7 +410,10 @@ def _run_oracle(job: _Job, cmd: dict) -> dict:
     parts = {}
     for piece in ring_desc.split(","):
         key, _, value = piece.partition(":")
-        parts[key.strip()] = value.strip()
+        key = key.strip()
+        if key in parts:
+            raise ValidationFailure(f"bad --ring {ring_desc!r}; {key!r} is given twice")
+        parts[key] = value.strip()
     if set(parts) != {"p", "mod"}:
         raise ValidationFailure(
             f"bad --ring {ring_desc!r}; expected the form p:2,mod:x^3")

@@ -13,10 +13,10 @@ valid element labels.
 """
 
 import re
-from dataclasses import dataclass
 
 from .config import MAX_PRIME
 from .errors import ParseError, QfiltError
+from .values import Value
 
 RESERVED_LABELS = frozenset({"inf", "gen"})
 _LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -33,26 +33,36 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(Value):
     """The finite field with p elements, p prime and desk-scale."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
+    def __init__(self, p: int):
         # the cap comes first: trial division of a huge p never ends
-        if self.p > MAX_PRIME:
-            raise QfiltError(f"field size {self.p} exceeds limit {MAX_PRIME}")
-        if not is_prime(self.p):
-            raise QfiltError(f"modulus {self.p} is not prime")
+        if p > MAX_PRIME:
+            raise QfiltError(f"field size {p} exceeds limit {MAX_PRIME}")
+        if not is_prime(p):
+            raise QfiltError(f"modulus {p} is not prime")
+        (set_p,) = PrimeField._setters
+        set_p(self, p)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p,) == (other.p,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p,))
 
     def __str__(self) -> str:
         return f"F{self.p}"
 
 
-@dataclass(frozen=True)
-class SymbolicAlgClosed:
+class SymbolicAlgClosed(Value):
     """An algebraically closed field with opaque element labels."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "kbar"

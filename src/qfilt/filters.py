@@ -59,7 +59,6 @@ Improper.
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import reduce
 
 from .config import INF, MAX_QUOTIENT_DEGREE
@@ -76,19 +75,34 @@ from .schemes import (
     zero_sheaf,
 )
 from .spectrum import ComponentSet, SpecPoint, generic_point, merge_tables, sorted_table
+from .values import Value
 
 
-@dataclass(frozen=True)
-class LocalFilter:
+class LocalFilter(Value):
     """A finitely presented local filter of ideal subsheaves: closed-point
     exponents, a default plus finitely many exceptions, and the killed
     components.  An improper filter carries default 0 and no exceptions."""
 
-    scheme: object
-    improper: bool
-    default: int | float
-    exceptions: tuple[tuple[SpecPoint, int | float], ...]
-    killed: ComponentSet
+    __slots__ = ("scheme", "improper", "default", "exceptions", "killed")
+
+    def __init__(self, scheme, improper: bool, default: int | float,
+                 exceptions: tuple[tuple[SpecPoint, int | float], ...], killed: ComponentSet):
+        set_scheme, set_improper, set_default, set_exceptions, set_killed = LocalFilter._setters
+        set_scheme(self, scheme)
+        set_improper(self, improper)
+        set_default(self, default)
+        set_exceptions(self, exceptions)
+        set_killed(self, killed)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.scheme, self.improper, self.default, self.exceptions, self.killed)
+                    == (other.scheme, other.improper, other.default, other.exceptions,
+                        other.killed))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.scheme, self.improper, self.default, self.exceptions, self.killed))
 
     def value(self, pt: SpecPoint) -> int | float:
         """The exponent at a closed point; INF on the improper filter."""
@@ -104,13 +118,24 @@ def _show_exp(v) -> str:
     return "inf" if v == INF else str(v)
 
 
-@dataclass(frozen=True)
-class StalkFilter:
+class StalkFilter(Value):
     """A filter of ideals of a stalk ring: kind "up_to" (with bound),
     "all_powers", "everything", or "full_only"."""
 
-    kind: str
-    bound: int | None = None
+    __slots__ = ("kind", "bound")
+
+    def __init__(self, kind: str, bound: int | None = None):
+        set_kind, set_bound = StalkFilter._setters
+        set_kind(self, kind)
+        set_bound(self, bound)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.bound) == (other.kind, other.bound)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.bound))
 
 
 def up_to(n: int) -> StalkFilter:
@@ -358,15 +383,18 @@ def is_prime(flt: LocalFilter) -> SpecPoint | None:
 # generation and locality
 
 
-@dataclass(frozen=True)
-class FilterBase:
+class FilterBase(Value):
     """A generating set for a filter: finitely many ideal sheaves, or the
     family of ideal sheaves vanishing on finitely many components of the
     symbolic disjoint union (cofinite=True)."""
 
-    scheme: object
-    generators: tuple[IdealSheaf, ...] = ()
-    cofinite: bool = False
+    __slots__ = ("scheme", "generators", "cofinite")
+
+    def __init__(self, scheme, generators: tuple[IdealSheaf, ...] = (), cofinite: bool = False):
+        set_scheme, set_generators, set_cofinite = FilterBase._setters
+        set_scheme(self, scheme)
+        set_generators(self, generators)
+        set_cofinite(self, cofinite)
 
 
 def filter_base(scheme, generators) -> FilterBase:

@@ -9,29 +9,35 @@ keeps only what its spectrum is built from, the prime factorization of f,
 derived once at construction.
 """
 
-import dataclasses
-from dataclasses import dataclass
-
 from .errors import QfiltError, RingMismatchError
 from .fields import BaseField, PrimeField
 from .poly import Poly, PrimePoly, factor, poly_to_literal
+from .values import Value
 
 
-@dataclass(frozen=True)
-class QuotientRing:
+class QuotientRing(Value):
     """k[x]/(modulus) for a prime field k and a monic modulus of degree >= 1.
 
     Equality and hashing use the field and the modulus; `factors`, the
     monic prime factors of the modulus with multiplicity, sorted, is derived
     from them."""
 
-    field: BaseField
-    modulus: Poly
-    factors: tuple[tuple[Poly, int], ...] = dataclasses.field(
-        init=False, compare=False, repr=False)
+    __slots__ = ("field", "modulus", "factors")
+    _fields = ("field", "modulus")
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", factor(self.modulus))
+    def __init__(self, field: BaseField, modulus: Poly):
+        set_field, set_modulus, set_factors = QuotientRing._setters
+        set_field(self, field)
+        set_modulus(self, modulus)
+        set_factors(self, factor(modulus))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.modulus) == (other.field, other.modulus)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.modulus))
 
     @staticmethod
     def make(field: BaseField, modulus: Poly) -> "QuotientRing":

@@ -221,12 +221,12 @@ def _components_from_literal(lit: dict) -> ComponentSet:
 def _component_indices(items) -> list[int]:
     out = []
     for item in items:
-        if isinstance(item, int) and not isinstance(item, bool):
+        if isinstance(item, int) and not isinstance(item, bool) and item >= 0:
             out.append(item)
         elif isinstance(item, str) and item.startswith("comp:"):
             out.append(parse_decimal(item[5:], "component"))
         else:
-            raise ParseError(f"bad component {item!r}; use an index or 'comp:N'")
+            raise ParseError(f"bad component {item!r}; use an index 0, 1, 2, ... or 'comp:N'")
     return out
 
 

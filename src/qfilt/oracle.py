@@ -47,36 +47,49 @@ import itertools
 import math
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 from .config import MAX_ORACLE_ELEMENTS, MAX_ORACLE_IDEALS, MAX_SUBCAT_LENGTH
 from .errors import LatticeTooLargeError, QfiltError
 from .ideals import QuotientRing
 from .poly import PrimePoly
+from .values import Value
 
 Element = int
 IdealSet = frozenset
 
 
-@dataclass(frozen=True)
-class FiniteRingTable:
-    """k[x]/(f) as explicit tables; elements are indices into `reps`."""
+class FiniteRingTable(Value):
+    """k[x]/(f) as explicit tables; elements are indices into `reps`.
 
-    ring: QuotientRing
-    reps: tuple[PrimePoly, ...]
-    add: tuple[tuple[int, ...], ...]
-    mul: tuple[tuple[int, ...], ...]
-    zero: int
-    one: int
-    ideals: tuple[IdealSet, ...]
-    prime_exponents: tuple[int, ...]
-    prime_degrees: tuple[int, ...]
-    prime_elements: tuple[int, ...]  # element index of each prime factor
-    # [add table, smul table] of the direct sum of indecomposables of each
-    # multiset, each built once, the add table when first read; tables
-    # alone, so that no cycle keeps them alive
-    modules: dict = field(default_factory=dict, compare=False, repr=False)
+    `prime_elements` holds the element index of each prime factor.
+    `modules` holds the [add table, smul table] of the direct sum of
+    indecomposables of each multiset, each built once, the add table when
+    first read; tables alone, so that no cycle keeps them alive.  It stays
+    out of equality, repr and copies, as the cached tables in __dict__ do."""
+
+    __slots__ = ("ring", "reps", "add", "mul", "zero", "one", "ideals", "prime_exponents",
+                 "prime_degrees", "prime_elements", "modules", "__dict__")
+    _fields = __slots__[:-2]  # neither modules nor __dict__
+
+    def __init__(self, ring: QuotientRing, reps: tuple[PrimePoly, ...],
+                 add: tuple[tuple[int, ...], ...], mul: tuple[tuple[int, ...], ...], zero: int,
+                 one: int, ideals: tuple[IdealSet, ...], prime_exponents: tuple[int, ...],
+                 prime_degrees: tuple[int, ...], prime_elements: tuple[int, ...],
+                 modules: dict | None = None):
+        (set_ring, set_reps, set_add, set_mul, set_zero, set_one, set_ideals, set_prime_exponents,
+         set_prime_degrees, set_prime_elements, set_modules) = FiniteRingTable._setters
+        set_ring(self, ring)
+        set_reps(self, reps)
+        set_add(self, add)
+        set_mul(self, mul)
+        set_zero(self, zero)
+        set_one(self, one)
+        set_ideals(self, ideals)
+        set_prime_exponents(self, prime_exponents)
+        set_prime_degrees(self, prime_degrees)
+        set_prime_elements(self, prime_elements)
+        set_modules(self, {} if modules is None else modules)
 
     @property
     def size(self) -> int:
@@ -298,15 +311,16 @@ def _enumerate_ideals(n: int, add, mul) -> tuple[IdealSet, ...]:
     return tuple(sorted(found, key=lambda s: (-len(s), sorted(s))))
 
 
-@dataclass(frozen=True)
-class ExplicitFilter:
+class ExplicitFilter(Value):
     """A filter as an explicit subset of the ideal list."""
 
-    table: FiniteRingTable
-    members: frozenset[int]
+    __slots__ = ("table", "members")
 
-    def __post_init__(self):
-        up, meet, members = self.table.up, self.table.meet, self.members
+    def __init__(self, table: FiniteRingTable, members: frozenset[int]):
+        set_table, set_members = ExplicitFilter._setters
+        set_table(self, table)
+        set_members(self, members)
+        up, meet = table.up, table.meet
         if 0 not in members:  # the ideals are listed largest first
             raise QfiltError("a filter must contain the unit ideal")
         for i in members:
@@ -397,20 +411,27 @@ def is_gabriel(flt: ExplicitFilter, square: ExplicitFilter | None = None) -> boo
 # explicit modules
 
 
-@dataclass(frozen=True, eq=False)
-class ExplicitModule:
-    """A finite module on the elements 0..n-1, element 0 its zero.
+class ExplicitModule(Value):
+    """A finite module on the elements 0..n-1, element 0 its zero; two
+    modules are equal only when they are the same object.
 
     `add_table[x][y]` is x + y and `smul_table[r][x]` is r·x for the ring
     element of index r; the rows are read-only.  `addition` is the add
     table, or a function that builds it when first read: the add table of
     a long direct sum is the largest table there is, and often unread."""
 
-    table: FiniteRingTable
-    addition: list[list[int]] | Callable[[], list[list[int]]]
-    smul_table: list[list[int]]
-
+    __slots__ = ("table", "addition", "smul_table", "__dict__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
     zero = 0
+
+    def __init__(self, table: FiniteRingTable,
+                 addition: list[list[int]] | Callable[[], list[list[int]]],
+                 smul_table: list[list[int]]):
+        set_table, set_addition, set_smul_table = ExplicitModule._setters
+        set_table(self, table)
+        set_addition(self, addition)
+        set_smul_table(self, smul_table)
 
     @cached_property
     def add_table(self) -> list[list[int]]:
@@ -556,21 +577,33 @@ def _class_from_sizes(table: FiniteRingTable, sizes) -> tuple[tuple[int, ...], .
 # subcategories
 
 
-@dataclass(frozen=True)
-class SubcategoryData:
+class SubcategoryData(Value):
     """A subcategory as per-prime exponent ceilings plus certified flags."""
 
-    exponents: tuple[int, ...]
-    prelocalizing: bool
-    localizing: bool
-    closed: bool
-    bilocalizing: bool
+    __slots__ = ("exponents", "prelocalizing", "localizing", "closed", "bilocalizing")
+
+    def __init__(self, exponents: tuple[int, ...], prelocalizing: bool, localizing: bool,
+                 closed: bool, bilocalizing: bool):
+        (set_exponents, set_prelocalizing, set_localizing, set_closed,
+         set_bilocalizing) = SubcategoryData._setters
+        set_exponents(self, exponents)
+        set_prelocalizing(self, prelocalizing)
+        set_localizing(self, localizing)
+        set_closed(self, closed)
+        set_bilocalizing(self, bilocalizing)
 
 
-@dataclass
-class OracleReport:
-    ring: QuotientRing
-    checks: list = field(default_factory=list)
+class OracleReport(Value):
+    """The checks of one ring, recorded as they run; since its list of
+    checks grows, a report is not hashable."""
+
+    __slots__ = ("ring", "checks")
+    __hash__ = None
+
+    def __init__(self, ring: QuotientRing, checks: list | None = None):
+        set_ring, set_checks = OracleReport._setters
+        set_ring(self, ring)
+        set_checks(self, [] if checks is None else checks)
 
     def record(self, name: str, ok: bool, detail: str = ""):
         self.checks.append((name, ok, detail))

@@ -23,20 +23,31 @@ sorted by label.  "0" and "1" denote the obvious constants in both worlds.
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .config import MAX_POLY_DEGREE, MAX_POLY_ENUMERATION
 from .errors import ParseError, QfiltError, RingMismatchError
 from .fields import PrimeField, SymbolicAlgClosed, check_label, parse_decimal
+from .values import Value
 
 
-@dataclass(frozen=True)
-class PrimePoly:
+class PrimePoly(Value):
     """Dense polynomial over F_p: coeffs[i] is the coefficient of x^i."""
 
-    p: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("p", "coeffs")
+
+    def __init__(self, p: int, coeffs: tuple[int, ...]):
+        set_p, set_coeffs = PrimePoly._setters
+        set_p(self, p)
+        set_coeffs(self, coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.coeffs) == (other.p, other.coeffs)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.coeffs))
 
     @staticmethod
     def make(p: int, coeffs) -> "PrimePoly":
@@ -197,12 +208,15 @@ def factor_prime_poly(f: PrimePoly) -> tuple[tuple[PrimePoly, int], ...]:
     return tuple(sorted(out, key=lambda pair: pair[0].sort_key()))
 
 
-@dataclass(frozen=True)
-class FactoredPoly:
+class FactoredPoly(Value):
     """A nonzero split polynomial over a symbolic field, as sorted
     ((label, multiplicity), ...) pairs; the empty tuple is the constant 1."""
 
-    factors: tuple[tuple[str, int], ...]
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[tuple[str, int], ...]):
+        (set_factors,) = FactoredPoly._setters
+        set_factors(self, factors)
 
     @staticmethod
     def make(pairs) -> "FactoredPoly":

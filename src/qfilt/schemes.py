@@ -55,9 +55,7 @@ global sheaf from per-chart data and reports the first point where charts
 disagree on the overlap.
 """
 
-import dataclasses
 import operator
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -78,10 +76,7 @@ from .spectrum import (
     merge_tables,
     sorted_table,
 )
-
-
-def _derived():
-    return dataclasses.field(init=False, compare=False, repr=False)
+from .values import Value
 
 
 class Chart(NamedTuple):
@@ -108,8 +103,7 @@ class Chart(NamedTuple):
 _LINE_NAMES = {"affine_line": "A1", "proj_line": "P1", "proj_chart_one": "P1-chart1"}
 
 
-@dataclass(frozen=True)
-class Scheme:
+class Scheme(Value):
     """A desk-scale scheme; see the module docstring for the shapes.
 
     Equality and hashing use the defining fields only.  The derived fields:
@@ -124,22 +118,29 @@ class Scheme:
     two questions asked of a component pattern; check_closed_point and
     checked_pattern vet a caller's points and patterns."""
 
-    kind: str
-    field: BaseField | None = None
-    ring: QuotientRing | None = None
-    components: tuple[BaseField, ...] | None = None
-    component_count: int | None = _derived()
-    component_type: str = _derived()
-    closed: tuple[tuple[SpecPoint, int], ...] | None = _derived()
-    added: tuple[SpecPoint, ...] = _derived()
-    removed: tuple[SpecPoint, ...] = _derived()
-    chart_table: tuple[Chart, ...] = _derived()
-    affine: bool = _derived()
-    name: str = _derived()
+    __slots__ = ("kind", "field", "ring", "components", "component_count", "component_type",
+                 "closed", "added", "removed", "chart_table", "affine", "name")
+    _fields = ("kind", "field", "ring", "components")
 
-    def __post_init__(self):
-        for key, value in _derive(self).items():
-            object.__setattr__(self, key, value)
+    def __init__(self, kind: str, field: BaseField | None = None, ring: QuotientRing | None = None,
+                 components: tuple[BaseField, ...] | None = None):
+        set_kind, set_field, set_ring, set_components = Scheme._setters[:4]
+        set_kind(self, kind)
+        set_field(self, field)
+        set_ring(self, ring)
+        set_components(self, components)
+        derived = _derive(self)
+        for name, set_field in zip(Scheme.__slots__[4:], Scheme._setters[4:]):
+            set_field(self, derived[name])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.kind, self.field, self.ring, self.components)
+                    == (other.kind, other.field, other.ring, other.components))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.field, self.ring, self.components))
 
     def charts(self):
         if self.component_count is None:
@@ -147,14 +148,16 @@ class Scheme:
         return tuple(range(len(self.chart_table)))
 
     def chart(self, cid: int) -> Chart:
-        if self.component_count is None:
-            return Chart(self.chart_table[0].scheme, (cid,))
-        if not isinstance(cid, int) or not 0 <= cid < len(self.chart_table):
+        symbolic = self.component_count is None
+        if not isinstance(cid, int) or cid < 0 or not symbolic and cid >= len(self.chart_table):
             raise QfiltError(f"{self} has no chart {cid}")
+        if symbolic:  # chart c is component c
+            return Chart(self.chart_table[0].scheme, (cid,))
         return self.chart_table[cid]
 
     def has_component(self, c: int) -> bool:
-        return self.component_count is None or 0 <= c < self.component_count
+        """Whether c indexes a component: 0, 1, 2, ... below the count."""
+        return c >= 0 and (self.component_count is None or c < self.component_count)
 
     def check_closed_point(self, pt: SpecPoint) -> None:
         if pt.kind != "closed":
@@ -372,16 +375,28 @@ def glue_points(pieces, points_of, value_at, mismatch) -> list:
 # ideal sheaves
 
 
-@dataclass(frozen=True)
-class IdealSheaf:
+class IdealSheaf(Value):
     """Canonical form of a quasi-coherent ideal subsheaf of the structure
     sheaf: vanishing components plus finitely many positive orders at
     closed points elsewhere (strictly below the stalk length where that is
     finite); the sheaf is the unit ideal away from all of that."""
 
-    scheme: object
-    killed: ComponentSet
-    orders: tuple[tuple[SpecPoint, int], ...]
+    __slots__ = ("scheme", "killed", "orders")
+
+    def __init__(self, scheme, killed: ComponentSet, orders: tuple[tuple[SpecPoint, int], ...]):
+        set_scheme, set_killed, set_orders = IdealSheaf._setters
+        set_scheme(self, scheme)
+        set_killed(self, killed)
+        set_orders(self, orders)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.scheme, self.killed, self.orders)
+                    == (other.scheme, other.killed, other.orders))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.scheme, self.killed, self.orders))
 
     def order_at(self, pt: SpecPoint) -> int | float:
         """Effective vanishing order; INF over killed components."""
@@ -530,12 +545,15 @@ def glue_ideals(scheme, chart_data: dict, rest: str | None = None) -> IdealSheaf
 # closed subschemes
 
 
-@dataclass(frozen=True)
-class ClosedSubscheme:
+class ClosedSubscheme(Value):
     """A closed subscheme presented by its ideal sheaf and its support."""
 
-    ideal: IdealSheaf
-    support: SpecClosedSet
+    __slots__ = ("ideal", "support")
+
+    def __init__(self, ideal: IdealSheaf, support: SpecClosedSet):
+        set_ideal, set_support = ClosedSubscheme._setters
+        set_ideal(self, ideal)
+        set_support(self, support)
 
 
 def closed_subscheme(ideal: IdealSheaf) -> ClosedSubscheme:

@@ -38,51 +38,52 @@ meaning a torsion summand killed by the exponent-th power of the point's
 maximal ideal, plus a pattern of components carrying a free summand.
 """
 
-import dataclasses
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import QfiltError
 from .fields import PrimeField, check_label
 from .poly import PrimePoly, irreducibles
+from .values import Value
 
 INF_NAME = "inf"
 
 
-@dataclass(frozen=True)
-class SpecPoint:
+class SpecPoint(Value):
     """A point of a scheme: kind "closed" or "generic", the index of its
     connected component, and a name (poly/label/"inf"; None for generic)."""
 
-    kind: str
-    component: int
-    name: PrimePoly | str | None = None
-    # computed once per point: points key every exponent table and sort
-    # every normal form
-    _hash: int = dataclasses.field(init=False, compare=False, repr=False)
-    _sort_key: tuple = dataclasses.field(init=False, compare=False, repr=False)
+    # _hash and _sort_key are computed once per point: points key every
+    # exponent table and sort every normal form
+    __slots__ = ("kind", "component", "name", "_hash", "_sort_key")
+    _fields = ("kind", "component", "name")
 
-    def __post_init__(self):
-        if self.kind == "generic":
+    def __init__(self, kind: str, component: int, name: PrimePoly | str | None = None):
+        if kind == "generic":
             tag = (0, "", "")
-        elif isinstance(self.name, PrimePoly):
-            tag = (1, f"{self.name.degree:06d}", ",".join(f"{c:03d}" for c in reversed(self.name.coeffs)))
-        elif self.name == INF_NAME:
+        elif isinstance(name, PrimePoly):
+            tag = (1, f"{name.degree:06d}", ",".join(f"{c:03d}" for c in reversed(name.coeffs)))
+        elif name == INF_NAME:
             tag = (3, "", "")
         else:
-            tag = (2, self.name, "")
-        object.__setattr__(self, "_hash", hash((self.kind, self.component, self.name)))
-        object.__setattr__(self, "_sort_key", (self.component, tag))
+            tag = (2, name, "")
+        set_kind, set_component, set_name, set_hash, set_sort_key = SpecPoint._setters
+        set_kind(self, kind)
+        set_component(self, component)
+        set_name(self, name)
+        set_hash(self, hash((kind, component, name)))
+        set_sort_key(self, (component, tag))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.kind, self.component, self.name)
+                    == (other.kind, other.component, other.name))
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
 
     def sort_key(self):
         return self._sort_key
-
-    def __reduce__(self):
-        # rebuild from the fields: a str hash differs between processes
-        return SpecPoint, (self.kind, self.component, self.name)
 
     def __str__(self) -> str:
         if self.kind == "generic":
@@ -151,8 +152,7 @@ def merge_tables(ta, tb, op, da, db) -> list:
 # component patterns
 
 
-@dataclass(frozen=True)
-class ComponentSet:
+class ComponentSet(Value):
     """A finite or cofinite set of connected-component indices.
 
     complement=False means exactly `members`; complement=True means all
@@ -160,8 +160,20 @@ class ComponentSet:
     patterns, which is what makes disjoint-union filters finitely
     presentable."""
 
-    complement: bool
-    members: frozenset[int]
+    __slots__ = ("complement", "members")
+
+    def __init__(self, complement: bool, members: frozenset[int]):
+        set_complement, set_members = ComponentSet._setters
+        set_complement(self, complement)
+        set_members(self, members)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.complement, self.members) == (other.complement, other.members)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.complement, self.members))
 
     @staticmethod
     def of(indices) -> "ComponentSet":
@@ -245,18 +257,22 @@ _NO_COMPONENTS = ComponentSet(False, frozenset())
 # specialization-closed subsets
 
 
-@dataclass(frozen=True)
-class SpecClosedSet:
+class SpecClosedSet(Value):
     """Decidable descriptor of a specialization-closed subset.
 
     kind "empty" | "all" | "finite" (the listed closed points) |
     "cofinite_closed" (every closed point except the listed ones, no
     generic points) | "components" (whole components per ComponentSet)."""
 
-    scheme: object
-    kind: str
-    points: tuple[SpecPoint, ...] = ()
-    components: ComponentSet | None = None
+    __slots__ = ("scheme", "kind", "points", "components")
+
+    def __init__(self, scheme, kind: str, points: tuple[SpecPoint, ...] = (),
+                 components: ComponentSet | None = None):
+        set_scheme, set_kind, set_points, set_components = SpecClosedSet._setters
+        set_scheme(self, scheme)
+        set_kind(self, kind)
+        set_points(self, points)
+        set_components(self, components)
 
 
 def empty_set(scheme) -> SpecClosedSet:
@@ -327,18 +343,25 @@ def is_specialization_closed(subset, scheme) -> bool:
 # the spectrum as a poset
 
 
-@dataclass(frozen=True)
-class SpecPoset:
+class SpecPoset(Value):
     """Enumerated part of a spectrum with its specialization order:
     `specializations` lists the pairs x < y of the atom order, each a
     generic point and a closed point of its component, sorted by x, then y."""
 
-    scheme: object
-    closed: tuple[SpecPoint, ...]
-    generic: tuple[SpecPoint, ...]
-    specializations: tuple[tuple[SpecPoint, SpecPoint], ...]
-    symbolic_closed: bool
-    symbolic_components: bool
+    __slots__ = ("scheme", "closed", "generic", "specializations", "symbolic_closed",
+                 "symbolic_components")
+
+    def __init__(self, scheme, closed: tuple[SpecPoint, ...], generic: tuple[SpecPoint, ...],
+                 specializations: tuple[tuple[SpecPoint, SpecPoint], ...],
+                 symbolic_closed: bool, symbolic_components: bool):
+        (set_scheme, set_closed, set_generic, set_specializations, set_symbolic_closed,
+         set_symbolic_components) = SpecPoset._setters
+        set_scheme(self, scheme)
+        set_closed(self, closed)
+        set_generic(self, generic)
+        set_specializations(self, specializations)
+        set_symbolic_closed(self, symbolic_closed)
+        set_symbolic_components(self, symbolic_components)
 
 
 def spec(scheme, degree_bound: int | None = None, labels=()) -> SpecPoset:
@@ -382,17 +405,20 @@ def spec(scheme, degree_bound: int | None = None, labels=()) -> SpecPoset:
 # torsion sheaf data
 
 
-@dataclass(frozen=True)
-class TorsionSheafData:
+class TorsionSheafData(Value):
     """A sheaf given by elementary divisors plus free components.
 
     divisors: sorted ((closed point, e), ...) with e >= 1, the summand
     killed by the e-th power of the point's maximal ideal; free: components
     carrying a summand with zero annihilator."""
 
-    scheme: object
-    divisors: tuple[tuple[SpecPoint, int], ...]
-    free: ComponentSet
+    __slots__ = ("scheme", "divisors", "free")
+
+    def __init__(self, scheme, divisors: tuple[tuple[SpecPoint, int], ...], free: ComponentSet):
+        set_scheme, set_divisors, set_free = TorsionSheafData._setters
+        set_scheme(self, scheme)
+        set_divisors(self, divisors)
+        set_free(self, free)
 
 
 def module_data(scheme, divisors=(), free=False) -> TorsionSheafData:

@@ -254,6 +254,27 @@ def test_two_spellings_of_a_point_named(runner, case, point):
     assert "duplicate" in res.stderr and res.stderr.rstrip().endswith(f"for {point}")
 
 
+# every entry point that takes a component index, on the symbolic union,
+# where no component count bounds the index from above
+NEGATIVE_INDEX = {
+    "kill": (["classify", "--scheme", UZ, "--filter",
+              '{"kind":"exponents","default":0,"kill":[-1]}'], "bad component -1"),
+    "kill_all_but": (["classify", "--scheme", UZ, "--filter",
+                      '{"kind":"exponents","default":0,"kill_all_but":[-1]}'], "bad component -1"),
+    "free": (["member", "--scheme", UZ, "--module", '{"free":[-4]}', "--filter",
+              '{"kind":"improper"}'], "bad component -4"),
+    "chart": (["op", "restrict", "--scheme", UZ, "--filter", '{"kind":"improper"}',
+               "--chart", "-2"], "has no chart -2"),
+}
+
+
+@pytest.mark.parametrize("args,message", NEGATIVE_INDEX.values(), ids=NEGATIVE_INDEX.keys())
+def test_negative_component_index_exit_2(runner, args, message):
+    res = invoke(runner, args)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("Error:") and message in res.stderr
+
+
 def test_deep_nesting_exit_2(runner):
     """JSON nested near the recursion limit either fails to parse or parses
     and fails later, depending on the stack depth of the caller; both exit 2."""
@@ -471,12 +492,15 @@ class TestOracleCommand:
         assert doc["passed"] and len(doc["checks"]) == 11
 
     def test_oracle_imported_only_to_verify(self):
-        # a fresh interpreter, since this one has imported the oracle already
+        # a fresh interpreter, since this one has imported the oracle already;
+        # no value type is generated at import, so dataclasses stays unloaded
         env = dict(os.environ, PYTHONPATH=str(Path(qfilt.__file__).parents[1]))
-        probe = "import sys, qfilt.cli; print('qfilt.oracle' in sys.modules)"
+        probe = ("import sys, qfilt.cli; print('qfilt.oracle' in sys.modules, "
+                 "'dataclasses' in sys.modules); import qfilt.oracle; "
+                 "print('dataclasses' in sys.modules)")
         res = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, timeout=60)
-        assert res.returncode == 0 and res.stdout == "False\n", res.stderr
+        assert res.returncode == 0 and res.stdout == "False False\nFalse\n", res.stderr
         res = subprocess.run([sys.executable, "-m", "qfilt.cli", "oracle", "verify",
                               "--ring", "p:2,mod:x^2"], env=env,
                              capture_output=True, text=True, timeout=60)
@@ -486,6 +510,16 @@ class TestOracleCommand:
     def test_bad_ring_descriptor(self, runner):
         res = invoke(runner, ["oracle", "verify", "--ring", "mod:x^2"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("ring,key", [("p:2,mod:x^2,p:3", "p"), ("mod:x,p:2,mod:x^2", "mod")])
+    def test_repeated_ring_key_exit_2(self, runner, tmp_path, ring, key):
+        # the last p would win otherwise: F3[x]/(x^2) verified for p:2
+        res = invoke(runner, ["oracle", "verify", "--ring", ring])
+        assert res.exit_code == 2 and f"{key!r} is given twice" in res.stderr
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"schema": 1, "commands": [{"cmd": "oracle", "ring": ring}]}))
+        res = invoke(runner, ["run", str(job)])
+        assert res.exit_code == 2 and f"{key!r} is given twice" in res.stderr
 
     @pytest.mark.parametrize("ring,bound,least", [("p:2,mod:x^2", "0", 2),
                                                   ("p:2,mod:x^5", "4", 5)])

@@ -145,6 +145,17 @@ class TestRestrictGlue:
         charts = {c: restrict_sheaf(s, c) for c in range(3)}
         assert glue_ideals(U3, charts) == s
 
+    def test_negative_component_rejected(self):
+        # no component count bounds the symbolic union from above, so only
+        # the sign tells that -1 is no component
+        for scheme in (UZ, U3):
+            assert not scheme.has_component(-1)
+            with pytest.raises(QfiltError, match="no chart -1"):
+                scheme.chart(-1)
+            with pytest.raises(QfiltError, match="no component -1"):
+                sheaf(scheme, {}, [-1])
+        assert UZ.has_component(0) and UZ.chart(5).components == (5,)
+
     def test_union_glue_rest(self):
         chart0 = sheaf(UZ.chart(0).scheme, {}, ComponentSet.of([0]))
         zero_rest = glue_ideals(UZ, {0: chart0}, rest="zero")

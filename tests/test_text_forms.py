@@ -1,5 +1,5 @@
 """Only the CLI renders values as text: an engine type defines __str__ only
-where an error message prints it, and keeps its dataclass repr otherwise."""
+where an error message prints it, and keeps its field repr otherwise."""
 
 import ast
 from pathlib import Path
