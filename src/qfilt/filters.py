@@ -229,13 +229,12 @@ def principal_filter(scheme, ideal: IdealSheaf) -> LocalFilter:
 
 
 def kill_admitted(flt: LocalFilter, pattern: ComponentSet) -> bool:
-    """Whether the filter admits vanishing on every component of the pattern.
+    """Whether a proper filter admits vanishing on every component of the
+    pattern; callers decide the improper filter, which admits everything.
 
     Field components must be killed in the filter; an Artinian component is
     admitted when every point of it sits at its cap; a curve component needs
     the improper filter."""
-    if flt.improper:
-        return True
     scheme = flt.scheme
     leftovers = scheme.normal_pattern(pattern.intersect(flt.killed.invert()))
     if leftovers.is_none:

@@ -8,17 +8,16 @@ as up-closed intersection-closed subsets of the ideal list, and both
 definitions of the filter product are evaluated element by element.
 The tables are built by index arithmetic on coefficient digits, each row
 from an earlier one, with no polynomial arithmetic per entry.  What the
-filter tests read is laid out beside them once per ring: the index of each
-colon ideal a^{-1}L, the set of products xy of each pair of ideals, and
-tables of ideal indices derived from those: `up` (the ideals containing
-each ideal), `meet` (the intersection of each pair), `colon_range` (the
-colon ideals a^{-1}L over the a of each ideal) and `product_up` (the
-ideals holding each set of products).  A filter, and each element
-annihilator, is a set of ideal indices.  Subcategories are enumerated
-independently of the filter lattice, as sets of indecomposable module
-classes certified by explicit submodule enumeration, each set a bitmask
-over the indecomposables, and the bijection between the two enumerations
-is checked rather than assumed.
+filter tests read is laid out beside them once per ring, as tables of
+ideal indices: `up` (the ideals containing each ideal), `meet` (the
+intersection of each pair), `colon_range` (the colon ideals a^{-1}L over
+the a of each ideal) and `product_up` (the ideals holding the products xy
+of each pair of ideals).  A filter, and each element annihilator, is a set
+of ideal indices.  Subcategories are enumerated independently of the
+filter lattice, as sets of indecomposable module classes certified by
+explicit submodule enumeration, each set a bitmask over the
+indecomposables, and the bijection between the two enumerations is
+checked rather than assumed.
 
 A finite module is its elements 0..n-1 (0 the zero) with list tables for
 addition and for multiplication by each ring element.  R/I numbers the
@@ -46,13 +45,11 @@ built once per ring table.
 import itertools
 import math
 import operator
-from collections.abc import Callable
 from functools import cached_property, reduce
 
 from .config import MAX_ORACLE_ELEMENTS, MAX_ORACLE_IDEALS, MAX_SUBCAT_LENGTH
 from .errors import LatticeTooLargeError, QfiltError
 from .ideals import QuotientRing
-from .poly import PrimePoly
 from .values import Value
 
 Element = int
@@ -60,7 +57,8 @@ IdealSet = frozenset
 
 
 class FiniteRingTable(Value):
-    """k[x]/(f) as explicit tables; elements are indices into `reps`.
+    """k[x]/(f) as explicit tables on the elements 0..n-1, element 0 the zero
+    (see build_table for the numbering).
 
     `prime_elements` holds the element index of each prime factor.
     `modules` holds the [add table, smul table] of the direct sum of
@@ -68,22 +66,19 @@ class FiniteRingTable(Value):
     first read; tables alone, so that no cycle keeps them alive.  It stays
     out of equality, repr and copies, as the cached tables in __dict__ do."""
 
-    __slots__ = ("ring", "reps", "add", "mul", "zero", "one", "ideals", "prime_exponents",
+    __slots__ = ("ring", "add", "mul", "one", "ideals", "prime_exponents",
                  "prime_degrees", "prime_elements", "modules", "__dict__")
     _fields = __slots__[:-2]  # neither modules nor __dict__
 
-    def __init__(self, ring: QuotientRing, reps: tuple[PrimePoly, ...],
-                 add: tuple[tuple[int, ...], ...], mul: tuple[tuple[int, ...], ...], zero: int,
-                 one: int, ideals: tuple[IdealSet, ...], prime_exponents: tuple[int, ...],
-                 prime_degrees: tuple[int, ...], prime_elements: tuple[int, ...],
-                 modules: dict | None = None):
-        (set_ring, set_reps, set_add, set_mul, set_zero, set_one, set_ideals, set_prime_exponents,
+    def __init__(self, ring: QuotientRing, add: tuple[tuple[int, ...], ...],
+                 mul: tuple[tuple[int, ...], ...], one: int, ideals: tuple[IdealSet, ...],
+                 prime_exponents: tuple[int, ...], prime_degrees: tuple[int, ...],
+                 prime_elements: tuple[int, ...], modules: dict | None = None):
+        (set_ring, set_add, set_mul, set_one, set_ideals, set_prime_exponents,
          set_prime_degrees, set_prime_elements, set_modules) = FiniteRingTable._setters
         set_ring(self, ring)
-        set_reps(self, reps)
         set_add(self, add)
         set_mul(self, mul)
-        set_zero(self, zero)
         set_one(self, one)
         set_ideals(self, ideals)
         set_prime_exponents(self, prime_exponents)
@@ -93,7 +88,7 @@ class FiniteRingTable(Value):
 
     @property
     def size(self) -> int:
-        return len(self.reps)
+        return len(self.add)
 
     def prime_power(self, i: int, j: int) -> int:
         """Element index of (i-th prime factor)**j."""
@@ -111,19 +106,6 @@ class FiniteRingTable(Value):
         return {members: i for i, members in enumerate(self.ideals)}
 
     @cached_property
-    def colon(self) -> tuple[tuple[int, ...], ...]:
-        """colon[l][a] is the index of a^{-1}L = {b : ab in L}, L the l-th ideal."""
-        return tuple(tuple(self.ideal_index[frozenset(b for b, y in enumerate(row) if y in l)]
-                           for row in self.mul) for l in self.ideals)
-
-    @cached_property
-    def products(self) -> tuple[tuple[frozenset, ...], ...]:
-        """products[i][j] is the set of products xy, x in the i-th ideal and
-        y in the j-th."""
-        return tuple(tuple(frozenset(self.mul[x][y] for x in i1 for y in i2)
-                           for i2 in self.ideals) for i1 in self.ideals)
-
-    @cached_property
     def up(self) -> tuple[frozenset, ...]:
         """up[i] is the set of indices of the ideals that contain the i-th."""
         return tuple(frozenset(j for j, big in enumerate(self.ideals) if small <= big)
@@ -136,16 +118,29 @@ class FiniteRingTable(Value):
 
     @cached_property
     def colon_range(self) -> tuple[tuple[frozenset, ...], ...]:
-        """colon_range[l][j] is the set of colon[l][a] for a in the j-th ideal."""
-        return tuple(tuple(frozenset(map(row.__getitem__, ideal)) for ideal in self.ideals)
-                     for row in self.colon)
+        """colon_range[l][j] is the set of indices of the colon ideals
+        a^{-1}L = {b : ab in L}, L the l-th ideal, for a in the j-th ideal.
+        Ideal 0 is the unit ideal, so colon_range[l][0] holds every a^{-1}L."""
+        out = []
+        for l in self.ideals:
+            # inverse[a] is the index of a^{-1}L
+            inverse = [self.ideal_index[frozenset(b for b, y in enumerate(row) if y in l)]
+                       for row in self.mul]
+            out.append(tuple(frozenset(map(inverse.__getitem__, ideal)) for ideal in self.ideals))
+        return tuple(out)
 
     @cached_property
     def product_up(self) -> tuple[tuple[frozenset, ...], ...]:
         """product_up[i][j] is the set of indices of the ideals that hold
-        products[i][j]."""
-        return tuple(tuple(frozenset(l for l, big in enumerate(self.ideals) if prods <= big)
-                           for prods in row) for row in self.products)
+        every product xy, x in the i-th ideal and y in the j-th."""
+        out = []
+        for i1 in self.ideals:
+            row = []
+            for i2 in self.ideals:
+                prods = {self.mul[x][y] for x in i1 for y in i2}
+                row.append(frozenset(l for l, big in enumerate(self.ideals) if prods <= big))
+            out.append(tuple(row))
+        return tuple(out)
 
     @cached_property
     def ideal_exponents(self) -> tuple[tuple[int, ...], ...]:
@@ -209,8 +204,8 @@ def build_table(ring: QuotientRing) -> FiniteRingTable:
 
     Element i is the polynomial whose coefficients of x^0..x^(deg-1) are
     the base-p digits of i, most significant first, in the order of
-    itertools.product; reps[0] is the zero polynomial, so the zero of every
-    module is 0.  The tables are built by index arithmetic: a row for a is
+    itertools.product; element 0 is the zero polynomial, so the zero of
+    every module is 0.  The tables are built by index arithmetic: a row for a is
     the row for a - x^k shifted by one lookup per entry, adding x^k for
     `add` and adding x^k·b for `mul`, x^k·b read off the companion matrix
     of f."""
@@ -219,7 +214,6 @@ def build_table(ring: QuotientRing) -> FiniteRingTable:
     p, deg = modulus.p, modulus.degree
     n = p ** deg
     digits = list(itertools.product(range(p), repeat=deg))  # coefficients of x^0..
-    reps = tuple(PrimePoly.make(p, coeffs) for coeffs in digits)
     weights = [p ** (deg - 1 - k) for k in range(deg)]  # the index of x^k
 
     def index(coeffs) -> int:
@@ -245,16 +239,16 @@ def build_table(ring: QuotientRing) -> FiniteRingTable:
         mul.append([add[u][v] for u, v in zip(mul[a - weights[k]], powers[k])])
     add = tuple(map(tuple, add))
     mul = tuple(map(tuple, mul))
-    zero, one = 0, index((1,))
-    _self_check(n, add, mul, zero, one)
+    one = index((1,))
+    _self_check(n, add, mul, one)
     ideals = _enumerate_ideals(n, add, mul)
-    return FiniteRingTable(ring, reps, add, mul, zero, one, ideals,
+    return FiniteRingTable(ring, add, mul, one, ideals,
                            tuple(m for _, m in primes),
                            tuple(q.degree for q, _ in primes),
                            tuple(index((q % modulus).coeffs) for q, _ in primes))
 
 
-def _self_check(n: int, add, mul, zero: int, one: int) -> None:
+def _self_check(n: int, add, mul, one: int) -> None:
     """The ring axioms on tables whose rows are tuples.  Commutativity
     compares each row with its column; associativity and distributivity
     compare, for each (a, b), the row over c of each side.  A row that
@@ -263,7 +257,7 @@ def _self_check(n: int, add, mul, zero: int, one: int) -> None:
     rng = range(n)
     add_cols, mul_cols = tuple(zip(*add)), tuple(zip(*mul))
     for a in rng:
-        if add[a][zero] != a or mul[a][one] != a or mul[a][zero] != zero:
+        if add[a][0] != a or mul[a][one] != a or mul[a][0] != 0:
             raise QfiltError("ring tables fail the unit laws")
         if add[a] != add_cols[a] or mul[a] != mul_cols[a]:
             raise QfiltError("ring tables are not commutative")
@@ -354,7 +348,8 @@ def enumerate_filters(table: FiniteRingTable) -> tuple[ExplicitFilter, ...]:
 
 def check_prelocalizing(flt: ExplicitFilter) -> bool:
     """Whether a^{-1}L stays in the filter for every a and member L."""
-    return all(c in flt.members for i in flt.members for c in flt.table.colon[i])
+    colon_range = flt.table.colon_range
+    return all(flt.members.issuperset(colon_range[i][0]) for i in flt.members)
 
 
 def product_two_ways(f1: ExplicitFilter, f2: ExplicitFilter):
@@ -378,33 +373,10 @@ def product_two_ways(f1: ExplicitFilter, f2: ExplicitFilter):
     return a, b, a.members == b.members
 
 
-def _ideal_product(table: FiniteRingTable, i1: IdealSet, i2: IdealSet) -> IdealSet:
-    prods = {table.mul[x][y] for x in i1 for y in i2}
-    span = set(prods)
-    frontier = list(prods)
-    while frontier:
-        v = frontier.pop()
-        for w in list(span):
-            s = table.add[v][w]
-            if s not in span:
-                span.add(s)
-                frontier.append(s)
-    return frozenset(span)
-
-
-def filter_min(flt: ExplicitFilter) -> IdealSet:
-    out = frozenset(range(flt.table.size))
-    for i in flt.members:
-        out = out & flt.table.ideals[i]
-    return out
-
-
-def is_gabriel(flt: ExplicitFilter, square: ExplicitFilter | None = None) -> bool:
-    """F*F inside F, by the inverse-ideal product definition; `square` is
-    that product F*F when the caller has it."""
-    if square is None:
-        square, _, _ = product_two_ways(flt, flt)
-    return square.members <= flt.members
+def _meet_all(table: FiniteRingTable, indices) -> int:
+    """The index of the intersection of the ideals of the given indices;
+    the unit ideal, index 0, for none."""
+    return reduce(lambda a, b: table.meet[a][b], indices, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -416,26 +388,22 @@ class ExplicitModule(Value):
     modules are equal only when they are the same object.
 
     `add_table[x][y]` is x + y and `smul_table[r][x]` is r·x for the ring
-    element of index r; the rows are read-only.  `addition` is the add
-    table, or a function that builds it when first read: the add table of
-    a long direct sum is the largest table there is, and often unread."""
+    element of index r; the rows are read-only.  `add_table` is None on a
+    direct sum of two or more summands until _multiset_add builds it: the
+    add table of a long direct sum is the largest table there is, and often
+    unread."""
 
-    __slots__ = ("table", "addition", "smul_table", "__dict__")
+    __slots__ = ("table", "add_table", "smul_table")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
     zero = 0
 
-    def __init__(self, table: FiniteRingTable,
-                 addition: list[list[int]] | Callable[[], list[list[int]]],
+    def __init__(self, table: FiniteRingTable, add_table: list[list[int]] | None,
                  smul_table: list[list[int]]):
-        set_table, set_addition, set_smul_table = ExplicitModule._setters
+        set_table, set_add_table, set_smul_table = ExplicitModule._setters
         set_table(self, table)
-        set_addition(self, addition)
+        set_add_table(self, add_table)
         set_smul_table(self, smul_table)
-
-    @cached_property
-    def add_table(self) -> list[list[int]]:
-        return self.addition() if callable(self.addition) else self.addition
 
     @property
     def size(self) -> int:
@@ -445,24 +413,24 @@ class ExplicitModule(Value):
 def cosets(add_table, sub) -> tuple[list[int], list[int]]:
     """The cosets of the subgroup `sub` of a group given by its addition
     table: the coset index of every element, and one representative per
-    coset, its least element.  Cosets are numbered by that least element,
-    so the coset of 0 is 0."""
+    coset, its least element (the coset's leader).  Cosets are numbered by
+    their leaders, so the coset of 0 is 0."""
     coset = [-1] * len(add_table)
-    reps: list[int] = []
+    leaders: list[int] = []
     for x, row in enumerate(add_table):
         if coset[x] < 0:
             for s in sub:
-                coset[row[s]] = len(reps)
-            reps.append(x)
-    return coset, reps
+                coset[row[s]] = len(leaders)
+            leaders.append(x)
+    return coset, leaders
 
 
 def cyclic_module(table: FiniteRingTable, ideal: IdealSet) -> ExplicitModule:
     """R/I, one element per coset of I."""
-    coset, reps = cosets(table.add, ideal)
+    coset, leaders = cosets(table.add, ideal)
     return ExplicitModule(table,
-                          [[coset[table.add[a][b]] for b in reps] for a in reps],
-                          [[coset[row[a]] for a in reps] for row in table.mul])
+                          [[coset[table.add[a][b]] for b in leaders] for a in leaders],
+                          [[coset[row[a]] for a in leaders] for row in table.mul])
 
 
 def _sum_rows(pairs, n: int) -> list[list[int]]:
@@ -490,12 +458,12 @@ def submodules(table: FiniteRingTable, multiset: tuple, prefix=None) -> tuple[fr
         return (frozenset([0]),)
     if prefix is None:
         prefix = submodules(table, multiset[:-1])
-    head = _multiset_module(table, multiset[:-1])
-    add, smul = head.add_table, head.smul_table
+    smul = _multiset_module(table, multiset[:-1]).smul_table
+    add = _multiset_add(table, multiset[:-1])
     i, j = multiset[-1]
     # the ring element r is coset[r] in C, as in cyclic_module
-    coset, reps = cosets(table.add, table.principal(table.prime_power(i, j)))
-    n = len(reps)
+    coset, leaders = cosets(table.add, table.principal(table.prime_power(i, j)))
+    n = len(leaders)
     levels = []
     for a in range(j + 1):
         row = table.mul[table.prime_power(i, a)]
@@ -636,7 +604,7 @@ def _all_multisets(keys, length_bound: int):
 def _multiset_module(table: FiniteRingTable, multiset: tuple) -> ExplicitModule:
     """The direct sum of R/(p_i^j) over a multiset of keys (i, j), its
     tables kept on the table; each sum adds one indecomposable to its
-    prefix's module.  A sum's add table is built when first read: only the
+    prefix's module.  A sum's add table is left to _multiset_add: only the
     sums that submodules() extends read it."""
     tables = table.modules.get(multiset)
     if tables is None:
@@ -649,19 +617,17 @@ def _multiset_module(table: FiniteRingTable, multiset: tuple) -> ExplicitModule:
                    if multiset else zero_module(table))
             tables = [mod.add_table, mod.smul_table]
         table.modules[multiset] = tables
-    if tables[0] is None:
-        return ExplicitModule(table, lambda: _multiset_add(table, multiset), tables[1])
     return ExplicitModule(table, *tables)
 
 
 def _multiset_add(table: FiniteRingTable, multiset: tuple) -> list[list[int]]:
-    """The add table of a sum of two or more summands, kept with its smul
-    table once built."""
+    """The add table of the sum over a multiset that _multiset_module has
+    laid out, built when first asked for and kept with its smul table."""
     tables = table.modules[multiset]
     if tables[0] is None:
         last = _multiset_module(table, multiset[-1:])
         tables[0] = _sum_rows(itertools.product(
-            _multiset_module(table, multiset[:-1]).add_table, last.add_table), last.size)
+            _multiset_add(table, multiset[:-1]), last.add_table), last.size)
     return tables[0]
 
 
@@ -723,11 +689,12 @@ def enumerate_subcategories(table: FiniteRingTable,
         localizing = not any(not pair & outside for m, _, pairs in triples if m & outside
                              for pair in pairs)
         kept = [key for key in keys if bits[key] & allowed]
-        least = reduce(lambda a, b: table.meet[a][b], map(killers.get, kept), 0)
+        least = _meet_all(table, map(killers.get, kept))
         if least not in least_data:
-            ideal = table.ideals[least]
-            least_data[least] = (mask(iso_class(cyclic_module(table, ideal))),
-                                 _ideal_product(table, ideal, ideal) == ideal)
+            # L·L is in the ideal list, which holds every ideal, so it is L
+            # exactly when the same ideals contain both
+            least_data[least] = (mask(iso_class(cyclic_module(table, table.ideals[least]))),
+                                 table.product_up[least][least] == table.up[least])
         least_mask, idem = least_data[least]
         # closed: the category is exactly the modules killed by `least`,
         # certified by R/least itself landing inside
@@ -869,9 +836,10 @@ def verify_ring(ring: QuotientRing, length_bound: int = 4) -> OracleReport:
     gabriel_ok = True
     for (f, e), square in zip(pairing, squares):
         ok, least = is_principal(f)
-        if not ok or least != table.ideal_sheaves[table.ideal_index[filter_min(e)]]:
+        if not ok or least != table.ideal_sheaves[_meet_all(table, e.members)]:
             principal_ok = False
-        if is_gabriel(e, square) != is_product_closed(f):
+        # Gabriel: F*F inside F, by the inverse-ideal definition
+        if (square.members <= e.members) != is_product_closed(f):
             gabriel_ok = False
     report.record("least members match", principal_ok)
     report.record("Gabriel condition matches product closure", gabriel_ok)

@@ -298,13 +298,12 @@ def finite_closed(scheme, points) -> SpecClosedSet:
 
 
 def cofinite_closed(scheme, excluded) -> SpecClosedSet:
+    """Every closed point but the excluded ones, on a curve: an Artinian or
+    union scheme lists its closed points, so finite_closed names any set of
+    them."""
     pts = sorted_points(set(excluded))
     for pt in pts:
         scheme.check_closed_point(pt)
-    finite_all = scheme.all_closed_points()
-    if finite_all is not None:
-        rest = [p for p in finite_all if p not in set(pts)]
-        return finite_closed(scheme, rest)
     return SpecClosedSet(scheme, "cofinite_closed", pts)
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfilt.config import INF
-from qfilt.errors import GluingError, QfiltError, UnsupportedFamilyError
+from qfilt.errors import GluingError, QfiltError, RingMismatchError, UnsupportedFamilyError
 from qfilt.fields import PrimeField, SymbolicAlgClosed
 from qfilt.filters import (
     ALL_POWERS,
@@ -196,6 +196,24 @@ class TestLatticeOps:
         assert meet(f, g) == presented(UZ, 0, killed=ComponentSet.of([1]))
         assert join(f, g) == presented(UZ, 0, killed=ComponentSet.of([0, 1, 2]))
         assert product(f, g) == join(f, g)
+
+    @pytest.mark.parametrize("op", [meet, join, product])
+    def test_cross_scheme_rejected(self, op):
+        with pytest.raises(RingMismatchError, match="^scheme mismatch: "):
+            op(presented(A1, 0, {A: 1}), presented(P1, 0, {A: 1}))
+        with pytest.raises(RingMismatchError, match="^scheme mismatch: "):
+            op(presented(Q, 0, {QPT("x"): 1}), presented(A1, 0, {A: 1}))
+
+    @pytest.mark.parametrize("op", [meet, join, product])
+    def test_equal_schemes_combine(self, op):
+        # operands on equal but distinct scheme objects combine as if on one
+        twin_a1 = AffineLine(SymbolicAlgClosed())
+        twin_q = AffineQuotient(QuotientRing.make(PrimeField(2), poly_from_str("x^3+x", 2)))
+        assert twin_a1 is not A1 and twin_q is not Q
+        f, g = presented(A1, 0, {A: 2, B: 1}), presented(A1, 0, {A: 1})
+        assert op(f, presented(twin_a1, 0, {A: 1})) == op(f, g)
+        f, g = presented(Q, 0, {QPT("x+1"): 1}), presented(Q, 0, {QPT("x"): 1})
+        assert op(f, presented(twin_q, 0, {QPT("x"): 1})) == op(f, g)
 
 
 class TestLocalize:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qfilt.errors import QfiltError
+from qfilt.errors import QfiltError, RingMismatchError
 from qfilt.fields import PrimeField, SymbolicAlgClosed
 from qfilt.ideals import QuotientRing
 from qfilt.poly import factored_from_str, poly_from_str
@@ -25,3 +25,9 @@ class TestQuotientRing:
     def test_rejects_symbolic_field(self):
         with pytest.raises(QfiltError, match="prime field"):
             QuotientRing.make(SymbolicAlgClosed(), factored_from_str("(x-a)^2*(x-b)"))
+
+    @pytest.mark.parametrize("modulus", [poly_from_str("x^2+1", 3),
+                                         factored_from_str("(x-a)^2")], ids=str)
+    def test_rejects_modulus_over_another_field(self, modulus):
+        with pytest.raises(RingMismatchError, match="generator is over a different field"):
+            QuotientRing.make(F2, modulus)

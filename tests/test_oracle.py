@@ -10,6 +10,7 @@ import pytest
 from qfilt import oracle
 from qfilt.errors import LatticeTooLargeError, QfiltError
 from qfilt.fields import PrimeField
+from qfilt.filters import enumerate_quotient_filters, is_product_closed
 from qfilt.ideals import QuotientRing
 from qfilt.oracle import (
     ExplicitModule,
@@ -20,8 +21,6 @@ from qfilt.oracle import (
     element_annihilators,
     enumerate_filters,
     enumerate_subcategories,
-    filter_min,
-    is_gabriel,
     iso_class,
     oracle_join,
     product_two_ways,
@@ -30,6 +29,7 @@ from qfilt.oracle import (
     verify_ring,
 )
 from qfilt.poly import PrimePoly, poly_from_str
+from qfilt.schemes import AffineQuotient
 
 
 def ring(p, mod):
@@ -82,7 +82,7 @@ class TestTable:
         tables = {"add": table.add, "mul": table.mul}
         tables[which] = _with_entry(tables[which], a, b, value, symmetric)
         with pytest.raises(QfiltError, match=f"^{message}$"):
-            oracle._self_check(table.size, tables["add"], tables["mul"], table.zero, table.one)
+            oracle._self_check(table.size, tables["add"], tables["mul"], table.one)
 
     def test_self_check_samples_above_64_elements(self):
         # F3[x]/(x^4) has 81 elements, so only every second element is
@@ -90,7 +90,7 @@ class TestTable:
         table = build_table(ring(3, "x^4"))
         add = _with_entry(table.add, 2, 4, 0)
         with pytest.raises(QfiltError, match="^addition is not associative$"):
-            oracle._self_check(table.size, add, table.mul, table.zero, table.one)
+            oracle._self_check(table.size, add, table.mul, table.one)
 
     def test_self_check_matches_entry_by_entry_scan(self):
         # every one-entry change of either table of F2[x]/(x^2+x), on both
@@ -102,7 +102,7 @@ class TestTable:
                 range(table.size), (True, False)):
             tables = {"add": table.add, "mul": table.mul}
             tables[which] = _with_entry(tables[which], a, b, value, symmetric)
-            args = (table.size, tables["add"], tables["mul"], table.zero, table.one)
+            args = (table.size, tables["add"], tables["mul"], table.one)
             assert _law_failed(oracle._self_check, *args) == \
                 _law_failed(_reference_self_check, *args), (which, a, b, value, symmetric)
 
@@ -123,11 +123,11 @@ def _with_entry(rows, a, b, value, symmetric=True):
     return tuple(map(tuple, rows))
 
 
-def _reference_self_check(n, add, mul, zero, one):
-    """The ring axioms entry by entry, every triple in order."""
+def _reference_self_check(n, add, mul, one):
+    """The ring axioms entry by entry, every triple in order; 0 is the zero."""
     rng = range(n)
     for a in rng:
-        if add[a][zero] != a or mul[a][one] != a or mul[a][zero] != zero:
+        if add[a][0] != a or mul[a][one] != a or mul[a][0] != 0:
             raise QfiltError("ring tables fail the unit laws")
         for b in rng:
             if add[a][b] != add[b][a] or mul[a][b] != mul[b][a]:
@@ -175,11 +175,17 @@ class TestFilters:
         assert equal and len(via_inv.members) == 3
 
     def test_gabriel_iff_product_closed(self):
+        # F*F inside F, by the inverse-ideal definition, exactly when the
+        # engine finds the filter closed under products, and exactly when
+        # its least member L is idempotent: F*F is the filter of L·L
         for rg in (R_X3, R_SPLIT, R_MIXED):
             table = build_table(rg)
-            for f in enumerate_filters(table):
-                prod = product_two_ways(f, f)[0]
-                assert is_gabriel(f) == (prod.members <= f.members)
+            for flt in enumerate_quotient_filters(AffineQuotient(rg)):
+                e = oracle.engine_filter_to_explicit(flt, table)
+                gabriel = product_two_ways(e, e)[0].members <= e.members
+                least = table.ideals[oracle._meet_all(table, e.members)]
+                assert gabriel == is_product_closed(flt)
+                assert gabriel == (_ideal_product(table, least, least) == least)
 
     def test_join_is_upward_intersection_closure(self):
         table = build_table(R_MIXED)
@@ -207,11 +213,14 @@ class TestFilters:
             oracle.ExplicitFilter(table, members)
 
     def test_filter_min(self):
-        table = build_table(R_X3)
-        for f in enumerate_filters(table):
-            least = filter_min(f)
-            assert table.ideal_index[least] in f.members
-            assert all(least <= table.ideals[i] for i in f.members)
+        # the fold of `meet` over a filter's members is its least member
+        for rg in (R_X3, R_MIXED):
+            table = build_table(rg)
+            assert table.ideals[oracle._meet_all(table, [])] == frozenset(range(table.size))
+            for f in enumerate_filters(table):
+                least = table.ideals[oracle._meet_all(table, f.members)]
+                assert table.ideal_index[least] in f.members
+                assert all(least <= table.ideals[i] for i in f.members)
 
 
 def _direct_sum(mods):
@@ -260,7 +269,8 @@ class TestModules:
         polys = [poly_from_str(m, p) for m in mods]
         modulus = functools.reduce(operator.mul, polys)
         table = build_table(QuotientRing.make(PrimeField(p), modulus))
-        ideals = [table.principal(table.reps.index(m % modulus)) for m in polys]
+        pos = _pair_polys(p, modulus.degree)[1]
+        ideals = [table.principal(pos[m % modulus]) for m in polys]
         keys = [(i, j) for i, e in enumerate(table.prime_exponents) for j in range(1, e + 1)]
         multiset = tuple(next(k for k in keys if table.principal(table.prime_power(*k)) == ideal)
                          for ideal in ideals)
@@ -454,33 +464,38 @@ def _pair_polys(p, d):
     return tuple(reps), pos, sums, list(products), where
 
 
+def _ideal_product(table, i1, i2):
+    """The span of the products xy, x in i1 and y in i2: their closure under
+    addition."""
+    prods = {table.mul[x][y] for x in i1 for y in i2}
+    span = set(prods)
+    frontier = list(prods)
+    while frontier:
+        v = frontier.pop()
+        for w in list(span):
+            s = table.add[v][w]
+            if s not in span:
+                span.add(s)
+                frontier.append(s)
+    return frozenset(span)
+
+
 def _check_kernels(table):
-    """The tables against PrimePoly arithmetic, every entry of `colon`
-    against the set-builder definition of a^{-1}L, and every entry of
-    `products` against {xy} and against the closure under addition: an
-    ideal holds the products exactly when it holds their span.  Every entry
-    of `up`, `meet`, `colon_range` and `product_up` against its definition."""
+    """The tables against PrimePoly arithmetic in the numbering of
+    `_pair_polys`, and every entry of `up`, `meet`, `colon_range` and
+    `product_up` against its definition: each colon ideal a^{-1}L against
+    its set-builder definition, and each set of products against {xy} and
+    against their span, which is an ideal of the list: an ideal holds the
+    products exactly when it holds their span."""
     f = table.ring.modulus
-    reps, pos, sums, products, where = _pair_polys(f.p, f.degree)
+    _, pos, sums, products, where = _pair_polys(f.p, f.degree)
     reduced = [pos[q % f] for q in products]
-    assert table.reps == reps
     assert table.add == sums
     assert table.mul == tuple(tuple(reduced[k] for k in row) for row in where)
     size = range(table.size)
     ideals = table.ideals
-    assert len(table.colon) == len(ideals)
-    for l, row in zip(ideals, table.colon):
-        assert len(row) == table.size
-        for a, c in enumerate(row):
-            assert ideals[c] == {b for b in size if table.mul[a][b] in l}
-    assert len(table.products) == len(ideals)
-    for i1, row in zip(ideals, table.products):
-        assert len(row) == len(ideals)
-        for i2, prods in zip(ideals, row):
-            assert prods == {table.mul[x][y] for x in i1 for y in i2}
-            span = oracle._ideal_product(table, i1, i2)
-            assert [prods <= l for l in ideals] == [span <= l for l in ideals]
     n = len(ideals)
+    assert ideals[0] == frozenset(size)
     assert len(table.up) == len(table.meet) == n
     for i in range(n):
         assert table.up[i] == {j for j in range(n) if ideals[i] <= ideals[j]}
@@ -489,11 +504,15 @@ def _check_kernels(table):
             assert ideals[table.meet[i][k]] == ideals[i] & ideals[k]
     assert len(table.colon_range) == len(table.product_up) == n
     for l in range(n):
+        colon = [table.ideal_index[frozenset(b for b in size if table.mul[a][b] in ideals[l])]
+                 for a in size]
         assert len(table.colon_range[l]) == len(table.product_up[l]) == n
         for j in range(n):
-            assert table.colon_range[l][j] == {table.colon[l][a] for a in ideals[j]}
-            assert table.product_up[l][j] == {k for k in range(n)
-                                              if table.products[l][j] <= ideals[k]}
+            assert table.colon_range[l][j] == {colon[a] for a in ideals[j]}
+            prods = {table.mul[x][y] for x in ideals[l] for y in ideals[j]}
+            span = _ideal_product(table, ideals[l], ideals[j])
+            assert table.product_up[l][j] == {k for k in range(n) if prods <= ideals[k]}
+            assert table.product_up[l][j] == table.up[table.ideal_index[span]]
 
 
 def _class_inside(cls, allowed: frozenset) -> bool:
@@ -536,7 +555,7 @@ def _reference_subcategories(table, length_bound):
         for key in allowed:
             least = least & table.principal(table.prime_power(*key))
         closed = _class_inside(iso_class(cyclic_module(table, least)), allowed)
-        idem = oracle._ideal_product(table, least, least) == least
+        idem = _ideal_product(table, least, least) == least
         exponents = tuple(max((j for (i, j) in allowed if i == l), default=0)
                           for l in range(len(table.prime_exponents)))
         out.append(oracle.SubcategoryData(exponents, preloc, localizing, closed,

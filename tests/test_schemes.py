@@ -4,6 +4,7 @@ import pytest
 
 from qfilt.errors import GluingError, QfiltError, RingMismatchError
 from qfilt.fields import PrimeField, SymbolicAlgClosed
+from qfilt.filters import glue_filters, improper_filter, trivial_filter
 from qfilt.ideals import QuotientRing
 from qfilt.poly import factored_from_str, poly_from_str
 from qfilt.schemes import (
@@ -85,6 +86,22 @@ class TestSheafConstruction:
         s = sheaf_from_poly(A1, factored_from_str("(x-a)^2*(x-b)"))
         assert s == sheaf(A1, {A: 2, B: 1})
         assert sheaf_from_poly(A1, factored_from_str("1")) == unit_sheaf(A1)
+
+    @pytest.mark.parametrize("scheme", [P1, P1.chart(1).scheme, U3, UZ], ids=str)
+    def test_from_poly_needs_affine_scheme(self, scheme):
+        with pytest.raises(QfiltError, match="does not take affine-ideal input"):
+            sheaf_from_poly(scheme, factored_from_str("(x-a)"))
+
+    @pytest.mark.parametrize("scheme,gen", [
+        (A1, poly_from_str("x", 2)),
+        (AffineLine(PrimeField(2)), factored_from_str("(x-a)")),
+        (AffineLine(PrimeField(2)), poly_from_str("x", 3)),
+        (Q, poly_from_str("x", 3)),
+        (Q, factored_from_str("(x-a)")),
+    ], ids=str)
+    def test_from_poly_rejects_foreign_generator(self, scheme, gen):
+        with pytest.raises(RingMismatchError, match="generator is over a different field"):
+            sheaf_from_poly(scheme, gen)
 
 
 class TestSheafArithmetic:
@@ -177,6 +194,43 @@ class TestRestrictGlue:
         with pytest.raises(GluingError):
             glue_ideals(P1, {0: sheaf(P1.chart(0).scheme, {A: 1, B: 1}),
                              1: sheaf(P1.chart(1).scheme, {A: 2})})
+
+
+# (glue, chart data killed everywhere, chart data killed nowhere, the
+# message of charts that disagree on being killed) for filters and sheaves
+GLUERS = {
+    "filters": (glue_filters, improper_filter, trivial_filter,
+                "incompatible charts: improper on one chart only"),
+    "ideals": (glue_ideals, zero_sheaf, unit_sheaf,
+               "overlap mismatch: one chart is the zero sheaf and the other is not"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GLUERS))
+class TestGluingErrors:
+    def test_rest_outside_its_choices(self, kind):
+        glue, _, nowhere, _ = GLUERS[kind]
+        with pytest.raises(GluingError, match="^rest must be .* not 'everything'$"):
+            glue(UZ, {0: nowhere(UZ.chart(0).scheme)}, rest="everything")
+
+    def test_proj_line_needs_chart_one(self, kind):
+        glue, _, nowhere, _ = GLUERS[kind]
+        with pytest.raises(GluingError, match="^the projective line needs chart data for "
+                                              "charts 0 and 1$"):
+            glue(P1, {0: nowhere(P1.chart(0).scheme)})
+
+    def test_union_chart_names_no_component(self, kind):
+        # U3 has components 0, 1 and 2
+        glue, _, nowhere, _ = GLUERS[kind]
+        with pytest.raises(GluingError, match="^no component 3 on "):
+            glue(U3, {0: nowhere(U3.chart(0).scheme), 3: nowhere(U3.chart(0).scheme)})
+
+    def test_proj_charts_killed_on_one_chart_only(self, kind):
+        glue, everywhere, nowhere, message = GLUERS[kind]
+        with pytest.raises(GluingError, match=f"^{message}$"):
+            glue(P1, {0: everywhere(P1.chart(0).scheme), 1: nowhere(P1.chart(1).scheme)})
+        with pytest.raises(GluingError, match=f"^{message}$"):
+            glue(P1, {0: nowhere(P1.chart(0).scheme), 1: everywhere(P1.chart(1).scheme)})
 
 
 class TestClosedSubscheme:
