@@ -13,25 +13,26 @@ ideal indices: `up` (the ideals containing each ideal), `meet` (the
 intersection of each pair), `colon_range` (the colon ideals a^{-1}L over
 the a of each ideal) and `product_up` (the ideals holding the products xy
 of each pair of ideals).  A filter, and each element annihilator, is a set
-of ideal indices.  Subcategories are enumerated independently of the
-filter lattice, as sets of indecomposable module classes certified by
-explicit submodule enumeration, each set a bitmask over the
-indecomposables, and the bijection between the two enumerations is
-checked rather than assumed.
+of ideal indices, and the join of two filters is read off `up` and `meet`.
+Subcategories are enumerated independently of the filter lattice, as sets
+of indecomposable module classes certified by explicit submodule
+enumeration, each set a bitmask over the indecomposables, and the
+bijection between the two enumerations is checked rather than assumed.
 
 A finite module is its elements 0..n-1 (0 the zero) with list tables for
 addition and for multiplication by each ring element.  R/I numbers the
-cosets of I, and a direct sum numbers its tuples by mixed radix, so every
-table is built by index arithmetic.  The submodules of a direct sum
-M' + R/(p^j) come from those of M' by Goursat's lemma, each exactly once:
-a submodule is its intersection with M', the image p^a·R/(p^j) of its
-last coordinate, and the coset of M' that the image's generator lifts to.
-The classes of a submodule N and of its quotient are read off counts: for
-each scalar r that picks out p_i^j times the p_i-primary part, |r·N| is
-|N| / |N ∩ ker r| and |r·(M/N)| is |r·M| / |N ∩ r·M|.  The direct sums of
-indecomposables are built once per ring table and shared by the
-subcategory enumeration and the membership check, which reads the element
-annihilators of each module once for all filters.
+cosets of I, so R/R is the zero module, and a direct sum numbers its
+tuples by mixed radix, so every table is built by index arithmetic.  The
+submodules of a direct sum M' + R/(p^j) come from those of M' by
+Goursat's lemma, each exactly once: a submodule is its intersection with
+M', the image p^a·R/(p^j) of its last coordinate, and the coset of M'
+that the image's generator lifts to.  The classes of a submodule N and of
+its quotient are read off counts: for each scalar r that picks out p_i^j
+times the p_i-primary part, |r·N| is |N| / |N ∩ ker r| and |r·(M/N)| is
+|r·M| / |N ∩ r·M|.  The direct sums of indecomposables are built once per
+ring table and shared by the subcategory enumeration and the membership
+check, which reads the element annihilators of each module once for all
+filters.
 
 verify_ring() bundles all of these cross-checks for one ring and reports
 each as a named pass/fail line with counterexample details on failure.
@@ -47,9 +48,14 @@ import math
 import operator
 from functools import cached_property, reduce
 
+from .classify import classify, member
 from .config import MAX_ORACLE_ELEMENTS, MAX_ORACLE_IDEALS, MAX_SUBCAT_LENGTH
 from .errors import LatticeTooLargeError, QfiltError
+from .filters import (contains, enumerate_quotient_filters, is_principal, is_product_closed,
+                      join as fjoin, meet as fmeet, product as fproduct)
 from .ideals import QuotientRing
+from .schemes import AffineQuotient, sheaf
+from .spectrum import module_data
 from .values import Value
 
 Element = int
@@ -168,15 +174,11 @@ class FiniteRingTable(Value):
     @cached_property
     def scheme(self):
         """The engine's scheme of the ring."""
-        from .schemes import AffineQuotient
-
         return AffineQuotient(self.ring)
 
     @cached_property
     def ideal_sheaves(self) -> tuple:
         """The engine's ideal sheaf of each ideal, from its vanishing orders."""
-        from .schemes import sheaf
-
         points = [pt for pt, _ in self.scheme.primes()]
         return tuple(sheaf(self.scheme, dict(zip(points, exps))) for exps in self.ideal_exponents)
 
@@ -347,7 +349,9 @@ def enumerate_filters(table: FiniteRingTable) -> tuple[ExplicitFilter, ...]:
 
 
 def check_prelocalizing(flt: ExplicitFilter) -> bool:
-    """Whether a^{-1}L stays in the filter for every a and member L."""
+    """Whether a^{-1}L stays in the filter for every a and member L.  It
+    always does: in a commutative ring a^{-1}L contains L, and the
+    ExplicitFilter constructor enforces up-closure."""
     colon_range = flt.table.colon_range
     return all(flt.members.issuperset(colon_range[i][0]) for i in flt.members)
 
@@ -396,7 +400,6 @@ class ExplicitModule(Value):
     __slots__ = ("table", "add_table", "smul_table")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-    zero = 0
 
     def __init__(self, table: FiniteRingTable, add_table: list[list[int]] | None,
                  smul_table: list[list[int]]):
@@ -437,10 +440,6 @@ def _sum_rows(pairs, n: int) -> list[list[int]]:
     """The rows of a direct sum's table from pairs of summand rows, the
     second summand of size n."""
     return [[x * n + y for x in ra for y in rb] for ra, rb in pairs]
-
-
-def zero_module(table: FiniteRingTable) -> ExplicitModule:
-    return ExplicitModule(table, [[0]], [[0]] * table.size)
 
 
 def submodules(table: FiniteRingTable, multiset: tuple, prefix=None) -> tuple[frozenset, ...]:
@@ -586,19 +585,11 @@ def _indecomposable_keys(table: FiniteRingTable):
 
 
 def _all_multisets(keys, length_bound: int):
-    """Multisets of indecomposable keys with total length <= bound; the
-    length of (i, j) is j."""
-    out = [()]
-    def rec(start: int, used: int, acc):
-        for k in range(start, len(keys)):
-            ln = keys[k][1]
-            if used + ln > length_bound:
-                continue
-            nxt = acc + (keys[k],)
-            out.append(nxt)
-            rec(k, used + ln, nxt)
-    rec(0, 0, ())
-    return out
+    """Multisets of indecomposable keys with total length <= bound, the
+    length of (i, j) being j, by number of summands: each after its prefix."""
+    return [ms for size in range(length_bound + 1)
+            for ms in itertools.combinations_with_replacement(keys, size)
+            if sum(j for _, j in ms) <= length_bound]
 
 
 def _multiset_module(table: FiniteRingTable, multiset: tuple) -> ExplicitModule:
@@ -613,8 +604,10 @@ def _multiset_module(table: FiniteRingTable, multiset: tuple) -> ExplicitModule:
             last = _multiset_module(table, multiset[-1:])
             tables = [None, _sum_rows(zip(head.smul_table, last.smul_table), last.size)]
         else:
-            mod = (cyclic_module(table, table.principal(table.prime_power(*multiset[0])))
-                   if multiset else zero_module(table))
+            # ideal 0 is the unit ideal, so the empty sum is R/R, the zero module
+            ideal = (table.principal(table.prime_power(*multiset[0])) if multiset
+                     else table.ideals[0])
+            mod = cyclic_module(table, ideal)
             tables = [mod.add_table, mod.smul_table]
         table.modules[multiset] = tables
     return ExplicitModule(table, *tables)
@@ -732,23 +725,12 @@ def element_annihilators(mod: ExplicitModule) -> frozenset[int]:
 
 
 def oracle_join(table: FiniteRingTable, a: ExplicitFilter, b: ExplicitFilter) -> ExplicitFilter:
-    """Smallest filter containing both: close the union under intersections
-    and upward."""
+    """Smallest filter containing both: the ideals that contain A ∩ B for
+    some member A of a and B of b.  They form a filter, since a and b are
+    closed under intersection, and every filter holding a and b holds them."""
     up, meet = table.up, table.meet
-    members = set(a.members | b.members)
-    changed = True
-    while changed:
-        changed = False
-        for i, j in itertools.combinations(list(members), 2):
-            k = meet[i][j]
-            if k not in members:
-                members.add(k)
-                changed = True
-        for i in list(members):
-            if not members.issuperset(up[i]):
-                members.update(up[i])
-                changed = True
-    return ExplicitFilter(table, frozenset(members))
+    return ExplicitFilter(table, frozenset().union(
+        *(up[meet[i][j]] for i in a.members for j in b.members)))
 
 
 # ---------------------------------------------------------------------------
@@ -757,21 +739,12 @@ def oracle_join(table: FiniteRingTable, a: ExplicitFilter, b: ExplicitFilter) ->
 
 def engine_filter_to_explicit(flt, table: FiniteRingTable) -> ExplicitFilter:
     """Membership of every explicit ideal, asked of the symbolic engine."""
-    from .filters import contains
-
     return ExplicitFilter(table, frozenset(
         idx for idx, ideal in enumerate(table.ideal_sheaves) if contains(flt, ideal)))
 
 
 def verify_ring(ring: QuotientRing, length_bound: int = 4) -> OracleReport:
     """Cross-check the symbolic engine against brute force on one ring."""
-    from .classify import classify, member
-    from .filters import (enumerate_quotient_filters, is_principal,
-                          is_product_closed, join as fjoin, meet as fmeet,
-                          product as fproduct)
-    from .schemes import AffineQuotient
-    from .spectrum import module_data
-
     report = OracleReport(ring)
     # what follows from the factorization is checked before build_table
     # lays out a table, in the order the stages below would check it: the

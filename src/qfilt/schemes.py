@@ -186,9 +186,6 @@ class Scheme(Value):
             return ()
         return tuple(generic_point(c) for c in range(self.component_count))
 
-    def all_closed_points(self):
-        return None if self.closed is None else tuple(pt for pt, _ in self.closed)
-
     def primes(self) -> tuple[tuple[SpecPoint, int], ...] | None:
         """((point, stalk length), ...) in component order."""
         return self.closed

@@ -289,10 +289,10 @@ def finite_closed(scheme, points) -> SpecClosedSet:
         scheme.check_closed_point(pt)
     if not pts:
         return empty_set(scheme)
-    finite_all = scheme.all_closed_points()
-    if finite_all is not None and set(pts) == set(finite_all):
-        # every closed point: only an Artinian quotient lists its closed
-        # points, and it has no generic points, so this is everything
+    if scheme.closed is not None and len(pts) == len(scheme.closed):
+        # every closed point, since the points are distinct and lie on the
+        # scheme: only an Artinian quotient lists its closed points, and it
+        # has no generic points, so this is everything
         return all_set(scheme)
     return SpecClosedSet(scheme, "finite", pts)
 
@@ -394,7 +394,7 @@ def spec(scheme, degree_bound: int | None = None, labels=()) -> SpecPoset:
         closed = [pt for pt in map(closed_point, names) if pt not in scheme.removed]
         closed += scheme.added
     else:
-        closed = scheme.all_closed_points()
+        closed = [pt for pt, _ in scheme.closed]
     closed, generic = sorted_points(closed), sorted_points(scheme.generic_points())
     pairs = tuple((g, pt) for g in generic for pt in closed if pt.component == g.component)
     return SpecPoset(scheme, closed, generic, pairs, line, scheme.component_count is None)

@@ -212,7 +212,7 @@ def test_criterion_6_membership():
                 explicit = engine_filter_to_explicit(flt, table)
                 elementwise = all(
                     table.ideal_index[frozenset(r for r in range(table.size)
-                                                if mod.smul_table[r][m] == mod.zero)]
+                                                if mod.smul_table[r][m] == 0)]
                     in explicit.members
                     for m in range(mod.size))
                 assert member(data, flt) == elementwise, (parts, flt)

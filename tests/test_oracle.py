@@ -314,7 +314,14 @@ class TestModules:
         mod = cyclic_module(table, table.principal(table.prime_power(0, 2)))
         total = max(submodules(table, ((0, 2),)), key=len)
         coset, reps = cosets(mod.add_table, total)
-        assert reps == [mod.zero] and set(coset) == {0}
+        assert reps == [0] and set(coset) == {0}
+
+    def test_empty_sum_is_quotient_by_unit_ideal(self):
+        # R/R, ideal 0 being the unit ideal: one element, killed by everything
+        table = build_table(R_MIXED)
+        mod = oracle._multiset_module(table, ())
+        assert mod.add_table == [[0]]
+        assert mod.smul_table == [[0]] * table.size
 
     def test_indecomposables(self):
         table = build_table(R_MIXED)
@@ -337,7 +344,7 @@ def _image_class(mod):
     out = []
     for i, e in enumerate(table.prime_exponents):
         killer = mod.smul_table[table.prime_power(i, e)]
-        part = [x for x in range(mod.size) if killer[x] == mod.zero]
+        part = [x for x in range(mod.size) if killer[x] == 0]
         base = table.ring.modulus.p ** table.prime_degrees[i]
         images = [{mod.smul_table[table.prime_power(i, j)][x] for x in part}
                   for j in range(e + 1)]
@@ -401,7 +408,7 @@ class TestMember:
             expected = all(
                 table.ideal_index[frozenset(
                     r for r in range(table.size)
-                    if mod.smul_table[r][m] == mod.zero)] in flt.members
+                    if mod.smul_table[r][m] == 0)] in flt.members
                 for m in range(mod.size))
             assert (element_annihilators(mod) <= flt.members) == expected
 
@@ -515,6 +522,63 @@ def _check_kernels(table):
             assert table.product_up[l][j] == table.up[table.ideal_index[span]]
 
 
+def _fixpoint_join(table, a, b):
+    """The least filter holding a and b: their union closed under
+    intersections and upward until nothing changes."""
+    up, meet = table.up, table.meet
+    members = set(a.members | b.members)
+    changed = True
+    while changed:
+        changed = False
+        for i, j in itertools.combinations(list(members), 2):
+            k = meet[i][j]
+            if k not in members:
+                members.add(k)
+                changed = True
+        for i in list(members):
+            if not members.issuperset(up[i]):
+                members.update(up[i])
+                changed = True
+    return frozenset(members)
+
+
+def _check_joins(table):
+    """oracle_join against the fixpoint closure on every pair of filters."""
+    flts = enumerate_filters(table)
+    for a, b in itertools.product(flts, repeat=2):
+        assert oracle_join(table, a, b).members == _fixpoint_join(table, a, b)
+
+
+def _recursive_multisets(keys, length_bound):
+    """Multisets of keys of total length <= bound, depth first: each
+    multiset, then its extensions by keys from its last one on."""
+    out = [()]
+
+    def rec(start, used, acc):
+        for k in range(start, len(keys)):
+            ln = keys[k][1]
+            if used + ln > length_bound:
+                continue
+            nxt = acc + (keys[k],)
+            out.append(nxt)
+            rec(k, used + ln, nxt)
+
+    rec(0, 0, ())
+    return out
+
+
+def _check_multisets(table, least_bound):
+    """_all_multisets against the depth-first enumeration at every bound
+    from the least one to 4, each multiset listed once and after its prefix."""
+    keys = oracle._indecomposable_keys(table)
+    for bound in range(least_bound, 5):
+        found = oracle._all_multisets(keys, bound)
+        assert len(found) == len(set(found))
+        assert set(found) == set(_recursive_multisets(keys, bound))
+        position = {ms: k for k, ms in enumerate(found)}
+        assert all(position[ms[:-1]] < k for k, ms in enumerate(found) if ms)
+
+
 def _class_inside(cls, allowed: frozenset) -> bool:
     """Whether every indecomposable in the class is in the allowed set of
     (prime index, exponent) pairs."""
@@ -567,7 +631,8 @@ def _reference_subcategories(table, length_bound):
 def test_sweep_small_rings_pass(rg, monkeypatch):
     """Every ring passes at the least length bound it admits, the table
     verify_ring built and the tables derived from it match their references,
-    and so do the subcategories it enumerated."""
+    and so do the subcategories it enumerated, the joins of its filters and
+    its multisets of indecomposables."""
     tables, subcategories = [], []
 
     def recording(ring):
@@ -586,3 +651,5 @@ def test_sweep_small_rings_pass(rg, monkeypatch):
     (table,) = tables
     _check_kernels(table)
     assert subcategories == [_reference_subcategories(table, bound)]
+    _check_joins(table)
+    _check_multisets(table, bound)
