@@ -55,27 +55,15 @@ from .values import Value
 
 
 class ClassificationReport(Value):
-    """Flags and attachments for the subcategory of a local filter."""
+    """Flags and attachments for the subcategory of a local filter.
+
+    Fields, in order: the filter; the flags prelocalizing, localizing,
+    closed and bilocalizing; the point the filter is prime at, or None; and
+    supp, subscheme, clopen and complement, the attachments of a localizing,
+    a closed and (the last two) a bilocalizing filter, None otherwise."""
 
     __slots__ = ("filter", "prelocalizing", "localizing", "closed", "bilocalizing", "prime",
                  "supp", "subscheme", "clopen", "complement")
-
-    def __init__(self, filter: LocalFilter, prelocalizing: bool, localizing: bool, closed: bool,
-                 bilocalizing: bool, prime: SpecPoint | None, supp: SpecClosedSet | None,
-                 subscheme: ClosedSubscheme | None, clopen: SpecClosedSet | None,
-                 complement: IdealSheaf | None):
-        (set_filter, set_prelocalizing, set_localizing, set_closed, set_bilocalizing, set_prime,
-         set_supp, set_subscheme, set_clopen, set_complement) = ClassificationReport._setters
-        set_filter(self, filter)
-        set_prelocalizing(self, prelocalizing)
-        set_localizing(self, localizing)
-        set_closed(self, closed)
-        set_bilocalizing(self, bilocalizing)
-        set_prime(self, prime)
-        set_supp(self, supp)
-        set_subscheme(self, subscheme)
-        set_clopen(self, clopen)
-        set_complement(self, complement)
 
 
 def classify(flt: LocalFilter) -> ClassificationReport:

@@ -124,11 +124,6 @@ class StalkFilter(Value):
 
     __slots__ = ("kind", "bound")
 
-    def __init__(self, kind: str, bound: int | None = None):
-        set_kind, set_bound = StalkFilter._setters
-        set_kind(self, kind)
-        set_bound(self, bound)
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.kind, self.bound) == (other.kind, other.bound)
@@ -142,9 +137,9 @@ def up_to(n: int) -> StalkFilter:
     return StalkFilter("up_to", n)
 
 
-ALL_POWERS = StalkFilter("all_powers")
-EVERYTHING = StalkFilter("everything")
-FULL_ONLY = StalkFilter("full_only")
+ALL_POWERS = StalkFilter("all_powers", None)
+EVERYTHING = StalkFilter("everything", None)
+FULL_ONLY = StalkFilter("full_only", None)
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +384,6 @@ class FilterBase(Value):
 
     __slots__ = ("scheme", "generators", "cofinite")
 
-    def __init__(self, scheme, generators: tuple[IdealSheaf, ...] = (), cofinite: bool = False):
-        set_scheme, set_generators, set_cofinite = FilterBase._setters
-        set_scheme(self, scheme)
-        set_generators(self, generators)
-        set_cofinite(self, cofinite)
-
 
 def filter_base(scheme, generators) -> FilterBase:
     gens = tuple(generators)
@@ -402,7 +391,7 @@ def filter_base(scheme, generators) -> FilterBase:
         check_same_scheme(scheme, g.scheme)
     if not gens:
         raise QfiltError("a filter base needs at least one generator")
-    return FilterBase(scheme, gens)
+    return FilterBase(scheme, gens, False)
 
 
 def cofinite_family(scheme) -> FilterBase:
@@ -412,7 +401,7 @@ def cofinite_family(scheme) -> FilterBase:
         raise UnsupportedFamilyError(
             "the cofinite-components family lives on the symbolic disjoint union only"
         )
-    return FilterBase(scheme, (), cofinite=True)
+    return FilterBase(scheme, (), True)
 
 
 def generate(base: FilterBase) -> LocalFilter:

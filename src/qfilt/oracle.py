@@ -401,13 +401,6 @@ class ExplicitModule(Value):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, table: FiniteRingTable, add_table: list[list[int]] | None,
-                 smul_table: list[list[int]]):
-        set_table, set_add_table, set_smul_table = ExplicitModule._setters
-        set_table(self, table)
-        set_add_table(self, add_table)
-        set_smul_table(self, smul_table)
-
     @property
     def size(self) -> int:
         return len(self.smul_table[0])
@@ -548,16 +541,6 @@ class SubcategoryData(Value):
     """A subcategory as per-prime exponent ceilings plus certified flags."""
 
     __slots__ = ("exponents", "prelocalizing", "localizing", "closed", "bilocalizing")
-
-    def __init__(self, exponents: tuple[int, ...], prelocalizing: bool, localizing: bool,
-                 closed: bool, bilocalizing: bool):
-        (set_exponents, set_prelocalizing, set_localizing, set_closed,
-         set_bilocalizing) = SubcategoryData._setters
-        set_exponents(self, exponents)
-        set_prelocalizing(self, prelocalizing)
-        set_localizing(self, localizing)
-        set_closed(self, closed)
-        set_bilocalizing(self, bilocalizing)
 
 
 class OracleReport(Value):

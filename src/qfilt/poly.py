@@ -214,10 +214,6 @@ class FactoredPoly(Value):
 
     __slots__ = ("factors",)
 
-    def __init__(self, factors: tuple[tuple[str, int], ...]):
-        (set_factors,) = FactoredPoly._setters
-        set_factors(self, factors)
-
     @staticmethod
     def make(pairs) -> "FactoredPoly":
         acc: dict[str, int] = {}

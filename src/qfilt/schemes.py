@@ -547,11 +547,6 @@ class ClosedSubscheme(Value):
 
     __slots__ = ("ideal", "support")
 
-    def __init__(self, ideal: IdealSheaf, support: SpecClosedSet):
-        set_ideal, set_support = ClosedSubscheme._setters
-        set_ideal(self, ideal)
-        set_support(self, support)
-
 
 def closed_subscheme(ideal: IdealSheaf) -> ClosedSubscheme:
     return ClosedSubscheme(ideal, subscheme_support(ideal))

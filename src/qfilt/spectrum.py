@@ -266,21 +266,13 @@ class SpecClosedSet(Value):
 
     __slots__ = ("scheme", "kind", "points", "components")
 
-    def __init__(self, scheme, kind: str, points: tuple[SpecPoint, ...] = (),
-                 components: ComponentSet | None = None):
-        set_scheme, set_kind, set_points, set_components = SpecClosedSet._setters
-        set_scheme(self, scheme)
-        set_kind(self, kind)
-        set_points(self, points)
-        set_components(self, components)
-
 
 def empty_set(scheme) -> SpecClosedSet:
-    return SpecClosedSet(scheme, "empty")
+    return SpecClosedSet(scheme, "empty", (), None)
 
 
 def all_set(scheme) -> SpecClosedSet:
-    return SpecClosedSet(scheme, "all")
+    return SpecClosedSet(scheme, "all", (), None)
 
 
 def finite_closed(scheme, points) -> SpecClosedSet:
@@ -294,7 +286,7 @@ def finite_closed(scheme, points) -> SpecClosedSet:
         # scheme: only an Artinian quotient lists its closed points, and it
         # has no generic points, so this is everything
         return all_set(scheme)
-    return SpecClosedSet(scheme, "finite", pts)
+    return SpecClosedSet(scheme, "finite", pts, None)
 
 
 def cofinite_closed(scheme, excluded) -> SpecClosedSet:
@@ -304,7 +296,7 @@ def cofinite_closed(scheme, excluded) -> SpecClosedSet:
     pts = sorted_points(set(excluded))
     for pt in pts:
         scheme.check_closed_point(pt)
-    return SpecClosedSet(scheme, "cofinite_closed", pts)
+    return SpecClosedSet(scheme, "cofinite_closed", pts, None)
 
 
 def component_set(scheme, components: ComponentSet, points=()) -> SpecClosedSet:
@@ -319,7 +311,7 @@ def component_set(scheme, components: ComponentSet, points=()) -> SpecClosedSet:
         return finite_closed(scheme, points)
     if scheme.covers(cs):
         return all_set(scheme)
-    return SpecClosedSet(scheme, "components", components=cs)
+    return SpecClosedSet(scheme, "components", (), cs)
 
 
 def is_specialization_closed(subset, scheme) -> bool:
@@ -343,24 +335,16 @@ def is_specialization_closed(subset, scheme) -> bool:
 
 
 class SpecPoset(Value):
-    """Enumerated part of a spectrum with its specialization order:
-    `specializations` lists the pairs x < y of the atom order, each a
-    generic point and a closed point of its component, sorted by x, then y."""
+    """Enumerated part of a spectrum with its specialization order.
+
+    Fields, in order: scheme, the listed closed and generic points,
+    specializations (the pairs x < y of the atom order, each a generic point
+    and a closed point of its component, sorted by x, then y), and the flags
+    symbolic_closed (a line: closed points run on past those listed) and
+    symbolic_components (infinitely many components)."""
 
     __slots__ = ("scheme", "closed", "generic", "specializations", "symbolic_closed",
                  "symbolic_components")
-
-    def __init__(self, scheme, closed: tuple[SpecPoint, ...], generic: tuple[SpecPoint, ...],
-                 specializations: tuple[tuple[SpecPoint, SpecPoint], ...],
-                 symbolic_closed: bool, symbolic_components: bool):
-        (set_scheme, set_closed, set_generic, set_specializations, set_symbolic_closed,
-         set_symbolic_components) = SpecPoset._setters
-        set_scheme(self, scheme)
-        set_closed(self, closed)
-        set_generic(self, generic)
-        set_specializations(self, specializations)
-        set_symbolic_closed(self, symbolic_closed)
-        set_symbolic_components(self, symbolic_components)
 
 
 def spec(scheme, degree_bound: int | None = None, labels=()) -> SpecPoset:
@@ -412,12 +396,6 @@ class TorsionSheafData(Value):
     carrying a summand with zero annihilator."""
 
     __slots__ = ("scheme", "divisors", "free")
-
-    def __init__(self, scheme, divisors: tuple[tuple[SpecPoint, int], ...], free: ComponentSet):
-        set_scheme, set_divisors, set_free = TorsionSheafData._setters
-        set_scheme(self, scheme)
-        set_divisors(self, divisors)
-        set_free(self, free)
 
 
 def module_data(scheme, divisors=(), free=False) -> TorsionSheafData:

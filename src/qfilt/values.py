@@ -3,9 +3,11 @@
 A value type lists its fields in __slots__, in constructor order, and
 `_fields` names those that equality, hashing, repr and copying read: all
 of them unless the class derives some from the others.  Assigning or
-deleting a field raises AttributeError, so each class's __init__ stores
-its fields through the slots' own __set__, which Value captures once per
-class in `_setters`.
+deleting a field raises AttributeError, so fields are stored through the
+slots' own __set__, which Value captures once per class in `_setters`.
+Value's __init__ stores the values it is given in slot order.  The types
+that the engine builds in its loops, and those that derive, check or
+default a field, spell out their own.
 
 Two values are equal only within one class and with equal fields, and a
 value hashes as the tuple of its fields.  The __eq__ and __hash__ here
@@ -28,6 +30,14 @@ class Value:
         cls._setters = tuple(getattr(cls, name).__set__ for name in stored)
         if "_fields" not in vars(cls):
             cls._fields = stored
+
+    def __init__(self, *values):
+        setters = self._setters
+        if len(values) != len(setters):
+            raise TypeError(f"{self.__class__.__qualname__} takes {len(setters)} values, "
+                            f"got {len(values)}")
+        for store, value in zip(setters, values):
+            store(self, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

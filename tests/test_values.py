@@ -111,6 +111,18 @@ def test_pickle_and_deepcopy_round_trip(value, round_trip):
         assert back == value
 
 
+BUILT_BY_VALUE = [v for v in SAMPLES if "__init__" not in vars(type(v))]
+
+
+@pytest.mark.parametrize("value", BUILT_BY_VALUE, ids=[type(v).__name__ for v in BUILT_BY_VALUE])
+def test_wrong_field_count_names_the_class(value):
+    cls, fields = type(value), [getattr(value, name) for name in _stored(value)]
+    # a type without fields can only be given one too many
+    for wrong in ([fields[:-1]] if fields else []) + [fields + [None]]:
+        with pytest.raises(TypeError, match=cls.__name__):
+            cls(*wrong)
+
+
 @pytest.mark.parametrize("value", SAMPLES, ids=IDS)
 def test_repr_names_class_and_fields(value):
     text = repr(value)
