@@ -47,14 +47,6 @@ class PrimeField(Value):
         (set_p,) = PrimeField._setters
         set_p(self, p)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p,) == (other.p,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.p,))
-
     def __str__(self) -> str:
         return f"F{self.p}"
 

@@ -31,14 +31,6 @@ class QuotientRing(Value):
         set_modulus(self, modulus)
         set_factors(self, factor(modulus))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.field, self.modulus) == (other.field, other.modulus)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.modulus))
-
     @staticmethod
     def make(field: BaseField, modulus: Poly) -> "QuotientRing":
         if not isinstance(field, PrimeField):

@@ -20,19 +20,20 @@ enumeration, each set a bitmask over the indecomposables, and the
 bijection between the two enumerations is checked rather than assumed.
 
 A finite module is its elements 0..n-1 (0 the zero) with list tables for
-addition and for multiplication by each ring element.  R/I numbers the
-cosets of I, so R/R is the zero module, and a direct sum numbers its
-tuples by mixed radix, so every table is built by index arithmetic.  The
-submodules of a direct sum M' + R/(p^j) come from those of M' by
-Goursat's lemma, each exactly once: a submodule is its intersection with
-M', the image p^a·R/(p^j) of its last coordinate, and the coset of M'
-that the image's generator lifts to.  The classes of a submodule N and of
-its quotient are read off counts: for each scalar r that picks out p_i^j
-times the p_i-primary part, |r·N| is |N| / |N ∩ ker r| and |r·(M/N)| is
-|r·M| / |N ∩ r·M|.  The direct sums of indecomposables are built once per
-ring table and shared by the subcategory enumeration and the membership
-check, which reads the element annihilators of each module once for all
-filters.
+addition and for multiplication by each ring element, and a submodule is
+an int bitset over those elements, bit x set when x is in it.  R/I
+numbers the cosets of I, so R/R is the zero module, and a direct sum
+numbers its tuples by mixed radix, so every table is built by index
+arithmetic.  The submodules of a direct sum M' + R/(p^j) come from those
+of M' by Goursat's lemma, each exactly once: a submodule is its
+intersection with M', the image p^a·R/(p^j) of its last coordinate, and
+the coset of M' that the image's generator lifts to.  The classes of a
+submodule N and of its quotient are read off counts of set bits: for
+each scalar r that picks out p_i^j times the p_i-primary part, |r·N| is
+|N| / |N ∩ ker r| and |r·(M/N)| is |r·M| / |N ∩ r·M|.  The direct sums of
+indecomposables are built once per ring table and shared by the
+subcategory enumeration and the membership check, which reads the
+element annihilators of each module once for all filters.
 
 verify_ring() bundles all of these cross-checks for one ring and reports
 each as a named pass/fail line with counterexample details on failure.
@@ -50,7 +51,7 @@ from functools import cached_property, reduce
 
 from .classify import classify, member
 from .config import MAX_ORACLE_ELEMENTS, MAX_ORACLE_IDEALS, MAX_SUBCAT_LENGTH
-from .errors import LatticeTooLargeError, QfiltError
+from .errors import LatticeTooLargeError, QfiltError, RingMismatchError
 from .filters import (contains, enumerate_quotient_filters, is_principal, is_product_closed,
                       join as fjoin, meet as fmeet, product as fproduct)
 from .ideals import QuotientRing
@@ -170,6 +171,12 @@ class FiniteRingTable(Value):
                     others = self.mul[others][self.prime_power(l, e_l)]
             out.extend(self.mul[others][self.prime_power(i, j)] for j in range(e))
         return tuple(out)
+
+    @cached_property
+    def classes(self) -> dict:
+        """The class of a module from each tuple of image sizes worked out
+        so far (see _class_from_sizes); the sums of one ring share most."""
+        return {}
 
     @cached_property
     def scheme(self):
@@ -435,8 +442,19 @@ def _sum_rows(pairs, n: int) -> list[list[int]]:
     return [[x * n + y for x in ra for y in rb] for ra, rb in pairs]
 
 
-def submodules(table: FiniteRingTable, multiset: tuple, prefix=None) -> tuple[frozenset, ...]:
-    """All submodules of the direct sum over `multiset`, each exactly once.
+_FLAG = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _flags(bits: int, size: int) -> bytes:
+    """flags[x] is 1 when element x is in the bitset and 0 otherwise, for
+    the elements 0..size-1."""
+    return bin(bits)[:1:-1].ljust(size, "0").encode().translate(_FLAG)
+
+
+def submodules(table: FiniteRingTable, multiset: tuple, prefix=None) -> tuple[int, ...]:
+    """All submodules of the direct sum over `multiset`, each exactly once,
+    each an int bitset over the sum's elements; the empty sum's one
+    submodule is (1,).
 
     The sum is M = M' + C, with M' the sum over multiset[:-1] and C =
     R/(p_i^j) its last summand.  By Goursat's lemma a submodule N is one
@@ -444,10 +462,15 @@ def submodules(table: FiniteRingTable, multiset: tuple, prefix=None) -> tuple[fr
     pi_C(N) = p_i^a·C; and a coset z + A0 of M'/A0 with p_i^(j-a)·z in A0,
     since (p_i^(j-a)) annihilates y_a = p_i^a·1 in C.  N is then the set
     of (s·z + x, s·y_a) for x in A0 and one ring element s per element of
-    p_i^a·C.  `prefix` is submodules(table, multiset[:-1]) when the caller
-    has it."""
+    p_i^a·C.  Every such z lies in the preimage B = {z : p_i^j·z in A0}, a
+    submodule of M' and a union of cosets of A0, so only the cosets inside
+    B are laid out, each named by its least element.  The element (x, c)
+    of M is x·|C| + c, so the elements (w + x, c) for x in A0 are the
+    bitset of the coset w + A0 spread out to every |C|-th bit, shifted by
+    c.  `prefix` is submodules(table, multiset[:-1]), a tuple of bitsets
+    over M', when the caller has it."""
     if not multiset:
-        return (frozenset([0]),)
+        return (1,)
     if prefix is None:
         prefix = submodules(table, multiset[:-1])
     smul = _multiset_module(table, multiset[:-1]).smul_table
@@ -456,6 +479,8 @@ def submodules(table: FiniteRingTable, multiset: tuple, prefix=None) -> tuple[fr
     # the ring element r is coset[r] in C, as in cyclic_module
     coset, leaders = cosets(table.add, table.principal(table.prime_power(i, j)))
     n = len(leaders)
+    elements = range(len(add))
+    spread = [1 << (x * n) for x in elements]  # the element (x, 0)
     levels = []
     for a in range(j + 1):
         row = table.mul[table.prime_power(i, a)]
@@ -464,73 +489,109 @@ def submodules(table: FiniteRingTable, multiset: tuple, prefix=None) -> tuple[fr
             picks.setdefault(coset[row[s]], s)
         # the first pick is 0, reached by s = 0: its part of N is A0 itself
         levels.append((smul[table.prime_power(i, j - a)], list(picks.items())[1:]))
+    deepest = levels[0][0]  # p_i^j, whose preimage of A0 is B
     out = []
     for low in prefix:
-        _, lifts = cosets(add, low)
-        base = [x * n for x in low]  # the elements (x, 0) for x in A0
+        flags = _flags(low, len(add))
+        members = list(itertools.compress(elements, flags))  # A0
+        # the cosets inside B by their least elements z, in increasing
+        # order: the index of the coset of each element of B, and parts[k],
+        # the k-th coset spread out, the elements (w, 0) for w in it
+        coset_of = [-1] * len(add)
+        parts = []
+        lifts = []
+        for z in itertools.compress(elements, map(flags.__getitem__, deepest)):
+            if coset_of[z] < 0:
+                k = len(lifts)
+                row = add[z]
+                part = 0
+                for x in members:
+                    y = row[x]
+                    coset_of[y] = k
+                    part |= spread[y]
+                parts.append(part)
+                lifts.append(z)
+        base = parts[0]
         for killer, picks in levels:
             for z in lifts:
-                if killer[z] in low:
-                    members = base.copy()
+                if flags[killer[z]]:
+                    sub = base
                     for c, s in picks:
-                        shift = add[smul[s][z]]
-                        members.extend([shift[x] * n + c for x in low])
-                    out.append(frozenset(members))
+                        sub |= parts[coset_of[smul[s][z]]] << c
+                    out.append(sub)
     return tuple(out)
+
+
+def _bitset(elements) -> int:
+    """The bitset of a collection of distinct elements."""
+    return sum(1 << x for x in elements)
 
 
 def iso_class(mod: ExplicitModule) -> tuple[tuple[int, ...], ...]:
     """Multiplicities of the indecomposables R/(p_i^j), from the sizes
     |r·M| for the table's primary scalars r."""
-    sizes = [len(set(mod.smul_table[r])) for r in mod.table.primary_scalars]
+    sizes = tuple(len(set(mod.smul_table[r])) for r in mod.table.primary_scalars)
     return _class_from_sizes(mod.table, sizes)
 
 
 def subquotient_classes(mod: ExplicitModule, subs) -> list[tuple]:
     """The (submodule, quotient) class pair of each submodule N in `subs`,
-    from counts: |r·N| = |N| / |N ∩ ker r| and |r·(M/N)| = |r·M| / |N ∩ r·M|
-    for each primary scalar r.  The pair depends only on |N| and those
-    intersection sizes, so it is worked out once per tuple of them."""
+    a sequence of int bitsets over the elements of `mod`, from counts:
+    |r·N| = |N| / |N ∩ ker r| and |r·(M/N)| = |r·M| / |N ∩ r·M| for each
+    primary scalar r, the kernels and images laid out once as bitsets.
+    The pair depends only on |N| and those intersection sizes, so it is
+    worked out once per tuple of them.  Returns a list of pairs of classes,
+    one per submodule, in the order of `subs`."""
     table = mod.table
     rows = [mod.smul_table[r] for r in table.primary_scalars]
-    elements = range(mod.size)  # the zero is element 0
-    kernels = [frozenset(itertools.compress(elements, map(operator.not_, row))) for row in rows]
-    images = [frozenset(row) for row in rows]
-    parts = kernels + images
-    classes = {}
+    kernels = [_bitset(x for x, y in enumerate(row) if not y) for row in rows]
+    images = [_bitset(set(row)) for row in rows]
+    image_sizes = [image.bit_count() for image in images]
+    split = len(kernels) + 1
+    # the counts of each submodule, a column per kernel and image
+    columns = [map(int.bit_count, map(part.__and__, subs)) for part in kernels + images]
     pairs = {}
-
-    def of(sizes):
-        if sizes not in classes:
-            classes[sizes] = _class_from_sizes(table, sizes)
-        return classes[sizes]
-
     out = []
-    for sub in subs:
-        counts = (len(sub), *map(len, map(sub.intersection, parts)))
+    for counts in zip(map(int.bit_count, subs), *columns):
         pair = pairs.get(counts)
         if pair is None:
-            inside = counts[1:len(kernels) + 1]
             pair = pairs[counts] = (
-                of(tuple(counts[0] // c for c in inside)),
-                of(tuple(len(im) // c for im, c in zip(images, counts[len(kernels) + 1:]))))
+                _class_from_sizes(table, tuple(counts[0] // c for c in counts[1:split])),
+                _class_from_sizes(table, tuple(size // c for size, c
+                                               in zip(image_sizes, counts[split:]))))
         out.append(pair)
     return out
 
 
-def _class_from_sizes(table: FiniteRingTable, sizes) -> tuple[tuple[int, ...], ...]:
+def _exact_log(size: int, base: int) -> int:
+    """log_base of a size that counts a module over a field of `base`
+    elements, so a power of `base`; anything else is a broken count."""
+    log, rest = 0, size
+    while rest > 1 and rest % base == 0:
+        rest //= base
+        log += 1
+    if rest != 1:
+        raise QfiltError(f"module size {size} is not a power of {base}")
+    return log
+
+
+def _class_from_sizes(table: FiniteRingTable, sizes: tuple) -> tuple[tuple[int, ...], ...]:
     """The class of a module X from |r·X| for each primary scalar r, in the
-    order of table.primary_scalars."""
-    out = []
-    k = 0
-    for i, e in enumerate(table.prime_exponents):
-        base = table.ring.modulus.p ** table.prime_degrees[i]
-        # log_base |p_i^j · X_i| for j = 0..e, the last one 0
-        logs = [round(math.log(size, base)) for size in sizes[k:k + e]] + [0]
-        k += e
-        ge = [logs[j - 1] - logs[j] for j in range(1, e + 1)]  # count with exp >= j
-        out.append(tuple(ge[j] - (ge[j + 1] if j + 1 < e else 0) for j in range(e)))
-    return tuple(out)
+    order of table.primary_scalars; each tuple of sizes is worked out once
+    per ring table."""
+    cls = table.classes.get(sizes)
+    if cls is None:
+        out = []
+        k = 0
+        for i, e in enumerate(table.prime_exponents):
+            base = table.ring.modulus.p ** table.prime_degrees[i]
+            # log_base |p_i^j · X_i| for j = 0..e, the last one 0
+            logs = [_exact_log(size, base) for size in sizes[k:k + e]] + [0]
+            k += e
+            ge = [logs[j - 1] - logs[j] for j in range(1, e + 1)]  # count with exp >= j
+            out.append(tuple(ge[j] - (ge[j + 1] if j + 1 < e else 0) for j in range(e)))
+        cls = table.classes[sizes] = tuple(out)
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -747,13 +808,20 @@ def verify_ring(ring: QuotientRing, length_bound: int = 4) -> OracleReport:
                   f"{len(table.ideals)} ideals")
 
     oracle_filters = enumerate_filters(table)
-    # the engine's results repeat; each distinct one is asked of it once
+    # the engine's results repeat; each distinct one is asked of it once.
+    # Every one is on `scheme`, so the memo is keyed by the other fields
+    # and never hashes the scheme
     bridge = {}
 
     def explicit(flt) -> ExplicitFilter:
-        if flt not in bridge:
-            bridge[flt] = engine_filter_to_explicit(flt, table)
-        return bridge[flt]
+        if flt.scheme is not scheme:
+            raise RingMismatchError(f"the engine returned a filter on {flt.scheme}, "
+                                    f"not on {scheme}")
+        key = (flt.improper, flt.default, flt.exceptions, flt.killed)
+        out = bridge.get(key)
+        if out is None:
+            out = bridge[key] = engine_filter_to_explicit(flt, table)
+        return out
 
     pairing = [(f, explicit(f)) for f in engine_filters]
     mapped = {e.members for _, e in pairing}

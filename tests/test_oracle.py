@@ -4,13 +4,14 @@ import functools
 import itertools
 import math
 import operator
+import re
 
 import pytest
 
 from qfilt import oracle
-from qfilt.errors import LatticeTooLargeError, QfiltError
+from qfilt.errors import LatticeTooLargeError, QfiltError, RingMismatchError
 from qfilt.fields import PrimeField
-from qfilt.filters import enumerate_quotient_filters, is_product_closed
+from qfilt.filters import LocalFilter, enumerate_quotient_filters, is_product_closed
 from qfilt.ideals import QuotientRing
 from qfilt.oracle import (
     ExplicitModule,
@@ -281,7 +282,7 @@ class TestModules:
             if sub and all(mod.add_table[x][y] in sub for x in sub for y in sub) and \
                     all(mod.smul_table[r][x] in sub for r in range(table.size) for x in sub):
                 reference.add(sub)
-        found = submodules(table, multiset)
+        found = [_decode(sub) for sub in submodules(table, multiset)]
         assert len(found) == len(set(found))
         assert set(found) == reference
 
@@ -297,7 +298,8 @@ class TestModules:
         mod = _direct_sum(cyclic_module(table, table.principal(table.prime_power(*key)))
                           for key in multiset)
         subs = submodules(table, multiset)
-        for sub, pair in zip(subs, subquotient_classes(mod, subs)):
+        for bits, pair in zip(subs, subquotient_classes(mod, subs)):
+            sub = _decode(bits)
             members = sorted(sub)
             name = {x: k for k, x in enumerate(members)}
             part = ExplicitModule(table,
@@ -312,7 +314,7 @@ class TestModules:
     def test_quotient_by_itself_is_zero(self):
         table = build_table(R_X3)
         mod = cyclic_module(table, table.principal(table.prime_power(0, 2)))
-        total = max(submodules(table, ((0, 2),)), key=len)
+        total = max(map(_decode, submodules(table, ((0, 2),))), key=len)
         coset, reps = cosets(mod.add_table, total)
         assert reps == [0] and set(coset) == {0}
 
@@ -335,6 +337,21 @@ class TestModules:
             expected = [[0] * e for e in table.prime_exponents]
             expected[i][j - 1] = 1
             assert iso_class(mod) == tuple(map(tuple, expected))
+
+
+def _decode(bits: int) -> frozenset:
+    """The elements of a submodule given as a bitset, bit x for element x."""
+    return frozenset(one.start() for one in re.finditer("1", bin(bits)[:1:-1]))
+
+
+def _holds_exactly(bits: int, sub: frozenset) -> bool:
+    """Whether the bitset decodes to the elements of `sub`: it holds each
+    of them, and it holds as many elements.  Cheaper than _decode on the
+    large modules, since only the members are looked up."""
+    if bits.bit_count() != len(sub) or bits.bit_length() <= max(sub):
+        return False
+    digits = bin(bits)[:1:-1]  # digits[x] is bit x
+    return set(map(digits.__getitem__, sub)) == {"1"}
 
 
 def _image_class(mod):
@@ -435,6 +452,20 @@ class TestVerifyRing:
         assert not ok and detail.startswith("definitions differ on "), detail
         ok, detail = checks["engine product matches oracle"]
         assert not ok and detail.startswith("engine differs on "), detail
+
+    def test_bridge_refuses_a_filter_on_another_scheme(self, monkeypatch):
+        # the bridge memo leaves the scheme out of its key, so a filter on
+        # an equal scheme built apart is refused rather than looked up
+        real = oracle.fproduct
+
+        def elsewhere(f1, f2):
+            f = real(f1, f2)
+            return LocalFilter(AffineQuotient(f.scheme.ring), f.improper, f.default,
+                               f.exceptions, f.killed)
+
+        monkeypatch.setattr(oracle, "fproduct", elsewhere)
+        with pytest.raises(RingMismatchError, match="^the engine returned a filter on "):
+            verify_ring(R_X3)
 
 
 def _failures(report) -> str:
@@ -653,3 +684,144 @@ def test_sweep_small_rings_pass(rg, monkeypatch):
     assert subcategories == [_reference_subcategories(table, bound)]
     _check_joins(table)
     _check_multisets(table, bound)
+
+
+def _reference_submodules(table, multiset, prefix=None):
+    """submodules with each submodule a frozenset of elements: the cosets
+    of all of M'/A0 for each A0, kept where p_i^(j-a)·z is in A0, and each
+    submodule listed element by element."""
+    if not multiset:
+        return (frozenset([0]),)
+    if prefix is None:
+        prefix = _reference_submodules(table, multiset[:-1])
+    smul = oracle._multiset_module(table, multiset[:-1]).smul_table
+    add = oracle._multiset_add(table, multiset[:-1])
+    i, j = multiset[-1]
+    coset, leaders = cosets(table.add, table.principal(table.prime_power(i, j)))
+    n = len(leaders)
+    levels = []
+    for a in range(j + 1):
+        row = table.mul[table.prime_power(i, a)]
+        picks = {}
+        for s in range(table.size):
+            picks.setdefault(coset[row[s]], s)
+        levels.append((smul[table.prime_power(i, j - a)], list(picks.items())[1:]))
+    out = []
+    for low in prefix:
+        _, lifts = cosets(add, low)
+        base = [x * n for x in low]
+        for killer, picks in levels:
+            for z in lifts:
+                if killer[z] in low:
+                    members = base.copy()
+                    for c, s in picks:
+                        shift = add[smul[s][z]]
+                        members.extend([shift[x] * n + c for x in low])
+                    out.append(frozenset(members))
+    return tuple(out)
+
+
+def _reference_class_from_sizes(table, sizes):
+    """_class_from_sizes with each exponent read by a rounded float
+    logarithm, worked out anew on every call."""
+    out = []
+    k = 0
+    for i, e in enumerate(table.prime_exponents):
+        base = table.ring.modulus.p ** table.prime_degrees[i]
+        logs = [round(math.log(size, base)) for size in sizes[k:k + e]] + [0]
+        k += e
+        ge = [logs[j - 1] - logs[j] for j in range(1, e + 1)]
+        out.append(tuple(ge[j] - (ge[j + 1] if j + 1 < e else 0) for j in range(e)))
+    return tuple(out)
+
+
+def _reference_subquotient_classes(mod, subs):
+    """subquotient_classes on submodules given as frozensets, each count
+    the size of a frozenset intersection, each class memoised per module."""
+    table = mod.table
+    rows = [mod.smul_table[r] for r in table.primary_scalars]
+    elements = range(mod.size)
+    kernels = [frozenset(itertools.compress(elements, map(operator.not_, row))) for row in rows]
+    images = [frozenset(row) for row in rows]
+    parts = kernels + images
+    classes = {}
+    pairs = {}
+
+    def of(sizes):
+        if sizes not in classes:
+            classes[sizes] = _reference_class_from_sizes(table, sizes)
+        return classes[sizes]
+
+    out = []
+    for sub in subs:
+        counts = (len(sub), *map(len, map(sub.intersection, parts)))
+        pair = pairs.get(counts)
+        if pair is None:
+            inside = counts[1:len(kernels) + 1]
+            pair = pairs[counts] = (
+                of(tuple(counts[0] // c for c in inside)),
+                of(tuple(len(im) // c for im, c in zip(images, counts[len(kernels) + 1:]))))
+        out.append(pair)
+    return out
+
+
+def _check_against_reference(rg, length_bound):
+    """The bitset submodules of every multiset up to the bound, decoded,
+    against the frozenset reference in the same order, and their class
+    pairs against the reference's."""
+    table = build_table(rg)
+    keys = oracle._indecomposable_keys(table)
+    found_of, reference_of = {}, {}  # each multiset's, for its extensions
+    for ms in oracle._all_multisets(keys, length_bound):
+        found = found_of[ms] = submodules(table, ms, found_of.get(ms[:-1]))
+        reference = reference_of[ms] = _reference_submodules(table, ms,
+                                                             reference_of.get(ms[:-1]))
+        assert len(found) == len(reference), ms
+        assert all(map(_holds_exactly, found, reference)), ms
+        mod = oracle._multiset_module(table, ms)
+        assert subquotient_classes(mod, found) == \
+            _reference_subquotient_classes(mod, reference), ms
+
+
+def _admits_bound_4(rg) -> bool:
+    try:
+        oracle._check_length_bound(rg, 4)
+    except QfiltError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("rg", [rg for rg in SWEEP if _admits_bound_4(rg)], ids=str)
+def test_sweep_bitsets_match_reference(rg):
+    _check_against_reference(rg, 4)
+
+
+def test_bitsets_match_reference_at_bound_6():
+    # (F2)^6 has 2,825 subspaces, and every one of them is listed
+    _check_against_reference(ring(2, "x"), 6)
+
+
+def test_class_from_sizes_rejects_non_power():
+    # |r·X| counts a module over F2, so 6 is a broken count
+    table = build_table(R_X3)
+    with pytest.raises(QfiltError, match="^module size 6 is not a power of 2$"):
+        oracle._class_from_sizes(table, (6, 4, 2))
+    assert table.classes == {}
+
+
+# the nine rings of the oracle benchmark at length bound 4; F2[x]/(x^5)
+# needs bound 5
+BENCHMARK_RINGS = [(ring(2, "x^2"), 4), (ring(2, "x^2+x"), 4), (R_X3, 4), (R_MIXED, 4),
+                   (ring(2, "x^4"), 4), (ring(2, "x^5"), 5), (ring(3, "x"), 4),
+                   (ring(3, "x^2"), 4), (ring(3, "x^3+2x^2"), 4)]
+
+
+@pytest.mark.parametrize("rg,bound", BENCHMARK_RINGS, ids=str)
+def test_exact_classes_match_float_logs(rg, bound):
+    # every class the subcategory enumeration reads passes through the
+    # ring table's memo, keyed by the sizes it came from
+    table = build_table(rg)
+    enumerate_subcategories(table, bound)
+    assert table.classes
+    for sizes, cls in table.classes.items():
+        assert cls == _reference_class_from_sizes(table, sizes), sizes

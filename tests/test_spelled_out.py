@@ -29,10 +29,14 @@ EQ = {
     "Value",  # compares the fields by name
     # hot loop: compared and hashed in the engine's loops
     "LocalFilter", "ComponentSet", "StalkFilter", "IdealSheaf", "SpecPoint", "PrimePoly",
-    # hashed whole in verify_ring's bridge memo, keyed by filter: 637
-    # Scheme, 637 QuotientRing and 1,274 PrimeField hashes per oracle
-    # cycle, none in jobs or laws
-    "Scheme", "QuotientRing", "PrimeField",
+    # compared in verify_ring, whose own scheme meets its ring table's in
+    # every engine call on an ideal: 184 Scheme.__eq__ calls per oracle
+    # cycle, none in jobs or laws.  Its __hash__ stays beside its __eq__,
+    # since a class that defines __eq__ alone is unhashable.  Since the
+    # bridge memo leaves the scheme out of its key, no workload hashes a
+    # Scheme, QuotientRing or PrimeField, and the last two are compared by
+    # identity only, so they use Value's
+    "Scheme",
     "ExplicitModule",  # identity: a module equals itself only
 }
 
