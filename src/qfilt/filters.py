@@ -133,8 +133,15 @@ class StalkFilter(Value):
         return hash((self.kind, self.bound))
 
 
+_UP_TO: dict[int, StalkFilter] = {}  # the "up_to" filter of each bound built so far
+
+
 def up_to(n: int) -> StalkFilter:
-    return StalkFilter("up_to", n)
+    """The stalk filter "up_to" n, built once per bound."""
+    flt = _UP_TO.get(n)
+    if flt is None:
+        flt = _UP_TO[n] = StalkFilter("up_to", n)
+    return flt
 
 
 ALL_POWERS = StalkFilter("all_powers", None)

@@ -30,18 +30,26 @@ intersection with M', the image p^a·R/(p^j) of its last coordinate, and
 the coset of M' that the image's generator lifts to.  The classes of a
 submodule N and of its quotient are read off counts of set bits: for
 each scalar r that picks out p_i^j times the p_i-primary part, |r·N| is
-|N| / |N ∩ ker r| and |r·(M/N)| is |r·M| / |N ∩ r·M|.  The direct sums of
-indecomposables are built once per ring table and shared by the
-subcategory enumeration and the membership check, which reads the
-element annihilators of each module once for all filters.
+|N| / |N ∩ ker r| and |r·(M/N)| is |r·M| / |N ∩ r·M|.
+
+Each indecomposable R/(p_i^j) is laid out once per ring table, from the
+cosets of (p_i^j): its kernels and images of the primary scalars, the
+annihilators of its elements and the picks that extend submodules by it.
+What is read of a direct sum M' + C, its ModuleData, is built from its
+prefix's and its last summand's, with no table of the sum: the kernel
+and the image of r on M' + C are those on M' times those on C, and
+Ann(x, c) is Ann(x) ∩ Ann(c).  Only the sums that the submodule
+enumeration extends are laid out as tables.  The subcategory enumeration
+and the membership check share one ModuleData per sum, and the
+membership check reads its element annihilators once for all filters.
 
 verify_ring() bundles all of these cross-checks for one ring and reports
 each as a named pass/fail line with counterexample details on failure.
 Whatever the factorization of f decides (the element and ideal counts,
 the modulus degree, the least length bound, the size of the largest
 module) is checked before any table is laid out.  The engine's side of
-the bridge, its scheme of the ring and the ideal sheaf of each ideal, is
-built once per ring table.
+the bridge is one scheme of the ring, verify_ring's, which its ring table
+keeps, and the ideal sheaf of each ideal, built once per ring table.
 """
 
 import itertools
@@ -67,22 +75,24 @@ class FiniteRingTable(Value):
     """k[x]/(f) as explicit tables on the elements 0..n-1, element 0 the zero
     (see build_table for the numbering).
 
-    `prime_elements` holds the element index of each prime factor.
-    `modules` holds the [add table, smul table] of the direct sum of
-    indecomposables of each multiset, each built once, the add table when
-    first read; tables alone, so that no cycle keeps them alive.  It stays
-    out of equality, repr and copies, as the cached tables in __dict__ do."""
+    `prime_elements` holds the element index of each prime factor, and
+    `scheme` is the engine's scheme of the ring, one object for every
+    engine call on the table.  `modules` holds the [add table, smul table]
+    of each single indecomposable and of each direct sum that submodules()
+    extends, each built once, the add table when first read; tables alone,
+    so that no cycle keeps them alive.  Neither stays in equality, repr or
+    copies, nor do the cached tables in __dict__."""
 
     __slots__ = ("ring", "add", "mul", "one", "ideals", "prime_exponents",
-                 "prime_degrees", "prime_elements", "modules", "__dict__")
-    _fields = __slots__[:-2]  # neither modules nor __dict__
+                 "prime_degrees", "prime_elements", "scheme", "modules", "__dict__")
+    _fields = __slots__[:-3]  # neither scheme, modules nor __dict__
 
     def __init__(self, ring: QuotientRing, add: tuple[tuple[int, ...], ...],
                  mul: tuple[tuple[int, ...], ...], one: int, ideals: tuple[IdealSet, ...],
                  prime_exponents: tuple[int, ...], prime_degrees: tuple[int, ...],
-                 prime_elements: tuple[int, ...], modules: dict | None = None):
+                 prime_elements: tuple[int, ...], scheme=None, modules: dict | None = None):
         (set_ring, set_add, set_mul, set_one, set_ideals, set_prime_exponents,
-         set_prime_degrees, set_prime_elements, set_modules) = FiniteRingTable._setters
+         set_prime_degrees, set_prime_elements, set_scheme, set_modules) = FiniteRingTable._setters
         set_ring(self, ring)
         set_add(self, add)
         set_mul(self, mul)
@@ -91,6 +101,7 @@ class FiniteRingTable(Value):
         set_prime_exponents(self, prime_exponents)
         set_prime_degrees(self, prime_degrees)
         set_prime_elements(self, prime_elements)
+        set_scheme(self, AffineQuotient(ring) if scheme is None else scheme)
         set_modules(self, {} if modules is None else modules)
 
     @property
@@ -179,9 +190,15 @@ class FiniteRingTable(Value):
         return {}
 
     @cached_property
-    def scheme(self):
-        """The engine's scheme of the ring."""
-        return AffineQuotient(self.ring)
+    def indecomposables(self) -> dict:
+        """The Indecomposable of each key (i, j), laid out once."""
+        return {key: _lay_out(self, key) for key in _indecomposable_keys(self)}
+
+    @cached_property
+    def sums(self) -> dict:
+        """The ModuleData of the direct sum over each multiset worked out so
+        far (see _module_data), from the empty sum R/R on."""
+        return {(): _quotient_data(self, *cosets(self.add, self.ideals[0]))}
 
     @cached_property
     def ideal_sheaves(self) -> tuple:
@@ -206,10 +223,12 @@ def _checked_primes(ring: QuotientRing):
     return primes
 
 
-def build_table(ring: QuotientRing) -> FiniteRingTable:
+def build_table(ring: QuotientRing, scheme=None) -> FiniteRingTable:
     """Lay out k[x]/(f) as tables, self-check the axioms, enumerate ideals.
     The caps are checked from the factorization before any table is laid
     out; the enumeration keeps its own cap on the ideals it finds.
+    `scheme` is the engine's scheme of the ring when the caller has one;
+    otherwise the table builds its own.
 
     Element i is the polynomial whose coefficients of x^0..x^(deg-1) are
     the base-p digits of i, most significant first, in the order of
@@ -254,7 +273,7 @@ def build_table(ring: QuotientRing) -> FiniteRingTable:
     return FiniteRingTable(ring, add, mul, one, ideals,
                            tuple(m for _, m in primes),
                            tuple(q.degree for q, _ in primes),
-                           tuple(index((q % modulus).coeffs) for q, _ in primes))
+                           tuple(index((q % modulus).coeffs) for q, _ in primes), scheme)
 
 
 def _self_check(n: int, add, mul, one: int) -> None:
@@ -399,10 +418,11 @@ class ExplicitModule(Value):
     modules are equal only when they are the same object.
 
     `add_table[x][y]` is x + y and `smul_table[r][x]` is r·x for the ring
-    element of index r; the rows are read-only.  `add_table` is None on a
-    direct sum of two or more summands until _multiset_add builds it: the
-    add table of a long direct sum is the largest table there is, and often
-    unread."""
+    element of index r; the rows are read-only.  Only the cyclic modules
+    and the direct sums that submodules() extends are laid out as tables;
+    what is read of every other sum is its ModuleData.  `add_table` is
+    None on a direct sum of two or more summands until _multiset_add
+    builds it."""
 
     __slots__ = ("table", "add_table", "smul_table")
     __eq__ = object.__eq__
@@ -411,6 +431,27 @@ class ExplicitModule(Value):
     @property
     def size(self) -> int:
         return len(self.smul_table[0])
+
+
+class ModuleData(Value):
+    """What the oracle reads of a finite module M: its size; `kernels` and
+    `images`, the kernel of each primary scalar r on M and the image r·M,
+    int bitsets over M's elements in the order of table.primary_scalars;
+    `annihilators`, the ideal index of Ann(x) for every element x, so that
+    a filter's subcategory holds M exactly when each is a member; and
+    `iso_class`, the multiplicities of the indecomposables in M."""
+
+    __slots__ = ("size", "kernels", "images", "annihilators", "iso_class")
+
+
+class Indecomposable(Value):
+    """The indecomposable C = R/(p_i^j) of a key (i, j), laid out once per
+    ring table: `data` is its ModuleData, and `levels` holds, for each
+    a = 0..j, the element index of p_i^(j-a) and the picks of p_i^a·C,
+    each nonzero element c of p_i^a·C with one ring element s that takes
+    p_i^a·1 to it (see submodules)."""
+
+    __slots__ = ("data", "levels")
 
 
 def cosets(add_table, sub) -> tuple[list[int], list[int]]:
@@ -434,6 +475,67 @@ def cyclic_module(table: FiniteRingTable, ideal: IdealSet) -> ExplicitModule:
     return ExplicitModule(table,
                           [[coset[table.add[a][b]] for b in leaders] for a in leaders],
                           [[coset[row[a]] for a in leaders] for row in table.mul])
+
+
+def _quotient_data(table: FiniteRingTable, coset: list[int], leaders: list[int]) -> ModuleData:
+    """The ModuleData of R/I, its elements the cosets of I as `cosets`
+    numbers them, read off the ring's tables: r kills the coset of a when
+    r·a is in I, that is in coset 0, r·(R/I) is the set of cosets of the
+    r·a, and Ann(a + I) is the colon ideal {r : r·a in I}."""
+    kernels, images = [], []
+    for r in table.primary_scalars:
+        row = table.mul[r]
+        kernels.append(_bitset(c for c, a in enumerate(leaders) if not coset[row[a]]))
+        images.append(_bitset({coset[x] for x in row}))
+    index = table.ideal_index
+    annihilators = frozenset(index[frozenset(r for r, x in enumerate(table.mul[a]) if not coset[x])]
+                             for a in leaders)
+    return ModuleData(len(leaders), tuple(kernels), tuple(images), annihilators,
+                      _class_from_sizes(table, tuple(map(int.bit_count, images))))
+
+
+def _lay_out(table: FiniteRingTable, key: tuple[int, int]) -> Indecomposable:
+    """The Indecomposable of the key (i, j), from the cosets of (p_i^j):
+    the ring element r is coset[r] in C, so p_i^a·s·1 is coset[p_i^a·s]."""
+    i, j = key
+    coset, leaders = cosets(table.add, table.principal(table.prime_power(i, j)))
+    levels = []
+    for a in range(j + 1):
+        row = table.mul[table.prime_power(i, a)]
+        picks = {}  # each element of p_i^a·C, with one s reaching it from 1
+        for s in range(table.size):
+            picks.setdefault(coset[row[s]], s)
+        # the first pick is 0, reached by s = 0: its part of N is A0 itself
+        levels.append((table.prime_power(i, j - a), tuple(picks.items())[1:]))
+    return Indecomposable(_quotient_data(table, coset, leaders), tuple(levels))
+
+
+def _module_data(table: FiniteRingTable, multiset: tuple) -> ModuleData:
+    """The ModuleData of the direct sum over a multiset of keys, each built
+    once per ring table from its prefix's and its last summand's, with no
+    table of the sum.  The element (x, c) of M' + C is x·|C| + c, and a
+    scalar acts on each coordinate, so the kernel and the image of r on
+    M' + C are those on M' times those on C: the bitset over M' spread out
+    to every |C|-th bit, shifted by each bit of the one over C.  Ann(x, c)
+    is Ann(x) ∩ Ann(c), and the class comes from the sizes of the images."""
+    data = table.sums.get(multiset)
+    if data is None:
+        head = _module_data(table, multiset[:-1])
+        last = table.indecomposables[multiset[-1]].data
+        gap = "0" * (last.size - 1)
+
+        def product(bits: int, part: int) -> int:
+            # bit x goes to bit x·|C|; the product sets x·|C| + c for each
+            # bit c of part, with no carries since every c is below |C|
+            return int(gap.join(bin(bits)[2:]), 2) * part
+
+        images = tuple(map(product, head.images, last.images))
+        meet = table.meet
+        data = table.sums[multiset] = ModuleData(
+            head.size * last.size, tuple(map(product, head.kernels, last.kernels)), images,
+            frozenset(meet[a][b] for a in head.annihilators for b in last.annihilators),
+            _class_from_sizes(table, tuple(map(int.bit_count, images))))
+    return data
 
 
 def _sum_rows(pairs, n: int) -> list[list[int]]:
@@ -462,33 +564,24 @@ def submodules(table: FiniteRingTable, multiset: tuple, prefix=None) -> tuple[in
     pi_C(N) = p_i^a·C; and a coset z + A0 of M'/A0 with p_i^(j-a)·z in A0,
     since (p_i^(j-a)) annihilates y_a = p_i^a·1 in C.  N is then the set
     of (s·z + x, s·y_a) for x in A0 and one ring element s per element of
-    p_i^a·C.  Every such z lies in the preimage B = {z : p_i^j·z in A0}, a
-    submodule of M' and a union of cosets of A0, so only the cosets inside
-    B are laid out, each named by its least element.  The element (x, c)
-    of M is x·|C| + c, so the elements (w + x, c) for x in A0 are the
-    bitset of the coset w + A0 spread out to every |C|-th bit, shifted by
-    c.  `prefix` is submodules(table, multiset[:-1]), a tuple of bitsets
-    over M', when the caller has it."""
+    p_i^a·C, the picks of C's level a.  Every such z lies in the preimage
+    B = {z : p_i^j·z in A0}, a submodule of M' and a union of cosets of A0,
+    so only the cosets inside B are laid out, each named by its least
+    element.  The element (x, c) of M is x·|C| + c, so the elements
+    (w + x, c) for x in A0 are the bitset of the coset w + A0 spread out
+    to every |C|-th bit, shifted by c.  `prefix` is submodules(table,
+    multiset[:-1]), a tuple of bitsets over M', when the caller has it."""
     if not multiset:
         return (1,)
     if prefix is None:
         prefix = submodules(table, multiset[:-1])
     smul = _multiset_module(table, multiset[:-1]).smul_table
     add = _multiset_add(table, multiset[:-1])
-    i, j = multiset[-1]
-    # the ring element r is coset[r] in C, as in cyclic_module
-    coset, leaders = cosets(table.add, table.principal(table.prime_power(i, j)))
-    n = len(leaders)
+    last = table.indecomposables[multiset[-1]]
+    n = last.data.size
     elements = range(len(add))
     spread = [1 << (x * n) for x in elements]  # the element (x, 0)
-    levels = []
-    for a in range(j + 1):
-        row = table.mul[table.prime_power(i, a)]
-        picks = {}  # each element of p_i^a·C, with one s reaching it from 1
-        for s in range(table.size):
-            picks.setdefault(coset[row[s]], s)
-        # the first pick is 0, reached by s = 0: its part of N is A0 itself
-        levels.append((smul[table.prime_power(i, j - a)], list(picks.items())[1:]))
+    levels = [(smul[r], picks) for r, picks in last.levels]
     deepest = levels[0][0]  # p_i^j, whose preimage of A0 is B
     out = []
     for low in prefix:
@@ -527,29 +620,18 @@ def _bitset(elements) -> int:
     return sum(1 << x for x in elements)
 
 
-def iso_class(mod: ExplicitModule) -> tuple[tuple[int, ...], ...]:
-    """Multiplicities of the indecomposables R/(p_i^j), from the sizes
-    |r·M| for the table's primary scalars r."""
-    sizes = tuple(len(set(mod.smul_table[r])) for r in mod.table.primary_scalars)
-    return _class_from_sizes(mod.table, sizes)
-
-
-def subquotient_classes(mod: ExplicitModule, subs) -> list[tuple]:
+def subquotient_classes(table: FiniteRingTable, data: ModuleData, subs) -> list[tuple]:
     """The (submodule, quotient) class pair of each submodule N in `subs`,
-    a sequence of int bitsets over the elements of `mod`, from counts:
-    |r·N| = |N| / |N ∩ ker r| and |r·(M/N)| = |r·M| / |N ∩ r·M| for each
-    primary scalar r, the kernels and images laid out once as bitsets.
+    a sequence of int bitsets over the elements of the module of `data`,
+    from counts: |r·N| = |N| / |N ∩ ker r| and |r·(M/N)| = |r·M| / |N ∩ r·M|
+    for each primary scalar r, the kernels and images those of `data`.
     The pair depends only on |N| and those intersection sizes, so it is
     worked out once per tuple of them.  Returns a list of pairs of classes,
     one per submodule, in the order of `subs`."""
-    table = mod.table
-    rows = [mod.smul_table[r] for r in table.primary_scalars]
-    kernels = [_bitset(x for x, y in enumerate(row) if not y) for row in rows]
-    images = [_bitset(set(row)) for row in rows]
-    image_sizes = [image.bit_count() for image in images]
-    split = len(kernels) + 1
+    image_sizes = [image.bit_count() for image in data.images]
+    split = len(data.kernels) + 1
     # the counts of each submodule, a column per kernel and image
-    columns = [map(int.bit_count, map(part.__and__, subs)) for part in kernels + images]
+    columns = [map(int.bit_count, map(part.__and__, subs)) for part in data.kernels + data.images]
     pairs = {}
     out = []
     for counts in zip(map(int.bit_count, subs), *columns):
@@ -639,8 +721,9 @@ def _all_multisets(keys, length_bound: int):
 def _multiset_module(table: FiniteRingTable, multiset: tuple) -> ExplicitModule:
     """The direct sum of R/(p_i^j) over a multiset of keys (i, j), its
     tables kept on the table; each sum adds one indecomposable to its
-    prefix's module.  A sum's add table is left to _multiset_add: only the
-    sums that submodules() extends read it."""
+    prefix's module.  Only the sums that submodules() extends are laid
+    out, and what else is read of a sum is its ModuleData.  The add table
+    is left to _multiset_add."""
     tables = table.modules.get(multiset)
     if tables is None:
         if len(multiset) > 1:
@@ -708,9 +791,9 @@ def enumerate_subcategories(table: FiniteRingTable,
         subs = submodules(table, ms, subs_of.get(ms[:-1]))
         if ms in prefixes:
             subs_of[ms] = subs
-        mod = _multiset_module(table, ms)
-        pairs = {mask(k) | mask(q) for k, q in set(subquotient_classes(mod, subs))}
-        triples.append((mask(iso_class(mod)), reduce(operator.or_, pairs, 0), pairs))
+        data = _module_data(table, ms)
+        pairs = {mask(k) | mask(q) for k, q in set(subquotient_classes(table, data, subs))}
+        triples.append((mask(data.iso_class), reduce(operator.or_, pairs, 0), pairs))
     # R/I is annihilated by I exactly, so the least annihilator is the meet
     # of the ideals (p_i^j) over the keys kept
     killers = {key: table.ideal_index[table.principal(table.prime_power(*key))]
@@ -730,7 +813,8 @@ def enumerate_subcategories(table: FiniteRingTable,
         if least not in least_data:
             # L·L is in the ideal list, which holds every ideal, so it is L
             # exactly when the same ideals contain both
-            least_data[least] = (mask(iso_class(cyclic_module(table, table.ideals[least]))),
+            data = _quotient_data(table, *cosets(table.add, table.ideals[least]))
+            least_data[least] = (mask(data.iso_class),
                                  table.product_up[least][least] == table.up[least])
         least_mask, idem = least_data[least]
         # closed: the category is exactly the modules killed by `least`,
@@ -757,15 +841,6 @@ def _check_length_bound(ring: QuotientRing, length_bound: int) -> None:
     if n > MAX_ORACLE_ELEMENTS:
         raise LatticeTooLargeError(f"modules of length {length_bound} over {ring} reach {n} "
                                    f"elements, over the oracle limit {MAX_ORACLE_ELEMENTS}")
-
-
-def element_annihilators(mod: ExplicitModule) -> frozenset[int]:
-    """The ideal index of Ann(x) for every element x.  A filter's
-    subcategory holds the module exactly when each of them is a member."""
-    index = mod.table.ideal_index
-    scalars = range(mod.table.size)  # r·x is zero where column[r] is 0
-    return frozenset(index[frozenset(itertools.compress(scalars, map(operator.not_, column)))]
-                     for column in set(zip(*mod.smul_table)))
 
 
 def oracle_join(table: FiniteRingTable, a: ExplicitFilter, b: ExplicitFilter) -> ExplicitFilter:
@@ -798,7 +873,7 @@ def verify_ring(ring: QuotientRing, length_bound: int = 4) -> OracleReport:
     scheme = AffineQuotient(ring)
     engine_filters = enumerate_quotient_filters(scheme)
     _check_length_bound(ring, length_bound)
-    table = build_table(ring)
+    table = build_table(ring, scheme)
     report.record("ring axioms", True)
 
     expected = math.prod(m + 1 for m in table.prime_exponents)
@@ -887,7 +962,7 @@ def verify_ring(ring: QuotientRing, length_bound: int = 4) -> OracleReport:
     primes = scheme.primes()
     membership_ok = True
     for ms in _all_multisets(keys, length_bound):
-        anns = element_annihilators(_multiset_module(table, ms))
+        anns = _module_data(table, ms).annihilators
         data = module_data(scheme, [(primes[i][0], j) for i, j in ms])
         for f, e in pairing:
             if member(data, f) != (anns <= e.members):

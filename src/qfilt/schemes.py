@@ -133,15 +133,6 @@ class Scheme(Value):
         for name, set_field in zip(Scheme.__slots__[4:], Scheme._setters[4:]):
             set_field(self, derived[name])
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.kind, self.field, self.ring, self.components)
-                    == (other.kind, other.field, other.ring, other.components))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.field, self.ring, self.components))
-
     def charts(self):
         if self.component_count is None:
             raise QfiltError("the symbolic union has no finite chart list")

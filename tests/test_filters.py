@@ -224,6 +224,12 @@ class TestLocalize:
         assert localize(f, closed_point("c")) == up_to(0)
         assert localize(improper_filter(A1), A) == EVERYTHING
 
+    def test_each_bound_is_built_once(self):
+        # localize hands out the one "up_to" filter of each bound
+        f = presented(A1, 0, {A: 2, B: 2})
+        assert localize(f, A) is localize(f, B) is up_to(2)
+        assert up_to(3) is up_to(3) and up_to(3) != up_to(2)
+
     def test_generic_stalk(self):
         assert localize(presented(A1, 0, {A: 2}), generic_point(0)) == FULL_ONLY
         assert localize(presented(A1, INF), generic_point(0)) == FULL_ONLY

@@ -19,10 +19,8 @@ from qfilt.oracle import (
     check_prelocalizing,
     cosets,
     cyclic_module,
-    element_annihilators,
     enumerate_filters,
     enumerate_subcategories,
-    iso_class,
     oracle_join,
     product_two_ways,
     submodules,
@@ -30,7 +28,7 @@ from qfilt.oracle import (
     verify_ring,
 )
 from qfilt.poly import PrimePoly, poly_from_str
-from qfilt.schemes import AffineQuotient
+from qfilt.schemes import AffineQuotient, Scheme
 
 
 def ring(p, mod):
@@ -250,7 +248,10 @@ class TestModules:
         chain = cyclic_module(table, x2)
         square = _direct_sum([cyclic_module(table, x1), cyclic_module(table, x1)])
         assert chain.size == square.size == 4
-        assert iso_class(chain) != iso_class(square)
+        assert _reference_iso_class(chain) != _reference_iso_class(square)
+        built = [oracle._module_data(table, ms) for ms in (((0, 2),), ((0, 1), (0, 1)))]
+        assert [data.iso_class for data in built] == \
+            [_reference_iso_class(chain), _reference_iso_class(square)]
 
     def test_submodule_count_of_square(self):
         # k[x]/(x) ^ 2 over F2 has 5 submodules: 0, three lines, itself
@@ -298,7 +299,8 @@ class TestModules:
         mod = _direct_sum(cyclic_module(table, table.principal(table.prime_power(*key)))
                           for key in multiset)
         subs = submodules(table, multiset)
-        for bits, pair in zip(subs, subquotient_classes(mod, subs)):
+        data = oracle._module_data(table, multiset)
+        for bits, pair in zip(subs, subquotient_classes(table, data, subs)):
             sub = _decode(bits)
             members = sorted(sub)
             name = {x: k for k, x in enumerate(members)}
@@ -336,7 +338,8 @@ class TestModules:
             mod = cyclic_module(table, table.principal(table.prime_power(i, j)))
             expected = [[0] * e for e in table.prime_exponents]
             expected[i][j - 1] = 1
-            assert iso_class(mod) == tuple(map(tuple, expected))
+            assert _reference_iso_class(mod) == tuple(map(tuple, expected))
+            assert table.indecomposables[i, j].data.iso_class == tuple(map(tuple, expected))
 
 
 def _decode(bits: int) -> frozenset:
@@ -406,6 +409,17 @@ class TestSubcategories:
             fresh = submodules(table, multiset)
             assert len(found) == len(fresh) and set(found) == set(fresh), multiset
 
+    @pytest.mark.parametrize("rg", [R_SPLIT, R_X3, ring(3, "x^3+2x^2")], ids=str)
+    def test_only_extended_sums_are_laid_out(self, rg):
+        # the criterion-5 rings: every sum's ModuleData is built, and tables
+        # only for the single summands and the sums that submodules() extends
+        table = build_table(rg)
+        enumerate_subcategories(table)
+        keys = oracle._indecomposable_keys(table)
+        multisets = oracle._all_multisets(keys, 4)
+        assert set(table.sums) == set(multisets)
+        assert set(table.modules) <= {ms[:-1] for ms in multisets} | {(key,) for key in keys}
+
     def test_length_bound_cap(self):
         with pytest.raises(QfiltError):
             enumerate_subcategories(build_table(R_X3), length_bound=9)
@@ -427,7 +441,8 @@ class TestMember:
                     r for r in range(table.size)
                     if mod.smul_table[r][m] == 0)] in flt.members
                 for m in range(mod.size))
-            assert (element_annihilators(mod) <= flt.members) == expected
+            assert (oracle._module_data(table, ((0, 2),)).annihilators <= flt.members) == \
+                expected
 
 
 class TestVerifyRing:
@@ -466,6 +481,26 @@ class TestVerifyRing:
         monkeypatch.setattr(oracle, "fproduct", elsewhere)
         with pytest.raises(RingMismatchError, match="^the engine returned a filter on "):
             verify_ring(R_X3)
+
+
+    def test_engine_and_table_share_one_scheme(self, monkeypatch):
+        # the table is handed verify_ring's scheme, so no engine call on a
+        # filter and an ideal sheaf compares two schemes
+        tables = []
+        real = oracle.build_table
+
+        def recording(ring, scheme=None):
+            tables.append(real(ring, scheme))
+            return tables[-1]
+
+        def refused(a, b):
+            pytest.fail("two schemes compared")
+
+        monkeypatch.setattr(oracle, "build_table", recording)
+        monkeypatch.setattr(Scheme, "__eq__", refused)
+        assert verify_ring(R_MIXED).passed
+        (table,) = tables
+        assert all(ideal.scheme is table.scheme for ideal in table.ideal_sheaves)
 
 
 def _failures(report) -> str:
@@ -624,7 +659,8 @@ def _reference_subcategories(table, length_bound):
     triples = []
     for ms in oracle._all_multisets(keys, length_bound):
         mod = oracle._multiset_module(table, ms)
-        triples.append((iso_class(mod), set(subquotient_classes(mod, submodules(table, ms)))))
+        subs = map(_decode, submodules(table, ms))
+        triples.append((_reference_iso_class(mod), set(_reference_subquotient_classes(mod, subs))))
     out = []
     for subset in itertools.product(*([[False, True]] * len(keys))):
         allowed = frozenset(k for k, keep in zip(keys, subset) if keep)
@@ -649,7 +685,7 @@ def _reference_subcategories(table, length_bound):
         least = frozenset(range(table.size))
         for key in allowed:
             least = least & table.principal(table.prime_power(*key))
-        closed = _class_inside(iso_class(cyclic_module(table, least)), allowed)
+        closed = _class_inside(_reference_iso_class(cyclic_module(table, least)), allowed)
         idem = _ideal_product(table, least, least) == least
         exponents = tuple(max((j for (i, j) in allowed if i == l), default=0)
                           for l in range(len(table.prime_exponents)))
@@ -666,8 +702,8 @@ def test_sweep_small_rings_pass(rg, monkeypatch):
     its multisets of indecomposables."""
     tables, subcategories = [], []
 
-    def recording(ring):
-        tables.append(build_table(ring))
+    def recording(ring, scheme=None):
+        tables.append(build_table(ring, scheme))
         return tables[-1]
 
     def recording_subcategories(table, length_bound):
@@ -735,6 +771,31 @@ def _reference_class_from_sizes(table, sizes):
     return tuple(out)
 
 
+def _reference_iso_class(mod):
+    """Multiplicities of the indecomposables R/(p_i^j), from the sizes
+    |r·M| for the table's primary scalars r, read off the module's table."""
+    sizes = tuple(len(set(mod.smul_table[r])) for r in mod.table.primary_scalars)
+    return _reference_class_from_sizes(mod.table, sizes)
+
+
+def _reference_element_annihilators(mod):
+    """The ideal index of Ann(x) for every element x, one scan of the
+    module's table per distinct column."""
+    index = mod.table.ideal_index
+    scalars = range(mod.table.size)  # r·x is zero where column[r] is 0
+    return frozenset(index[frozenset(itertools.compress(scalars, map(operator.not_, column)))]
+                     for column in set(zip(*mod.smul_table)))
+
+
+def _reference_data(mod):
+    """The ModuleData of a module, every part of it scanned off its table."""
+    rows = [mod.smul_table[r] for r in mod.table.primary_scalars]
+    return oracle.ModuleData(
+        mod.size, tuple(sum(1 << x for x, y in enumerate(row) if not y) for row in rows),
+        tuple(sum(1 << y for y in set(row)) for row in rows),
+        _reference_element_annihilators(mod), _reference_iso_class(mod))
+
+
 def _reference_subquotient_classes(mod, subs):
     """subquotient_classes on submodules given as frozensets, each count
     the size of a frozenset intersection, each class memoised per module."""
@@ -767,8 +828,10 @@ def _reference_subquotient_classes(mod, subs):
 
 def _check_against_reference(rg, length_bound):
     """The bitset submodules of every multiset up to the bound, decoded,
-    against the frozenset reference in the same order, and their class
-    pairs against the reference's."""
+    against the frozenset reference in the same order; the kernels, images,
+    element annihilators and class that each sum's ModuleData builds from
+    its summands against the scans of its table; and the class pairs
+    against the reference's."""
     table = build_table(rg)
     keys = oracle._indecomposable_keys(table)
     found_of, reference_of = {}, {}  # each multiset's, for its extensions
@@ -779,7 +842,9 @@ def _check_against_reference(rg, length_bound):
         assert len(found) == len(reference), ms
         assert all(map(_holds_exactly, found, reference)), ms
         mod = oracle._multiset_module(table, ms)
-        assert subquotient_classes(mod, found) == \
+        data = oracle._module_data(table, ms)
+        assert data == _reference_data(mod), ms
+        assert subquotient_classes(table, data, found) == \
             _reference_subquotient_classes(mod, reference), ms
 
 

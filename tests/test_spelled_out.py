@@ -20,8 +20,8 @@ INIT = {
     # checked: PrimeField that p is a prime within the cap, ExplicitFilter
     # that its members form a filter
     "PrimeField", "ExplicitFilter",
-    # defaulted: the module store of FiniteRingTable and the list of checks
-    # of OracleReport start empty
+    # defaulted: FiniteRingTable builds its own scheme when given none and
+    # starts its module store empty, OracleReport its list of checks
     "FiniteRingTable", "OracleReport",
 }
 
@@ -29,16 +29,11 @@ EQ = {
     "Value",  # compares the fields by name
     # hot loop: compared and hashed in the engine's loops
     "LocalFilter", "ComponentSet", "StalkFilter", "IdealSheaf", "SpecPoint", "PrimePoly",
-    # compared in verify_ring, whose own scheme meets its ring table's in
-    # every engine call on an ideal: 184 Scheme.__eq__ calls per oracle
-    # cycle, none in jobs or laws.  Its __hash__ stays beside its __eq__,
-    # since a class that defines __eq__ alone is unhashable.  Since the
-    # bridge memo leaves the scheme out of its key, no workload hashes a
-    # Scheme, QuotientRing or PrimeField, and the last two are compared by
-    # identity only, so they use Value's
-    "Scheme",
     "ExplicitModule",  # identity: a module equals itself only
 }
+# verify_ring hands its scheme to its ring table, so every engine call meets
+# one scheme object, and no workload compares or hashes a Scheme,
+# QuotientRing or PrimeField: those use Value's
 
 HASH = EQ | {"OracleReport"}  # unhashable: its list of checks grows
 

@@ -38,7 +38,8 @@ SAMPLES = [
     module_data(QUOTIENT, {X: 1}, free=[1]), A1, QUOTIENT, DisjointUnion.symbolic(), IDEAL,
     closed_subscheme(IDEAL), FILTER, up_to(2), filter_base(A1, [IDEAL]), classify(FILTER),
     TABLE, oracle.enumerate_filters(TABLE)[1], oracle.cyclic_module(TABLE, TABLE.ideals[1]),
-    oracle.enumerate_subcategories(TABLE, 2)[1], REPORT,
+    oracle.enumerate_subcategories(TABLE, 2)[1], TABLE.indecomposables[0, 1],
+    oracle._module_data(TABLE, ((0, 1), (1, 1))), REPORT,
 ]
 IDS = [type(v).__name__ for v in SAMPLES]
 
