@@ -36,7 +36,7 @@ from .schemes import (
     IdealSheaf,
     check_same_scheme,
     closed_subscheme,
-    sheaf,
+    _normal,
     sheaf_is_idempotent,
     subscheme_support,
 )
@@ -68,14 +68,14 @@ class ClassificationReport(Value):
 
 def classify(flt: LocalFilter) -> ClassificationReport:
     localizing = is_product_closed(flt)
-    closed, _least = is_principal(flt)
+    closed, least = is_principal(flt)
     bilocalizing = localizing and closed
     prime = is_prime(flt)
-    supp = localizing_to_specclosed(flt) if localizing else None
-    sub = closed_to_subscheme(flt) if closed else None
+    supp = _support(flt) if localizing else None
+    sub = closed_subscheme(least) if closed else None
     clopen = complement = None
     if bilocalizing:
-        clopen, complement = biloc_to_clopen(flt)
+        clopen, complement = _clopen(least)
     return ClassificationReport(
         flt, True, localizing, closed, bilocalizing, prime, supp, sub, clopen, complement
     )
@@ -89,6 +89,11 @@ def localizing_to_specclosed(flt: LocalFilter) -> SpecClosedSet:
     """The set of points where the filter has a nontrivial stalk."""
     if not is_product_closed(flt):
         raise QfiltError("the filter is not closed under products")
+    return _support(flt)
+
+
+def _support(flt: LocalFilter) -> SpecClosedSet:
+    """localizing_to_specclosed of a filter known to be product closed."""
     scheme = flt.scheme
     if flt.improper:
         return all_set(scheme)
@@ -145,11 +150,16 @@ def biloc_to_clopen(flt: LocalFilter) -> tuple[SpecClosedSet, IdealSheaf]:
     ok, least = is_principal(flt)
     if not (ok and is_product_closed(flt)):
         raise QfiltError("the filter is not bilocalizing")
+    return _clopen(least)
+
+
+def _clopen(least: IdealSheaf) -> tuple[SpecClosedSet, IdealSheaf]:
+    """biloc_to_clopen from the least member of a bilocalizing filter."""
     if not sheaf_is_idempotent(least):
         raise QfiltError("the least member is not idempotent")
-    clopen = subscheme_support(least)
-    complement = sheaf(flt.scheme, {}, least.killed.invert())
-    return clopen, complement
+    scheme = least.scheme
+    complement = _normal(scheme, (), scheme.normal_pattern(least.killed.invert()))
+    return subscheme_support(least), complement
 
 
 # ---------------------------------------------------------------------------

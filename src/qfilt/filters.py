@@ -47,6 +47,12 @@ order, so _normal sorts nothing; presented(), the one caller that hands
 it unsorted parts, sorts them first.  So every result of meet, join,
 product and restrict is a fixed point of presented().
 
+The constant filters are built once per scheme and kept in its memo:
+improper_filter() and trivial_filter() hand out the one improper and the
+one trivial filter of a scheme, and _normal() returns them whenever its
+result is improper, or trivial on a disjoint union, so restriction to a
+chart of a union builds no filter.
+
 Meet and join of filters are the pointwise min and max of exponents, the
 product adds them (INF absorbing), and all three preserve this
 presentation class.  Restriction to a chart keeps the data of the chart's
@@ -70,10 +76,10 @@ from .schemes import (
     glue_components,
     glue_points,
     gluing_charts,
-    sheaf,
     sheaf_intersect,
     zero_sheaf,
 )
+from .schemes import _normal as _normal_sheaf
 from .spectrum import ComponentSet, SpecPoint, generic_point, merge_tables, sorted_table
 from .values import Value
 
@@ -154,7 +160,11 @@ FULL_ONLY = StalkFilter("full_only", None)
 
 
 def improper_filter(scheme) -> LocalFilter:
-    return LocalFilter(scheme, True, 0, (), ComponentSet.none())
+    """The filter of all ideal sheaves, built once per scheme."""
+    flt = scheme.memo.get("improper")
+    if flt is None:
+        flt = scheme.memo["improper"] = LocalFilter(scheme, True, 0, (), ComponentSet.none())
+    return flt
 
 
 def presented(scheme, default: int | float = 0, exceptions=(), killed=()) -> LocalFilter:
@@ -200,6 +210,8 @@ def _normal(scheme, default, exponents, killed: ComponentSet) -> LocalFilter:
     if not killed.is_none and scheme.covers(killed):
         return improper_filter(scheme)
     if scheme.component_type == "field":
+        if killed.is_none:
+            return trivial_filter(scheme)
         default = 0
     return LocalFilter(scheme, False, default,
                        tuple([kv for kv in exponents if kv[1] != default]), killed)
@@ -216,8 +228,12 @@ def _check_exp(v, pt: SpecPoint | None = None):
 
 
 def trivial_filter(scheme) -> LocalFilter:
-    """The filter containing only the unit ideal."""
-    return _normal(scheme, 0, (), ComponentSet.none())
+    """The filter containing only the unit ideal, built once per scheme:
+    exponent 0 everywhere and nothing killed is normal on every scheme."""
+    flt = scheme.memo.get("trivial")
+    if flt is None:
+        flt = scheme.memo["trivial"] = LocalFilter(scheme, False, 0, (), ComponentSet.none())
+    return flt
 
 
 def principal_filter(scheme, ideal: IdealSheaf) -> LocalFilter:
@@ -283,7 +299,7 @@ def restrict(flt: LocalFilter, cid: int) -> LocalFilter:
         return flt
     if flt.improper:
         return improper_filter(chart.scheme)
-    kept = [kv for kv in flt.exceptions if chart.has(kv[0])]
+    kept = [kv for kv in flt.exceptions if chart.has(kv[0])] if flt.exceptions else ()
     return _normal(chart.scheme, flt.default, kept, chart.killed(flt.killed))
 
 
@@ -342,8 +358,10 @@ def is_principal(flt: LocalFilter) -> tuple[bool, IdealSheaf | None]:
         return False, None
     if any(v == INF for _, v in flt.exceptions):
         return False, None
-    least = sheaf(flt.scheme, {pt: int(v) for pt, v in flt.exceptions}, flt.killed)
-    return True, least
+    # the exceptions are finite orders >= 1 in point order and the killed
+    # pattern is normal, so the trusted constructor suffices; it folds an
+    # order at the stalk length into killed, as sheaf() does
+    return True, _normal_sheaf(flt.scheme, flt.exceptions, flt.killed)
 
 
 def is_product_closed(flt: LocalFilter) -> bool:

@@ -281,7 +281,9 @@ def _self_check(n: int, add, mul, one: int) -> None:
     compares each row with its column; associativity and distributivity
     compare, for each (a, b), the row over c of each side.  A row that
     differs is scanned entry by entry, so the first failing (a, b, c) names
-    the law, as an entry-by-entry scan of every triple would."""
+    the law, as an entry-by-entry scan of every triple would.  Above 64
+    elements only a fixed stride sample of the pairs (a, b) is checked,
+    each still over every c."""
     rng = range(n)
     add_cols, mul_cols = tuple(zip(*add)), tuple(zip(*mul))
     for a in rng:
@@ -289,15 +291,11 @@ def _self_check(n: int, add, mul, one: int) -> None:
             raise QfiltError("ring tables fail the unit laws")
         if add[a] != add_cols[a] or mul[a] != mul_cols[a]:
             raise QfiltError("ring tables are not commutative")
-    # full associativity/distributivity scan is cubic; cap it at sizes where
-    # that stays instant and fall back to a fixed stride sample above
-    if n > 64:
-        _check_triples(add, mul, itertools.product(range(0, n, max(1, n // 32)), repeat=3))
-        return
+    sample = range(0, n, n // 32) if n > 64 else rng
     # at_add[b](row) is the row read at add[b][c] for each c, at_mul alike
-    at_add = [operator.itemgetter(*row) for row in add]
-    at_mul = [operator.itemgetter(*row) for row in mul]
-    for a, b in itertools.product(rng, repeat=2):
+    at_add = {b: operator.itemgetter(*add[b]) for b in sample}
+    at_mul = {b: operator.itemgetter(*mul[b]) for b in sample}
+    for a, b in itertools.product(sample, repeat=2):
         add_a, mul_a = add[a], mul[a]
         if (add[add_a[b]] != at_add[b](add_a) or mul[mul_a[b]] != at_mul[b](mul_a)
                 or at_add[b](mul_a) != at_mul[a](add[mul_a[b]])):

@@ -22,7 +22,11 @@ points with their stalk lengths (None on a curve, whose closed points are
 the line's), the closed points a chart of P1 adds to or removes from the
 line, and the chart table.  Points are intrinsic and shared by charts by
 name, so restriction and gluing never rewrite coordinates; both read the
-chart table and nothing else.  Only Scheme knows the component count, so
+chart table and nothing else.  What is built later is built once too:
+each scheme keeps a memo, which no comparison reads, of its improper and
+trivial filters and, on the symbolic union, of the Chart of each chart id
+asked for, so restriction and gluing on a union build no chart and no
+constant filter.  Only Scheme knows the component count, so
 it alone answers the two questions asked of a component pattern: its
 normal form (an explicit list on finitely many components) and whether it
 holds every component.
@@ -91,13 +95,18 @@ class Chart(NamedTuple):
     dropped: tuple[SpecPoint, ...] = ()
 
     def has(self, pt: SpecPoint) -> bool:
-        return pt.component in self.components and pt not in self.dropped
+        return pt.component in self.components and (not self.dropped or pt not in self.dropped)
 
     def killed(self, cs: ComponentSet) -> ComponentSet:
         """A component pattern of the whole scheme, as seen on the chart."""
         if cs.is_none:
             return cs
+        if len(self.components) == 1:
+            return _FIRST_COMPONENT if cs.contains(self.components[0]) else ComponentSet.none()
         return ComponentSet.of([i for i, c in enumerate(self.components) if cs.contains(c)])
+
+
+_FIRST_COMPONENT = ComponentSet.of((0,))  # what a one-component chart sees killed
 
 
 _LINE_NAMES = {"affine_line": "A1", "proj_line": "P1", "proj_chart_one": "P1-chart1"}
@@ -116,10 +125,18 @@ class Scheme(Value):
     template every component's chart follows), affine (polynomials in x
     name the ideals) and name (str).  normal_pattern and covers answer the
     two questions asked of a component pattern; check_closed_point and
-    checked_pattern vet a caller's points and patterns."""
+    checked_pattern vet a caller's points and patterns.
+
+    memo starts empty and holds the scheme's constants once built: the
+    filters module keeps its improper and trivial filters there under
+    those names, and chart() on the symbolic union keeps each chart id's
+    Chart under the id.  No comparison, hash, repr or copy reads it; a
+    pickle or copy starts with an empty memo.  The improper filter refers
+    back to its scheme, so a scheme that built one sits in a reference
+    cycle, which the cyclic garbage collector frees."""
 
     __slots__ = ("kind", "field", "ring", "components", "component_count", "component_type",
-                 "closed", "added", "removed", "chart_table", "affine", "name")
+                 "closed", "added", "removed", "chart_table", "affine", "name", "memo")
     _fields = ("kind", "field", "ring", "components")
 
     def __init__(self, kind: str, field: BaseField | None = None, ring: QuotientRing | None = None,
@@ -130,8 +147,9 @@ class Scheme(Value):
         set_ring(self, ring)
         set_components(self, components)
         derived = _derive(self)
-        for name, set_field in zip(Scheme.__slots__[4:], Scheme._setters[4:]):
+        for name, set_field in zip(Scheme.__slots__[4:-1], Scheme._setters[4:-1]):
             set_field(self, derived[name])
+        Scheme._setters[-1](self, {})
 
     def charts(self):
         if self.component_count is None:
@@ -142,8 +160,11 @@ class Scheme(Value):
         symbolic = self.component_count is None
         if not isinstance(cid, int) or cid < 0 or not symbolic and cid >= len(self.chart_table):
             raise QfiltError(f"{self} has no chart {cid}")
-        if symbolic:  # chart c is component c
-            return Chart(self.chart_table[0].scheme, (cid,))
+        if symbolic:  # chart c is component c, built once per id
+            chart = self.memo.get(cid)
+            if chart is None:
+                chart = self.memo[cid] = Chart(self.chart_table[0].scheme, (cid,))
+            return chart
         return self.chart_table[cid]
 
     def has_component(self, c: int) -> bool:
@@ -505,7 +526,7 @@ def restrict_sheaf(a: IdealSheaf, cid: int) -> IdealSheaf:
     chart = a.scheme.chart(cid)
     if chart.scheme is a.scheme:
         return a
-    kept = [kv for kv in a.orders if chart.has(kv[0])]
+    kept = [kv for kv in a.orders if chart.has(kv[0])] if a.orders else ()
     return _normal(chart.scheme, kept, chart.killed(a.killed))
 
 

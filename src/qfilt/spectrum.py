@@ -26,7 +26,10 @@ disjoint union the cofinite side is genuinely infinite.  Every stored
 pattern (the killed components of ideal sheaves and filters, the free
 components of TorsionSheafData) is in the normal form of its scheme: an
 explicit list on finitely many components, so an empty pattern is
-ComponentSet.none() and nothing else.  SpecClosedSet is
+ComponentSet.none() and nothing else.  That is one object: of, intersect,
+invert and normalize return it for every empty finite pattern, and union
+returns an operand, so no empty pattern is built twice; is_none still
+reads the fields, for a pattern a caller builds.  SpecClosedSet is
 a decidable descriptor of a specialization-closed subset: empty, all, a
 finite set of closed points, a cofinite set of closed points (all but a
 finite exclusion list, generic points excluded), or a ComponentSet worth
@@ -123,7 +126,7 @@ def merge_tables(ta, tb, op, da, db) -> list:
     (for ta) or db (for tb).  On one scheme distinct closed points have
     distinct sort keys, so comparing keys decides both order and identity."""
     if not tb:
-        return [(pt, op(v, db)) for pt, v in ta]
+        return [(pt, op(v, db)) for pt, v in ta] if ta else []
     if not ta:
         return [(pt, op(da, v)) for pt, v in tb]
     out = []
@@ -177,7 +180,7 @@ class ComponentSet(Value):
 
     @staticmethod
     def of(indices) -> "ComponentSet":
-        return ComponentSet(False, frozenset(indices))
+        return _finite(frozenset(indices))
 
     @staticmethod
     def cofinite(excluded) -> "ComponentSet":
@@ -189,7 +192,7 @@ class ComponentSet(Value):
 
     @staticmethod
     def all() -> "ComponentSet":
-        return ComponentSet(True, frozenset())
+        return _ALL_COMPONENTS
 
     def contains(self, index: int) -> bool:
         if self.complement:
@@ -228,14 +231,16 @@ class ComponentSet(Value):
         if other.is_none:
             return other
         if not self.complement and not other.complement:
-            return ComponentSet(False, self.members & other.members)
+            return _finite(self.members & other.members)
         if self.complement and other.complement:
             return ComponentSet(True, self.members | other.members)
         fin, cof = (self, other) if not self.complement else (other, self)
-        return ComponentSet(False, fin.members - cof.members)
+        return _finite(fin.members - cof.members)
 
     def invert(self) -> "ComponentSet":
-        return ComponentSet(not self.complement, self.members)
+        if self.complement:
+            return _finite(self.members)
+        return ComponentSet(True, self.members)
 
     def issubset(self, other: "ComponentSet") -> bool:
         return self.intersect(other.invert()).is_none
@@ -246,11 +251,18 @@ class ComponentSet(Value):
         if count is not None:
             all_idx = frozenset(range(count))
             explicit = (all_idx - self.members) if self.complement else (self.members & all_idx)
-            return ComponentSet(False, explicit)
-        return ComponentSet(self.complement, frozenset(self.members))
+            return _finite(explicit)
+        return self if self.complement or self.members else _NO_COMPONENTS
 
 
 _NO_COMPONENTS = ComponentSet(False, frozenset())
+_ALL_COMPONENTS = ComponentSet(True, frozenset())
+
+
+def _finite(members: frozenset) -> ComponentSet:
+    """The finite pattern of exactly `members`: ComponentSet.none() itself
+    when there are none."""
+    return ComponentSet(False, members) if members else _NO_COMPONENTS
 
 
 # ---------------------------------------------------------------------------

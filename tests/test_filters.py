@@ -10,6 +10,7 @@ from qfilt.filters import (
     ALL_POWERS,
     EVERYTHING,
     FULL_ONLY,
+    LocalFilter,
     cofinite_family,
     contains,
     enumerate_quotient_filters,
@@ -35,6 +36,7 @@ from qfilt.poly import irreducibles, poly_from_str
 from qfilt.schemes import (
     AffineLine,
     AffineQuotient,
+    Chart,
     DisjointUnion,
     ProjLine,
     restrict_sheaf,
@@ -649,3 +651,80 @@ def test_sheaf_merge_matches_order_at_on_grid(shape):
 def test_sheaf_merge_matches_order_at(data):
     shape = data.draw(st.sampled_from(NORMAL_FORM_SHAPES))
     assert_sheaf_ops_match_reference(shape_sheaf(data, shape), shape_sheaf(data, shape))
+
+
+# ---------------------------------------------------------------------------
+# each scheme builds its improper and trivial filters once, so restriction
+# to a chart of a disjoint union, whose results are always one of the two,
+# builds nothing
+
+UNION_SHAPES = [shape for shape in NORMAL_FORM_SHAPES if shape[0].component_type == "field"]
+
+
+def test_improper_filter_is_built_once():
+    assert improper_filter(A1) is improper_filter(A1)
+    twin = AffineLine(SymbolicAlgClosed())
+    assert twin == A1 and twin is not A1
+    assert improper_filter(twin) == improper_filter(A1)
+    assert improper_filter(twin) is not improper_filter(A1)
+
+
+def test_trivial_filter_is_built_once():
+    assert trivial_filter(Q) is trivial_filter(Q)
+    assert presented(U3, 0) is trivial_filter(U3)
+    assert trivial_filter(U3) == presented(U3, 0, {}, ComponentSet.of([]))
+
+
+@pytest.mark.parametrize("shape", UNION_SHAPES, ids=lambda s: str(s[0]))
+def test_union_restrict_returns_a_chart_constant(shape):
+    scheme, charts = shape[0], shape[4]
+    for f in grid_filters(shape):
+        for c in charts:
+            chart_scheme = scheme.chart(c).scheme
+            r = restrict(f, c)
+            assert r is improper_filter(chart_scheme) or r is trivial_filter(chart_scheme)
+
+
+def _count_inits(monkeypatch, cls) -> list:
+    """Wrap cls.__init__ to count the objects built.  A NamedTuple's
+    __init__ is object's, which refuses arguments once replaced, so it is
+    not called."""
+    built = [0]
+    original = cls.__init__
+
+    def init(self, *args):
+        built[0] += 1
+        if original is not object.__init__:
+            original(self, *args)
+
+    monkeypatch.setattr(cls, "__init__", init)
+    return built
+
+
+def test_second_union_pass_builds_no_filter_or_chart(monkeypatch):
+    pools = [(shape[0], shape[4], grid_filters(shape)) for shape in UNION_SHAPES]
+
+    def restrict_pass():
+        return [(scheme, f, {c: restrict(f, c) for c in charts})
+                for scheme, charts, flts in pools for f in flts]
+
+    def glue_pass(restricted):
+        return [glue_filters(scheme, data,
+                             "improper" if f.improper or not f.killed.is_finite else "trivial")
+                for scheme, f, data in restricted]
+
+    glue_pass(restrict_pass())
+    filters_built = _count_inits(monkeypatch, LocalFilter)
+    charts_built = _count_inits(monkeypatch, Chart)
+    restricted = restrict_pass()
+    assert filters_built == charts_built == [0]
+    glued = glue_pass(restricted)
+    assert glued == [f for _, f, _ in restricted]
+    assert charts_built == [0]
+    # a glued improper or trivial filter is its scheme's constant, and
+    # only the others are built
+    constants = [g for g in glued if g.improper or g == trivial_filter(g.scheme)]
+    assert all(g is improper_filter(g.scheme) or g is trivial_filter(g.scheme)
+               for g in constants)
+    assert 0 < len(constants) < len(glued)
+    assert filters_built == [len(glued) - len(constants)]

@@ -91,6 +91,17 @@ class TestTable:
         with pytest.raises(QfiltError, match="^addition is not associative$"):
             oracle._self_check(table.size, add, table.mul, table.one)
 
+    def test_self_check_reads_every_c_above_64_elements(self):
+        # element 1 of F3[x]/(x^4) is x^3, odd and so never sampled: with
+        # x^3·x^3 set to x^3, every triple of sampled elements still holds,
+        # but a sampled pair (a, b) fails at some unsampled c
+        table = build_table(ring(3, "x^4"))
+        mul = _with_entry(table.mul, 1, 1, 1)
+        sampled = range(0, table.size, 2)
+        oracle._check_triples(table.add, mul, itertools.product(sampled, repeat=3))
+        with pytest.raises(QfiltError, match="^multiplication is not associative$"):
+            oracle._self_check(table.size, table.add, mul, table.one)
+
     def test_self_check_matches_entry_by_entry_scan(self):
         # every one-entry change of either table of F2[x]/(x^2+x), on both
         # sides of the diagonal or on one, fails the law the scan of every

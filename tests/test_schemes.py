@@ -1,6 +1,10 @@
 """Scheme models and ideal sheaves: arithmetic, restriction, gluing."""
 
+import copy
+import pickle
+
 import pytest
+from hypothesis import given, strategies as st
 
 from qfilt.errors import GluingError, QfiltError, RingMismatchError
 from qfilt.fields import PrimeField, SymbolicAlgClosed
@@ -241,3 +245,38 @@ class TestClosedSubscheme:
         assert subscheme_support(zero_sheaf(A1)) == all_set(A1)
         assert subscheme_support(sheaf(UZ, {}, ComponentSet.of([0]))) \
             == component_set(UZ, ComponentSet.of([0]))
+
+
+class TestMemo:
+    def test_memo_is_outside_equality_and_copies(self):
+        s = DisjointUnion.symbolic()
+        improper_filter(s), trivial_filter(s), s.chart(7)
+        assert set(s.memo) == {"improper", "trivial", 7}
+        fresh = DisjointUnion.symbolic()
+        assert fresh.memo == {}
+        assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+        for twin in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+            assert twin == s and twin.memo == {}
+
+    def test_symbolic_union_builds_each_chart_once(self):
+        assert UZ.chart(5) is UZ.chart(5)
+        assert UZ.chart(5) != UZ.chart(6)
+        assert UZ.chart(5).scheme is UZ.chart(6).scheme
+
+
+# patterns as the engine builds them: through of, cofinite, none and all
+PATTERNS = st.one_of(
+    st.builds(ComponentSet.of, st.frozensets(st.integers(0, 5), max_size=4)),
+    st.builds(ComponentSet.cofinite, st.frozensets(st.integers(0, 5), max_size=4)),
+    st.sampled_from([ComponentSet.none(), ComponentSet.all()]),
+)
+CHARTS = [scheme.chart(c) for scheme in (UZ, U3, P1, Q) for c in range(6)
+          if scheme.component_count is None or c < len(scheme.chart_table)]
+
+
+@given(PATTERNS, PATTERNS, st.sampled_from([None, 1, 3, 6]))
+def test_every_empty_pattern_is_the_one_none(a, b, count):
+    results = [a.union(b), a.intersect(b), a.invert(), a.normalize(count)]
+    results += [chart.killed(a) for chart in CHARTS]
+    for cs in results:
+        assert cs.complement or cs.members or cs is ComponentSet.none()
