@@ -250,17 +250,17 @@ def kill_admitted(flt: LocalFilter, pattern: ComponentSet) -> bool:
     """Whether a proper filter admits vanishing on every component of the
     pattern; callers decide the improper filter, which admits everything.
 
-    Field components must be killed in the filter; an Artinian component is
-    admitted when every point of it sits at its cap; a curve component needs
-    the improper filter."""
-    scheme = flt.scheme
-    leftovers = scheme.normal_pattern(pattern.intersect(flt.killed.invert()))
-    if leftovers.is_none:
+    Both patterns are in normal form.  Field components must be killed in
+    the filter; an Artinian component is admitted when every point of it
+    sits at its cap, and a proper filter on an Artinian scheme kills
+    nothing in normal form; a curve component needs the improper filter."""
+    if pattern.issubset(flt.killed):
         return True
+    scheme = flt.scheme
     if scheme.component_type != "artinian":
         return False
     return all(flt.value(pt) >= cap
-               for pt, cap in (scheme.closed[c] for c in leftovers.members))
+               for pt, cap in (scheme.closed[c] for c in pattern.members))
 
 
 def contains(flt: LocalFilter, ideal: IdealSheaf) -> bool:

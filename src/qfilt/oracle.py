@@ -19,27 +19,33 @@ of indecomposable module classes certified by explicit submodule
 enumeration, each set a bitmask over the indecomposables, and the
 bijection between the two enumerations is checked rather than assumed.
 
-A finite module is its elements 0..n-1 (0 the zero) with list tables for
-addition and for multiplication by each ring element, and a submodule is
-an int bitset over those elements, bit x set when x is in it.  R/I
-numbers the cosets of I, so R/R is the zero module, and a direct sum
-numbers its tuples by mixed radix, so every table is built by index
-arithmetic.  The submodules of a direct sum M' + R/(p^j) come from those
-of M' by Goursat's lemma, each exactly once: a submodule is its
-intersection with M', the image p^a·R/(p^j) of its last coordinate, and
-the coset of M' that the image's generator lifts to.  The classes of a
-submodule N and of its quotient are read off counts of set bits: for
-each scalar r that picks out p_i^j times the p_i-primary part, |r·N| is
-|N| / |N ∩ ker r| and |r·(M/N)| is |r·M| / |N ∩ r·M|.
+A finite module is its elements 0..n-1 (0 the zero) with one row for
+multiplication by each ring element, and a submodule is an int bitset
+over those elements, bit x set when x is in it.  Every module here adds
+digit by digit mod p, so its add table depends only on its size and is
+built once per size and ring table.  R numbers its elements by their
+base-p coefficient digits.  R/I numbers each coset of I by its least
+element, which is zero at the pivots of an echelon basis of I, so the
+coset's number is the number its other digits spell, and R/R is the zero
+module.  A direct sum numbers its element (x, c) as x·|C| + c, which
+joins the digits of x to those of c.  The submodules of a direct sum
+M' + R/(p^j) come from those of M' by Goursat's lemma, each exactly
+once: a submodule is its intersection with M', the image p^a·R/(p^j) of
+its last coordinate, and the coset of M' that the image's generator
+lifts to.  The classes of a submodule N and of its quotient are read off
+counts of set bits: for each scalar r that picks out p_i^j times the
+p_i-primary part, |r·N| is |N| / |N ∩ ker r| and |r·(M/N)| is
+|r·M| / |N ∩ r·M|.
 
 Each indecomposable R/(p_i^j) is laid out once per ring table, from the
-cosets of (p_i^j): its kernels and images of the primary scalars, the
-annihilators of its elements and the picks that extend submodules by it.
-What is read of a direct sum M' + C, its ModuleData, is built from its
-prefix's and its last summand's, with no table of the sum: the kernel
-and the image of r on M' + C are those on M' times those on C, and
-Ann(x, c) is Ann(x) ∩ Ann(c).  Only the sums that the submodule
-enumeration extends are laid out as tables.  The subcategory enumeration
+cosets of (p_i^j): its rows for multiplication, its kernels and images
+of the primary scalars, the annihilators of its elements and the picks
+that extend submodules by it.  What is read of a direct sum M' + C, its
+ModuleData, is built from its prefix's and its last summand's, with no
+table of the sum: the kernel and the image of r on M' + C are those on
+M' times those on C, and Ann(x, c) is Ann(x) ∩ Ann(c).  Only the sums
+that the submodule enumeration extends get rows for multiplication, each
+from its prefix's and its last summand's.  The subcategory enumeration
 and the membership check share one ModuleData per sum, and the
 membership check reads its element annihilators once for all filters.
 
@@ -67,7 +73,6 @@ from .schemes import AffineQuotient, sheaf
 from .spectrum import module_data
 from .values import Value
 
-Element = int
 IdealSet = frozenset
 
 
@@ -77,22 +82,20 @@ class FiniteRingTable(Value):
 
     `prime_elements` holds the element index of each prime factor, and
     `scheme` is the engine's scheme of the ring, one object for every
-    engine call on the table.  `modules` holds the [add table, smul table]
-    of each single indecomposable and of each direct sum that submodules()
-    extends, each built once, the add table when first read; tables alone,
-    so that no cycle keeps them alive.  Neither stays in equality, repr or
-    copies, nor do the cached tables in __dict__."""
+    engine call on the table.  Neither `scheme` nor the cached tables in
+    __dict__, the per-module memos among them, stay in equality, repr or
+    copies."""
 
     __slots__ = ("ring", "add", "mul", "one", "ideals", "prime_exponents",
-                 "prime_degrees", "prime_elements", "scheme", "modules", "__dict__")
-    _fields = __slots__[:-3]  # neither scheme, modules nor __dict__
+                 "prime_degrees", "prime_elements", "scheme", "__dict__")
+    _fields = __slots__[:-2]  # neither scheme nor __dict__
 
     def __init__(self, ring: QuotientRing, add: tuple[tuple[int, ...], ...],
                  mul: tuple[tuple[int, ...], ...], one: int, ideals: tuple[IdealSet, ...],
                  prime_exponents: tuple[int, ...], prime_degrees: tuple[int, ...],
-                 prime_elements: tuple[int, ...], scheme=None, modules: dict | None = None):
+                 prime_elements: tuple[int, ...], scheme=None):
         (set_ring, set_add, set_mul, set_one, set_ideals, set_prime_exponents,
-         set_prime_degrees, set_prime_elements, set_scheme, set_modules) = FiniteRingTable._setters
+         set_prime_degrees, set_prime_elements, set_scheme) = FiniteRingTable._setters
         set_ring(self, ring)
         set_add(self, add)
         set_mul(self, mul)
@@ -102,7 +105,6 @@ class FiniteRingTable(Value):
         set_prime_degrees(self, prime_degrees)
         set_prime_elements(self, prime_elements)
         set_scheme(self, AffineQuotient(ring) if scheme is None else scheme)
-        set_modules(self, {} if modules is None else modules)
 
     @property
     def size(self) -> int:
@@ -201,6 +203,19 @@ class FiniteRingTable(Value):
         return {(): _quotient_data(self, *cosets(self.add, self.ideals[0]))}
 
     @cached_property
+    def smuls(self) -> dict:
+        """The rows r·x, one per ring element r, of the direct sum over each
+        multiset that submodules() extends (see _smul_rows), from the empty
+        sum R/R on."""
+        return {(): [[0]] * self.size}
+
+    @cached_property
+    def adds(self) -> dict:
+        """The add table of each module size asked for so far (see
+        _add_rows)."""
+        return {}
+
+    @cached_property
     def ideal_sheaves(self) -> tuple:
         """The engine's ideal sheaf of each ideal, from its vanishing orders."""
         points = [pt for pt, _ in self.scheme.primes()]
@@ -233,10 +248,9 @@ def build_table(ring: QuotientRing, scheme=None) -> FiniteRingTable:
     Element i is the polynomial whose coefficients of x^0..x^(deg-1) are
     the base-p digits of i, most significant first, in the order of
     itertools.product; element 0 is the zero polynomial, so the zero of
-    every module is 0.  The tables are built by index arithmetic: a row for a is
-    the row for a - x^k shifted by one lookup per entry, adding x^k for
-    `add` and adding x^k·b for `mul`, x^k·b read off the companion matrix
-    of f."""
+    every module is 0.  The tables are built by index arithmetic: `add`
+    adds the digits mod p (_digit_sums), and the `mul` row for a is the row
+    for a - x^k plus x^k·b, x^k·b read off the companion matrix of f."""
     primes = _checked_primes(ring)
     modulus = ring.modulus
     p, deg = modulus.p, modulus.degree
@@ -247,23 +261,19 @@ def build_table(ring: QuotientRing, scheme=None) -> FiniteRingTable:
     def index(coeffs) -> int:
         return sum(c % p * w for c, w in zip(coeffs, weights))
 
-    # plus[k][b] is b + x^k, and times_x[b] is x·b by the companion matrix
-    # of the monic f = x^deg + sum_k tail[k]·x^k
-    plus = [[b + w if digits[b][k] < p - 1 else b - (p - 1) * w for b in range(n)]
-            for k, w in enumerate(weights)]
+    # times_x[b] is x·b by the companion matrix of the monic
+    # f = x^deg + sum_k tail[k]·x^k
     tail = modulus.coeffs[:deg]
     times_x = [index([-d[-1] * tail[0]] + [d[k - 1] - d[-1] * tail[k] for k in range(1, deg)])
                for d in digits]
     powers = [list(range(n))]  # powers[k][b] is x^k·b
     for _ in range(1, deg):
         powers.append([times_x[b] for b in powers[-1]])
-    # each a > 0 is a - x^k plus x^k for the last nonzero coefficient k
-    steps = [(a, max(k for k, d in enumerate(digits[a]) if d)) for a in range(1, n)]
-    add = [list(range(n))]
-    for a, k in steps:
-        add.append([plus[k][y] for y in add[a - weights[k]]])
+    add = _digit_sums(p, deg)
     mul = [[0] * n]
-    for a, k in steps:
+    for a in range(1, n):
+        # a is a - x^k plus x^k for the last nonzero coefficient k
+        k = max(k for k, d in enumerate(digits[a]) if d)
         mul.append([add[u][v] for u, v in zip(mul[a - weights[k]], powers[k])])
     add = tuple(map(tuple, add))
     mul = tuple(map(tuple, mul))
@@ -411,26 +421,6 @@ def _meet_all(table: FiniteRingTable, indices) -> int:
 # explicit modules
 
 
-class ExplicitModule(Value):
-    """A finite module on the elements 0..n-1, element 0 its zero; two
-    modules are equal only when they are the same object.
-
-    `add_table[x][y]` is x + y and `smul_table[r][x]` is r·x for the ring
-    element of index r; the rows are read-only.  Only the cyclic modules
-    and the direct sums that submodules() extends are laid out as tables;
-    what is read of every other sum is its ModuleData.  `add_table` is
-    None on a direct sum of two or more summands until _multiset_add
-    builds it."""
-
-    __slots__ = ("table", "add_table", "smul_table")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    @property
-    def size(self) -> int:
-        return len(self.smul_table[0])
-
-
 class ModuleData(Value):
     """What the oracle reads of a finite module M: its size; `kernels` and
     `images`, the kernel of each primary scalar r on M and the image r·M,
@@ -444,12 +434,14 @@ class ModuleData(Value):
 
 class Indecomposable(Value):
     """The indecomposable C = R/(p_i^j) of a key (i, j), laid out once per
-    ring table: `data` is its ModuleData, and `levels` holds, for each
-    a = 0..j, the element index of p_i^(j-a) and the picks of p_i^a·C,
-    each nonzero element c of p_i^a·C with one ring element s that takes
-    p_i^a·1 to it (see submodules)."""
+    ring table from the cosets of (p_i^j): `data` is its ModuleData,
+    `smul[r][c]` is r·c for the ring element of index r, and `levels`
+    holds, for each a = 0..j, the element index of p_i^(j-a) and the picks
+    of p_i^a·C, each nonzero element c of p_i^a·C with one ring element s
+    that takes p_i^a·1 to it (see submodules).  C adds digit by digit, as
+    every module here does, so it keeps no add table."""
 
-    __slots__ = ("data", "levels")
+    __slots__ = ("data", "smul", "levels")
 
 
 def cosets(add_table, sub) -> tuple[list[int], list[int]]:
@@ -465,14 +457,6 @@ def cosets(add_table, sub) -> tuple[list[int], list[int]]:
                 coset[row[s]] = len(leaders)
             leaders.append(x)
     return coset, leaders
-
-
-def cyclic_module(table: FiniteRingTable, ideal: IdealSet) -> ExplicitModule:
-    """R/I, one element per coset of I."""
-    coset, leaders = cosets(table.add, ideal)
-    return ExplicitModule(table,
-                          [[coset[table.add[a][b]] for b in leaders] for a in leaders],
-                          [[coset[row[a]] for a in leaders] for row in table.mul])
 
 
 def _quotient_data(table: FiniteRingTable, coset: list[int], leaders: list[int]) -> ModuleData:
@@ -497,6 +481,7 @@ def _lay_out(table: FiniteRingTable, key: tuple[int, int]) -> Indecomposable:
     the ring element r is coset[r] in C, so p_i^a·s·1 is coset[p_i^a·s]."""
     i, j = key
     coset, leaders = cosets(table.add, table.principal(table.prime_power(i, j)))
+    smul = tuple(tuple(coset[row[a]] for a in leaders) for row in table.mul)
     levels = []
     for a in range(j + 1):
         row = table.mul[table.prime_power(i, a)]
@@ -505,7 +490,7 @@ def _lay_out(table: FiniteRingTable, key: tuple[int, int]) -> Indecomposable:
             picks.setdefault(coset[row[s]], s)
         # the first pick is 0, reached by s = 0: its part of N is A0 itself
         levels.append((table.prime_power(i, j - a), tuple(picks.items())[1:]))
-    return Indecomposable(_quotient_data(table, coset, leaders), tuple(levels))
+    return Indecomposable(_quotient_data(table, coset, leaders), smul, tuple(levels))
 
 
 def _module_data(table: FiniteRingTable, multiset: tuple) -> ModuleData:
@@ -542,6 +527,39 @@ def _sum_rows(pairs, n: int) -> list[list[int]]:
     return [[x * n + y for x in ra for y in rb] for ra, rb in pairs]
 
 
+def _smul_rows(table: FiniteRingTable, multiset: tuple) -> list[list[int]]:
+    """The rows r·x of the direct sum over a multiset of keys, each built
+    once per ring table from its prefix's and its last summand's, since
+    r·(x, c) is (r·x, r·c)."""
+    rows = table.smuls.get(multiset)
+    if rows is None:
+        last = table.indecomposables[multiset[-1]]
+        rows = table.smuls[multiset] = _sum_rows(
+            zip(_smul_rows(table, multiset[:-1]), last.smul), last.data.size)
+    return rows
+
+
+def _digit_sums(p: int, k: int) -> list[list[int]]:
+    """The add table of the elements 0..p^k-1, each read as k base-p digits
+    and added digit by digit mod p: k copies of Z/p joined one at a time by
+    _sum_rows, as a direct sum is."""
+    digit = [[(a + b) % p for b in range(p)] for a in range(p)]
+    rows = [[0]]
+    for _ in range(k):
+        rows = _sum_rows(itertools.product(rows, digit), p)
+    return rows
+
+
+def _add_rows(table: FiniteRingTable, size: int) -> list[list[int]]:
+    """The add table of every module of `size` elements, built once per
+    ring table: each adds digit by digit mod p (see the module docstring)."""
+    rows = table.adds.get(size)
+    if rows is None:
+        p = table.ring.modulus.p
+        rows = table.adds[size] = _digit_sums(p, _exact_log(size, p))
+    return rows
+
+
 _FLAG = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -573,8 +591,8 @@ def submodules(table: FiniteRingTable, multiset: tuple, prefix=None) -> tuple[in
         return (1,)
     if prefix is None:
         prefix = submodules(table, multiset[:-1])
-    smul = _multiset_module(table, multiset[:-1]).smul_table
-    add = _multiset_add(table, multiset[:-1])
+    smul = _smul_rows(table, multiset[:-1])
+    add = _add_rows(table, len(smul[0]))
     last = table.indecomposables[multiset[-1]]
     n = last.data.size
     elements = range(len(add))
@@ -714,39 +732,6 @@ def _all_multisets(keys, length_bound: int):
     return [ms for size in range(length_bound + 1)
             for ms in itertools.combinations_with_replacement(keys, size)
             if sum(j for _, j in ms) <= length_bound]
-
-
-def _multiset_module(table: FiniteRingTable, multiset: tuple) -> ExplicitModule:
-    """The direct sum of R/(p_i^j) over a multiset of keys (i, j), its
-    tables kept on the table; each sum adds one indecomposable to its
-    prefix's module.  Only the sums that submodules() extends are laid
-    out, and what else is read of a sum is its ModuleData.  The add table
-    is left to _multiset_add."""
-    tables = table.modules.get(multiset)
-    if tables is None:
-        if len(multiset) > 1:
-            head = _multiset_module(table, multiset[:-1])
-            last = _multiset_module(table, multiset[-1:])
-            tables = [None, _sum_rows(zip(head.smul_table, last.smul_table), last.size)]
-        else:
-            # ideal 0 is the unit ideal, so the empty sum is R/R, the zero module
-            ideal = (table.principal(table.prime_power(*multiset[0])) if multiset
-                     else table.ideals[0])
-            mod = cyclic_module(table, ideal)
-            tables = [mod.add_table, mod.smul_table]
-        table.modules[multiset] = tables
-    return ExplicitModule(table, *tables)
-
-
-def _multiset_add(table: FiniteRingTable, multiset: tuple) -> list[list[int]]:
-    """The add table of the sum over a multiset that _multiset_module has
-    laid out, built when first asked for and kept with its smul table."""
-    tables = table.modules[multiset]
-    if tables[0] is None:
-        last = _multiset_module(table, multiset[-1:])
-        tables[0] = _sum_rows(itertools.product(
-            _multiset_add(table, multiset[:-1]), last.add_table), last.size)
-    return tables[0]
 
 
 def enumerate_subcategories(table: FiniteRingTable,

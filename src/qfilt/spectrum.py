@@ -243,7 +243,13 @@ class ComponentSet(Value):
         return ComponentSet(True, self.members)
 
     def issubset(self, other: "ComponentSet") -> bool:
-        return self.intersect(other.invert()).is_none
+        """Whether every component of this pattern is in the other, decided
+        on the members: a cofinite pattern lies in no finite one."""
+        if self.complement:
+            return other.complement and other.members <= self.members
+        if other.complement:
+            return self.members.isdisjoint(other.members)
+        return self.members <= other.members
 
     def normalize(self, count: int | None) -> "ComponentSet":
         """Rewrite against `count` components (None: the symbolic family)

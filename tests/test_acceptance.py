@@ -40,7 +40,7 @@ from qfilt.filters import (
 )
 from qfilt.ideals import QuotientRing
 from qfilt.oracle import (
-    _multiset_module,
+    _smul_rows,
     build_table,
     engine_filter_to_explicit,
     enumerate_filters,
@@ -206,15 +206,15 @@ def test_criterion_6_membership():
         assert len(filters) == 4
         pairs = 0
         for parts in multisets:
-            mod = _multiset_module(table, parts)
+            smul = _smul_rows(table, parts)
             data = module_data(scheme, [(x, j) for _, j in parts])
             for flt in filters:
                 explicit = engine_filter_to_explicit(flt, table)
                 elementwise = all(
                     table.ideal_index[frozenset(r for r in range(table.size)
-                                                if mod.smul_table[r][m] == 0)]
+                                                if smul[r][m] == 0)]
                     in explicit.members
-                    for m in range(mod.size))
+                    for m in range(len(smul[0])))
                 assert member(data, flt) == elementwise, (parts, flt)
                 pairs += 1
         assert pairs == len(multisets) * 4 and pairs >= 40

@@ -14,11 +14,9 @@ from qfilt.fields import PrimeField
 from qfilt.filters import LocalFilter, enumerate_quotient_filters, is_product_closed
 from qfilt.ideals import QuotientRing
 from qfilt.oracle import (
-    ExplicitModule,
     build_table,
     check_prelocalizing,
     cosets,
-    cyclic_module,
     enumerate_filters,
     enumerate_subcategories,
     oracle_join,
@@ -233,31 +231,62 @@ class TestFilters:
                 assert all(least <= table.ideals[i] for i in f.members)
 
 
+class _Module:
+    """A finite module laid out on the elements 0..n-1, element 0 its zero:
+    `add_table[x][y]` is x + y, None where only r·x is read, and
+    `smul_table[r][x]` is r·x for the ring element of index r."""
+
+    def __init__(self, table, add_table, smul_table):
+        self.table, self.add_table, self.smul_table = table, add_table, smul_table
+
+    @property
+    def size(self) -> int:
+        return len(self.smul_table[0])
+
+
+def _cyclic_module(table, ideal):
+    """R/I, one element per coset of I, numbered as `cosets` numbers them."""
+    coset, leaders = cosets(table.add, ideal)
+    return _Module(table, [[coset[table.add[a][b]] for b in leaders] for a in leaders],
+                   [[coset[row[a]] for a in leaders] for row in table.mul])
+
+
 def _direct_sum(mods):
     """M_1 + ... + M_k laid out tuple by tuple, its tuples numbered in the
     order of itertools.product, as the oracle numbers a direct sum."""
     mods = list(mods)
     tuples = list(itertools.product(*(range(m.size) for m in mods)))
     index = {t: k for k, t in enumerate(tuples)}
-    add = [[index[tuple(m.add_table[a][b] for m, a, b in zip(mods, s, t))] for t in tuples]
-           for s in tuples]
-    smul = [[index[tuple(m.smul_table[r][a] for m, a in zip(mods, t))] for t in tuples]
-            for r in range(mods[0].table.size)]
-    return ExplicitModule(mods[0].table, add, smul)
+    # each row of the sum from the summands' rows, one per coordinate: the
+    # row of s, for add, or of r, for smul
+    at = operator.getitem
+    add = [[index[tuple(map(at, rows, t))] for t in tuples]
+           for rows in itertools.product(*(m.add_table for m in mods))]
+    smul = [[index[tuple(map(at, rows, t))] for t in tuples]
+            for rows in zip(*(m.smul_table for m in mods))]
+    return _Module(mods[0].table, add, smul)
+
+
+def _sum_module(table, multiset):
+    """The direct sum of R/(p_i^j) over a multiset of keys (i, j), each
+    summand laid out by _cyclic_module and the sum by _direct_sum; the
+    empty sum is R/R, ideal 0 being the unit ideal."""
+    ideals = [table.principal(table.prime_power(*key)) for key in multiset]
+    return _direct_sum(_cyclic_module(table, ideal) for ideal in ideals or [table.ideals[0]])
 
 
 class TestModules:
     def test_cyclic_sizes(self):
         table = build_table(R_X3)
         x2 = table.principal(table.prime_power(0, 2))
-        assert cyclic_module(table, x2).size == 4
+        assert _cyclic_module(table, x2).size == 4
 
     def test_iso_class_separates_same_size(self):
         table = build_table(R_X3)
         x1 = table.principal(table.prime_power(0, 1))
         x2 = table.principal(table.prime_power(0, 2))
-        chain = cyclic_module(table, x2)
-        square = _direct_sum([cyclic_module(table, x1), cyclic_module(table, x1)])
+        chain = _cyclic_module(table, x2)
+        square = _direct_sum([_cyclic_module(table, x1), _cyclic_module(table, x1)])
         assert chain.size == square.size == 4
         assert _reference_iso_class(chain) != _reference_iso_class(square)
         built = [oracle._module_data(table, ms) for ms in (((0, 2),), ((0, 1), (0, 1)))]
@@ -287,7 +316,7 @@ class TestModules:
         keys = [(i, j) for i, e in enumerate(table.prime_exponents) for j in range(1, e + 1)]
         multiset = tuple(next(k for k in keys if table.principal(table.prime_power(*k)) == ideal)
                          for ideal in ideals)
-        mod = _direct_sum(cyclic_module(table, ideal) for ideal in ideals)
+        mod = _direct_sum(_cyclic_module(table, ideal) for ideal in ideals)
         reference = set()
         for bits in itertools.product((False, True), repeat=mod.size):
             sub = frozenset(x for x, keep in enumerate(bits) if keep)
@@ -307,26 +336,25 @@ class TestModules:
         # each submodule and its quotient laid out as modules of their own,
         # their classes read from the sizes of the images p_i^j·X_i
         table = build_table(rg)
-        mod = _direct_sum(cyclic_module(table, table.principal(table.prime_power(*key)))
-                          for key in multiset)
+        mod = _sum_module(table, multiset)
         subs = submodules(table, multiset)
         data = oracle._module_data(table, multiset)
         for bits, pair in zip(subs, subquotient_classes(table, data, subs)):
             sub = _decode(bits)
             members = sorted(sub)
             name = {x: k for k, x in enumerate(members)}
-            part = ExplicitModule(table,
-                                  [[name[mod.add_table[x][y]] for y in members] for x in members],
-                                  [[name[row[x]] for x in members] for row in mod.smul_table])
+            part = _Module(table,
+                           [[name[mod.add_table[x][y]] for y in members] for x in members],
+                           [[name[row[x]] for x in members] for row in mod.smul_table])
             coset, reps = cosets(mod.add_table, sub)
-            quotient = ExplicitModule(table,
-                                      [[coset[mod.add_table[x][y]] for y in reps] for x in reps],
-                                      [[coset[row[x]] for x in reps] for row in mod.smul_table])
+            quotient = _Module(table,
+                               [[coset[mod.add_table[x][y]] for y in reps] for x in reps],
+                               [[coset[row[x]] for x in reps] for row in mod.smul_table])
             assert pair == (_image_class(part), _image_class(quotient))
 
     def test_quotient_by_itself_is_zero(self):
         table = build_table(R_X3)
-        mod = cyclic_module(table, table.principal(table.prime_power(0, 2)))
+        mod = _cyclic_module(table, table.principal(table.prime_power(0, 2)))
         total = max(map(_decode, submodules(table, ((0, 2),))), key=len)
         coset, reps = cosets(mod.add_table, total)
         assert reps == [0] and set(coset) == {0}
@@ -334,9 +362,8 @@ class TestModules:
     def test_empty_sum_is_quotient_by_unit_ideal(self):
         # R/R, ideal 0 being the unit ideal: one element, killed by everything
         table = build_table(R_MIXED)
-        mod = oracle._multiset_module(table, ())
-        assert mod.add_table == [[0]]
-        assert mod.smul_table == [[0]] * table.size
+        assert oracle._add_rows(table, 1) == [[0]]
+        assert oracle._smul_rows(table, ()) == [[0]] * table.size
 
     def test_indecomposables(self):
         table = build_table(R_MIXED)
@@ -346,7 +373,7 @@ class TestModules:
         assert [(i, j) for i, e in enumerate(table.prime_exponents)
                 for j in range(1, e + 1)] == keys
         for i, j in keys:
-            mod = cyclic_module(table, table.principal(table.prime_power(i, j)))
+            mod = _cyclic_module(table, table.principal(table.prime_power(i, j)))
             expected = [[0] * e for e in table.prime_exponents]
             expected[i][j - 1] = 1
             assert _reference_iso_class(mod) == tuple(map(tuple, expected))
@@ -422,14 +449,17 @@ class TestSubcategories:
 
     @pytest.mark.parametrize("rg", [R_SPLIT, R_X3, ring(3, "x^3+2x^2")], ids=str)
     def test_only_extended_sums_are_laid_out(self, rg):
-        # the criterion-5 rings: every sum's ModuleData is built, and tables
-        # only for the single summands and the sums that submodules() extends
+        # the criterion-5 rings: every sum's ModuleData is built, smul rows
+        # only for the sums that submodules() extends, and add tables only
+        # for their sizes
         table = build_table(rg)
         enumerate_subcategories(table)
         keys = oracle._indecomposable_keys(table)
         multisets = oracle._all_multisets(keys, 4)
+        prefixes = {ms[:-1] for ms in multisets}
         assert set(table.sums) == set(multisets)
-        assert set(table.modules) <= {ms[:-1] for ms in multisets} | {(key,) for key in keys}
+        assert set(table.smuls) == prefixes
+        assert set(table.adds) == {table.sums[ms].size for ms in prefixes}
 
     def test_length_bound_cap(self):
         with pytest.raises(QfiltError):
@@ -445,7 +475,7 @@ class TestSubcategories:
 class TestMember:
     def test_member_matches_elementwise(self):
         table = build_table(R_X3)
-        mod = cyclic_module(table, table.principal(table.prime_power(0, 2)))
+        mod = _cyclic_module(table, table.principal(table.prime_power(0, 2)))
         for flt in enumerate_filters(table):
             expected = all(
                 table.ideal_index[frozenset(
@@ -669,7 +699,7 @@ def _reference_subcategories(table, length_bound):
     keys = oracle._indecomposable_keys(table)
     triples = []
     for ms in oracle._all_multisets(keys, length_bound):
-        mod = oracle._multiset_module(table, ms)
+        mod = _sum_module(table, ms)
         subs = map(_decode, submodules(table, ms))
         triples.append((_reference_iso_class(mod), set(_reference_subquotient_classes(mod, subs))))
     out = []
@@ -696,7 +726,7 @@ def _reference_subcategories(table, length_bound):
         least = frozenset(range(table.size))
         for key in allowed:
             least = least & table.principal(table.prime_power(*key))
-        closed = _class_inside(_reference_iso_class(cyclic_module(table, least)), allowed)
+        closed = _class_inside(_reference_iso_class(_cyclic_module(table, least)), allowed)
         idem = _ideal_product(table, least, least) == least
         exponents = tuple(max((j for (i, j) in allowed if i == l), default=0)
                           for l in range(len(table.prime_exponents)))
@@ -733,16 +763,18 @@ def test_sweep_small_rings_pass(rg, monkeypatch):
     _check_multisets(table, bound)
 
 
-def _reference_submodules(table, multiset, prefix=None):
+def _reference_submodules(table, multiset, prefix=None, head=None):
     """submodules with each submodule a frozenset of elements: the cosets
     of all of M'/A0 for each A0, kept where p_i^(j-a)·z is in A0, and each
-    submodule listed element by element."""
+    submodule listed element by element.  M' is `head`, the sum over
+    multiset[:-1] as _sum_module lays it out, when the caller has it."""
     if not multiset:
         return (frozenset([0]),)
     if prefix is None:
         prefix = _reference_submodules(table, multiset[:-1])
-    smul = oracle._multiset_module(table, multiset[:-1]).smul_table
-    add = oracle._multiset_add(table, multiset[:-1])
+    if head is None:
+        head = _sum_module(table, multiset[:-1])
+    smul, add = head.smul_table, head.add_table
     i, j = multiset[-1]
     coset, leaders = cosets(table.add, table.principal(table.prime_power(i, j)))
     n = len(leaders)
@@ -841,22 +873,32 @@ def _check_against_reference(rg, length_bound):
     """The bitset submodules of every multiset up to the bound, decoded,
     against the frozenset reference in the same order; the kernels, images,
     element annihilators and class that each sum's ModuleData builds from
-    its summands against the scans of its table; and the class pairs
-    against the reference's."""
+    its summands against the scans of its smul rows, the oracle's; and the
+    class pairs against the reference's.  Every module the oracle lays out
+    adds digit by digit: each indecomposable and each sum that the
+    enumeration extends, laid out tuple by tuple from cosets, has the
+    oracle's add table of its size and the oracle's smul rows."""
     table = build_table(rg)
     keys = oracle._indecomposable_keys(table)
     found_of, reference_of = {}, {}  # each multiset's, for its extensions
+    # each indecomposable and, as the loop reaches it, each prefix
+    heads = {(key,): _sum_module(table, (key,)) for key in keys}
     for ms in oracle._all_multisets(keys, length_bound):
         found = found_of[ms] = submodules(table, ms, found_of.get(ms[:-1]))
-        reference = reference_of[ms] = _reference_submodules(table, ms,
-                                                             reference_of.get(ms[:-1]))
+        if ms and ms[:-1] not in heads:
+            heads[ms[:-1]] = _sum_module(table, ms[:-1])
+        reference = reference_of[ms] = _reference_submodules(
+            table, ms, reference_of.get(ms[:-1]), heads.get(ms[:-1]))
         assert len(found) == len(reference), ms
         assert all(map(_holds_exactly, found, reference)), ms
-        mod = oracle._multiset_module(table, ms)
+        mod = _Module(table, None, oracle._smul_rows(table, ms))
         data = oracle._module_data(table, ms)
         assert data == _reference_data(mod), ms
         assert subquotient_classes(table, data, found) == \
             _reference_subquotient_classes(mod, reference), ms
+    for ms, mod in heads.items():
+        assert mod.add_table == oracle._add_rows(table, mod.size), ms
+        assert mod.smul_table == oracle._smul_rows(table, ms), ms
 
 
 def _admits_bound_4(rg) -> bool:

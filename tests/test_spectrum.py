@@ -54,6 +54,16 @@ class TestComponentSet:
         assert a.normalize(3) == ComponentSet.of([1, 2])
         assert a.normalize(None) == a
 
+    def test_issubset_matches_empty_difference(self):
+        # decided on the members, as the difference a ∩ ¬b being empty
+        # decides it, in each of the four finite/cofinite cases
+        members = [[], [0], [1], [0, 1], [0, 2], [1, 2, 3]]
+        patterns = ([ComponentSet.of(m) for m in members]
+                    + [ComponentSet.cofinite(m) for m in members])
+        for a in patterns:
+            for b in patterns:
+                assert a.issubset(b) == a.intersect(b.invert()).is_none, (a, b)
+
     def test_contains(self):
         assert ComponentSet.cofinite([0]).contains(5)
         assert not ComponentSet.cofinite([0]).contains(0)

@@ -20,8 +20,8 @@ INIT = {
     # checked: PrimeField that p is a prime within the cap, ExplicitFilter
     # that its members form a filter
     "PrimeField", "ExplicitFilter",
-    # defaulted: FiniteRingTable builds its own scheme when given none and
-    # starts its module store empty, OracleReport its list of checks
+    # defaulted: FiniteRingTable builds its own scheme when given none,
+    # OracleReport its list of checks
     "FiniteRingTable", "OracleReport",
 }
 
@@ -29,7 +29,6 @@ EQ = {
     "Value",  # compares the fields by name
     # hot loop: compared and hashed in the engine's loops
     "LocalFilter", "ComponentSet", "StalkFilter", "IdealSheaf", "SpecPoint", "PrimePoly",
-    "ExplicitModule",  # identity: a module equals itself only
 }
 # verify_ring hands its scheme to its ring table, so every engine call meets
 # one scheme object, and no workload compares or hashes a Scheme,

@@ -37,9 +37,8 @@ SAMPLES = [
     RING, A, ComponentSet.of([0, 2]), finite_closed(A1, [A]), spec(ProjLine(F2)),
     module_data(QUOTIENT, {X: 1}, free=[1]), A1, QUOTIENT, DisjointUnion.symbolic(), IDEAL,
     closed_subscheme(IDEAL), FILTER, up_to(2), filter_base(A1, [IDEAL]), classify(FILTER),
-    TABLE, oracle.enumerate_filters(TABLE)[1], oracle.cyclic_module(TABLE, TABLE.ideals[1]),
-    oracle.enumerate_subcategories(TABLE, 2)[1], TABLE.indecomposables[0, 1],
-    oracle._module_data(TABLE, ((0, 1), (1, 1))), REPORT,
+    TABLE, oracle.enumerate_filters(TABLE)[1], oracle.enumerate_subcategories(TABLE, 2)[1],
+    TABLE.indecomposables[0, 1], oracle._module_data(TABLE, ((0, 1), (1, 1))), REPORT,
 ]
 IDS = [type(v).__name__ for v in SAMPLES]
 
@@ -85,10 +84,6 @@ def test_equality_is_class_strict(value):
 @pytest.mark.parametrize("value", SAMPLES, ids=IDS)
 def test_equal_values_hash_equal(value):
     same = copy.deepcopy(value)
-    if isinstance(value, oracle.ExplicitModule):
-        # a module equals itself only
-        assert value == value and same != value and hash(value) == object.__hash__(value)
-        return
     assert same == value and same is not value
     if isinstance(value, oracle.OracleReport):
         with pytest.raises(TypeError):
@@ -106,10 +101,8 @@ def test_pickle_and_deepcopy_round_trip(value, round_trip):
     assert type(back) is type(value)
     # every stored field, derived ones included, comes back equal
     for name in _stored(value):
-        if name != "modules":
-            assert getattr(back, name) == getattr(value, name), name
-    if not isinstance(value, oracle.ExplicitModule):
-        assert back == value
+        assert getattr(back, name) == getattr(value, name), name
+    assert back == value
 
 
 BUILT_BY_VALUE = [v for v in SAMPLES if "__init__" not in vars(type(v))]
@@ -139,8 +132,9 @@ def test_derived_fields_stay_out_of_equality():
     assert RING._fields == ("field", "modulus")
     assert A1._fields == ("kind", "field", "ring", "components")
     assert A._fields == ("kind", "component", "name")
-    assert "modules" not in TABLE._fields
-    # the subcategory sample filled the table's module store; a fresh table
-    # has none and is still equal
+    assert "scheme" not in TABLE._fields
+    # the subcategory sample filled the table's per-module memos; a fresh
+    # table has none and is still equal
     fresh = oracle.build_table(RING)
-    assert TABLE.modules and not fresh.modules and fresh == TABLE
+    assert {"sums", "smuls", "adds"} <= vars(TABLE).keys()
+    assert not vars(fresh) and fresh == TABLE
