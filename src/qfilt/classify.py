@@ -37,7 +37,6 @@ from .schemes import (
     check_same_scheme,
     closed_subscheme,
     _normal,
-    sheaf_is_idempotent,
     subscheme_support,
 )
 from .spectrum import (
@@ -154,9 +153,8 @@ def biloc_to_clopen(flt: LocalFilter) -> tuple[SpecClosedSet, IdealSheaf]:
 
 
 def _clopen(least: IdealSheaf) -> tuple[SpecClosedSet, IdealSheaf]:
-    """biloc_to_clopen from the least member of a bilocalizing filter."""
-    if not sheaf_is_idempotent(least):
-        raise QfiltError("the least member is not idempotent")
+    """biloc_to_clopen from the least member of a bilocalizing filter,
+    which is idempotent."""
     scheme = least.scheme
     complement = _normal(scheme, (), scheme.normal_pattern(least.killed.invert()))
     return subscheme_support(least), complement

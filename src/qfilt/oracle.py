@@ -3,8 +3,9 @@
 Everything the symbolic engine claims about filters on an Artinian
 quotient k[x]/(f) can be recomputed here by exhaustive enumeration: the
 ring is laid out as explicit addition/multiplication tables, its ideals
-are found by closing principal ideals under sums, filters are enumerated
-as up-closed intersection-closed subsets of the ideal list, and both
+are its principal ideals (k[x]/(f) is a principal ideal ring, and one pass
+over the sums of pairs confirms it), filters are enumerated as up-closed
+intersection-closed subsets of the ideal list, and both
 definitions of the filter product are evaluated element by element.
 The tables are built by index arithmetic on coefficient digits, each row
 from an earlier one, with no polynomial arithmetic per entry.  What the
@@ -241,7 +242,7 @@ def _checked_primes(ring: QuotientRing):
 def build_table(ring: QuotientRing, scheme=None) -> FiniteRingTable:
     """Lay out k[x]/(f) as tables, self-check the axioms, enumerate ideals.
     The caps are checked from the factorization before any table is laid
-    out; the enumeration keeps its own cap on the ideals it finds.
+    out.
     `scheme` is the engine's scheme of the ring when the caller has one;
     otherwise the table builds its own.
 
@@ -279,7 +280,7 @@ def build_table(ring: QuotientRing, scheme=None) -> FiniteRingTable:
     mul = tuple(map(tuple, mul))
     one = index((1,))
     _self_check(n, add, mul, one)
-    ideals = _enumerate_ideals(n, add, mul)
+    ideals = _enumerate_ideals(add, mul)
     return FiniteRingTable(ring, add, mul, one, ideals,
                            tuple(m for _, m in primes),
                            tuple(q.degree for q, _ in primes),
@@ -322,22 +323,14 @@ def _check_triples(add, mul, triples) -> None:
             raise QfiltError("distributivity fails")
 
 
-def _enumerate_ideals(n: int, add, mul) -> tuple[IdealSet, ...]:
-    found: set[IdealSet] = set()
-    for a in range(n):
-        found.add(frozenset(mul[a][r] for r in range(n)))
-    # close principal ideals under pairwise sums
-    changed = True
-    while changed:
-        changed = False
-        for i1, i2 in itertools.combinations(sorted(found, key=sorted), 2):
-            s = frozenset(add[x][y] for x in i1 for y in i2)
-            if s not in found:
-                found.add(s)
-                changed = True
-        if len(found) > MAX_ORACLE_IDEALS:
-            raise LatticeTooLargeError(
-                f"more than {MAX_ORACLE_IDEALS} ideals; lattice too large")
+def _enumerate_ideals(add, mul) -> tuple[IdealSet, ...]:
+    """The ideals of a principal ideal ring, its principal ideals a·R,
+    largest first.  A sum of two of them that is not among them shows the
+    tables are not of such a ring."""
+    found = {frozenset(row) for row in mul}
+    for i1, i2 in itertools.combinations(found, 2):
+        if frozenset(add[x][y] for x in i1 for y in i2) not in found:
+            raise QfiltError("the ring has an ideal that is not principal")
     return tuple(sorted(found, key=lambda s: (-len(s), sorted(s))))
 
 
@@ -361,24 +354,18 @@ class ExplicitFilter(Value):
 
 
 def enumerate_filters(table: FiniteRingTable) -> tuple[ExplicitFilter, ...]:
-    """All filters of the ideal lattice, by up-set search plus the
-    intersection-closure test.  The ideals are listed largest first, so each
-    is decided after every ideal that contains it."""
+    """All filters of the ideal lattice: the up-sets that hold the unit
+    ideal and are closed under intersection.  The ideals are listed largest
+    first, so each up-set of the first i + 1 ideals is one of the first i,
+    with the i-th added where it holds every larger ideal."""
     meet = table.meet
-    above = [up - {i} for i, up in enumerate(table.up)]
-    out: list[ExplicitFilter] = []
-
-    def walk(i: int, chosen: frozenset):
-        if i == len(above):
-            if 0 in chosen and all(meet[a][b] in chosen
-                                   for a, b in itertools.combinations(chosen, 2)):
-                out.append(ExplicitFilter(table, chosen))
-            return
-        if chosen.issuperset(above[i]):
-            walk(i + 1, chosen | {i})
-        walk(i + 1, chosen)
-
-    walk(0, frozenset())
+    upsets = [frozenset()]
+    for i, up in enumerate(table.up):
+        larger = up - {i}
+        upsets += [chosen | {i} for chosen in upsets if chosen >= larger]
+    out = [ExplicitFilter(table, chosen) for chosen in upsets
+           if 0 in chosen and all(meet[a][b] in chosen
+                                  for a, b in itertools.combinations(chosen, 2))]
     return tuple(sorted(out, key=lambda f: (-len(f.members), sorted(f.members))))
 
 
@@ -697,9 +684,10 @@ def _class_from_sizes(table: FiniteRingTable, sizes: tuple) -> tuple[tuple[int, 
 
 
 class SubcategoryData(Value):
-    """A subcategory as per-prime exponent ceilings plus certified flags."""
+    """A subcategory as per-prime exponent ceilings plus certified flags;
+    every subcategory enumerated is prelocalizing."""
 
-    __slots__ = ("exponents", "prelocalizing", "localizing", "closed", "bilocalizing")
+    __slots__ = ("exponents", "localizing", "closed", "bilocalizing")
 
 
 class OracleReport(Value):
@@ -805,7 +793,7 @@ def enumerate_subcategories(table: FiniteRingTable,
         closed = not least_mask & outside
         exponents = tuple(max((j for (i, j) in kept if i == l), default=0)
                           for l in range(len(table.prime_exponents)))
-        out.append(SubcategoryData(exponents, True, localizing, closed,
+        out.append(SubcategoryData(exponents, localizing, closed,
                                    localizing and closed and idem))
     return tuple(sorted(out, key=lambda s: s.exponents))
 
@@ -935,8 +923,8 @@ def verify_ring(ring: QuotientRing, length_bound: int = 4) -> OracleReport:
     flags_ok = len(subs) == len(engine_filters)
     for s in subs:
         rep = by_exponents.get(s.exponents)
-        if rep is None or (s.prelocalizing, s.localizing, s.closed, s.bilocalizing) != \
-                (rep.prelocalizing, rep.localizing, rep.closed, rep.bilocalizing):
+        if rep is None or (s.localizing, s.closed, s.bilocalizing) != \
+                (rep.localizing, rep.closed, rep.bilocalizing):
             flags_ok = False
     report.record("subcategory lattice matches classification",
                   flags_ok, f"{len(subs)} subcategories")

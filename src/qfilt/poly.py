@@ -153,9 +153,7 @@ def poly_gcd(a: PrimePoly, b: PrimePoly) -> PrimePoly:
 
 @lru_cache(maxsize=None)
 def irreducibles(p: int, degree: int) -> tuple[PrimePoly, ...]:
-    """All monic irreducibles of exactly the given degree, sorted."""
-    if degree < 1:
-        return ()
+    """All monic irreducibles of exactly the given degree, at least 1, sorted."""
     # p >= 2, so a degree past the cap's bit length is over the cap, and
     # p ** degree is formed only for small degrees
     if degree >= MAX_POLY_ENUMERATION.bit_length() or p ** degree > MAX_POLY_ENUMERATION:
@@ -217,10 +215,8 @@ class FactoredPoly(Value):
     @staticmethod
     def make(pairs) -> "FactoredPoly":
         acc: dict[str, int] = {}
-        for label, mult in dict(pairs).items() if isinstance(pairs, dict) else pairs:
+        for label, mult in pairs:
             check_label(label)
-            if mult < 0:
-                raise QfiltError(f"negative multiplicity for (x-{label})")
             if mult:
                 acc[label] = acc.get(label, 0) + mult
         return FactoredPoly(tuple(sorted(acc.items())))

@@ -229,8 +229,6 @@ class Scheme(Value):
         for p, cap in self.closed:
             if p == pt:
                 return cap
-        if not self.closed:
-            raise QfiltError(f"{self} has no closed points")
         raise QfiltError(f"point {pt} does not lie on {self}")
 
     def __str__(self) -> str:

@@ -99,6 +99,10 @@ class TestLocalizingSupport:
         with pytest.raises(QfiltError):
             localizing_to_specclosed(presented(A1, 0, {A: 2}))
 
+    def test_rejects_raw_points(self):
+        with pytest.raises(QfiltError, match="^pass a SpecClosedSet"):
+            specclosed_to_localizing([A])
+
     def test_specclosed_to_localizing_kinds(self):
         assert specclosed_to_localizing(empty_set(A1)) == trivial_filter(A1)
         assert specclosed_to_localizing(all_set(A1)) == improper_filter(A1)

@@ -227,21 +227,32 @@ MALFORMED = {
     "generated_degree_huge": ["classify", "--scheme", F2LINE, "--filter",
                              '{"kind":"generated","ideals":["x^1000000000"]}'],
     "oracle_modulus_degree_huge": ["oracle", "verify", "--ring", "p:2,mod:x^1000000000+1"],
+    # the constant 1 names no point: no irreducible has degree below 1
+    "point_constant": ["classify", "--scheme", F2LINE, "--filter",
+                       '{"kind":"exponents","default":0,"exceptions":{"pt:1":1}}'],
+    "ideal_int": ["classify", "--scheme", F2LINE, "--filter", '{"kind":"principal","ideal":5}'],
+    "divisor_one_entry": ["member", "--scheme", A1, "--module", '{"divisors":[[1]]}',
+                          "--filter", '{"kind":"improper"}'],
 }
+# the message of each case that alone reaches the line raising it
+MESSAGES = {"point_constant": "point 'pt:1' does not lie on A1(F2)",
+            "ideal_int": "bad ideal literal 5",
+            "divisor_one_entry": "bad divisor [1]; use [point, exponent]"}
 FILES = {"deep.json": b"[" * 100_000, "utf16.json": b"\xff\xfe{}", "list.json": b"[]",
          "no_schema.json": b'{"commands": []}',
          "no_scheme.json": b'{"schema": 1, "commands": [{"cmd": "classify", '
                            b'"filter": {"kind": "improper"}}]}'}
 
 
-@pytest.mark.parametrize("args", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_literal_exit_2(runner, tmp_path, monkeypatch, args):
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_literal_exit_2(runner, tmp_path, monkeypatch, case):
     monkeypatch.chdir(tmp_path)
     for name, data in FILES.items():
         (tmp_path / name).write_bytes(data)
-    res = invoke(runner, args)
+    res = invoke(runner, MALFORMED[case])
     assert res.exit_code == 2
     assert res.stderr.startswith("Error:")
+    assert res.stderr.rstrip().endswith(MESSAGES.get(case, ""))
 
 
 @pytest.mark.parametrize("case,point", [("exceptions_two_spellings", "pt:x"),

@@ -225,6 +225,8 @@ class TestLocalize:
         assert localize(f, B) == ALL_POWERS
         assert localize(f, closed_point("c")) == up_to(0)
         assert localize(improper_filter(A1), A) == EVERYTHING
+        with pytest.raises(QfiltError, match="^point pt:inf does not lie on A1"):
+            localize(f, inf_point())
 
     def test_each_bound_is_built_once(self):
         # localize hands out the one "up_to" filter of each bound

@@ -21,6 +21,9 @@ class TestQuotientRing:
     def test_rejects_constant_modulus(self):
         with pytest.raises(QfiltError):
             QuotientRing.make(F2, poly_from_str("1", 2))
+        # the constructor behind make() factors the modulus at once
+        with pytest.raises(QfiltError, match="^cannot factor the zero polynomial$"):
+            QuotientRing(F2, poly_from_str("0", 2))
 
     def test_rejects_symbolic_field(self):
         with pytest.raises(QfiltError, match="prime field"):

@@ -54,6 +54,10 @@ class TestSchemes:
             with pytest.raises(ParseError):
                 scheme_from_literal(bad)
 
+    def test_chart_one_has_no_literal(self):
+        with pytest.raises(QfiltError, match="^unknown scheme P1-chart1"):
+            scheme_to_literal(P1.chart(1).scheme)
+
 
 class TestPoints:
     def test_forms(self):

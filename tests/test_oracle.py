@@ -1,6 +1,7 @@
 """Brute-force ground truth over finite rings and its engine cross-checks."""
 
 import functools
+import gc
 import itertools
 import math
 import operator
@@ -26,7 +27,7 @@ from qfilt.oracle import (
     verify_ring,
 )
 from qfilt.poly import PrimePoly, poly_from_str
-from qfilt.schemes import AffineQuotient, Scheme
+from qfilt.schemes import AffineQuotient, Scheme, unit_sheaf
 
 
 def ring(p, mod):
@@ -64,6 +65,19 @@ class TestTable:
         monkeypatch.setattr(oracle, "MAX_ORACLE_IDEALS", 3)
         with pytest.raises(LatticeTooLargeError, match="more than 3 ideals"):
             build_table(R_X3)
+
+    def test_ideals_must_be_principal(self):
+        # F2[x,y]/(x^2, xy, y^2), a + b·x + c·y numbered 4a + 2b + c, is a
+        # ring whose ideal (x) + (y) = {0, x, y, x + y} is not principal
+        def times(u, v):
+            (a, b, c), (d, e, f) = ((w >> 2, w >> 1 & 1, w & 1) for w in (u, v))
+            return a * d << 2 | (a * e + b * d) % 2 << 1 | (a * f + c * d) % 2
+
+        add = tuple(tuple(u ^ v for v in range(8)) for u in range(8))
+        mul = tuple(tuple(times(u, v) for v in range(8)) for u in range(8))
+        oracle._self_check(8, add, mul, 4)
+        with pytest.raises(QfiltError, match="^the ring has an ideal that is not principal$"):
+            oracle._enumerate_ideals(add, mul)
 
     # (table, entry, new value, on both sides of the diagonal) of
     # F2[x]/(x^3), element 4 the one, and the law the broken table fails
@@ -543,6 +557,53 @@ class TestVerifyRing:
         (table,) = tables
         assert all(ideal.scheme is table.scheme for ideal in table.ideal_sheaves)
 
+    # (engine name that verify_ring reads, a plausible slip of it, the one
+    # report line the slip fails)
+    SLIPS = {
+        "meet_returns_an_operand": ("fmeet", lambda real: lambda a, b: a,
+                                    "meet and join match oracle"),
+        "join_returns_an_operand": ("fjoin", lambda real: lambda a, b: a,
+                                    "meet and join match oracle"),
+        "least_member_is_the_unit": ("is_principal",
+                                     lambda real: lambda f: (real(f)[0], unit_sheaf(f.scheme)),
+                                     "least members match"),
+        "localizing_flipped": ("classify", lambda real: lambda f: _localizing_flipped(real(f)),
+                               "subcategory lattice matches classification"),
+        "member_negated": ("member", lambda real: lambda data, f: not real(data, f),
+                           "membership via annihilators matches"),
+    }
+
+    @pytest.mark.parametrize("name,slip,line", SLIPS.values(), ids=SLIPS.keys())
+    def test_engine_slip_fails_its_line(self, monkeypatch, name, slip, line):
+        monkeypatch.setattr(oracle, name, slip(getattr(oracle, name)))
+        report = verify_ring(R_MIXED)
+        assert [check for check, ok, _ in report.checks if not ok] == [line]
+
+    def test_ring_table_freed_by_reference_count(self):
+        # nothing verify_ring leaves in a reference cycle holds its table,
+        # so the table is freed without the cyclic collector
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            verify_ring(R_MIXED)
+            gc.collect()
+            left = [o for o in gc.garbage if isinstance(o, oracle.FiniteRingTable)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert not left
+
+
+def _localizing_flipped(report):
+    """A ClassificationReport with its localizing flag the other way."""
+    values = list(report._values())
+    values[2] = not values[2]  # filter, prelocalizing, localizing, ...
+    return type(report)(*values)
+
 
 def _failures(report) -> str:
     return "\n".join(f"{name} ({detail})" for name, ok, detail in report.checks if not ok)
@@ -730,7 +791,7 @@ def _reference_subcategories(table, length_bound):
         idem = _ideal_product(table, least, least) == least
         exponents = tuple(max((j for (i, j) in allowed if i == l), default=0)
                           for l in range(len(table.prime_exponents)))
-        out.append(oracle.SubcategoryData(exponents, preloc, localizing, closed,
+        out.append(oracle.SubcategoryData(exponents, localizing, closed,
                                           localizing and closed and idem))
     return tuple(sorted(out, key=lambda s: s.exponents))
 

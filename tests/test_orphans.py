@@ -1,10 +1,17 @@
-"""Every public function, class and method in the package has a caller."""
+"""Every public function, class and method in the package has a caller.
+
+Names are matched, not call sites, so a method passes here whenever an
+attribute of the same name is read anywhere in the package.  The line
+trace, `python tests/line_trace.py`, catches such a method: no line of it
+runs.  The last test here keeps that trace's allow-list current.
+"""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
 import qfilt
+from line_trace import ALLOWED as ALLOWED_LINES, executable_lines
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qfilt"
 
@@ -62,3 +69,11 @@ def orphans() -> list[str]:
 
 def test_every_public_name_has_a_caller():
     assert set(orphans()) == ALLOWED
+
+
+def test_line_trace_allow_list_names_executable_lines():
+    for file, text, reason in ALLOWED_LINES:
+        path = SRC / file
+        lines = path.read_text(encoding="utf-8").splitlines()
+        matches = [n for n in executable_lines(path) if lines[n - 1].strip() == text]
+        assert len(matches) == 1 and reason, (file, text)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qfilt.errors import ParseError, QfiltError
+from qfilt.errors import ParseError, QfiltError, RingMismatchError
 from qfilt.poly import (
     PrimePoly,
     factor,
@@ -11,6 +11,7 @@ from qfilt.poly import (
     factored_to_str,
     irreducibles,
     is_irreducible,
+    poly_from_literal,
     poly_from_str,
     poly_gcd,
     poly_to_str,
@@ -48,6 +49,17 @@ class TestArithmetic:
     def test_zero_one(self):
         assert P("0").is_zero
         assert P("1").degree == 0
+
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda: P("0").leading, QfiltError, "^zero polynomial has no leading coefficient$"),
+        (lambda: P("x") * poly_from_str("x", 3), RingMismatchError,
+         r"^ring mismatch: F2\[x\] vs F3\[x\]$"),
+        (lambda: P("x") % P("0"), ZeroDivisionError, "^polynomial division by zero$"),
+        (lambda: poly_from_literal("x", 2), QfiltError, "^unknown field 2$"),
+    ], ids=["leading_of_zero", "fields_differ", "division_by_zero", "unknown_field"])
+    def test_refusals(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
 
 
 class TestParse:

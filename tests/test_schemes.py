@@ -16,6 +16,7 @@ from qfilt.schemes import (
     AffineQuotient,
     DisjointUnion,
     ProjLine,
+    Scheme,
     closed_subscheme,
     glue_ideals,
     restrict_sheaf,
@@ -262,6 +263,15 @@ class TestMemo:
         assert UZ.chart(5) is UZ.chart(5)
         assert UZ.chart(5) != UZ.chart(6)
         assert UZ.chart(5).scheme is UZ.chart(6).scheme
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: Scheme("foo"), "^unknown scheme kind 'foo'$"),
+    (lambda: UZ.charts(), "^the symbolic union has no finite chart list$"),
+], ids=["unknown_kind", "symbolic_union_charts"])
+def test_refusals(call, message):
+    with pytest.raises(QfiltError, match=message):
+        call()
 
 
 # patterns as the engine builds them: through of, cofinite, none and all

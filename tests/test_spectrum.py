@@ -83,11 +83,19 @@ class TestPoints:
         assert not UZ.has_point(closed_point("a"))
         assert A1F2.has_point(closed_point(poly_from_str("x^2+x+1", 2)))
         assert not A1F2.has_point(closed_point(poly_from_str("x^2", 2)))
+        # chart 1 of P1 holds "inf" in place of the zero point
+        chart_one = P1.chart(1).scheme
+        assert chart_one.has_point(inf_point()) and chart_one.has_point(closed_point("a"))
+        assert not chart_one.has_point(closed_point("0"))
+        assert not chart_one.has_point(closed_point("a", 1))
 
     def test_quotient_points(self):
         names = {str(pt.name) for pt, _ in Q.primes()}
         assert names == {"x", "x+1"}
         assert Q.closed_cap(Q.primes()[1][0]) == 2
+        for scheme in (Q, UZ):
+            with pytest.raises(QfiltError, match="^point pt:a does not lie on "):
+                scheme.closed_cap(closed_point("a"))
 
 
 def _atom_leq(a, b):
