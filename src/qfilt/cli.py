@@ -15,9 +15,13 @@ a command runs is reported with the command's index and kind.
 All machine output is JSON with sorted keys so repeated runs are byte
 identical; `_json_text` renders it, byte for byte as
 `json.dumps(doc, indent=2, sort_keys=True)` would, without the stdlib's
-pure-Python indent encoder.  Tables are rendered from the machine document,
-never computed separately.  Exit codes: 0 success, 2 validation failure,
-3 oracle mismatch.
+pure-Python indent encoder.  A container writes each child whose exact type
+is str, int, bool or None inline, through the `_SCALARS` writer of that
+type, and recurses only into the other children; a dict or list subclass
+or a tuple takes the same path through isinstance, and a float or a str or
+int subclass is left to `json.dumps`.  Tables are rendered from the
+machine document, never computed separately.  Exit codes: 0 success,
+2 validation failure, 3 oracle mismatch.
 """
 
 import json
@@ -80,32 +84,37 @@ def _guard(fn, *args):
         raise ValidationFailure("input nested too deeply") from e
 
 
+# the writer of each scalar type, looked up by exact type
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            bool: {True: "true", False: "false"}.__getitem__,
+            type(None): {None: "null"}.__getitem__}
+
+
 def _json_text(o, pad: str = "\n") -> str:
     """o as json.dumps(o, indent=2, sort_keys=True) writes it, for str keys;
     pad is the newline and indent that precede o's closing bracket."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if type(o) is int:
-        return repr(o)
+    inner = pad + "  "
     if isinstance(o, dict):
         if not o:
             return "{}"
-        inner = pad + "  "
-        return "{" + inner + ("," + inner).join(
-            [encode_basestring_ascii(k) + ": " + _json_text(o[k], inner)
-             for k in sorted(o)]) + pad + "}"
+        parts = []
+        for k in sorted(o):
+            v = o[k]
+            write = _SCALARS.get(type(v))
+            parts.append(encode_basestring_ascii(k) + ": "
+                         + (write(v) if write is not None else _json_text(v, inner)))
+        return "{" + inner + ("," + inner).join(parts) + pad + "}"
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        inner = pad + "  "
-        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in o]) + pad + "]"
-    return json.dumps(o)  # a float or an int subclass, as the stdlib writes it
+        parts = []
+        for v in o:
+            write = _SCALARS.get(type(v))
+            parts.append(write(v) if write is not None else _json_text(v, inner))
+        return "[" + inner + ("," + inner).join(parts) + pad + "]"
+    # a scalar: a float or a subclass of str or int here, unless o is the
+    # whole document
+    return json.dumps(o)
 
 
 def _emit(doc: dict, fmt: str, out: str | None, table: Callable[[], str]) -> None:

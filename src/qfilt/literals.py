@@ -19,6 +19,14 @@ Modules:  {"divisors": [[point, e], ...] | {point: e}, "free":
 
 Formatting is the exact inverse of parsing on normal forms, with sorted
 keys throughout so that serialized output is deterministic.
+
+Each scheme's memo keeps two point memos, so that a job parses each point
+text and writes each point's text once however many literals name it:
+"points" (text -> SpecPoint, filled by point_from_literal with each text
+that parses; a text that does not is never kept) and "point_texts"
+(SpecPoint -> text, filled by the filter, ideal, module and closed-set
+writers and point_to_literal_on).  They grow only with the distinct texts
+read or written on that scheme, and no comparison or copy reads them.
 """
 
 from .config import INF
@@ -154,8 +162,21 @@ def scheme_to_literal(scheme) -> dict:
 
 
 def point_from_literal(scheme, text: str) -> SpecPoint:
+    """The point that text names on scheme, parsed once per scheme: a text
+    that parses is kept in the scheme's "points" memo, one that does not
+    raises on every read and is never kept."""
     if not isinstance(text, str):
         raise ParseError(f"point literal must be a string: {text!r}")
+    points = scheme.memo.get("points")
+    if points is None:
+        points = scheme.memo["points"] = {}
+    pt = points.get(text)
+    if pt is None:
+        pt = points[text] = _parse_point(scheme, text)
+    return pt
+
+
+def _parse_point(scheme, text: str) -> SpecPoint:
     if text == "gen":
         pt = generic_point(0)
         if not scheme.has_point(pt):
@@ -201,7 +222,26 @@ def point_to_literal(pt: SpecPoint) -> str:
 def point_to_literal_on(scheme, pt: SpecPoint) -> str:
     if pt.kind == "generic" and scheme.component_type != "field":
         return "gen"
-    return point_to_literal(pt)
+    return _point_texts(scheme)[pt]
+
+
+class _PointTexts(dict):
+    """point -> point_to_literal(point), written on the first read."""
+
+    __slots__ = ()
+
+    def __missing__(self, pt: SpecPoint) -> str:
+        text = self[pt] = point_to_literal(pt)
+        return text
+
+
+def _point_texts(scheme) -> _PointTexts:
+    """The scheme's "point_texts" memo, through which the writers below
+    write each point's text once per scheme."""
+    texts = scheme.memo.get("point_texts")
+    if texts is None:
+        texts = scheme.memo["point_texts"] = _PointTexts()
+    return texts
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +296,8 @@ def ideal_from_literal(scheme, lit) -> IdealSheaf:
 
 
 def ideal_to_literal(ideal: IdealSheaf) -> dict:
-    out = {"orders": {point_to_literal(pt): n for pt, n in ideal.orders}}
+    texts = _point_texts(ideal.scheme)
+    out = {"orders": {texts[pt]: n for pt, n in ideal.orders}}
     out.update(components_to_literal(ideal.killed))
     return out
 
@@ -323,8 +364,8 @@ def filter_to_literal(flt: LocalFilter) -> dict:
         return {"kind": "improper"}
     out = {"kind": "exponents", "default": _exponent_to_literal(flt.default)}
     if flt.exceptions:
-        out["exceptions"] = {point_to_literal(pt): _exponent_to_literal(v)
-                             for pt, v in flt.exceptions}
+        texts = _point_texts(flt.scheme)
+        out["exceptions"] = {texts[pt]: _exponent_to_literal(v) for pt, v in flt.exceptions}
     out.update(components_to_literal(flt.killed))
     return out
 
@@ -361,7 +402,8 @@ def module_from_literal(scheme, lit) -> TorsionSheafData:
 
 
 def module_to_literal(data: TorsionSheafData) -> dict:
-    out = {"divisors": [[point_to_literal(pt), e] for pt, e in data.divisors]}
+    texts = _point_texts(data.scheme)
+    out = {"divisors": [[texts[pt], e] for pt, e in data.divisors]}
     if data.free.is_none:
         out["free"] = False
     elif data.free.is_finite:
@@ -378,11 +420,10 @@ def module_to_literal(data: TorsionSheafData) -> dict:
 def specclosed_to_literal(s: SpecClosedSet) -> dict:
     if s.kind in ("empty", "all"):
         return {"kind": s.kind}
-    if s.kind == "finite":
-        return {"kind": "finite", "points": [point_to_literal(p) for p in s.points]}
-    if s.kind == "cofinite_closed":
-        return {"kind": "cofinite_closed",
-                "excluded": [point_to_literal(p) for p in s.points]}
+    if s.kind in ("finite", "cofinite_closed"):
+        texts = _point_texts(s.scheme)
+        key = "points" if s.kind == "finite" else "excluded"
+        return {"kind": s.kind, key: [texts[p] for p in s.points]}
     cs = s.components
     if cs.is_finite:
         return {"kind": "components", "components": sorted(cs.members)}

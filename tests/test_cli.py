@@ -782,13 +782,23 @@ class _Int(int):
     pass
 
 
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
 JSON_TEXT = st.text(max_size=5) | st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t",
                                                   "\x7f", "é", "\u2028", "\U0001f600", ""])
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40)
     | st.integers(-5, 5).map(_Int) | st.floats() | JSON_TEXT,
     lambda kids: st.lists(kids, max_size=3) | st.lists(kids, max_size=3).map(tuple)
-    | st.dictionaries(JSON_TEXT, kids, max_size=3),
+    | st.dictionaries(JSON_TEXT, kids, max_size=3)
+    | st.dictionaries(JSON_TEXT, kids, max_size=3).map(_Dict)
+    | st.lists(kids, max_size=3).map(_List),
     max_leaves=12)
 
 

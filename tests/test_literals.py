@@ -1,7 +1,12 @@
 """The JSON literal grammar: parse/format round trips and rejections."""
 
-import pytest
+from pathlib import Path
 
+import pytest
+from click.testing import CliRunner
+
+from qfilt import literals
+from qfilt.cli import main
 from qfilt.config import INF
 from qfilt.errors import ParseError, QfiltError
 from qfilt.filters import improper_filter, presented, trivial_filter
@@ -81,6 +86,46 @@ class TestPoints:
                              (UZ, "comp:x")):
             with pytest.raises(ParseError):
                 point_from_literal(scheme, text)
+
+
+class TestPointMemo:
+    """Each text that parses is kept in the scheme's "points" memo; one
+    that does not is never kept."""
+
+    def test_a_bad_text_raises_again_and_is_not_kept(self):
+        a1 = scheme_from_literal({"kind": "affine_line", "field": "symbolic"})
+        for text in ("pt:inf", ["pt:a"]):
+            messages = []
+            for _ in range(2):
+                with pytest.raises(ParseError) as e:
+                    point_from_literal(a1, text)
+                messages.append(str(e.value))
+            assert messages[0] == messages[1]
+        assert a1.memo["points"] == {}
+
+    def test_two_spellings_of_one_point_stay_a_duplicate(self):
+        # test_cli's exceptions_two_spellings_symbolic case is the same
+        # literal through the CLI, on a fresh scheme; here both spellings
+        # are already in the memo
+        point_from_literal(A1, "pt:a"), point_from_literal(A1, "a")
+        lit = {"kind": "exponents", "default": 0, "exceptions": {"pt:a": 1, "a": 2}}
+        with pytest.raises(QfiltError, match="^duplicate exponent for pt:a$"):
+            filter_from_literal(A1, lit)
+
+    def test_each_shipped_job_parses_each_point_text_once(self, monkeypatch):
+        reads, parses = [], []
+        read, parse = literals.point_from_literal, literals._parse_point
+        monkeypatch.setattr(literals, "point_from_literal",
+                            lambda scheme, text: reads.append(text) or read(scheme, text))
+        monkeypatch.setattr(literals, "_parse_point",
+                            lambda scheme, text: parses.append(text) or parse(scheme, text))
+        repeats = 0  # reads the memo answered
+        for job in sorted((Path(__file__).resolve().parent.parent / "jobs").glob("*.json")):
+            reads.clear(), parses.clear()
+            assert CliRunner().invoke(main, ["run", str(job)]).exit_code == 0
+            assert len(parses) == len(set(parses)), job.name
+            repeats += len(reads) - len(parses)
+        assert repeats > 0
 
 
 class TestIdeals:

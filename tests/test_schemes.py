@@ -10,6 +10,7 @@ from qfilt.errors import GluingError, QfiltError, RingMismatchError
 from qfilt.fields import PrimeField, SymbolicAlgClosed
 from qfilt.filters import glue_filters, improper_filter, trivial_filter
 from qfilt.ideals import QuotientRing
+from qfilt.literals import point_from_literal, point_to_literal_on
 from qfilt.poly import factored_from_str, poly_from_str
 from qfilt.schemes import (
     AffineLine,
@@ -37,6 +38,7 @@ from qfilt.spectrum import (
     closed_point,
     component_set,
     finite_closed,
+    generic_point,
     inf_point,
 )
 
@@ -253,6 +255,9 @@ class TestMemo:
         s = DisjointUnion.symbolic()
         improper_filter(s), trivial_filter(s), s.chart(7)
         assert set(s.memo) == {"improper", "trivial", 7}
+        point_from_literal(s, "comp:2"), point_to_literal_on(s, generic_point(3))
+        assert s.memo["points"] == {"comp:2": generic_point(2)}
+        assert s.memo["point_texts"] == {generic_point(3): "comp:3"}
         fresh = DisjointUnion.symbolic()
         assert fresh.memo == {}
         assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
