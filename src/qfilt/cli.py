@@ -20,17 +20,22 @@ is str, int, bool or None inline, through the `_SCALARS` writer of that
 type, and recurses only into the other children; a dict or list subclass
 or a tuple takes the same path through isinstance, and a float or a str or
 int subclass is left to `json.dumps`.  Tables are rendered from the
-machine document, never computed separately.  Exit codes: 0 success,
-2 validation failure, 3 oracle mismatch.
+machine document, never computed separately.
+
+The command line is one stdlib `argparse` parser, built when `main` first
+runs and reused.  Each subcommand reads the options that its handler's
+parameters name (`_OPTIONS`), no option may be abbreviated, and `main`
+always ends in SystemExit: 0 on success, 2 on a command-line error (argparse
+prints the usage and the error) or a `ValidationFailure` (`Error: <message>`
+on stderr), 3 when an oracle check fails.
 """
 
+import argparse
 import json
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
-from typing import Callable, NamedTuple
-
-import click
+from typing import Callable, NamedTuple, NoReturn
 
 from . import filters as flt_ops
 from .classify import ClassificationReport, classify, member
@@ -59,8 +64,12 @@ from .poly import poly_from_str
 from .spectrum import spec
 
 
-class ValidationFailure(click.ClickException):
-    exit_code = 2
+class ValidationFailure(Exception):
+    """An input qfilt refuses: the command line exits 2 with `Error: <message>`."""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.message = message
 
 
 def _load_json(text: str, what: str):
@@ -130,15 +139,7 @@ def _emit(doc: dict, fmt: str, out: str | None, table: Callable[[], str]) -> Non
         except OSError as e:
             raise ValidationFailure(f"cannot write --out {out}: {e.strerror}") from e
     else:
-        click.echo(text, nl=False)
-
-
-FORMAT_OPT = click.option("--format", "fmt", type=click.Choice(["json", "table"]),
-                          default="json", show_default=True, help="Output format.")
-OUT_OPT = click.option("--out", type=click.Path(), default=None,
-                       help="Write output to a file instead of stdout.")
-SCHEME_OPT = click.option("--scheme", "scheme_json", required=True,
-                          help="Scheme literal (JSON).")
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -575,62 +576,33 @@ def _one_command(command: dict, fmt: str, out: str | None, scheme_json=None) -> 
 
 
 # ---------------------------------------------------------------------------
-# click commands
+# the command line: each subcommand's handler takes the options its parser reads
 
 
-@click.group()
-def main():
-    """Classify filters of ideal subsheaves on desk-scale schemes."""
-
-
-@main.command()
-@click.argument("job_path", type=click.Path(exists=True, dir_okay=False))
-@FORMAT_OPT
-@OUT_OPT
 def run(job_path, fmt, out):
     """Run the commands in a job file."""
     try:
         with open(job_path, encoding="utf-8") as fh:
             text = fh.read()
+    except OSError as e:
+        raise ValidationFailure(f"cannot read job file {job_path}: {e.strerror}") from e
     except UnicodeDecodeError as e:
         raise ValidationFailure(f"{job_path}: not UTF-8 text: {e.reason}") from e
-    job = _load_json(text, job_path)
-    _execute(job, fmt, out)
+    _execute(_load_json(text, job_path), fmt, out)
 
 
-@main.command("classify")
-@SCHEME_OPT
-@click.option("--filter", "filter_json", required=True, help="Filter literal (JSON).")
-@FORMAT_OPT
-@OUT_OPT
 def classify_cmd(scheme_json, filter_json, fmt, out):
     """Classify one filter and print its flags and attachments."""
     _one_command({"cmd": "classify", "filter": _load_json(filter_json, "--filter")},
                  fmt, out, scheme_json)
 
 
-@main.command("spec")
-@SCHEME_OPT
-@click.option("--degree-bound", type=int, default=None,
-              help="Enumerate closed points up to this degree over a prime field.")
-@click.option("--labels", default="", help="Comma-separated labels to materialize.")
-@FORMAT_OPT
-@OUT_OPT
 def spec_cmd(scheme_json, degree_bound, labels, fmt, out):
     """Enumerate the points of a scheme with their specialization order."""
     _one_command({"cmd": "spec", "degree_bound": degree_bound,
                   "labels": [l for l in labels.split(",") if l]}, fmt, out, scheme_json)
 
 
-@main.command("op")
-@click.argument("opname", type=click.Choice(sorted(_OPS)))
-@SCHEME_OPT
-@click.option("--filter", "filter_jsons", multiple=True,
-              help="Filter literal (JSON); repeat for binary ops.")
-@click.option("--chart", type=int, default=None, help="Chart index for restrict.")
-@click.option("--point", default=None, help="Point literal for localize.")
-@FORMAT_OPT
-@OUT_OPT
 def op_cmd(opname, scheme_json, filter_jsons, chart, point, fmt, out):
     """Apply a filter operation: meet, join, product, restrict, localize, generate."""
     command = {"cmd": "op", "op": opname,
@@ -642,23 +614,12 @@ def op_cmd(opname, scheme_json, filter_jsons, chart, point, fmt, out):
     _one_command(command, fmt, out, scheme_json)
 
 
-@main.command("member")
-@SCHEME_OPT
-@click.option("--module", "module_json", required=True, help="Module literal (JSON).")
-@click.option("--filter", "filter_json", required=True, help="Filter literal (JSON).")
-@FORMAT_OPT
-@OUT_OPT
 def member_cmd(scheme_json, module_json, filter_json, fmt, out):
     """Decide whether the subcategory of a filter contains a module."""
     _one_command({"cmd": "member", "module": _load_json(module_json, "--module"),
                   "filter": _load_json(filter_json, "--filter")}, fmt, out, scheme_json)
 
 
-@main.command("explain")
-@SCHEME_OPT
-@click.option("--filter", "filter_json", required=True, help="Filter literal (JSON).")
-@FORMAT_OPT
-@OUT_OPT
 def explain_cmd(scheme_json, filter_json, fmt, out):
     """Walk the correspondence chain for one filter: flags, support, attachments."""
     command = {"cmd": "classify", "filter": _load_json(filter_json, "--filter")}
@@ -667,20 +628,82 @@ def explain_cmd(scheme_json, filter_json, fmt, out):
     _emit(doc, fmt, out, lambda: "\n".join(doc["chain"]))
 
 
-@main.group()
-def oracle():
-    """Brute-force ground truth over finite rings."""
-
-
-@oracle.command("verify")
-@click.option("--ring", required=True, help="Ring descriptor, e.g. p:2,mod:x^3.")
-@click.option("--length-bound", type=int, default=4, show_default=True,
-              help="Module length bound for subcategory enumeration.")
-@FORMAT_OPT
-@OUT_OPT
 def oracle_verify(ring, length_bound, fmt, out):
     """Cross-check the symbolic engine against brute force on one ring."""
     _one_command({"cmd": "oracle", "ring": ring, "length_bound": length_bound}, fmt, out)
+
+
+def _opt(*flags, **keywords):
+    return flags, keywords
+
+
+_JSON = {"required": True, "metavar": "JSON"}
+# the argument (no flags) or option that fills each handler parameter, by name
+_OPTIONS = {
+    "job_path": _opt(metavar="JOB"),
+    "opname": _opt(choices=sorted(_OPS)),
+    "scheme_json": _opt("--scheme", **_JSON, help="Scheme literal (JSON)."),
+    "filter_json": _opt("--filter", **_JSON, help="Filter literal (JSON)."),
+    "filter_jsons": _opt("--filter", action="append", default=[], metavar="JSON",
+                         help="Filter literal (JSON); repeat for binary ops."),
+    "module_json": _opt("--module", **_JSON, help="Module literal (JSON)."),
+    "degree_bound": _opt("--degree-bound", type=int,
+                         help="Enumerate closed points up to this degree over a prime field."),
+    "labels": _opt("--labels", default="", help="Comma-separated labels to materialize."),
+    "chart": _opt("--chart", type=int, help="Chart index for restrict."),
+    "point": _opt("--point", help="Point literal for localize."),
+    "ring": _opt("--ring", required=True, help="Ring descriptor, e.g. p:2,mod:x^3."),
+    "length_bound": _opt("--length-bound", type=int, default=4,
+                         help="Module length bound for subcategory enumeration (default: 4)."),
+    "fmt": _opt("--format", choices=["json", "table"], default="json",
+                help="Output format (default: json)."),
+    "out": _opt("--out", metavar="PATH", help="Write output to a file instead of stdout."),
+}
+
+
+def _subcommand(group, name: str, handler) -> None:
+    """Add the subcommand `name` to group: it reads the options that its
+    handler's parameters name and calls the handler with them."""
+    sub = group.add_parser(name, help=handler.__doc__, description=handler.__doc__,
+                           allow_abbrev=False)
+    code = handler.__code__
+    for param in code.co_varnames[:code.co_argcount]:
+        flags, keywords = _OPTIONS[param]
+        sub.add_argument(*flags, dest=param, **keywords)
+    sub.set_defaults(handler=handler)
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the command line, built on its first use."""
+    top = argparse.ArgumentParser(
+        prog="qfilt", allow_abbrev=False,
+        description="Classify filters of ideal subsheaves on desk-scale schemes.")
+    commands = top.add_subparsers(metavar="COMMAND", required=True)
+    for name, handler in [("run", run), ("classify", classify_cmd), ("spec", spec_cmd),
+                          ("op", op_cmd), ("member", member_cmd), ("explain", explain_cmd)]:
+        _subcommand(commands, name, handler)
+    doc = "Brute-force ground truth over finite rings."
+    oracle = commands.add_parser("oracle", help=doc, description=doc, allow_abbrev=False)
+    _subcommand(oracle.add_subparsers(metavar="COMMAND", required=True), "verify", oracle_verify)
+    return top
+
+
+def main(args: list[str] | None = None, prog_name="qfilt", standalone_mode=True) -> NoReturn:
+    """Run the command line on args (default: sys.argv[1:]) and exit with its
+    code.  prog_name and standalone_mode keep the signature of click's
+    `main.main`, which qbench's jobs workload calls; they change nothing."""
+    options = vars(_parser().parse_args(args))
+    handler = options.pop("handler")
+    try:
+        handler(**options)
+    except ValidationFailure as e:
+        sys.stderr.write(f"Error: {e.message}\n")
+        sys.exit(2)
+    sys.exit(0)
+
+
+main.main = main  # the call qbench's jobs workload makes, as it did on click's group
 
 
 if __name__ == "__main__":

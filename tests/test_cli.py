@@ -9,7 +9,6 @@ import time
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qfilt
@@ -30,11 +29,6 @@ P1 = '{"kind":"proj_line","field":"symbolic"}'
 U2 = '{"kind":"disjoint_union","components":[{"p":2},{"p":3}]}'
 F2LINE = '{"kind":"affine_line","field":{"p":2}}'
 QUOTIENT = '{"kind":"affine_quotient","p":2,"modulus":"x^5+x^3"}'
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
 
 
 def invoke(runner, args):
@@ -289,7 +283,9 @@ def test_negative_component_index_exit_2(runner, args, message):
 def test_deep_nesting_exit_2(runner):
     """JSON nested near the recursion limit either fails to parse or parses
     and fails later, depending on the stack depth of the caller; both exit 2."""
-    for depth in range(850, 1001, 10):
+    # every depth: the depths that parse but whose error message overflows
+    # the stack are a window a few depths wide, placed by the caller's depth
+    for depth in range(850, 1001):
         nest = "[" * depth + "]" * depth
         res = invoke(runner, ["classify", "--scheme", A1,
                               "--filter", f'{{"kind":"exponents","default":{nest}}}'])
@@ -507,11 +503,16 @@ class TestOracleCommand:
         # no value type is generated at import, so dataclasses stays unloaded
         env = dict(os.environ, PYTHONPATH=str(Path(qfilt.__file__).parents[1]))
         probe = ("import sys, qfilt.cli; print('qfilt.oracle' in sys.modules, "
-                 "'dataclasses' in sys.modules); import qfilt.oracle; "
+                 "'dataclasses' in sys.modules, 'click' in sys.modules); import qfilt.oracle; "
                  "print('dataclasses' in sys.modules)")
         res = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, timeout=60)
-        assert res.returncode == 0 and res.stdout == "False False\nFalse\n", res.stderr
+        assert res.returncode == 0 and res.stdout == "False False False\nFalse\n", res.stderr
+        res = subprocess.run([sys.executable, "-m", "qfilt.cli", "run",
+                              str(JOBS / "product_law.json")], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == (GOLDEN / "product_law.json").read_text(encoding="utf-8")
         res = subprocess.run([sys.executable, "-m", "qfilt.cli", "oracle", "verify",
                               "--ring", "p:2,mod:x^2"], env=env,
                              capture_output=True, text=True, timeout=60)
@@ -565,6 +566,69 @@ class TestOracleCommand:
         res = invoke(runner, ["oracle", "verify", "--ring", "p:2,mod:x^2"])
         assert res.exit_code == 3
         assert json.loads(res.output)["passed"] is False
+
+
+# command lines the parser refuses, or whose job file cannot be opened, each
+# with a word its message names; "dir" is a directory in the working directory
+BAD_COMMAND_LINES = {
+    "job_missing": (["run", "missing.json"], "missing.json"),
+    "job_directory": (["run", "dir"], "dir"),
+    "unknown_subcommand": (["twist"], "twist"),
+    "no_subcommand": ([], "COMMAND"),
+    "oracle_no_subcommand": (["oracle"], "COMMAND"),
+    "scheme_missing": (["classify", "--filter", '{"kind":"improper"}'], "--scheme"),
+    "format_xml": (["classify", "--scheme", A1, "--filter", '{"kind":"improper"}',
+                    "--format", "xml"], "xml"),
+    "length_bound_not_int": (["oracle", "verify", "--ring", "p:2,mod:x^2",
+                              "--length-bound", "x"], "--length-bound"),
+    "chart_not_int": (["op", "restrict", "--scheme", P1, "--filter", '{"kind":"improper"}',
+                       "--chart", "1.5"], "--chart"),
+    "degree_bound_not_int": (["spec", "--scheme", F2LINE, "--degree-bound", "abc"],
+                             "--degree-bound"),
+    "option_abbreviated": (["oracle", "verify", "--ring", "p:2,mod:x^2", "--length", "4"],
+                           "--length"),
+}
+
+
+@pytest.mark.parametrize("args,word", BAD_COMMAND_LINES.values(), ids=BAD_COMMAND_LINES.keys())
+def test_bad_command_line_exit_2(runner, tmp_path, monkeypatch, args, word):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    res = invoke(runner, args)
+    assert res.exit_code == 2 and res.stdout == ""
+    assert word in res.stderr and "Traceback" not in res.stderr
+    if args[:1] == ["run"]:
+        assert res.stderr.startswith(f"Error: cannot read job file {word}: ")
+
+
+# each subcommand's one-line help, and the options and arguments it names
+HELP = {
+    "": ("Classify filters of ideal subsheaves on desk-scale schemes.",
+         ["run", "classify", "spec", "op", "member", "explain", "oracle"]),
+    "run": ("Run the commands in a job file.", ["JOB", "--format", "--out"]),
+    "classify": ("Classify one filter and print its flags and attachments.",
+                 ["--scheme", "--filter", "--format", "--out"]),
+    "spec": ("Enumerate the points of a scheme with their specialization order.",
+             ["--scheme", "--degree-bound", "--labels", "--format", "--out"]),
+    "op": ("Apply a filter operation: meet, join, product, restrict, localize, generate.",
+           [*_OPS, "--scheme", "--filter", "--chart", "--point", "--format", "--out"]),
+    "member": ("Decide whether the subcategory of a filter contains a module.",
+               ["--scheme", "--module", "--filter", "--format", "--out"]),
+    "explain": ("Walk the correspondence chain for one filter: flags, support, attachments.",
+                ["--scheme", "--filter", "--format", "--out"]),
+    "oracle": ("Brute-force ground truth over finite rings.", ["verify"]),
+    "oracle verify": ("Cross-check the symbolic engine against brute force on one ring.",
+                      ["--ring", "--length-bound", "--format", "--out"]),
+}
+
+
+@pytest.mark.parametrize("command", HELP, ids=[c or "qfilt" for c in HELP])
+def test_help_names_options(runner, command):
+    res = invoke(runner, [*command.split(), "--help"])
+    assert res.exit_code == 0 and res.stderr == ""
+    doc, words = HELP[command]
+    assert doc in " ".join(res.stdout.split())
+    assert all(word in res.stdout for word in words)
 
 
 MALFORMED_JOBS = {

@@ -3,7 +3,6 @@
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from qfilt import literals
 from qfilt.cli import main
@@ -112,7 +111,7 @@ class TestPointMemo:
         with pytest.raises(QfiltError, match="^duplicate exponent for pt:a$"):
             filter_from_literal(A1, lit)
 
-    def test_each_shipped_job_parses_each_point_text_once(self, monkeypatch):
+    def test_each_shipped_job_parses_each_point_text_once(self, runner, monkeypatch):
         reads, parses = [], []
         read, parse = literals.point_from_literal, literals._parse_point
         monkeypatch.setattr(literals, "point_from_literal",
@@ -122,7 +121,7 @@ class TestPointMemo:
         repeats = 0  # reads the memo answered
         for job in sorted((Path(__file__).resolve().parent.parent / "jobs").glob("*.json")):
             reads.clear(), parses.clear()
-            assert CliRunner().invoke(main, ["run", str(job)]).exit_code == 0
+            assert runner.invoke(main, ["run", str(job)]).exit_code == 0
             assert len(parses) == len(set(parses)), job.name
             repeats += len(reads) - len(parses)
         assert repeats > 0

@@ -27,19 +27,13 @@ def _names(node, attributes_only: bool) -> list[str]:
             if isinstance(n, ast.Attribute) or (not attributes_only and isinstance(n, ast.Name))]
 
 
-def _is_click_command(node) -> bool:
-    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
-               and d.func.attr in ("command", "group") for d in node.decorator_list)
-
-
 def _public_definitions(tree):
     """(qualified name, node) of each public top-level function and class
     and each public method of a top-level class."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
             continue
-        if not _is_click_command(node):
-            yield node.name, node
+        yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
