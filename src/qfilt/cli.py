@@ -9,8 +9,10 @@ one-command job; `explain` adds the correspondence chain to the document of
 its classify command.
 
 A job parses each named filter at most once and classifies it at most
-once; an op that names its result rebinds the name.  An error raised while
-a command runs is reported with the command's index and kind.
+once; an op that names its result rebinds the name.  Every input qfilt
+refuses is refused with a QfiltError (a ParseError for input that cannot be
+read), and one raised while a command runs is reported with the command's
+index and kind.
 
 All machine output is JSON with sorted keys so repeated runs are byte
 identical; `_json_text` renders it, byte for byte as
@@ -26,8 +28,8 @@ The command line is one stdlib `argparse` parser, built when `main` first
 runs and reused.  Each subcommand reads the options that its handler's
 parameters name (`_OPTIONS`), no option may be abbreviated, and `main`
 always ends in SystemExit: 0 on success, 2 on a command-line error (argparse
-prints the usage and the error) or a `ValidationFailure` (`Error: <message>`
-on stderr), 3 when an oracle check fails.
+prints the usage and the error) or a QfiltError (`main` alone writes
+`Error: <message>` on stderr), 3 when an oracle check fails.
 """
 
 import argparse
@@ -39,7 +41,7 @@ from typing import Callable, NamedTuple, NoReturn
 
 from . import filters as flt_ops
 from .classify import ClassificationReport, classify, member
-from .errors import ParseError, QfiltError
+from .errors import ParseError, QfiltError, echo
 from .fields import TOO_MANY_DIGITS, PrimeField, parse_decimal
 from .ideals import QuotientRing
 from .literals import (
@@ -53,7 +55,6 @@ from .literals import (
     module_from_literal,
     module_to_literal,
     point_from_literal,
-    point_to_literal,
     point_to_literal_on,
     scheme_from_literal,
     scheme_to_literal,
@@ -64,33 +65,16 @@ from .poly import poly_from_str
 from .spectrum import spec
 
 
-class ValidationFailure(Exception):
-    """An input qfilt refuses: the command line exits 2 with `Error: <message>`."""
-
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.message = message
-
-
 def _load_json(text: str, what: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
-        raise ValidationFailure(
+        raise ParseError(
             f"{what}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
     except ValueError as e:
-        raise ValidationFailure(f"{what}: {TOO_MANY_DIGITS}") from e
+        raise ParseError(f"{what}: {TOO_MANY_DIGITS}") from e
     except RecursionError as e:
-        raise ValidationFailure(f"{what}: JSON nested too deeply") from e
-
-
-def _guard(fn, *args):
-    try:
-        return fn(*args)
-    except (ParseError, QfiltError) as e:
-        raise ValidationFailure(str(e)) from e
-    except RecursionError as e:  # a literal that json could still parse
-        raise ValidationFailure("input nested too deeply") from e
+        raise ParseError(f"{what}: JSON nested too deeply") from e
 
 
 # the writer of each scalar type, looked up by exact type
@@ -137,7 +121,7 @@ def _emit(doc: dict, fmt: str, out: str | None, table: Callable[[], str]) -> Non
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as e:
-            raise ValidationFailure(f"cannot write --out {out}: {e.strerror}") from e
+            raise QfiltError(f"cannot write --out {out}: {e.strerror}") from e
     else:
         sys.stdout.write(text)
 
@@ -331,7 +315,7 @@ class _Job:
     the results named so far."""
 
     def __init__(self, lit: dict):
-        self._scheme = _guard(scheme_from_literal, lit["scheme"]) if "scheme" in lit else None
+        self._scheme = scheme_from_literal(lit["scheme"]) if "scheme" in lit else None
         self.filters = dict(lit.get("filters", {}))
         self.modules = lit.get("modules", {})
         self._parsed: dict[str, _Parsed] = {}  # name -> its parse, while the name holds
@@ -339,7 +323,7 @@ class _Job:
     @property
     def scheme(self):
         if self._scheme is None:
-            raise ValidationFailure("job file defines no scheme")
+            raise QfiltError("job file defines no scheme")
         return self._scheme
 
     def bind(self, name: str, lit: dict) -> None:
@@ -368,12 +352,11 @@ def _run_spec(job: _Job, cmd: dict) -> dict:
     poset = spec(job.scheme, cmd.get("degree_bound"), cmd.get("labels", ()))
     return {
         "scheme": scheme_to_literal(job.scheme),
-        "generic": [point_to_literal(p) for p in poset.generic],
-        "closed": [point_to_literal(p) for p in poset.closed],
+        "generic": [p.text for p in poset.generic],
+        "closed": [p.text for p in poset.closed],
         "symbolic_closed": poset.symbolic_closed,
         "symbolic_components": poset.symbolic_components,
-        "specializations": [[point_to_literal(a), point_to_literal(b)]
-                            for a, b in poset.specializations],
+        "specializations": [[a.text, b.text] for a, b in poset.specializations],
     }
 
 
@@ -422,11 +405,10 @@ def _run_oracle(job: _Job, cmd: dict) -> dict:
         key, _, value = piece.partition(":")
         key = key.strip()
         if key in parts:
-            raise ValidationFailure(f"bad --ring {ring_desc!r}; {key!r} is given twice")
+            raise ParseError(f"bad --ring {echo(ring_desc)}; {echo(key)} is given twice")
         parts[key] = value.strip()
     if set(parts) != {"p", "mod"}:
-        raise ValidationFailure(
-            f"bad --ring {ring_desc!r}; expected the form p:2,mod:x^3")
+        raise ParseError(f"bad --ring {echo(ring_desc)}; expected the form p:2,mod:x^3")
     p = parse_decimal(parts["p"], "--ring p")
     ring = QuotientRing.make(PrimeField(p), poly_from_str(parts["mod"], p))
     report = verify_ring(ring, cmd.get("length_bound", 4))
@@ -497,24 +479,24 @@ def _check_job(job) -> None:
         raise ParseError("job file has no schema version field")
     if type(job["schema"]) is not int or job["schema"] != SCHEMA_VERSION:
         raise ParseError(
-            f"unsupported schema version {job['schema']!r}; this build reads {SCHEMA_VERSION}")
+            f"unsupported schema version {echo(job['schema'])}; this build reads {SCHEMA_VERSION}")
     _check_keys(job, _JOB_KEYS, "job file")
     defined = set(_typed(job, "filters", {}, dict, "an object of name: filter"))
     modules = _typed(job, "modules", {}, dict, "an object of name: module")
     for i, cmd in enumerate(_typed(job, "commands", [], list, "a list of commands")):
         if not isinstance(cmd, dict):
-            raise ParseError(f"command {i} must be an object, not {cmd!r}")
+            raise ParseError(f"command {i} must be an object, not {echo(cmd)}")
         kind = cmd.get("cmd")
         if not isinstance(kind, str) or kind not in COMMANDS:
-            raise ParseError(f"command {i}: unknown command {kind!r}")
+            raise ParseError(f"command {i}: unknown command {echo(kind)}")
         for key in sorted(cmd.keys() & _COMMAND_TYPES.keys()):
             if isinstance(_typed(cmd, key, None, *_COMMAND_TYPES[key]), bool):
-                raise ParseError(f"{key!r} must be {_COMMAND_TYPES[key][1]}, not {cmd[key]!r}")
+                raise ParseError(f"{key!r} must be {_COMMAND_TYPES[key][1]}, not {echo(cmd[key])}")
         keys = COMMANDS[kind].keys
         if kind == "op":
             op, args = cmd.get("op"), cmd.get("args", [])
             if op not in _OPS:
-                raise ParseError(f"command {i}: unknown op {op!r}")
+                raise ParseError(f"command {i}: unknown op {echo(op)}")
             count, field = _OPS[op]
             keys = keys | {field}
             if len(args) != count:
@@ -525,23 +507,25 @@ def _check_job(job) -> None:
         _check_keys(cmd, keys, where)
         for ref in [cmd.get("filter"), *cmd.get("args", []), *cmd.get("filters", [])]:
             if isinstance(ref, str) and ref not in defined:
-                raise ParseError(f"{where}: filter {ref!r} is not defined")
+                raise ParseError(f"{where}: filter {echo(ref)} is not defined")
         mod = cmd.get("module")
         if isinstance(mod, str) and mod not in modules:
-            raise ParseError(f"{where}: module {mod!r} is not defined")
+            raise ParseError(f"{where}: module {echo(mod)} is not defined")
         if "name" in cmd:
             defined.add(cmd["name"])
 
 
 def _run_job(job) -> dict:
-    _guard(_check_job, job)
+    _check_job(job)
     state = _Job(job)
     results = []
     for i, cmd in enumerate(job.get("commands", [])):
         try:
-            results.append(_guard(COMMANDS[cmd["cmd"]].run, state, cmd))
-        except ValidationFailure as e:
-            raise ValidationFailure(f"{_where(i, cmd)}: {e.message}") from e
+            results.append(COMMANDS[cmd["cmd"]].run(state, cmd))
+        except QfiltError as e:
+            raise QfiltError(f"{_where(i, cmd)}: {e}") from e
+        except RecursionError as e:  # a literal that json could still parse
+            raise QfiltError(f"{_where(i, cmd)}: input nested too deeply") from e
     return {"schema": SCHEMA_VERSION, "results": results}
 
 
@@ -585,9 +569,9 @@ def run(job_path, fmt, out):
         with open(job_path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
-        raise ValidationFailure(f"cannot read job file {job_path}: {e.strerror}") from e
+        raise ParseError(f"cannot read job file {job_path}: {e.strerror}") from e
     except UnicodeDecodeError as e:
-        raise ValidationFailure(f"{job_path}: not UTF-8 text: {e.reason}") from e
+        raise ParseError(f"{job_path}: not UTF-8 text: {e.reason}") from e
     _execute(_load_json(text, job_path), fmt, out)
 
 
@@ -697,8 +681,8 @@ def main(args: list[str] | None = None, prog_name="qfilt", standalone_mode=True)
     handler = options.pop("handler")
     try:
         handler(**options)
-    except ValidationFailure as e:
-        sys.stderr.write(f"Error: {e.message}\n")
+    except QfiltError as e:
+        sys.stderr.write(f"Error: {e}\n")
         sys.exit(2)
     sys.exit(0)
 

@@ -15,7 +15,7 @@ valid element labels.
 import re
 
 from .config import MAX_PRIME
-from .errors import ParseError, QfiltError
+from .errors import ParseError, QfiltError, echo
 from .values import Value
 
 RESERVED_LABELS = frozenset({"inf", "gen"})
@@ -66,9 +66,9 @@ BaseField = PrimeField | SymbolicAlgClosed
 def check_label(label: str) -> str:
     """Validate a symbolic element label and return it."""
     if not isinstance(label, str) or not _LABEL_RE.match(label):
-        raise QfiltError(f"bad label {label!r}: expected [A-Za-z0-9_]+")
+        raise QfiltError(f"bad label {echo(label)}: expected [A-Za-z0-9_]+")
     if label in RESERVED_LABELS:
-        raise QfiltError(f"label {label!r} is reserved")
+        raise QfiltError(f"label {echo(label)} is reserved")
     return label
 
 
@@ -80,7 +80,7 @@ def parse_decimal(text: str, what: str) -> int:
     """The integer a string of decimal digits spells, `what` naming it in
     the ParseError for any other string, or for one too long to convert."""
     if not text.isdecimal():
-        raise ParseError(f"bad {what} {text!r}: expected decimal digits")
+        raise ParseError(f"bad {what} {echo(text)}: expected decimal digits")
     try:
         return int(text)
     except ValueError:
@@ -93,7 +93,7 @@ def field_from_literal(value) -> BaseField:
         return SymbolicAlgClosed()
     if isinstance(value, dict) and set(value) == {"p"} and type(value["p"]) is int:
         return PrimeField(value["p"])
-    raise QfiltError(f"bad field literal {value!r}")
+    raise QfiltError(f"bad field literal {echo(value)}")
 
 
 def field_to_literal(field: BaseField):

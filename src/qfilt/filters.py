@@ -68,7 +68,7 @@ import operator
 from functools import reduce
 
 from .config import INF, MAX_QUOTIENT_DEGREE
-from .errors import GluingError, QfiltError, UnsupportedFamilyError
+from .errors import GluingError, QfiltError, UnsupportedFamilyError, echo
 from .schemes import (
     IdealSheaf,
     Scheme,
@@ -224,7 +224,7 @@ def _check_exp(v, pt: SpecPoint | None = None):
     if isinstance(v, int) and not isinstance(v, bool) and v >= 0:
         return v
     what = "default" if pt is None else f"value at {pt}"
-    raise QfiltError(f"{what} must be a nonnegative integer or INF, not {v!r}")
+    raise QfiltError(f"{what} must be a nonnegative integer or INF, not {echo(v)}")
 
 
 def trivial_filter(scheme) -> LocalFilter:

@@ -20,17 +20,17 @@ Modules:  {"divisors": [[point, e], ...] | {point: e}, "free":
 Formatting is the exact inverse of parsing on normal forms, with sorted
 keys throughout so that serialized output is deterministic.
 
-Each scheme's memo keeps two point memos, so that a job parses each point
-text and writes each point's text once however many literals name it:
-"points" (text -> SpecPoint, filled by point_from_literal with each text
-that parses; a text that does not is never kept) and "point_texts"
-(SpecPoint -> text, filled by the filter, ideal, module and closed-set
-writers and point_to_literal_on).  They grow only with the distinct texts
-read or written on that scheme, and no comparison or copy reads them.
+Each point carries its own text (SpecPoint.text), which the writers read.
+Which point a text names depends on the scheme, so each scheme's memo
+keeps a "points" memo (text -> SpecPoint, filled by point_from_literal
+with each text that parses; a text that does not is never kept), and a job
+parses each point text once however many literals name it.  It grows only
+with the distinct texts read on that scheme, and no comparison or copy
+reads it.
 """
 
 from .config import INF
-from .errors import ParseError, QfiltError
+from .errors import ParseError, QfiltError, echo
 from .fields import PrimeField, check_label, field_from_literal, field_to_literal, parse_decimal
 from .filters import (
     FilterBase,
@@ -95,17 +95,17 @@ _FREE_KEYS = {"all_but"}
 def _check_keys(lit: dict, allowed, what: str) -> None:
     for key in lit:
         if key not in allowed:
-            raise ParseError(f"unknown key {key!r} in {what}; "
+            raise ParseError(f"unknown key {echo(key)} in {what}; "
                              f"expected one of {', '.join(sorted(allowed))}")
 
 
 def _kind(lit, keys: dict, what: str) -> str:
     """The kind of a scheme or filter literal, after checking its keys."""
     if not isinstance(lit, dict) or "kind" not in lit:
-        raise ParseError(f"{what} literal must be an object with 'kind': {lit!r}")
+        raise ParseError(f"{what} literal must be an object with 'kind': {echo(lit)}")
     kind = lit["kind"]
     if not isinstance(kind, str) or kind not in keys:
-        raise ParseError(f"unknown {what} kind {kind!r}")
+        raise ParseError(f"unknown {what} kind {echo(kind)}")
     _check_keys(lit, keys[kind], f"{kind} {what} literal")
     return kind
 
@@ -114,7 +114,7 @@ def _typed(lit: dict, key: str, default, types, expected: str):
     """lit[key] (default when absent), which must have one of the types."""
     value = lit.get(key, default)
     if not isinstance(value, types):
-        raise ParseError(f"{key!r} must be {expected}, not {value!r}")
+        raise ParseError(f"{key!r} must be {expected}, not {echo(value)}")
     return value
 
 
@@ -138,7 +138,7 @@ def scheme_from_literal(lit) -> object:
     if comps == "Z":
         return DisjointUnion.symbolic()
     if not isinstance(comps, list):
-        raise ParseError(f"'components' must be \"Z\" or a list of fields, not {comps!r}")
+        raise ParseError(f"'components' must be \"Z\" or a list of fields, not {echo(comps)}")
     return DisjointUnion.explicit([field_from_literal(c) for c in comps])
 
 
@@ -166,7 +166,7 @@ def point_from_literal(scheme, text: str) -> SpecPoint:
     that parses is kept in the scheme's "points" memo, one that does not
     raises on every read and is never kept."""
     if not isinstance(text, str):
-        raise ParseError(f"point literal must be a string: {text!r}")
+        raise ParseError(f"point literal must be a string: {echo(text)}")
     points = scheme.memo.get("points")
     if points is None:
         points = scheme.memo["points"] = {}
@@ -196,7 +196,7 @@ def _parse_point(scheme, text: str) -> SpecPoint:
         return pt
     pt = _closed_point_on(scheme, name)
     if pt is None:
-        raise ParseError(f"point {text!r} does not lie on {scheme}")
+        raise ParseError(f"point {echo(text)} does not lie on {scheme}")
     return pt
 
 
@@ -212,36 +212,10 @@ def _closed_point_on(scheme, name: str):
     return scheme.point_named(name)
 
 
-def point_to_literal(pt: SpecPoint) -> str:
-    if pt.kind == "generic":
-        return f"comp:{pt.component}"
-    name = pt.name if isinstance(pt.name, str) else poly_to_str(pt.name)
-    return f"pt:{name}"
-
-
 def point_to_literal_on(scheme, pt: SpecPoint) -> str:
     if pt.kind == "generic" and scheme.component_type != "field":
         return "gen"
-    return _point_texts(scheme)[pt]
-
-
-class _PointTexts(dict):
-    """point -> point_to_literal(point), written on the first read."""
-
-    __slots__ = ()
-
-    def __missing__(self, pt: SpecPoint) -> str:
-        text = self[pt] = point_to_literal(pt)
-        return text
-
-
-def _point_texts(scheme) -> _PointTexts:
-    """The scheme's "point_texts" memo, through which the writers below
-    write each point's text once per scheme."""
-    texts = scheme.memo.get("point_texts")
-    if texts is None:
-        texts = scheme.memo["point_texts"] = _PointTexts()
-    return texts
+    return pt.text
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +240,7 @@ def _component_indices(items) -> list[int]:
         elif isinstance(item, str) and item.startswith("comp:"):
             out.append(parse_decimal(item[5:], "component"))
         else:
-            raise ParseError(f"bad component {item!r}; use an index 0, 1, 2, ... or 'comp:N'")
+            raise ParseError(f"bad component {echo(item)}; use an index 0, 1, 2, ... or 'comp:N'")
     return out
 
 
@@ -292,12 +266,11 @@ def ideal_from_literal(scheme, lit) -> IdealSheaf:
         orders = [(point_from_literal(scheme, k), v) for k, v in
                   _typed(lit, "orders", {}, dict, "an object of point: order").items()]
         return sheaf(scheme, orders, _components_from_literal(lit))
-    raise ParseError(f"bad ideal literal {lit!r}")
+    raise ParseError(f"bad ideal literal {echo(lit)}")
 
 
 def ideal_to_literal(ideal: IdealSheaf) -> dict:
-    texts = _point_texts(ideal.scheme)
-    out = {"orders": {texts[pt]: n for pt, n in ideal.orders}}
+    out = {"orders": {pt.text: n for pt, n in ideal.orders}}
     out.update(components_to_literal(ideal.killed))
     return out
 
@@ -313,7 +286,7 @@ def _exponent_from_literal(v):
         return v
     if isinstance(v, str):
         return parse_decimal(v, "exponent")
-    raise ParseError(f"bad exponent {v!r}; use an integer or \"inf\"")
+    raise ParseError(f"bad exponent {echo(v)}; use an integer or \"inf\"")
 
 
 def _exponent_to_literal(v):
@@ -364,8 +337,7 @@ def filter_to_literal(flt: LocalFilter) -> dict:
         return {"kind": "improper"}
     out = {"kind": "exponents", "default": _exponent_to_literal(flt.default)}
     if flt.exceptions:
-        texts = _point_texts(flt.scheme)
-        out["exceptions"] = {texts[pt]: _exponent_to_literal(v) for pt, v in flt.exceptions}
+        out["exceptions"] = {pt.text: _exponent_to_literal(v) for pt, v in flt.exceptions}
     out.update(components_to_literal(flt.killed))
     return out
 
@@ -382,13 +354,13 @@ def stalk_to_literal(stalk: StalkFilter) -> dict:
 
 def module_from_literal(scheme, lit) -> TorsionSheafData:
     if not isinstance(lit, dict):
-        raise ParseError(f"module literal must be an object: {lit!r}")
+        raise ParseError(f"module literal must be an object: {echo(lit)}")
     _check_keys(lit, _MODULE_KEYS, "module literal")
     raw = _typed(lit, "divisors", [], (list, dict), "a list of [point, exponent] pairs or an object")
     pairs = raw.items() if isinstance(raw, dict) else raw
     for pair in pairs:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ParseError(f"bad divisor {pair!r}; use [point, exponent]")
+            raise ParseError(f"bad divisor {echo(pair)}; use [point, exponent]")
     divisors = [(point_from_literal(scheme, k), v) for k, v in pairs]
     free = _typed(lit, "free", False, (bool, list, dict),
                   'true, false, a list of components or {"all_but": [...]}')
@@ -402,8 +374,7 @@ def module_from_literal(scheme, lit) -> TorsionSheafData:
 
 
 def module_to_literal(data: TorsionSheafData) -> dict:
-    texts = _point_texts(data.scheme)
-    out = {"divisors": [[texts[pt], e] for pt, e in data.divisors]}
+    out = {"divisors": [[pt.text, e] for pt, e in data.divisors]}
     if data.free.is_none:
         out["free"] = False
     elif data.free.is_finite:
@@ -421,9 +392,8 @@ def specclosed_to_literal(s: SpecClosedSet) -> dict:
     if s.kind in ("empty", "all"):
         return {"kind": s.kind}
     if s.kind in ("finite", "cofinite_closed"):
-        texts = _point_texts(s.scheme)
         key = "points" if s.kind == "finite" else "excluded"
-        return {"kind": s.kind, key: [texts[p] for p in s.points]}
+        return {"kind": s.kind, key: [p.text for p in s.points]}
     cs = s.components
     if cs.is_finite:
         return {"kind": "components", "components": sorted(cs.members)}

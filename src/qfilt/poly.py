@@ -26,7 +26,7 @@ import re
 from functools import lru_cache
 
 from .config import MAX_POLY_DEGREE, MAX_POLY_ENUMERATION
-from .errors import ParseError, QfiltError, RingMismatchError
+from .errors import ParseError, QfiltError, RingMismatchError, echo
 from .fields import PrimeField, SymbolicAlgClosed, check_label, parse_decimal
 from .values import Value
 
@@ -270,18 +270,18 @@ def poly_from_str(text: str, p: int) -> PrimePoly:
         raise ParseError("empty polynomial literal")
     chunks = re.findall(r"[+-]?[^+-]+", s)
     if "".join(chunks) != s:
-        raise ParseError(f"bad polynomial literal {text!r}")
+        raise ParseError(f"bad polynomial literal {echo(text)}")
     coeffs: dict[int, int] = {}
     for chunk in chunks:
         m = _TERM_RE.match(chunk)
         if not m or (m.group(2) is None and m.group(3) is None):
-            raise ParseError(f"bad term {chunk!r} in polynomial literal {text!r}")
+            raise ParseError(f"bad term {echo(chunk)} in polynomial literal {echo(text)}")
         sign = -1 if m.group(1) == "-" else 1
         coeff = 1 if m.group(2) is None else parse_decimal(m.group(2), "coefficient")
         if m.group(3) is None:
             exp = 0
             if m.group(4) is not None:
-                raise ParseError(f"bad term {chunk!r} in polynomial literal {text!r}")
+                raise ParseError(f"bad term {echo(chunk)} in polynomial literal {echo(text)}")
         else:
             exp = 1 if m.group(4) is None else parse_decimal(m.group(4), "exponent")
         coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
@@ -316,7 +316,7 @@ def factored_from_str(text: str) -> FactoredPoly:
         m = _FACTOR_RE.match(part)
         if not m:
             raise ParseError(
-                f"bad factor {part!r}: symbolic polynomials must be products of (x-label)^k"
+                f"bad factor {echo(part)}: symbolic polynomials must be products of (x-label)^k"
             )
         mult = parse_decimal(m.group(2), "multiplicity") if m.group(2) else 1
         pairs.append((m.group(1), mult))

@@ -26,7 +26,7 @@ chart table and nothing else.  What is built later is built once too:
 each scheme keeps a memo, which no comparison reads, of its improper and
 trivial filters and, on the symbolic union, of the Chart of each chart id
 asked for, so restriction and gluing on a union build no chart and no
-constant filter; the literals module keeps its point memos there too.
+constant filter; the literals module keeps its point memo there too.
 Only Scheme knows the component count, so it alone answers the two
 questions asked of a component pattern: its normal form (an explicit list
 on finitely many components) and whether it holds every component.
@@ -130,13 +130,12 @@ class Scheme(Value):
     memo starts empty and holds the scheme's constants once built: the
     filters module keeps its improper and trivial filters there under
     those names, chart() on the symbolic union keeps each chart id's Chart
-    under the id, and the literals module keeps its two point memos under
-    "points" (text -> point) and "point_texts" (point -> text), which grow
-    only with the distinct texts read or written on this scheme.  No
-    comparison, hash, repr or copy reads it; a pickle or copy starts with
-    an empty memo.  The improper filter refers back to its scheme, so a
-    scheme that built one sits in a reference cycle, which the cyclic
-    garbage collector frees."""
+    under the id, and the literals module keeps its point memo under
+    "points" (text -> point), which grows only with the distinct texts
+    read on this scheme.  No comparison, hash, repr or copy reads it; a
+    pickle or copy starts with an empty memo.  The improper filter refers
+    back to its scheme, so a scheme that built one sits in a reference
+    cycle, which the cyclic garbage collector frees."""
 
     __slots__ = ("kind", "field", "ring", "components", "component_count", "component_type",
                  "closed", "added", "removed", "chart_table", "affine", "name", "memo")

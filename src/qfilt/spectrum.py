@@ -43,9 +43,9 @@ maximal ideal, plus a pattern of components carrying a free summand.
 
 from collections import Counter
 
-from .errors import QfiltError
+from .errors import QfiltError, echo
 from .fields import PrimeField, check_label
-from .poly import PrimePoly, irreducibles
+from .poly import PrimePoly, irreducibles, poly_to_str
 from .values import Value
 
 INF_NAME = "inf"
@@ -53,26 +53,31 @@ INF_NAME = "inf"
 
 class SpecPoint(Value):
     """A point of a scheme: kind "closed" or "generic", the index of its
-    connected component, and a name (poly/label/"inf"; None for generic)."""
+    connected component, and a name (poly/label/"inf"; None for generic).
+    text is the point's literal, derived from the other fields: "comp:N"
+    for the generic point of component N, "pt:" and the name for a closed
+    point."""
 
-    # _hash and _sort_key are computed once per point: points key every
-    # exponent table and sort every normal form
-    __slots__ = ("kind", "component", "name", "_hash", "_sort_key")
+    # text, _hash and _sort_key are computed once per point: points are
+    # written in every literal, key every exponent table and sort every
+    # normal form
+    __slots__ = ("kind", "component", "name", "text", "_hash", "_sort_key")
     _fields = ("kind", "component", "name")
 
     def __init__(self, kind: str, component: int, name: PrimePoly | str | None = None):
         if kind == "generic":
-            tag = (0, "", "")
+            tag, text = (0, "", ""), f"comp:{component}"
         elif isinstance(name, PrimePoly):
             tag = (1, f"{name.degree:06d}", ",".join(f"{c:03d}" for c in reversed(name.coeffs)))
-        elif name == INF_NAME:
-            tag = (3, "", "")
+            text = "pt:" + poly_to_str(name)
         else:
-            tag = (2, name, "")
-        set_kind, set_component, set_name, set_hash, set_sort_key = SpecPoint._setters
+            tag = (3, "", "") if name == INF_NAME else (2, name, "")
+            text = f"pt:{name}"
+        set_kind, set_component, set_name, set_text, set_hash, set_sort_key = SpecPoint._setters
         set_kind(self, kind)
         set_component(self, component)
         set_name(self, name)
+        set_text(self, text)
         set_hash(self, hash((kind, component, name)))
         set_sort_key(self, (component, tag))
 
@@ -391,7 +396,7 @@ def spec(scheme, degree_bound: int | None = None, labels=()) -> SpecPoset:
         names = [check_label(l) for l in labels]
         repeated = [l for l, count in Counter(names).items() if count > 1]
         if repeated:
-            raise QfiltError(f"label {repeated[0]!r} is listed more than once")
+            raise QfiltError(f"label {echo(repeated[0])} is listed more than once")
     if line:
         closed = [pt for pt in map(closed_point, names) if pt not in scheme.removed]
         closed += scheme.added

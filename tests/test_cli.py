@@ -15,7 +15,7 @@ import qfilt
 from qfilt import cli
 from qfilt.cli import _COMMAND_TYPES, _JOB_KEYS, _OPS, COMMANDS, _json_text, main
 from qfilt.literals import (_FILTER_KEYS, _FREE_KEYS, _IDEAL_KEYS, _MODULE_KEYS,
-                            _SCHEME_KEYS, point_to_literal, scheme_from_literal)
+                            _SCHEME_KEYS, scheme_from_literal)
 from qfilt.oracle import OracleReport
 from qfilt.spectrum import spec
 
@@ -282,14 +282,49 @@ def test_negative_component_index_exit_2(runner, args, message):
 
 def test_deep_nesting_exit_2(runner):
     """JSON nested near the recursion limit either fails to parse or parses
-    and fails later, depending on the stack depth of the caller; both exit 2."""
-    # every depth: the depths that parse but whose error message overflows
-    # the stack are a window a few depths wide, placed by the caller's depth
+    and fails later, depending on the stack depth of the caller; both exit 2
+    with one short message, and the echo of the value is the same at every
+    depth."""
+    messages = {"Error: --filter: JSON nested too deeply\n",
+                'Error: command 0 (classify): bad exponent [[[[...]]]]; use an integer or "inf"\n'}
     for depth in range(850, 1001):
         nest = "[" * depth + "]" * depth
         res = invoke(runner, ["classify", "--scheme", A1,
                               "--filter", f'{{"kind":"exponents","default":{nest}}}'])
-        assert res.exit_code == 2 and res.stderr.startswith("Error:"), depth
+        assert res.exit_code == 2 and res.stderr in messages, depth
+        assert len(res.stderr.encode()) < 100
+
+
+def test_recursion_in_a_command_exit_2(runner, monkeypatch):
+    """A command whose input overflows the stack is refused by its index and
+    kind, as input nested too deeply."""
+    def overflow(flt):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "classify", overflow)
+    res = invoke(runner, ["classify", "--scheme", A1, "--filter", '{"kind":"improper"}'])
+    assert res.exit_code == 2
+    assert res.stderr == "Error: command 0 (classify): input nested too deeply\n"
+
+
+# a refused value too long or too deep to quote in full, and its echo
+LONG_VALUES = {
+    "list": ([0] * 2001, "[0, 0, 0, 0, 0, 0, 0, 0, ...]"),
+    "string": ("x" * 5000, "'" + "x" * 27 + "..." + "x" * 28 + "'"),
+    "wide_object": ({f"k{i}": i for i in range(50)},
+                    "{'k0': 0, 'k1': 1, 'k2': 2, 'k3': 3, 'k4': 4, 'k5': 5, ...}"),
+    "deep_object": ({"b": {"a": {"c": {"d": 1}}}}, "{'b': {'a': {'c': {...}}}}"),
+    "wide_and_deep": ([[["9" * 60] * 8] * 8] * 8, "[[['" + "9" * 27 + "..."),
+}
+
+
+@pytest.mark.parametrize("value,echo", LONG_VALUES.values(), ids=LONG_VALUES.keys())
+def test_long_value_echo_is_bounded(runner, value, echo):
+    res = invoke(runner, ["classify", "--scheme", A1, "--filter",
+                          json.dumps({"kind": "exponents", "default": value})])
+    assert res.exit_code == 2
+    assert res.stderr.startswith(f"Error: command 0 (classify): bad exponent {echo}")
+    assert len(res.stderr.encode()) < 300
 
 
 def test_spec_past_enumeration_cap_fails_fast(runner):
@@ -457,8 +492,7 @@ class TestMemberSpec:
             assert len(doc["specializations"]) == pairs
             poset = spec(scheme_from_literal(json.loads(scheme)), degree, labels)
             pts = poset.generic + poset.closed
-            assert doc["specializations"] == [[point_to_literal(a), point_to_literal(b)]
-                                              for a in pts for b in pts
+            assert doc["specializations"] == [[a.text, b.text] for a in pts for b in pts
                                               if a != b and leq(a, b)]
 
     def test_spec_labels(self, runner):

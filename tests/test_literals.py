@@ -18,7 +18,6 @@ from qfilt.literals import (
     module_from_literal,
     module_to_literal,
     point_from_literal,
-    point_to_literal,
     point_to_literal_on,
     scheme_from_literal,
     scheme_to_literal,
@@ -36,6 +35,7 @@ from qfilt.spectrum import (
     finite_closed,
     generic_point,
     inf_point,
+    spec,
 )
 
 A1 = scheme_from_literal({"kind": "affine_line", "field": "symbolic"})
@@ -73,11 +73,23 @@ class TestPoints:
         assert str(pt.name) == "x^2+x+1"
 
     def test_formatting(self):
-        assert point_to_literal(closed_point("a")) == "pt:a"
-        assert point_to_literal(inf_point()) == "pt:inf"
-        assert point_to_literal(generic_point(3)) == "comp:3"
+        assert closed_point("a").text == "pt:a"
+        assert inf_point().text == "pt:inf"
+        assert generic_point(3).text == "comp:3"
         assert point_to_literal_on(A1, generic_point(0)) == "gen"
         assert point_to_literal_on(UZ, generic_point(0)) == "comp:0"
+
+    @pytest.mark.parametrize("scheme,degree,labels", [
+        (A1F2, 3, ()), (A1, None, ("a", "b")), (P1, None, ("a", "b")), (Q, None, ()),
+        (U2, None, ())], ids=["F2_line", "symbolic_line", "P1", "quotient", "union"])
+    def test_text_names_the_point(self, scheme, degree, labels):
+        poset = spec(scheme, degree, labels)
+        for pt in poset.generic + poset.closed:
+            assert point_from_literal(scheme, pt.text) == pt
+
+    def test_text_names_the_generic_points_of_the_symbolic_union(self):
+        for c in (0, 1, 2, 63, 64, 1000):
+            assert point_from_literal(UZ, generic_point(c).text) == generic_point(c)
 
     def test_rejections(self):
         for scheme, text in ((A1, "pt:inf"), (A1, "comp:1"), (UZ, "pt:a"),

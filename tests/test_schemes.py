@@ -257,7 +257,6 @@ class TestMemo:
         assert set(s.memo) == {"improper", "trivial", 7}
         point_from_literal(s, "comp:2"), point_to_literal_on(s, generic_point(3))
         assert s.memo["points"] == {"comp:2": generic_point(2)}
-        assert s.memo["point_texts"] == {generic_point(3): "comp:3"}
         fresh = DisjointUnion.symbolic()
         assert fresh.memo == {}
         assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
