@@ -8,7 +8,8 @@ shipped example and test; input past a cap is rejected with a QfiltError.
 INF = float("inf")
 
 MAX_PRIME = 257                     # largest prime modulus for a coefficient field
-MAX_POLY_ENUMERATION = 2_000_000    # candidate count guard for irreducible sieves
+MAX_POLY_ENUMERATION = 2_000_000    # candidate count guard for irreducible sieves; a point
+                                    # of degree n over F_p is checked only while p^n is within it
 MAX_POLY_DEGREE = 1024              # degree of a polynomial read from a literal or --ring
 MAX_QUOTIENT_DEGREE = 6             # modulus degree for divisor-lattice enumeration
 MAX_UNION_COMPONENTS = 64           # explicit disjoint-union component count

@@ -11,7 +11,7 @@ derived once at construction.
 
 from .errors import QfiltError, RingMismatchError
 from .fields import BaseField, PrimeField
-from .poly import Poly, PrimePoly, factor, poly_to_literal
+from .poly import Poly, PrimePoly, factor, poly_to_str
 from .values import Value
 
 
@@ -25,7 +25,7 @@ class QuotientRing(Value):
     __slots__ = ("field", "modulus", "factors")
     _fields = ("field", "modulus")
 
-    def __init__(self, field: BaseField, modulus: Poly):
+    def __init__(self, field: BaseField, modulus: PrimePoly):
         set_field, set_modulus, set_factors = QuotientRing._setters
         set_field(self, field)
         set_modulus(self, modulus)
@@ -46,4 +46,4 @@ class QuotientRing(Value):
         return self.modulus.degree
 
     def __str__(self) -> str:
-        return f"{self.field}[x]/({poly_to_literal(self.modulus)})"
+        return f"{self.field}[x]/({poly_to_str(self.modulus)})"

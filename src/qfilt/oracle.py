@@ -85,27 +85,14 @@ class FiniteRingTable(Value):
     `scheme` is the engine's scheme of the ring, one object for every
     engine call on the table.  Neither `scheme` nor the cached tables in
     __dict__, the per-module memos among them, stay in equality, repr or
-    copies."""
+    copies: a copy builds its own scheme."""
 
     __slots__ = ("ring", "add", "mul", "one", "ideals", "prime_exponents",
                  "prime_degrees", "prime_elements", "scheme", "__dict__")
     _fields = __slots__[:-2]  # neither scheme nor __dict__
 
-    def __init__(self, ring: QuotientRing, add: tuple[tuple[int, ...], ...],
-                 mul: tuple[tuple[int, ...], ...], one: int, ideals: tuple[IdealSet, ...],
-                 prime_exponents: tuple[int, ...], prime_degrees: tuple[int, ...],
-                 prime_elements: tuple[int, ...], scheme=None):
-        (set_ring, set_add, set_mul, set_one, set_ideals, set_prime_exponents,
-         set_prime_degrees, set_prime_elements, set_scheme) = FiniteRingTable._setters
-        set_ring(self, ring)
-        set_add(self, add)
-        set_mul(self, mul)
-        set_one(self, one)
-        set_ideals(self, ideals)
-        set_prime_exponents(self, prime_exponents)
-        set_prime_degrees(self, prime_degrees)
-        set_prime_elements(self, prime_elements)
-        set_scheme(self, AffineQuotient(ring) if scheme is None else scheme)
+    def __reduce__(self):
+        return FiniteRingTable, (*self._values(), AffineQuotient(self.ring))
 
     @property
     def size(self) -> int:
@@ -284,7 +271,8 @@ def build_table(ring: QuotientRing, scheme=None) -> FiniteRingTable:
     return FiniteRingTable(ring, add, mul, one, ideals,
                            tuple(m for _, m in primes),
                            tuple(q.degree for q, _ in primes),
-                           tuple(index((q % modulus).coeffs) for q, _ in primes), scheme)
+                           tuple(index((q % modulus).coeffs) for q, _ in primes),
+                           AffineQuotient(ring) if scheme is None else scheme)
 
 
 def _self_check(n: int, add, mul, one: int) -> None:
@@ -697,11 +685,6 @@ class OracleReport(Value):
     __slots__ = ("ring", "checks")
     __hash__ = None
 
-    def __init__(self, ring: QuotientRing, checks: list | None = None):
-        set_ring, set_checks = OracleReport._setters
-        set_ring(self, ring)
-        set_checks(self, [] if checks is None else checks)
-
     def record(self, name: str, ok: bool, detail: str = ""):
         self.checks.append((name, ok, detail))
 
@@ -835,7 +818,7 @@ def engine_filter_to_explicit(flt, table: FiniteRingTable) -> ExplicitFilter:
 
 def verify_ring(ring: QuotientRing, length_bound: int = 4) -> OracleReport:
     """Cross-check the symbolic engine against brute force on one ring."""
-    report = OracleReport(ring)
+    report = OracleReport(ring, [])
     # what follows from the factorization is checked before build_table
     # lays out a table, in the order the stages below would check it: the
     # element and ideal counts, the modulus degree, the length bound and

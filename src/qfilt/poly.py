@@ -14,11 +14,14 @@ at parse time.
 Factorization over a prime field is deterministic trial division by monic
 irreducibles in ascending (degree, coefficient) order; it is meant for
 desk-scale degrees, not cryptographic ones.  The irreducible tables are
-cached per field.
+cached per field.  An irreducibility check is the same trial division: f
+is irreducible iff no monic irreducible of degree at most deg f / 2
+divides it, so it reads the tables only up to half its degree.
 
 String forms: prime-field polynomials read and print like "x^3+x+1" with
-descending powers; factored polynomials like "(x-a)^2*(x-b)" with factors
-sorted by label.  "0" and "1" denote the obvious constants in both worlds.
+descending powers; factored polynomials read like "(x-a)^2*(x-b)" and are
+kept as factors sorted by label.  "0" and "1" denote the obvious constants
+in both worlds.
 """
 
 import itertools
@@ -105,21 +108,17 @@ class PrimePoly(Value):
         self._match(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        p = self.p
-        inv = pow(other.leading, -1, p)
+        p, d, b = self.p, other.degree, other.coeffs
+        inv = pow(b[-1], -1, p)
         rem = list(self.coeffs)
-        quo = [0] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] % p == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            c = (rem[-1] * inv) % p
-            quo[k] = c
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] = (rem[k + i] - c * b) % p
+        quo = [0] * max(0, len(rem) - d)
+        # long division: the quotient's coefficients from the top degree down
+        for k in range(len(quo) - 1, -1, -1):
+            c = rem[k + d] * inv % p
+            if c:
+                quo[k] = c
+                for i, a in enumerate(b):
+                    rem[k + i] = (rem[k + i] - c * a) % p
         return PrimePoly.make(p, quo), PrimePoly.make(p, rem)
 
     def __mod__(self, other: "PrimePoly") -> "PrimePoly":
@@ -151,13 +150,18 @@ def poly_gcd(a: PrimePoly, b: PrimePoly) -> PrimePoly:
     return a.monic()
 
 
-@lru_cache(maxsize=None)
-def irreducibles(p: int, degree: int) -> tuple[PrimePoly, ...]:
-    """All monic irreducibles of exactly the given degree, at least 1, sorted."""
+def _check_enumeration(p: int, degree: int) -> None:
+    """Refuse a degree whose p^degree monic polynomials are past the cap."""
     # p >= 2, so a degree past the cap's bit length is over the cap, and
     # p ** degree is formed only for small degrees
     if degree >= MAX_POLY_ENUMERATION.bit_length() or p ** degree > MAX_POLY_ENUMERATION:
         raise QfiltError(f"irreducible enumeration over F{p} at degree {degree} is too large")
+
+
+@lru_cache(maxsize=None)
+def irreducibles(p: int, degree: int) -> tuple[PrimePoly, ...]:
+    """All monic irreducibles of exactly the given degree, at least 1, sorted."""
+    _check_enumeration(p, degree)
     smaller = [q for d in range(1, degree // 2 + 1) for q in irreducibles(p, d)]
     found = []
     # every monic polynomial of the degree, its tail read high-to-low so
@@ -172,10 +176,14 @@ def irreducibles(p: int, degree: int) -> tuple[PrimePoly, ...]:
 
 
 def is_irreducible(f: PrimePoly) -> bool:
+    """Whether f is irreducible: of degree at least 1 and divisible by no
+    monic irreducible of degree at most deg f / 2.  Like the sieve of its
+    own degree, which it never builds, it refuses f unless p^deg f is
+    within MAX_POLY_ENUMERATION."""
     if f.degree < 1:
         return False
-    f = f.monic()
-    return f in irreducibles(f.p, f.degree)
+    _check_enumeration(f.p, f.degree)
+    return all((f % q).coeffs for d in range(1, f.degree // 2 + 1) for q in irreducibles(f.p, d))
 
 
 def factor_prime_poly(f: PrimePoly) -> tuple[tuple[PrimePoly, int], ...]:
@@ -220,10 +228,6 @@ class FactoredPoly(Value):
             if mult:
                 acc[label] = acc.get(label, 0) + mult
         return FactoredPoly(tuple(sorted(acc.items())))
-
-    @property
-    def is_one(self) -> bool:
-        return not self.factors
 
 
 Poly = PrimePoly | FactoredPoly
@@ -294,16 +298,6 @@ def poly_from_str(text: str, p: int) -> PrimePoly:
     return PrimePoly.make(p, out)
 
 
-def factored_to_str(f: FactoredPoly) -> str:
-    if f.is_one:
-        return "1"
-    parts = []
-    for label, mult in f.factors:
-        base = f"(x-{label})"
-        parts.append(base if mult == 1 else f"{base}^{mult}")
-    return "*".join(parts)
-
-
 def factored_from_str(text: str) -> FactoredPoly:
     """Parse forms like "(x-a)^2*(x-b)" and "1"."""
     s = text.replace(" ", "")
@@ -329,7 +323,3 @@ def poly_from_literal(text: str, field) -> Poly:
     if isinstance(field, SymbolicAlgClosed):
         return factored_from_str(text)
     raise QfiltError(f"unknown field {field!r}")
-
-
-def poly_to_literal(f: Poly) -> str:
-    return poly_to_str(f) if isinstance(f, PrimePoly) else factored_to_str(f)

@@ -66,12 +66,11 @@ class SpecPoint(Value):
 
     def __init__(self, kind: str, component: int, name: PrimePoly | str | None = None):
         if kind == "generic":
-            tag, text = (0, "", ""), f"comp:{component}"
+            tag, text = (0,), f"comp:{component}"
         elif isinstance(name, PrimePoly):
-            tag = (1, f"{name.degree:06d}", ",".join(f"{c:03d}" for c in reversed(name.coeffs)))
-            text = "pt:" + poly_to_str(name)
+            tag, text = (1, *name.sort_key()), "pt:" + poly_to_str(name)
         else:
-            tag = (3, "", "") if name == INF_NAME else (2, name, "")
+            tag = (3,) if name == INF_NAME else (2, name)
             text = f"pt:{name}"
         set_kind, set_component, set_name, set_text, set_hash, set_sort_key = SpecPoint._setters
         set_kind(self, kind)
@@ -94,9 +93,7 @@ class SpecPoint(Value):
         return self._sort_key
 
     def __str__(self) -> str:
-        if self.kind == "generic":
-            return f"gen:{self.component}"
-        return f"pt:{self.name}"
+        return self.text
 
 
 def closed_point(name, component: int = 0) -> SpecPoint:

@@ -6,8 +6,8 @@ of them unless the class derives some from the others.  Assigning or
 deleting a field raises AttributeError, so fields are stored through the
 slots' own __set__, which Value captures once per class in `_setters`.
 Value's __init__ stores the values it is given in slot order.  The types
-that the engine builds in its loops, and those that derive, check or
-default a field, spell out their own.
+that the engine builds in its loops, and those that derive or check a
+field, spell out their own.
 
 Two values are equal only within one class and with equal fields, and a
 value hashes as the tuple of its fields.  The __eq__ and __hash__ here

@@ -225,12 +225,16 @@ MALFORMED = {
     "point_constant": ["classify", "--scheme", F2LINE, "--filter",
                        '{"kind":"exponents","default":0,"exceptions":{"pt:1":1}}'],
     "ideal_int": ["classify", "--scheme", F2LINE, "--filter", '{"kind":"principal","ideal":5}'],
+    # comp:1 names the generic point of component 1, which carries no exponent
+    "exceptions_generic_point": ["classify", "--scheme", U2, "--filter",
+                                 '{"kind":"exponents","exceptions":{"comp:1":1}}'],
     "divisor_one_entry": ["member", "--scheme", A1, "--module", '{"divisors":[[1]]}',
                           "--filter", '{"kind":"improper"}'],
 }
 # the message of each case that alone reaches the line raising it
 MESSAGES = {"point_constant": "point 'pt:1' does not lie on A1(F2)",
             "ideal_int": "bad ideal literal 5",
+            "exceptions_generic_point": "comp:1 is not a closed point",
             "divisor_one_entry": "bad divisor [1]; use [point, exponent]"}
 FILES = {"deep.json": b"[" * 100_000, "utf16.json": b"\xff\xfe{}", "list.json": b"[]",
          "no_schema.json": b'{"commands": []}',
@@ -334,6 +338,16 @@ def test_spec_past_enumeration_cap_fails_fast(runner):
     res = invoke(runner, ["spec", "--scheme", F2LINE, "--degree-bound", "40"])
     assert res.exit_code == 2
     assert "irreducible enumeration over F2 at degree 40 is too large" in res.stderr
+    assert time.perf_counter() - start < 2
+
+
+def test_point_of_degree_17_checked_fast(runner):
+    # the check divides by the irreducibles up to degree 8; a sieve of
+    # degree 17 would try 2^17 candidates
+    start = time.perf_counter()
+    res = invoke(runner, ["classify", "--scheme", F2LINE, "--filter",
+                          '{"kind":"exponents","default":0,"exceptions":{"pt:x^17+x^3+1":1}}'])
+    assert res.exit_code == 0
     assert time.perf_counter() - start < 2
 
 
@@ -591,7 +605,7 @@ class TestOracleCommand:
         from qfilt import oracle as oracle_mod
 
         def fake_verify(ring, length_bound):
-            report = OracleReport(ring)
+            report = OracleReport(ring, [])
             report.record("forced", False, "synthetic failure")
             return report
 

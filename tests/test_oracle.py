@@ -12,7 +12,8 @@ import pytest
 from qfilt import oracle
 from qfilt.errors import LatticeTooLargeError, QfiltError, RingMismatchError
 from qfilt.fields import PrimeField
-from qfilt.filters import LocalFilter, enumerate_quotient_filters, is_product_closed
+from qfilt.filters import (LocalFilter, enumerate_quotient_filters, is_product_closed,
+                           kill_admitted)
 from qfilt.ideals import QuotientRing
 from qfilt.oracle import (
     build_table,
@@ -575,6 +576,11 @@ class TestVerifyRing:
                                          ["engine product matches oracle"]),
         "product_closure_negated": ("is_product_closed", lambda real: lambda f: not real(f),
                                     ["Gabriel condition matches product closure"]),
+        "containment_strict": ("contains", lambda real: _contains_strict,
+                               ["filter enumerations biject", "engine product matches oracle",
+                                "least members match",
+                                "Gabriel condition matches product closure",
+                                "membership via annihilators matches"]),
         "last_filter_dropped": ("enumerate_quotient_filters",
                                 lambda real: lambda scheme: real(scheme)[:-1],
                                 ["filter enumerations biject",
@@ -604,6 +610,14 @@ class TestVerifyRing:
             if enabled:
                 gc.enable()
         assert not left
+
+
+def _contains_strict(flt, ideal):
+    """filters.contains with < for <=: an ideal of exactly the filter's
+    order at a point is left out."""
+    if flt.improper:
+        return True
+    return kill_admitted(flt, ideal.killed) and all(n < flt.value(pt) for pt, n in ideal.orders)
 
 
 def _localizing_flipped(report):

@@ -1,14 +1,16 @@
 """Polynomial arithmetic over prime fields and symbolic factored forms."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
+from qfilt import poly
 from qfilt.errors import ParseError, QfiltError, RingMismatchError
 from qfilt.poly import (
     PrimePoly,
     factor,
     factored_from_str,
-    factored_to_str,
     irreducibles,
     is_irreducible,
     poly_from_literal,
@@ -92,6 +94,13 @@ class TestFactor:
         assert is_irreducible(P("x^2+x+1"))
         assert not is_irreducible(P("x^2+1"))
 
+    def test_is_irreducible_sieves_up_to_half_the_degree(self, monkeypatch):
+        asked = []
+        real = poly.irreducibles
+        monkeypatch.setattr(poly, "irreducibles", lambda p, d: asked.append(d) or real(p, d))
+        assert is_irreducible(P("x^17+x^3+1"))
+        assert max(asked) == 8
+
 
 class TestIrreducibleCounts:
     # monic irreducibles over F2 by degree: 2, 1, 2, 3
@@ -105,19 +114,20 @@ class TestIrreducibleCounts:
 
 class TestFactored:
     def test_round_trip(self):
-        for text in ("(x-a)^2*(x-b)", "(x-a)", "1"):
-            assert factored_to_str(factored_from_str(text)) == text
+        for text, factors in (("(x-a)^2*(x-b)", (("a", 2), ("b", 1))), ("(x-a)", (("a", 1),)),
+                              ("1", ())):
+            assert factored_from_str(text).factors == factors
 
     def test_normal_order(self):
         f = factored_from_str("(x-b)*(x-a)^2")
-        assert factored_to_str(f) == "(x-a)^2*(x-b)"
+        assert f.factors == (("a", 2), ("b", 1))
 
     def test_rejects_reserved_label(self):
         with pytest.raises(QfiltError):
             factored_from_str("(x-inf)")
 
     def test_zero_multiplicity_drops_factor(self):
-        assert factored_to_str(factored_from_str("(x-a)^0")) == "1"
+        assert factored_from_str("(x-a)^0").factors == ()
 
     def test_rejects_garbage(self):
         for bad in ("x-a", "(x+a)", "(x-a)*"):
@@ -143,3 +153,37 @@ def test_gcd_divides(f, g):
         return
     d = poly_gcd(f, g)
     assert (f % d).is_zero and (g % d).is_zero
+
+
+def _monic(p: int, degree: int) -> list[PrimePoly]:
+    """Every monic polynomial of the degree over F_p."""
+    return [PrimePoly.make(p, (*tail, 1)) for tail in itertools.product(range(p), repeat=degree)]
+
+
+@pytest.mark.parametrize("p,max_degree", [(2, 8), (3, 5), (5, 4), (7, 3)])
+def test_irreducibility_and_factors_match_the_products(p, max_degree):
+    # the reference: a monic polynomial of degree n is reducible iff it is
+    # a product of two monic polynomials of degrees d and n - d, 1 <= d <= n/2
+    one = PrimePoly(p, (1,))
+    for n in range(1, max_degree + 1):
+        products = {g * h for d in range(1, n // 2 + 1)
+                    for g in _monic(p, d) for h in _monic(p, n - d)}
+        candidates = _monic(p, n)
+        assert set(irreducibles(p, n)) == set(candidates) - products
+        for f in candidates:
+            assert is_irreducible(f) == (f in irreducibles(p, n))
+            product = one
+            for q, m in factor(f):
+                assert q in irreducibles(p, q.degree)
+                for _ in range(m):
+                    product = product * q
+            assert product == f
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+def test_divmod_recovers_the_dividend(p, data):
+    a = data.draw(polys(p, 10))
+    b = data.draw(polys(p, 5).filter(lambda f: not f.is_zero))  # not always monic
+    q, r = divmod(a, b)
+    assert q * b + r == a
+    assert r.degree < b.degree

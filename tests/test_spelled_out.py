@@ -20,9 +20,6 @@ INIT = {
     # checked: PrimeField that p is a prime within the cap, ExplicitFilter
     # that its members form a filter
     "PrimeField", "ExplicitFilter",
-    # defaulted: FiniteRingTable builds its own scheme when given none,
-    # OracleReport its list of checks
-    "FiniteRingTable", "OracleReport",
 }
 
 EQ = {

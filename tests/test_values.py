@@ -29,7 +29,7 @@ A, X = closed_point("a"), closed_point(poly_from_str("x", 2))
 IDEAL = sheaf(A1, {A: 2})
 FILTER = presented(A1, 1, {A: 3})
 TABLE = oracle.build_table(RING)
-REPORT = oracle.OracleReport(RING)
+REPORT = oracle.OracleReport(RING, [])
 REPORT.record("ring axioms", True)
 
 SAMPLES = [
