@@ -8,13 +8,19 @@ over the sums of pairs confirms it), filters are enumerated as up-closed
 intersection-closed subsets of the ideal list, and both
 definitions of the filter product are evaluated element by element.
 The tables are built by index arithmetic on coefficient digits, each row
-from an earlier one, with no polynomial arithmetic per entry.  What the
-filter tests read is laid out beside them once per ring, as tables of
+from an earlier one, with no polynomial arithmetic per entry.  Only they
+are |R|^2: each ideal keeps its least generator, and every table derived
+from them is read off the generators.  For ideals L and J = h·R, J lies
+in a^{-1}L exactly when ah is in L, and a^{-1}L depends on a only through
+a·R, so `colon` holds g^{-1}L for each ideal L and each generator g.  What
+the filter tests read is laid out beside them once per ring, as tables of
 ideal indices: `up` (the ideals containing each ideal), `meet` (the
 intersection of each pair), `colon_range` (the colon ideals a^{-1}L over
-the a of each ideal) and `product_up` (the ideals holding the products xy
-of each pair of ideals).  A filter, and each element annihilator, is a set
-of ideal indices, and the join of two filters is read off `up` and `meet`.
+the a of each ideal, read off `colon`) and `product_up` (the ideals
+holding the products xy of each pair of ideals, those that hold the
+product of the generators).  A filter, and each element annihilator, is a
+set of ideal indices, and the join of two filters is read off `up` and
+`meet`.
 Subcategories are enumerated independently of the filter lattice, as sets
 of indecomposable module classes certified by explicit submodule
 enumeration, each set a bitmask over the indecomposables, and the
@@ -39,14 +45,15 @@ p_i-primary part, |r·N| is |N| / |N ∩ ker r| and |r·(M/N)| is
 |r·M| / |N ∩ r·M|.
 
 Each indecomposable R/(p_i^j) is laid out once per ring table, from the
-cosets of (p_i^j): its rows for multiplication, its kernels and images
-of the primary scalars, the annihilators of its elements and the picks
-that extend submodules by it.  What is read of a direct sum M' + C, its
-ModuleData, is built from its prefix's and its last summand's, with no
-table of the sum: the kernel and the image of r on M' + C are those on
-M' times those on C, and Ann(x, c) is Ann(x) ∩ Ann(c).  Only the sums
-that the submodule enumeration extends get rows for multiplication, each
-from its prefix's and its last summand's.  The subcategory enumeration
+cosets of (p_i^j): its kernels and images of the primary scalars, the
+annihilators of its elements, read off `colon`, and the picks that extend
+submodules by it.  What is read of a direct sum M' + C, its ModuleData,
+is built from its prefix's and its last summand's, with no table of the
+sum: the kernel and the image of r on M' + C are those on M' times those
+on C, and Ann(x, c) is Ann(x) ∩ Ann(c).  Only the sums that the submodule
+enumeration extends get rows for multiplication, each from its prefix's
+and its last summand's, so an indecomposable gets them only when it is
+such a sum.  The subcategory enumeration
 and the membership check share one ModuleData per sum, and the
 membership check reads its element annihilators once for all filters.
 
@@ -81,13 +88,17 @@ class FiniteRingTable(Value):
     """k[x]/(f) as explicit tables on the elements 0..n-1, element 0 the zero
     (see build_table for the numbering).
 
-    `prime_elements` holds the element index of each prime factor, and
-    `scheme` is the engine's scheme of the ring, one object for every
-    engine call on the table.  Neither `scheme` nor the cached tables in
-    __dict__, the per-module memos among them, stay in equality, repr or
-    copies: a copy builds its own scheme."""
+    `ideals` lists every ideal largest first, and `generators` the least
+    element that generates each.  `add` and `mul` are the only tables of
+    |R|^2 entries; the cached tables of ideal indices are read off the
+    generators, each in at most ideals·|R| lookups.  `prime_elements`
+    holds the element index of each prime factor, and `scheme` is the
+    engine's scheme of the ring, one object for every engine call on the
+    table.  Neither `scheme` nor the cached tables in __dict__, the
+    per-module memos among them, stay in equality, repr or copies: a copy
+    builds its own scheme."""
 
-    __slots__ = ("ring", "add", "mul", "one", "ideals", "prime_exponents",
+    __slots__ = ("ring", "add", "mul", "one", "ideals", "generators", "prime_exponents",
                  "prime_degrees", "prime_elements", "scheme", "__dict__")
     _fields = __slots__[:-2]  # neither scheme nor __dict__
 
@@ -106,7 +117,7 @@ class FiniteRingTable(Value):
         return out
 
     def principal(self, a: int) -> IdealSet:
-        return frozenset(self.mul[a][r] for r in range(self.size))
+        return frozenset(self.mul[a])
 
     @cached_property
     def ideal_index(self) -> dict[IdealSet, int]:
@@ -114,10 +125,21 @@ class FiniteRingTable(Value):
         return {members: i for i, members in enumerate(self.ideals)}
 
     @cached_property
+    def ideal_of(self) -> tuple[int, ...]:
+        """ideal_of[a] is the index of the ideal a·R: the last listed ideal
+        that holds a, since every ideal that holds a holds a·R and the
+        ideals are listed largest first."""
+        where = {}
+        for i, members in enumerate(self.ideals):
+            where.update(dict.fromkeys(members, i))
+        return tuple(map(where.__getitem__, range(self.size)))
+
+    @cached_property
     def up(self) -> tuple[frozenset, ...]:
-        """up[i] is the set of indices of the ideals that contain the i-th."""
-        return tuple(frozenset(j for j, big in enumerate(self.ideals) if small <= big)
-                     for small in self.ideals)
+        """up[i] is the set of indices of the ideals that contain the i-th,
+        those that hold its generator."""
+        return tuple(frozenset(j for j, big in enumerate(self.ideals) if g in big)
+                     for g in self.generators)
 
     @cached_property
     def meet(self) -> tuple[tuple[int, ...], ...]:
@@ -125,30 +147,37 @@ class FiniteRingTable(Value):
         return tuple(tuple(self.ideal_index[a & b] for b in self.ideals) for a in self.ideals)
 
     @cached_property
+    def colon(self) -> tuple[tuple[int, ...], ...]:
+        """colon[l][k] is the index of the colon ideal g^{-1}L = {b : gb in L},
+        L the l-th ideal and g the generator of the k-th, which is a^{-1}L
+        for every a with a·R the k-th ideal.  A listed J = h·R lies in it
+        exactly when gh is in L, and the ideals are listed largest first,
+        so it is the first such J."""
+        gens = self.generators
+        rows = [self.mul[g] for g in gens]
+        return tuple(tuple(next(j for j, h in enumerate(gens) if row[h] in big) for row in rows)
+                     for big in self.ideals)
+
+    @cached_property
     def colon_range(self) -> tuple[tuple[frozenset, ...], ...]:
         """colon_range[l][j] is the set of indices of the colon ideals
         a^{-1}L = {b : ab in L}, L the l-th ideal, for a in the j-th ideal.
-        Ideal 0 is the unit ideal, so colon_range[l][0] holds every a^{-1}L."""
-        out = []
-        for l in self.ideals:
-            # inverse[a] is the index of a^{-1}L
-            inverse = [self.ideal_index[frozenset(b for b, y in enumerate(row) if y in l)]
-                       for row in self.mul]
-            out.append(tuple(frozenset(map(inverse.__getitem__, ideal)) for ideal in self.ideals))
-        return tuple(out)
+        The a·R for a in the j-th ideal are the ideals inside it, those that
+        hold their generators.  Ideal 0 is the unit ideal, so
+        colon_range[l][0] holds every a^{-1}L."""
+        gens = self.generators
+        return tuple(tuple(frozenset(c for c, g in zip(per, gens) if g in ideal)
+                           for ideal in self.ideals)
+                     for per in self.colon)
 
     @cached_property
     def product_up(self) -> tuple[tuple[frozenset, ...], ...]:
         """product_up[i][j] is the set of indices of the ideals that hold
-        every product xy, x in the i-th ideal and y in the j-th."""
-        out = []
-        for i1 in self.ideals:
-            row = []
-            for i2 in self.ideals:
-                prods = {self.mul[x][y] for x in i1 for y in i2}
-                row.append(frozenset(l for l, big in enumerate(self.ideals) if prods <= big))
-            out.append(tuple(row))
-        return tuple(out)
+        every product xy, x in the i-th ideal and y in the j-th: the product
+        of g·R and h·R is gh·R, so they are the ideals that hold gh."""
+        gens, up, ideal_of = self.generators, self.up, self.ideal_of
+        return tuple(tuple(up[ideal_of[row[h]]] for h in gens)
+                     for row in (self.mul[g] for g in gens))
 
     @cached_property
     def ideal_exponents(self) -> tuple[tuple[int, ...], ...]:
@@ -188,7 +217,7 @@ class FiniteRingTable(Value):
     def sums(self) -> dict:
         """The ModuleData of the direct sum over each multiset worked out so
         far (see _module_data), from the empty sum R/R on."""
-        return {(): _quotient_data(self, *cosets(self.add, self.ideals[0]))}
+        return {(): _quotient_data(self, 0, *cosets(self.add, self.ideals[0]))}
 
     @cached_property
     def smuls(self) -> dict:
@@ -238,7 +267,10 @@ def build_table(ring: QuotientRing, scheme=None) -> FiniteRingTable:
     itertools.product; element 0 is the zero polynomial, so the zero of
     every module is 0.  The tables are built by index arithmetic: `add`
     adds the digits mod p (_digit_sums), and the `mul` row for a is the row
-    for a - x^k plus x^k·b, x^k·b read off the companion matrix of f."""
+    for a - x^k plus x^k·b, x^k·b read off the companion matrix of f, each
+    entry looked up in `add`.  _enumerate_ideals lists the ideals with
+    their least generators, from which the tables of ideal indices are
+    derived when first read (see FiniteRingTable)."""
     primes = _checked_primes(ring)
     modulus = ring.modulus
     p, deg = modulus.p, modulus.degree
@@ -257,18 +289,18 @@ def build_table(ring: QuotientRing, scheme=None) -> FiniteRingTable:
     powers = [list(range(n))]  # powers[k][b] is x^k·b
     for _ in range(1, deg):
         powers.append([times_x[b] for b in powers[-1]])
-    add = _digit_sums(p, deg)
-    mul = [[0] * n]
+    add = tuple(map(tuple, _digit_sums(p, deg)))
+    mul = [(0,) * n]
     for a in range(1, n):
         # a is a - x^k plus x^k for the last nonzero coefficient k
         k = max(k for k, d in enumerate(digits[a]) if d)
-        mul.append([add[u][v] for u, v in zip(mul[a - weights[k]], powers[k])])
-    add = tuple(map(tuple, add))
-    mul = tuple(map(tuple, mul))
+        mul.append(tuple(map(operator.getitem, map(add.__getitem__, mul[a - weights[k]]),
+                             powers[k])))
+    mul = tuple(mul)
     one = index((1,))
     _self_check(n, add, mul, one)
-    ideals = _enumerate_ideals(add, mul)
-    return FiniteRingTable(ring, add, mul, one, ideals,
+    ideals, generators = _enumerate_ideals(add, mul)
+    return FiniteRingTable(ring, add, mul, one, ideals, generators,
                            tuple(m for _, m in primes),
                            tuple(q.degree for q, _ in primes),
                            tuple(index((q % modulus).coeffs) for q, _ in primes),
@@ -276,20 +308,27 @@ def build_table(ring: QuotientRing, scheme=None) -> FiniteRingTable:
 
 
 def _self_check(n: int, add, mul, one: int) -> None:
-    """The ring axioms on tables whose rows are tuples.  Commutativity
-    compares each row with its column; associativity and distributivity
-    compare, for each (a, b), the row over c of each side.  A row that
-    differs is scanned entry by entry, so the first failing (a, b, c) names
-    the law, as an entry-by-entry scan of every triple would.  Above 64
-    elements only a fixed stride sample of the pairs (a, b) is checked,
-    each still over every c."""
+    """The ring axioms on tables whose rows are tuples.  The unit laws are
+    read off columns, and commutativity compares, for each block of 64
+    rows, their entries from the block's first column on with the same
+    block of each later row; when either fails, each row is compared with
+    its unit entries and its column in order, so the first failing a names
+    the law.  Associativity and distributivity compare, for each (a, b),
+    the row over c of each side.  A row that differs is scanned entry by
+    entry, so the first failing (a, b, c) names the law, as an
+    entry-by-entry scan of every triple would.  Above 64 elements only a
+    fixed stride sample of the pairs (a, b) is checked, each still over
+    every c."""
     rng = range(n)
-    add_cols, mul_cols = tuple(zip(*add)), tuple(zip(*mul))
-    for a in rng:
-        if add[a][0] != a or mul[a][one] != a or mul[a][0] != 0:
-            raise QfiltError("ring tables fail the unit laws")
-        if add[a] != add_cols[a] or mul[a] != mul_cols[a]:
-            raise QfiltError("ring tables are not commutative")
+    column = operator.itemgetter
+    units = (list(map(column(0), add)) == list(rng) and list(map(column(one), mul)) == list(rng)
+             and not any(map(column(0), mul)))
+    if not (units and _commutes(add) and _commutes(mul)):
+        for a in rng:
+            if add[a][0] != a or mul[a][one] != a or mul[a][0] != 0:
+                raise QfiltError("ring tables fail the unit laws")
+            if add[a] != tuple(map(column(a), add)) or mul[a] != tuple(map(column(a), mul)):
+                raise QfiltError("ring tables are not commutative")
     sample = range(0, n, n // 32) if n > 64 else rng
     # at_add[b](row) is the row read at add[b][c] for each c, at_mul alike
     at_add = {b: operator.itemgetter(*add[b]) for b in sample}
@@ -299,6 +338,18 @@ def _self_check(n: int, add, mul, one: int) -> None:
         if (add[add_a[b]] != at_add[b](add_a) or mul[mul_a[b]] != at_mul[b](mul_a)
                 or at_add[b](mul_a) != at_mul[a](add[mul_a[b]])):
             _check_triples(add, mul, ((a, b, c) for c in rng))
+
+
+def _commutes(rows) -> bool:
+    """Whether a square table is symmetric, one block of 64 rows at a time:
+    the block read from its first column on, a column at a time, against
+    the same block of each row from the block's first on."""
+    for start in range(0, len(rows), 64):
+        block = rows[start:start + 64]
+        head = operator.itemgetter(slice(start, start + 64))
+        if any(map(operator.ne, zip(*(row[start:] for row in block)), map(head, rows[start:]))):
+            return False
+    return True
 
 
 def _check_triples(add, mul, triples) -> None:
@@ -311,15 +362,24 @@ def _check_triples(add, mul, triples) -> None:
             raise QfiltError("distributivity fails")
 
 
-def _enumerate_ideals(add, mul) -> tuple[IdealSet, ...]:
+def _enumerate_ideals(add, mul) -> tuple[tuple[IdealSet, ...], tuple[int, ...]]:
     """The ideals of a principal ideal ring, its principal ideals a·R,
-    largest first.  A sum of two of them that is not among them shows the
-    tables are not of such a ring."""
-    found = {frozenset(row) for row in mul}
+    largest first, and the least generator a of each.  A sum of two of them
+    that is not among them shows the tables are not of such a ring; the sum
+    I1 + I2 is the union of the cosets y + I1, one for each y of I2 not yet
+    in it."""
+    found = {}
+    for a, row in enumerate(mul):
+        found.setdefault(frozenset(row), a)
     for i1, i2 in itertools.combinations(found, 2):
-        if frozenset(add[x][y] for x in i1 for y in i2) not in found:
+        total = set(i1)
+        for y in i2:
+            if y not in total:
+                total.update(map(add[y].__getitem__, i1))
+        if frozenset(total) not in found:
             raise QfiltError("the ring has an ideal that is not principal")
-    return tuple(sorted(found, key=lambda s: (-len(s), sorted(s))))
+    ideals = tuple(sorted(found, key=lambda s: (-len(s), sorted(s))))
+    return ideals, tuple(map(found.__getitem__, ideals))
 
 
 class ExplicitFilter(Value):
@@ -409,14 +469,14 @@ class ModuleData(Value):
 
 class Indecomposable(Value):
     """The indecomposable C = R/(p_i^j) of a key (i, j), laid out once per
-    ring table from the cosets of (p_i^j): `data` is its ModuleData,
-    `smul[r][c]` is r·c for the ring element of index r, and `levels`
-    holds, for each a = 0..j, the element index of p_i^(j-a) and the picks
-    of p_i^a·C, each nonzero element c of p_i^a·C with one ring element s
-    that takes p_i^a·1 to it (see submodules).  C adds digit by digit, as
-    every module here does, so it keeps no add table."""
+    ring table from the cosets of (p_i^j): `data` is its ModuleData, and
+    `levels` holds, for each a = 0..j, the element index of p_i^(j-a) and
+    the picks of p_i^a·C, each nonzero element c of p_i^a·C with one ring
+    element s that takes p_i^a·1 to it (see submodules).  C adds digit by
+    digit, as every module here does, so it keeps no add table, and its
+    rows for multiplication are the one-summand sum's (see _smul_rows)."""
 
-    __slots__ = ("data", "smul", "levels")
+    __slots__ = ("data", "levels")
 
 
 def cosets(add_table, sub) -> tuple[list[int], list[int]]:
@@ -434,38 +494,46 @@ def cosets(add_table, sub) -> tuple[list[int], list[int]]:
     return coset, leaders
 
 
-def _quotient_data(table: FiniteRingTable, coset: list[int], leaders: list[int]) -> ModuleData:
-    """The ModuleData of R/I, its elements the cosets of I as `cosets`
-    numbers them, read off the ring's tables: r kills the coset of a when
-    r·a is in I, that is in coset 0, r·(R/I) is the set of cosets of the
-    r·a, and Ann(a + I) is the colon ideal {r : r·a in I}."""
+def _quotient_data(table: FiniteRingTable, l: int, coset: list[int],
+                   leaders: list[int]) -> ModuleData:
+    """The ModuleData of R/I, I the l-th ideal, its elements the cosets of I
+    as `cosets` numbers them, read off the ring's tables: r kills the coset
+    of a when r·a is in I, that is in coset 0, r·(R/I) is the set of cosets
+    of the r·a, and Ann(a + I) is the colon ideal a^{-1}I, read off
+    `colon` by the ideal a·R."""
     kernels, images = [], []
     for r in table.primary_scalars:
         row = table.mul[r]
         kernels.append(_bitset(c for c, a in enumerate(leaders) if not coset[row[a]]))
-        images.append(_bitset({coset[x] for x in row}))
-    index = table.ideal_index
-    annihilators = frozenset(index[frozenset(r for r, x in enumerate(table.mul[a]) if not coset[x])]
-                             for a in leaders)
+        images.append(_bitset(set(map(coset.__getitem__, row))))
+    annihilators = frozenset(map(table.colon[l].__getitem__,
+                                 map(table.ideal_of.__getitem__, leaders)))
     return ModuleData(len(leaders), tuple(kernels), tuple(images), annihilators,
                       _class_from_sizes(table, tuple(map(int.bit_count, images))))
 
 
+def _key_cosets(table: FiniteRingTable, key: tuple[int, int]) -> tuple[list[int], list[int]]:
+    """The cosets of (p_i^j) for the key (i, j), as `cosets` gives them."""
+    return cosets(table.add, table.principal(table.prime_power(*key)))
+
+
 def _lay_out(table: FiniteRingTable, key: tuple[int, int]) -> Indecomposable:
     """The Indecomposable of the key (i, j), from the cosets of (p_i^j):
-    the ring element r is coset[r] in C, so p_i^a·s·1 is coset[p_i^a·s]."""
+    the ring element r is coset[r] in C, so p_i^a·s·1 is coset[p_i^a·s].
+    Its rows for multiplication are left to _smul_rows, which lays them
+    out only for the sums that the submodule enumeration extends."""
     i, j = key
-    coset, leaders = cosets(table.add, table.principal(table.prime_power(i, j)))
-    smul = tuple(tuple(coset[row[a]] for a in leaders) for row in table.mul)
+    coset, leaders = _key_cosets(table, key)
     levels = []
     for a in range(j + 1):
         row = table.mul[table.prime_power(i, a)]
         picks = {}  # each element of p_i^a·C, with one s reaching it from 1
-        for s in range(table.size):
-            picks.setdefault(coset[row[s]], s)
+        for s, c in enumerate(map(coset.__getitem__, row)):
+            picks.setdefault(c, s)
         # the first pick is 0, reached by s = 0: its part of N is A0 itself
         levels.append((table.prime_power(i, j - a), tuple(picks.items())[1:]))
-    return Indecomposable(_quotient_data(table, coset, leaders), smul, tuple(levels))
+    data = _quotient_data(table, table.ideal_of[table.prime_power(i, j)], coset, leaders)
+    return Indecomposable(data, tuple(levels))
 
 
 def _module_data(table: FiniteRingTable, multiset: tuple) -> ModuleData:
@@ -505,23 +573,41 @@ def _sum_rows(pairs, n: int) -> list[list[int]]:
 def _smul_rows(table: FiniteRingTable, multiset: tuple) -> list[list[int]]:
     """The rows r·x of the direct sum over a multiset of keys, each built
     once per ring table from its prefix's and its last summand's, since
-    r·(x, c) is (r·x, r·c)."""
+    r·(x, c) is (r·x, r·c).  The last summand's are those of its one-summand
+    sum R/(p_i^j), where r·c is the coset of r·a, a the leader of c.  When
+    the submodule enumeration extends a sum that ends in C, it extends C
+    alone too, so it lays out rows only for the sums it extends."""
     rows = table.smuls.get(multiset)
     if rows is None:
-        last = table.indecomposables[multiset[-1]]
-        rows = table.smuls[multiset] = _sum_rows(
-            zip(_smul_rows(table, multiset[:-1]), last.smul), last.data.size)
+        if len(multiset) == 1:
+            coset, leaders = _key_cosets(table, multiset[0])
+            at_leaders = operator.itemgetter(*leaders)
+            rows = [list(map(coset.__getitem__, at_leaders(row))) for row in table.mul]
+        else:
+            last = _smul_rows(table, multiset[-1:])
+            rows = _sum_rows(zip(_smul_rows(table, multiset[:-1]), last), len(last[0]))
+        table.smuls[multiset] = rows
     return rows
 
 
 def _digit_sums(p: int, k: int) -> list[list[int]]:
     """The add table of the elements 0..p^k-1, each read as k base-p digits
-    and added digit by digit mod p: k copies of Z/p joined one at a time by
-    _sum_rows, as a direct sum is."""
-    digit = [[(a + b) % p for b in range(p)] for a in range(p)]
+    and added digit by digit mod p, one leading digit joined at a time.
+    With n elements below it, the element h·n + u adds g·n + v to make
+    ((h + g) mod p)·n + (u + v).  So the row of u spells out, for g =
+    0..p-1, the block g·n + (u + v) over v, and the row of h·n + u is that
+    row with its first h blocks moved to its end."""
     rows = [[0]]
     for _ in range(k):
-        rows = _sum_rows(itertools.product(rows, digit), p)
+        n = len(rows)
+        numbers = list(range(n * p))
+        blocks = [numbers[g * n:(g + 1) * n].__getitem__ for g in range(p)]
+        out = [None] * (n * p)
+        for u, low in enumerate(rows):
+            row = list(itertools.chain.from_iterable(map(block, low) for block in blocks))
+            for cut in range(0, n * p, n):
+                out[cut + u] = row[cut:] + row[:cut]
+        rows = out
     return rows
 
 
@@ -750,8 +836,7 @@ def enumerate_subcategories(table: FiniteRingTable,
         triples.append((mask(data.iso_class), reduce(operator.or_, pairs, 0), pairs))
     # R/I is annihilated by I exactly, so the least annihilator is the meet
     # of the ideals (p_i^j) over the keys kept
-    killers = {key: table.ideal_index[table.principal(table.prime_power(*key))]
-               for key in keys}
+    killers = {key: table.ideal_of[table.prime_power(*key)] for key in keys}
     least_data = {}  # the class mask of R/L and whether L is idempotent
     out = []
     for allowed in range(1 << len(keys)):
@@ -767,7 +852,7 @@ def enumerate_subcategories(table: FiniteRingTable,
         if least not in least_data:
             # L·L is in the ideal list, which holds every ideal, so it is L
             # exactly when the same ideals contain both
-            data = _quotient_data(table, *cosets(table.add, table.ideals[least]))
+            data = _quotient_data(table, least, *cosets(table.add, table.ideals[least]))
             least_data[least] = (mask(data.iso_class),
                                  table.product_up[least][least] == table.up[least])
         least_mask, idem = least_data[least]

@@ -567,6 +567,19 @@ class TestOracleCommand:
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["passed"] is True
 
+    def test_ring_of_2197_elements_verified_fast(self):
+        # F13[x]/(x^3) at length bound 3, 2,197 elements, in a fresh
+        # interpreter took 1.4 s (median of five runs on a shared 2-core
+        # machine); the budget is three times that
+        env = dict(os.environ, PYTHONPATH=str(Path(qfilt.__file__).parents[1]))
+        start = time.perf_counter()
+        res = subprocess.run([sys.executable, "-m", "qfilt.cli", "oracle", "verify", "--ring",
+                              "p:13,mod:x^3", "--length-bound", "3"], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert time.perf_counter() - start < 4.2
+        assert json.loads(res.stdout)["passed"] is True
+
     def test_bad_ring_descriptor(self, runner):
         res = invoke(runner, ["oracle", "verify", "--ring", "mod:x^2"])
         assert res.exit_code == 2
@@ -752,6 +765,24 @@ class TestRun:
             assert doc["schema"] == 1 and doc["results"]
             golden = (GOLDEN / job.name).read_text(encoding="utf-8")
             assert res.stdout == golden, f"{job.name}: stdout differs from its golden copy"
+
+    def test_jobs_byte_identical_across_hash_seeds(self):
+        # every shipped job, in one fresh interpreter per PYTHONHASHSEED:
+        # no output may follow the iteration order of a set or dict of str
+        jobs = sorted(JOBS.glob("*.json"))
+        probe = ("import sys\nfrom qfilt import cli\nfor path in sys.argv[1:]:\n"
+                 "    try:\n        cli.main(['run', path])\n"
+                 "    except SystemExit as e:\n        assert e.code == 0, (path, e.code)\n")
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=str(Path(qfilt.__file__).parents[1]),
+                       PYTHONHASHSEED=seed)
+            res = subprocess.run([sys.executable, "-c", probe, *map(str, jobs)], env=env,
+                                 capture_output=True, timeout=120)
+            assert res.returncode == 0, res.stderr.decode()
+            outs.append(res.stdout)
+        assert outs[0] == outs[1]
+        assert outs[0] == b"".join((GOLDEN / job.name).read_bytes() for job in jobs)
 
     def test_byte_identical_reruns(self, runner):
         job = str(JOBS / "affine_line_table.json")

@@ -679,11 +679,13 @@ def _ideal_product(table, i1, i2):
 
 def _check_kernels(table):
     """The tables against PrimePoly arithmetic in the numbering of
-    `_pair_polys`, and every entry of `up`, `meet`, `colon_range` and
-    `product_up` against its definition: each colon ideal a^{-1}L against
-    its set-builder definition, and each set of products against {xy} and
-    against their span, which is an ideal of the list: an ideal holds the
-    products exactly when it holds their span."""
+    `_pair_polys`, and every entry of `generators`, `ideal_of`, `up`,
+    `meet`, `colon`, `colon_range` and `product_up` against its definition:
+    each generator against the least element whose multiples are its ideal,
+    each a·R and each colon ideal a^{-1}L against its set-builder
+    definition, and each set of products against {xy} and against their
+    span, which is an ideal of the list: an ideal holds the products exactly
+    when it holds their span."""
     f = table.ring.modulus
     _, pos, sums, products, where = _pair_polys(f.p, f.degree)
     reduced = [pos[q % f] for q in products]
@@ -693,17 +695,23 @@ def _check_kernels(table):
     ideals = table.ideals
     n = len(ideals)
     assert ideals[0] == frozenset(size)
+    position = {members: i for i, members in enumerate(ideals)}
+    multiples = [frozenset(table.mul[a][b] for b in size) for a in size]
+    assert len(position) == n and set(multiples) == set(ideals)
+    assert table.generators == tuple(multiples.index(members) for members in ideals)
+    assert table.ideal_of == tuple(position[members] for members in multiples)
     assert len(table.up) == len(table.meet) == n
     for i in range(n):
         assert table.up[i] == {j for j in range(n) if ideals[i] <= ideals[j]}
         assert len(table.meet[i]) == n
         for k in range(n):
             assert ideals[table.meet[i][k]] == ideals[i] & ideals[k]
-    assert len(table.colon_range) == len(table.product_up) == n
+    assert len(table.colon) == len(table.colon_range) == len(table.product_up) == n
     for l in range(n):
-        colon = [table.ideal_index[frozenset(b for b in size if table.mul[a][b] in ideals[l])]
+        colon = [position[frozenset(b for b in size if table.mul[a][b] in ideals[l])]
                  for a in size]
-        assert len(table.colon_range[l]) == len(table.product_up[l]) == n
+        assert [table.colon[l][table.ideal_of[a]] for a in size] == colon
+        assert len(table.colon[l]) == len(table.colon_range[l]) == len(table.product_up[l]) == n
         for j in range(n):
             assert table.colon_range[l][j] == {colon[a] for a in ideals[j]}
             prods = {table.mul[x][y] for x in ideals[l] for y in ideals[j]}
@@ -822,8 +830,9 @@ def _reference_subcategories(table, length_bound):
 def test_sweep_small_rings_pass(rg, monkeypatch):
     """Every ring passes at the least length bound it admits, the table
     verify_ring built and the tables derived from it match their references,
-    and so do the subcategories it enumerated, the joins of its filters and
-    its multisets of indecomposables."""
+    and so do the subcategories it enumerated, the element annihilators of
+    each module it read, the joins of its filters and its multisets of
+    indecomposables."""
     tables, subcategories = [], []
 
     def recording(ring, scheme=None):
@@ -842,6 +851,9 @@ def test_sweep_small_rings_pass(rg, monkeypatch):
     (table,) = tables
     _check_kernels(table)
     assert subcategories == [_reference_subcategories(table, bound)]
+    for ms in oracle._all_multisets(oracle._indecomposable_keys(table), bound):
+        assert oracle._module_data(table, ms).annihilators == \
+            _reference_element_annihilators(_sum_module(table, ms)), ms
     _check_joins(table)
     _check_multisets(table, bound)
 
