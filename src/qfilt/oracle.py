@@ -8,7 +8,10 @@ over the sums of pairs confirms it), filters are enumerated as up-closed
 intersection-closed subsets of the ideal list, and both
 definitions of the filter product are evaluated element by element.
 The tables are built by index arithmetic on coefficient digits, each row
-from an earlier one, with no polynomial arithmetic per entry.  Only they
+from an earlier one, with no polynomial arithmetic per entry, and
+self-checked against the ring axioms; up to 64 elements the associative
+and distributive laws are read at the additive generators, which is
+complete by Light's test and bilinearity (see _self_check).  Only they
 are |R|^2: each ideal keeps its least generator, and every table derived
 from them is read off the generators.  For ideals L and J = h·R, J lies
 in a^{-1}L exactly when ah is in L, and a^{-1}L depends on a only through
@@ -289,11 +292,16 @@ def build_table(ring: QuotientRing, scheme=None) -> FiniteRingTable:
     powers = [list(range(n))]  # powers[k][b] is x^k·b
     for _ in range(1, deg):
         powers.append([times_x[b] for b in powers[-1]])
-    add = tuple(map(tuple, _digit_sums(p, deg)))
+    add = _digit_sums(p, deg)
+    # last[a] is the k of a's last nonzero coefficient, that of x^k:
+    # deg - 1 - v_p(a), since x^k has index p^(deg-1-k)
+    last = [deg - 1] * n
+    for k in range(deg - 2, -1, -1):
+        last[::weights[k]] = [k] * (n // weights[k])
     mul = [(0,) * n]
     for a in range(1, n):
-        # a is a - x^k plus x^k for the last nonzero coefficient k
-        k = max(k for k, d in enumerate(digits[a]) if d)
+        # a is a - x^k plus x^k
+        k = last[a]
         mul.append(tuple(map(operator.getitem, map(add.__getitem__, mul[a - weights[k]]),
                              powers[k])))
     mul = tuple(mul)
@@ -313,9 +321,20 @@ def _self_check(n: int, add, mul, one: int) -> None:
     rows, their entries from the block's first column on with the same
     block of each later row; when either fails, each row is compared with
     its unit entries and its column in order, so the first failing a names
-    the law.  Associativity and distributivity compare, for each (a, b),
-    the row over c of each side.  A row that differs is scanned entry by
-    entry, so the first failing (a, b, c) names the law, as an
+    the law.
+
+    Associativity and distributivity compare, for each pair (a, b), the
+    row over c of each side.  Up to 64 elements, b runs only over the
+    additive generators G (_additive_generators): every element is reached
+    from G by adding elements of G, one at a time.  That is complete, since
+    the b at which a law holds for all a and c are closed under +:
+    - for (a + b) + c = a + (b + c) by Light's test, so + is associative;
+    - for a·(b + c) = a·b + a·c once + is, so each row is additive;
+    - for (a·b)·c = a·(b·c) once · is commutative and each row additive,
+      since both sides are then additive in b.
+    A pair that differs fails some triple, so the pairs are then read again
+    with b over every element in order.  A row that differs is scanned
+    entry by entry, so the first failing (a, b, c) names the law, as an
     entry-by-entry scan of every triple would.  Above 64 elements only a
     fixed stride sample of the pairs (a, b) is checked, each still over
     every c."""
@@ -329,15 +348,54 @@ def _self_check(n: int, add, mul, one: int) -> None:
                 raise QfiltError("ring tables fail the unit laws")
             if add[a] != tuple(map(column(a), add)) or mul[a] != tuple(map(column(a), mul)):
                 raise QfiltError("ring tables are not commutative")
-    sample = range(0, n, n // 32) if n > 64 else rng
+    if n > 64:
+        sample = range(0, n, n // 32)
+        _check_pairs(add, mul, sample, sample)
+    else:
+        try:
+            _check_pairs(add, mul, rng, _additive_generators(add))
+        except QfiltError:
+            _check_pairs(add, mul, rng, rng)
+
+
+def _check_pairs(add, mul, sample, middles) -> None:
+    """Compare, for each a in `sample` and b in `middles` (a subset of
+    it), the rows over c of the two sides of each law, and where one
+    differs scan the triples (a, b, c) entry by entry, raising at the
+    first that fails."""
+    rng = range(len(add))
     # at_add[b](row) is the row read at add[b][c] for each c, at_mul alike
-    at_add = {b: operator.itemgetter(*add[b]) for b in sample}
+    at_add = {b: operator.itemgetter(*add[b]) for b in middles}
     at_mul = {b: operator.itemgetter(*mul[b]) for b in sample}
-    for a, b in itertools.product(sample, repeat=2):
+    for a, b in itertools.product(sample, middles):
         add_a, mul_a = add[a], mul[a]
         if (add[add_a[b]] != at_add[b](add_a) or mul[mul_a[b]] != at_mul[b](mul_a)
                 or at_add[b](mul_a) != at_mul[a](add[mul_a[b]])):
             _check_triples(add, mul, ((a, b, c) for c in rng))
+
+
+def _additive_generators(add) -> list[int]:
+    """The additive generators G: the elements, least first from 1 and
+    with 0 last, that the maps x -> x + g for g among those taken before do
+    not reach from them.  So the maps x -> x + g for g in G reach every
+    element from G.  On build_table's tables G is the monomials x^(d-1),
+    ..., x, 1, at 1, p, ..., p^(d-1); a table that fails the ring axioms
+    may need more."""
+    n = len(add)
+    gens = []
+    reached = bytearray(n)
+    for g in itertools.chain(range(1, n), (0,)):
+        if not reached[g]:
+            gens.append(g)
+            reached[g] = 1
+            todo = list(itertools.compress(range(n), reached))
+            while todo:
+                x = todo.pop()
+                for y in map(add[x].__getitem__, gens):
+                    if not reached[y]:
+                        reached[y] = 1
+                        todo.append(y)
+    return gens
 
 
 def _commutes(rows) -> bool:
@@ -590,28 +648,28 @@ def _smul_rows(table: FiniteRingTable, multiset: tuple) -> list[list[int]]:
     return rows
 
 
-def _digit_sums(p: int, k: int) -> list[list[int]]:
+def _digit_sums(p: int, k: int) -> tuple[tuple[int, ...], ...]:
     """The add table of the elements 0..p^k-1, each read as k base-p digits
     and added digit by digit mod p, one leading digit joined at a time.
     With n elements below it, the element h·n + u adds g·n + v to make
     ((h + g) mod p)·n + (u + v).  So the row of u spells out, for g =
     0..p-1, the block g·n + (u + v) over v, and the row of h·n + u is that
     row with its first h blocks moved to its end."""
-    rows = [[0]]
+    rows = [(0,)]
     for _ in range(k):
         n = len(rows)
         numbers = list(range(n * p))
         blocks = [numbers[g * n:(g + 1) * n].__getitem__ for g in range(p)]
         out = [None] * (n * p)
         for u, low in enumerate(rows):
-            row = list(itertools.chain.from_iterable(map(block, low) for block in blocks))
+            row = tuple(itertools.chain.from_iterable(map(block, low) for block in blocks))
             for cut in range(0, n * p, n):
                 out[cut + u] = row[cut:] + row[:cut]
         rows = out
-    return rows
+    return tuple(rows)
 
 
-def _add_rows(table: FiniteRingTable, size: int) -> list[list[int]]:
+def _add_rows(table: FiniteRingTable, size: int) -> tuple[tuple[int, ...], ...]:
     """The add table of every module of `size` elements, built once per
     ring table: each adds digit by digit mod p (see the module docstring)."""
     rows = table.adds.get(size)

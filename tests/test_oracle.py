@@ -115,11 +115,13 @@ class TestTable:
         with pytest.raises(QfiltError, match="^multiplication is not associative$"):
             oracle._self_check(table.size, table.add, mul, table.one)
 
-    def test_self_check_matches_entry_by_entry_scan(self):
-        # every one-entry change of either table of F2[x]/(x^2+x), on both
-        # sides of the diagonal or on one, fails the law the scan of every
-        # triple fails first, or passes as it does
-        table = build_table(R_SPLIT)
+    @pytest.mark.parametrize("rg", [R_SPLIT, R_MIXED, ring(3, "x^2")], ids=str)
+    def test_self_check_matches_entry_by_entry_scan(self, rg):
+        # every one-entry change of either table, on both sides of the
+        # diagonal or on one, fails the law the scan of every triple fails
+        # first, or passes as it does: F2[x]/(x^3+x) has three additive
+        # generators, and F3[x]/(x^2) adds mod 3
+        table = build_table(rg)
         for which, (a, b), value, symmetric in itertools.product(
                 ("add", "mul"), itertools.product(range(table.size), repeat=2),
                 range(table.size), (True, False)):
@@ -128,6 +130,16 @@ class TestTable:
             args = (table.size, tables["add"], tables["mul"], table.one)
             assert _law_failed(oracle._self_check, *args) == \
                 _law_failed(_reference_self_check, *args), (which, a, b, value, symmetric)
+
+    def test_additive_generators(self):
+        # the monomials x, 1 on the table of F2[x]/(x^2+x); where 1 + 2 is
+        # 1, 3 is reached from neither, and where x + x is x for every x, 0
+        # is reached from none and comes last
+        table = build_table(R_SPLIT)
+        assert oracle._additive_generators(table.add) == [1, 2]
+        assert oracle._additive_generators(_with_entry(table.add, 1, 2, 1)) == [1, 2, 3]
+        idempotent = tuple(tuple(a if a == b else a ^ b for b in range(4)) for a in range(4))
+        assert oracle._additive_generators(idempotent) == [1, 2, 0]
 
     def test_prime_powers_are_principal(self):
         table = build_table(R_MIXED)
@@ -275,8 +287,8 @@ def _direct_sum(mods):
     # each row of the sum from the summands' rows, one per coordinate: the
     # row of s, for add, or of r, for smul
     at = operator.getitem
-    add = [[index[tuple(map(at, rows, t))] for t in tuples]
-           for rows in itertools.product(*(m.add_table for m in mods))]
+    add = tuple(tuple(index[tuple(map(at, rows, t))] for t in tuples)
+                for rows in itertools.product(*(m.add_table for m in mods)))
     smul = [[index[tuple(map(at, rows, t))] for t in tuples]
             for rows in zip(*(m.smul_table for m in mods))]
     return _Module(mods[0].table, add, smul)
@@ -377,7 +389,7 @@ class TestModules:
     def test_empty_sum_is_quotient_by_unit_ideal(self):
         # R/R, ideal 0 being the unit ideal: one element, killed by everything
         table = build_table(R_MIXED)
-        assert oracle._add_rows(table, 1) == [[0]]
+        assert oracle._add_rows(table, 1) == ((0,),)
         assert oracle._smul_rows(table, ()) == [[0]] * table.size
 
     def test_indecomposables(self):
@@ -679,17 +691,19 @@ def _ideal_product(table, i1, i2):
 
 def _check_kernels(table):
     """The tables against PrimePoly arithmetic in the numbering of
-    `_pair_polys`, and every entry of `generators`, `ideal_of`, `up`,
-    `meet`, `colon`, `colon_range` and `product_up` against its definition:
-    each generator against the least element whose multiples are its ideal,
-    each a·R and each colon ideal a^{-1}L against its set-builder
-    definition, and each set of products against {xy} and against their
-    span, which is an ideal of the list: an ideal holds the products exactly
-    when it holds their span."""
+    `_pair_polys`, the additive generators that _self_check reads against
+    the monomials, at 1, p, ..., p^(d-1), and every entry of `generators`,
+    `ideal_of`, `up`, `meet`, `colon`, `colon_range` and `product_up`
+    against its definition: each generator against the least element whose
+    multiples are its ideal, each a·R and each colon ideal a^{-1}L against
+    its set-builder definition, and each set of products against {xy} and
+    against their span, which is an ideal of the list: an ideal holds the
+    products exactly when it holds their span."""
     f = table.ring.modulus
     _, pos, sums, products, where = _pair_polys(f.p, f.degree)
     reduced = [pos[q % f] for q in products]
     assert table.add == sums
+    assert oracle._additive_generators(table.add) == [f.p ** k for k in range(f.degree)]
     assert table.mul == tuple(tuple(reduced[k] for k in row) for row in where)
     size = range(table.size)
     ideals = table.ideals
