@@ -115,7 +115,7 @@ class LocalFilter(Value):
         if self.improper:
             return INF
         for p, v in self.exceptions:
-            if p == pt:
+            if p is pt or p == pt:
                 return v
         return self.default
 

@@ -215,7 +215,7 @@ class Scheme(Value):
         if pt.kind == "generic":
             return self.component_type != "artinian" and self.has_component(pt.component)
         if self.closed is not None:
-            return any(pt == p for p, _ in self.closed)
+            return any(p is pt or p == pt for p, _ in self.closed)
         if pt in self.added:
             return True
         if pt.component != 0 or pt in self.removed:
@@ -229,7 +229,7 @@ class Scheme(Value):
         if self.closed is None:
             return INF
         for p, cap in self.closed:
-            if p == pt:
+            if p is pt or p == pt:
                 return cap
         raise QfiltError(f"point {pt} does not lie on {self}")
 

@@ -28,12 +28,14 @@ components of TorsionSheafData) is in the normal form of its scheme: an
 explicit list on finitely many components, so an empty pattern is
 ComponentSet.none() and nothing else.  That is one object: of, intersect,
 invert and normalize return it for every empty finite pattern, and union
-returns an operand, so no empty pattern is built twice; is_none still
-reads the fields, for a pattern a caller builds.  SpecClosedSet is
-a decidable descriptor of a specialization-closed subset: empty, all, a
-finite set of closed points, a cofinite set of closed points (all but a
-finite exclusion list, generic points excluded), or a ComponentSet worth
-of whole components.
+returns an operand, so no empty pattern is built twice.  Its predicates
+is_none, is_all and is_finite are stored, worked out from the fields when
+a pattern is built, so they hold for a pattern a caller builds too.
+
+SpecClosedSet is a decidable descriptor of a specialization-closed
+subset: empty, all, a finite set of closed points, a cofinite set of
+closed points (all but a finite exclusion list, generic points excluded),
+or a ComponentSet worth of whole components.
 
 TorsionSheafData describes the quasi-coherent sheaves this engine can
 test membership for: a finite multiset of (closed point, exponent) pairs,
@@ -81,8 +83,13 @@ class SpecPoint(Value):
         set_sort_key(self, (component, tag))
 
     def __eq__(self, other):
+        # points on one scheme are shared objects, and equal points hash
+        # alike, so identity and the stored hash settle most comparisons
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
-            return ((self.kind, self.component, self.name)
+            return (self._hash == other._hash
+                    and (self.kind, self.component, self.name)
                     == (other.kind, other.component, other.name))
         return NotImplemented
 
@@ -138,7 +145,7 @@ def merge_tables(ta, tb, op, da, db) -> list:
         pa, va = ta[i]
         pb, vb = tb[j]
         ka, kb = pa._sort_key, pb._sort_key
-        if ka == kb:
+        if pa is pb or ka == kb:
             out.append((pa, op(va, vb)))
             i += 1
             j += 1
@@ -163,14 +170,21 @@ class ComponentSet(Value):
     complement=False means exactly `members`; complement=True means all
     components except `members`.  Set algebra stays inside this class of
     patterns, which is what makes disjoint-union filters finitely
-    presentable."""
+    presentable.  The predicates is_none (no component), is_all (every
+    component) and is_finite (not cofinite) are stored, derived from the
+    two fields in the constructor."""
 
-    __slots__ = ("complement", "members")
+    # the predicates are read about twenty times per filter operation
+    __slots__ = ("complement", "members", "is_none", "is_all", "is_finite")
+    _fields = ("complement", "members")
 
     def __init__(self, complement: bool, members: frozenset[int]):
-        set_complement, set_members = ComponentSet._setters
+        set_complement, set_members, set_none, set_all, set_finite = ComponentSet._setters
         set_complement(self, complement)
         set_members(self, members)
+        set_none(self, not complement and not members)
+        set_all(self, complement and not members)
+        set_finite(self, not complement)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -200,18 +214,6 @@ class ComponentSet(Value):
         if self.complement:
             return index not in self.members
         return index in self.members
-
-    @property
-    def is_none(self) -> bool:
-        return not self.complement and not self.members
-
-    @property
-    def is_all(self) -> bool:
-        return self.complement and not self.members
-
-    @property
-    def is_finite(self) -> bool:
-        return not self.complement
 
     def union(self, other: "ComponentSet") -> "ComponentSet":
         # the empty pattern, which every curve and quotient filter stores,

@@ -1,5 +1,7 @@
 """The filter calculus: normal forms, lattice operations, locality."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -53,6 +55,7 @@ from qfilt.spectrum import (
     closed_point,
     generic_point,
     inf_point,
+    merge_tables,
 )
 
 A1 = AffineLine(SymbolicAlgClosed())
@@ -299,6 +302,38 @@ class TestGlue:
         f = presented(U3, 0, killed=ComponentSet.of([1]))
         glued = glue_filters(U3, {c: restrict(f, c) for c in range(3)})
         assert glued == f
+
+
+class TestPointLookups:
+    """Lookups compare a point by identity before equality: an equal point
+    that is another object, here a pickled copy, gets the same answers."""
+
+    @pytest.mark.parametrize("name", ["F2 line", "P1", "quotient"])
+    def test_equal_copy_answers_as_the_point(self, name):
+        if name == "F2 line":
+            scheme = AffineLine(PrimeField(2))
+            on = [closed_point(poly_from_str(f, 2)) for f in ("x", "x+1", "x^2+x+1")]
+            off = [closed_point(poly_from_str("x^2+1", 2))]
+        elif name == "P1":
+            scheme, on, off = P1, [A, closed_point("0"), inf_point()], [closed_point("a", 1)]
+        else:
+            scheme, on, off = Q, [QX, QX1], [closed_point(poly_from_str("x^2+x+1", 2))]
+        twins = {pt: pickle.loads(pickle.dumps(pt)) for pt in on + off}
+        assert all(twin == pt and twin is not pt for pt, twin in twins.items())
+        flt = presented(scheme, 1, {pt: i + 2 for i, pt in enumerate(on)})
+        other = presented(scheme, 0, {on[-1]: 1})
+        for pt in on:
+            twin = twins[pt]
+            assert flt.value(twin) == flt.value(pt)
+            assert scheme.closed_cap(twin) == scheme.closed_cap(pt)
+        for pt, twin in twins.items():
+            assert scheme.has_point(twin) == scheme.has_point(pt)
+            for cid in scheme.charts():
+                assert scheme.chart(cid).has(twin) == scheme.chart(cid).has(pt)
+        copied = [(twins[pt], v) for pt, v in other.exceptions]
+        for op in (min, max):
+            assert (merge_tables(flt.exceptions, copied, op, 1, 0)
+                    == merge_tables(flt.exceptions, other.exceptions, op, 1, 0))
 
 
 class TestPredicates:

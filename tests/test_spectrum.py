@@ -1,5 +1,8 @@
 """Spectrum points, component sets, closed subsets, and module data."""
 
+import copy
+import pickle
+
 import pytest
 
 from qfilt.errors import QfiltError
@@ -68,6 +71,27 @@ class TestComponentSet:
         assert ComponentSet.cofinite([0]).contains(5)
         assert not ComponentSet.cofinite([0]).contains(0)
         assert ComponentSet.of([2]).contains(2)
+
+    def test_stored_predicates_match_the_fields(self):
+        members = [[], [0], [1], [0, 2], [1, 2, 3]]
+        made = [ComponentSet.none(), ComponentSet.all()]
+        made += [ComponentSet.of(m) for m in members] + [ComponentSet.cofinite(m) for m in members]
+        operands = list(made)
+        for a in operands:
+            made += [a.invert()] + [a.normalize(count) for count in (None, 1, 3)]
+            for b in operands:
+                made += [a.union(b), a.intersect(b)]
+        for cs in made:
+            for same in (cs, pickle.loads(pickle.dumps(cs)), copy.deepcopy(cs)):
+                # a copy is rebuilt from the two defining fields alone and
+                # works its predicates out afresh
+                assert same.__reduce__() == (ComponentSet, (cs.complement, cs.members))
+                assert same.is_none == (not cs.complement and not cs.members), cs
+                assert same.is_all == (cs.complement and not cs.members), cs
+                assert same.is_finite == (not cs.complement), cs
+                assert same == cs and hash(same) == hash((cs.complement, cs.members))
+                assert repr(same) == (f"ComponentSet(complement={cs.complement!r}, "
+                                      f"members={cs.members!r})")
 
 
 class TestPoints:

@@ -13,10 +13,11 @@ INIT = {
     "Value",  # stores the values it is given in slot order
     # hot loop: built in the engine's loops, where an unrolled constructor
     # is faster; PrimePoly is built once per sieve candidate in irreducibles
-    "LocalFilter", "ComponentSet", "IdealSheaf", "PrimePoly",
-    # derived: SpecPoint its hash and sort key, Scheme its closed points,
-    # charts and name, QuotientRing the factors of its modulus
-    "SpecPoint", "Scheme", "QuotientRing",
+    "LocalFilter", "IdealSheaf", "PrimePoly",
+    # derived: SpecPoint its hash and sort key, ComponentSet its predicates
+    # is_none, is_all and is_finite, Scheme its closed points, charts and
+    # name, QuotientRing the factors of its modulus
+    "SpecPoint", "ComponentSet", "Scheme", "QuotientRing",
     # checked: PrimeField that p is a prime within the cap, ExplicitFilter
     # that its members form a filter
     "PrimeField", "ExplicitFilter",
