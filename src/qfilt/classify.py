@@ -74,7 +74,7 @@ def classify(flt: LocalFilter) -> ClassificationReport:
     sub = closed_subscheme(least) if closed else None
     clopen = complement = None
     if bilocalizing:
-        clopen, complement = _clopen(least)
+        clopen, complement = sub.support, _complement(least)
     return ClassificationReport(
         flt, True, localizing, closed, bilocalizing, prime, supp, sub, clopen, complement
     )
@@ -149,15 +149,14 @@ def biloc_to_clopen(flt: LocalFilter) -> tuple[SpecClosedSet, IdealSheaf]:
     ok, least = is_principal(flt)
     if not (ok and is_product_closed(flt)):
         raise QfiltError("the filter is not bilocalizing")
-    return _clopen(least)
+    return subscheme_support(least), _complement(least)
 
 
-def _clopen(least: IdealSheaf) -> tuple[SpecClosedSet, IdealSheaf]:
-    """biloc_to_clopen from the least member of a bilocalizing filter,
-    which is idempotent."""
+def _complement(least: IdealSheaf) -> IdealSheaf:
+    """The idempotent ideal sheaf complementary to `least`, the least member
+    of a bilocalizing filter, itself idempotent."""
     scheme = least.scheme
-    complement = _normal(scheme, (), scheme.normal_pattern(least.killed.invert()))
-    return subscheme_support(least), complement
+    return _normal(scheme, (), scheme.normal_pattern(least.killed.invert()))
 
 
 # ---------------------------------------------------------------------------

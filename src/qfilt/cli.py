@@ -524,8 +524,6 @@ def _run_job(job) -> dict:
             results.append(COMMANDS[cmd["cmd"]].run(state, cmd))
         except QfiltError as e:
             raise QfiltError(f"{_where(i, cmd)}: {e}") from e
-        except RecursionError as e:  # a literal that json could still parse
-            raise QfiltError(f"{_where(i, cmd)}: input nested too deeply") from e
     return {"schema": SCHEMA_VERSION, "results": results}
 
 

@@ -44,8 +44,7 @@ class PrimeField(Value):
             raise QfiltError(f"field size {p} exceeds limit {MAX_PRIME}")
         if not is_prime(p):
             raise QfiltError(f"modulus {p} is not prime")
-        (set_p,) = PrimeField._setters
-        set_p(self, p)
+        self._store(p)
 
     def __str__(self) -> str:
         return f"F{self.p}"

@@ -91,25 +91,6 @@ class LocalFilter(Value):
 
     __slots__ = ("scheme", "improper", "default", "exceptions", "killed")
 
-    def __init__(self, scheme, improper: bool, default: int | float,
-                 exceptions: tuple[tuple[SpecPoint, int | float], ...], killed: ComponentSet):
-        set_scheme, set_improper, set_default, set_exceptions, set_killed = LocalFilter._setters
-        set_scheme(self, scheme)
-        set_improper(self, improper)
-        set_default(self, default)
-        set_exceptions(self, exceptions)
-        set_killed(self, killed)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.scheme, self.improper, self.default, self.exceptions, self.killed)
-                    == (other.scheme, other.improper, other.default, other.exceptions,
-                        other.killed))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.scheme, self.improper, self.default, self.exceptions, self.killed))
-
     def value(self, pt: SpecPoint) -> int | float:
         """The exponent at a closed point; INF on the improper filter."""
         if self.improper:
@@ -129,14 +110,6 @@ class StalkFilter(Value):
     "all_powers", "everything", or "full_only"."""
 
     __slots__ = ("kind", "bound")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.bound) == (other.kind, other.bound)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.bound))
 
 
 _UP_TO: dict[int, StalkFilter] = {}  # the "up_to" filter of each bound built so far

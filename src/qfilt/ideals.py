@@ -26,10 +26,7 @@ class QuotientRing(Value):
     _fields = ("field", "modulus")
 
     def __init__(self, field: BaseField, modulus: PrimePoly):
-        set_field, set_modulus, set_factors = QuotientRing._setters
-        set_field(self, field)
-        set_modulus(self, modulus)
-        set_factors(self, factor(modulus))
+        self._store(field, modulus, factor(modulus))
 
     @staticmethod
     def make(field: BaseField, modulus: Poly) -> "QuotientRing":

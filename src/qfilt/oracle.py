@@ -446,9 +446,6 @@ class ExplicitFilter(Value):
     __slots__ = ("table", "members")
 
     def __init__(self, table: FiniteRingTable, members: frozenset[int]):
-        set_table, set_members = ExplicitFilter._setters
-        set_table(self, table)
-        set_members(self, members)
         up, meet = table.up, table.meet
         if 0 not in members:  # the ideals are listed largest first
             raise QfiltError("a filter must contain the unit ideal")
@@ -457,6 +454,7 @@ class ExplicitFilter(Value):
                 raise QfiltError("filter is not upward closed")
             if not members.issuperset(map(meet[i].__getitem__, members)):
                 raise QfiltError("filter is not intersection closed")
+        self._store(table, members)
 
 
 def enumerate_filters(table: FiniteRingTable) -> tuple[ExplicitFilter, ...]:

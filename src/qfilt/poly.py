@@ -39,19 +39,6 @@ class PrimePoly(Value):
 
     __slots__ = ("p", "coeffs")
 
-    def __init__(self, p: int, coeffs: tuple[int, ...]):
-        set_p, set_coeffs = PrimePoly._setters
-        set_p(self, p)
-        set_coeffs(self, coeffs)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p, self.coeffs) == (other.p, other.coeffs)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.coeffs))
-
     @staticmethod
     def make(p: int, coeffs) -> "PrimePoly":
         cs = [c % p for c in coeffs]

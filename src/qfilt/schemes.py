@@ -143,15 +143,8 @@ class Scheme(Value):
 
     def __init__(self, kind: str, field: BaseField | None = None, ring: QuotientRing | None = None,
                  components: tuple[BaseField, ...] | None = None):
-        set_kind, set_field, set_ring, set_components = Scheme._setters[:4]
-        set_kind(self, kind)
-        set_field(self, field)
-        set_ring(self, ring)
-        set_components(self, components)
-        derived = _derive(self)
-        for name, set_field in zip(Scheme.__slots__[4:-1], Scheme._setters[4:-1]):
-            set_field(self, derived[name])
-        Scheme._setters[-1](self, {})
+        self._store(kind, field, ring, components, *_derive(self, kind, field, ring, components),
+                    {})
 
     def charts(self):
         if self.component_count is None:
@@ -237,39 +230,34 @@ class Scheme(Value):
         return self.name
 
 
-def _derive(s: Scheme) -> dict:
-    """The derived fields of a scheme, from its defining fields."""
-    if s.kind in _LINE_NAMES:
-        zero = closed_point(PrimePoly(s.field.p, (0, 1)) if isinstance(s.field, PrimeField)
-                            else "0")
+def _derive(s: Scheme, kind: str, field, ring, components) -> tuple:
+    """The derived fields of scheme s from its defining fields, in slot
+    order: component_count, component_type, closed, added, removed,
+    chart_table, affine and name.  Only the charts name s itself."""
+    if kind in _LINE_NAMES:
+        zero = closed_point(PrimePoly(field.p, (0, 1)) if isinstance(field, PrimeField) else "0")
         charts = (Chart(s, (0,)),)
-        if s.kind == "proj_line":
-            charts = (Chart(Scheme("affine_line", s.field), (0,), (inf_point(),)),
-                      Chart(Scheme("proj_chart_one", s.field), (0,), (zero,)))
-        return dict(component_count=1, component_type="curve", closed=None,
-                    added=() if s.kind == "affine_line" else (inf_point(),),
-                    removed=(zero,) if s.kind == "proj_chart_one" else (),
-                    chart_table=charts, affine=s.kind == "affine_line",
-                    name=f"{_LINE_NAMES[s.kind]}({s.field})")
-    if s.kind == "affine_quotient":
-        closed = tuple((SpecPoint("closed", i, q), e)
-                       for i, (q, e) in enumerate(s.ring.factors))
-        return dict(component_count=len(closed), component_type="artinian",
-                    closed=closed, added=(), removed=(),
-                    chart_table=(Chart(s, tuple(range(len(closed)))),), affine=True,
-                    name=str(s.ring))
-    if s.kind == "disjoint_union":
-        if s.components is None:
+        if kind == "proj_line":
+            charts = (Chart(Scheme("affine_line", field), (0,), (inf_point(),)),
+                      Chart(Scheme("proj_chart_one", field), (0,), (zero,)))
+        return (1, "curve", None, () if kind == "affine_line" else (inf_point(),),
+                (zero,) if kind == "proj_chart_one" else (), charts, kind == "affine_line",
+                f"{_LINE_NAMES[kind]}({field})")
+    if kind == "affine_quotient":
+        closed = tuple((SpecPoint("closed", i, q), e) for i, (q, e) in enumerate(ring.factors))
+        return (len(closed), "artinian", closed, (), (), (Chart(s, tuple(range(len(closed)))),),
+                True, str(ring))
+    if kind == "disjoint_union":
+        if components is None:
             count, name = None, "coprod_Z Spec k_i"
             charts = (Chart(Scheme("disjoint_union", components=(SymbolicAlgClosed(),)), (0,)),)
         else:
-            count, name = len(s.components), f"coprod of {len(s.components)} points"
-            charts = (Chart(s, (0,)),) if len(s.components) == 1 else tuple(
+            count, name = len(components), f"coprod of {len(components)} points"
+            charts = (Chart(s, (0,)),) if len(components) == 1 else tuple(
                 Chart(Scheme("disjoint_union", components=(f,)), (i,))
-                for i, f in enumerate(s.components))
-        return dict(component_count=count, component_type="field", closed=(), added=(),
-                    removed=(), chart_table=charts, affine=False, name=name)
-    raise QfiltError(f"unknown scheme kind {s.kind!r}")
+                for i, f in enumerate(components))
+        return (count, "field", (), (), (), charts, False, name)
+    raise QfiltError(f"unknown scheme kind {kind!r}")
 
 
 def AffineLine(field: BaseField) -> Scheme:
@@ -391,21 +379,6 @@ class IdealSheaf(Value):
     finite); the sheaf is the unit ideal away from all of that."""
 
     __slots__ = ("scheme", "killed", "orders")
-
-    def __init__(self, scheme, killed: ComponentSet, orders: tuple[tuple[SpecPoint, int], ...]):
-        set_scheme, set_killed, set_orders = IdealSheaf._setters
-        set_scheme(self, scheme)
-        set_killed(self, killed)
-        set_orders(self, orders)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.scheme, self.killed, self.orders)
-                    == (other.scheme, other.killed, other.orders))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.scheme, self.killed, self.orders))
 
     def order_at(self, pt: SpecPoint) -> int | float:
         """Effective vanishing order; INF over killed components."""

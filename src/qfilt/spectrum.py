@@ -74,13 +74,7 @@ class SpecPoint(Value):
         else:
             tag = (3,) if name == INF_NAME else (2, name)
             text = f"pt:{name}"
-        set_kind, set_component, set_name, set_text, set_hash, set_sort_key = SpecPoint._setters
-        set_kind(self, kind)
-        set_component(self, component)
-        set_name(self, name)
-        set_text(self, text)
-        set_hash(self, hash((kind, component, name)))
-        set_sort_key(self, (component, tag))
+        self._store(kind, component, name, text, hash((kind, component, name)), (component, tag))
 
     def __eq__(self, other):
         # points on one scheme are shared objects, and equal points hash
@@ -179,20 +173,8 @@ class ComponentSet(Value):
     _fields = ("complement", "members")
 
     def __init__(self, complement: bool, members: frozenset[int]):
-        set_complement, set_members, set_none, set_all, set_finite = ComponentSet._setters
-        set_complement(self, complement)
-        set_members(self, members)
-        set_none(self, not complement and not members)
-        set_all(self, complement and not members)
-        set_finite(self, not complement)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.complement, self.members) == (other.complement, other.members)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.complement, self.members))
+        self._store(complement, members, not complement and not members,
+                    complement and not members, not complement)
 
     @staticmethod
     def of(indices) -> "ComponentSet":

@@ -284,31 +284,60 @@ def test_negative_component_index_exit_2(runner, args, message):
     assert res.stderr.startswith("Error:") and message in res.stderr
 
 
-def test_deep_nesting_exit_2(runner):
+def _nesting_job(scheme=None, filters=None, modules=None, commands=None) -> dict:
+    """A job on A1 that classifies its improper filter F, with the parts
+    given in place of the defaults; NEST marks the nested value."""
+    job = {"schema": 1, "scheme": scheme or json.loads(A1),
+           "filters": filters or {"F": {"kind": "improper"}},
+           "commands": commands or [{"cmd": "classify", "filter": "F"}]}
+    return {**job, "modules": modules} if modules else job
+
+
+def _exponents(**fields) -> dict:
+    return {"F": {"kind": "exponents", "default": 0, **fields}}
+
+
+_MEMBER = [{"cmd": "member", "module": "M", "filter": "F"}]
+
+# every job field that takes a JSON value, with NEST in that field
+NESTING_JOBS = {
+    "default": _nesting_job(filters={"F": {"kind": "exponents", "default": "NEST"}}),
+    "exceptions": _nesting_job(filters=_exponents(exceptions={"pt:a": "NEST"})),
+    "kill": _nesting_job(json.loads(UZ), filters=_exponents(kill="NEST")),
+    "kill_all_but": _nesting_job(json.loads(UZ), filters=_exponents(kill_all_but="NEST")),
+    "ideal": _nesting_job(filters={"F": {"kind": "principal", "ideal": "NEST"}}),
+    "orders": _nesting_job(filters={"F": {"kind": "principal", "ideal": {"orders": "NEST"}}}),
+    "ideals": _nesting_job(filters={"F": {"kind": "generated", "ideals": "NEST"}}),
+    "filter": _nesting_job(commands=[{"cmd": "classify", "filter": "NEST"}]),
+    "divisors": _nesting_job(modules={"M": {"divisors": "NEST"}}, commands=_MEMBER),
+    "free": _nesting_job(json.loads(UZ), modules={"M": {"divisors": {}, "free": "NEST"}},
+                         commands=_MEMBER),
+    "labels": _nesting_job(commands=[{"cmd": "spec", "labels": "NEST"}]),
+    "args": _nesting_job(commands=[{"cmd": "op", "op": "meet", "args": ["F", "NEST"]}]),
+    "point": _nesting_job(commands=[{"cmd": "op", "op": "localize", "args": ["F"],
+                                     "point": "NEST"}]),
+    "field": _nesting_job({"kind": "affine_line", "field": "NEST"}),
+    "components": _nesting_job({"kind": "disjoint_union", "components": "NEST"}),
+    "modulus": _nesting_job({"kind": "affine_quotient", "p": 2, "modulus": "NEST"}),
+    "ring": _nesting_job(commands=[{"cmd": "oracle", "ring": "NEST"}]),
+    "table": _nesting_job(commands=[{"cmd": "table", "filters": "NEST"}]),
+}
+
+
+@pytest.mark.parametrize("job", NESTING_JOBS.values(), ids=NESTING_JOBS.keys())
+def test_deep_nesting_exit_2(runner, tmp_path, job):
     """JSON nested near the recursion limit either fails to parse or parses
-    and fails later, depending on the stack depth of the caller; both exit 2
-    with one short message, and the echo of the value is the same at every
-    depth."""
-    messages = {"Error: --filter: JSON nested too deeply\n",
-                'Error: command 0 (classify): bad exponent [[[[...]]]]; use an integer or "inf"\n'}
+    and is refused where it is read, depending on the stack depth of the
+    caller; both exit 2 with one short line, and the echo of the value is
+    the same at every depth."""
+    path = tmp_path / "job.json"
+    too_deep = f"Error: {path}: JSON nested too deeply\n"
     for depth in range(850, 1001):
-        nest = "[" * depth + "]" * depth
-        res = invoke(runner, ["classify", "--scheme", A1,
-                              "--filter", f'{{"kind":"exponents","default":{nest}}}'])
-        assert res.exit_code == 2 and res.stderr in messages, depth
-        assert len(res.stderr.encode()) < 100
-
-
-def test_recursion_in_a_command_exit_2(runner, monkeypatch):
-    """A command whose input overflows the stack is refused by its index and
-    kind, as input nested too deeply."""
-    def overflow(flt):
-        raise RecursionError("maximum recursion depth exceeded")
-
-    monkeypatch.setattr(cli, "classify", overflow)
-    res = invoke(runner, ["classify", "--scheme", A1, "--filter", '{"kind":"improper"}'])
-    assert res.exit_code == 2
-    assert res.stderr == "Error: command 0 (classify): input nested too deeply\n"
+        path.write_text(json.dumps(job).replace('"NEST"', "[" * depth + "]" * depth))
+        res = invoke(runner, ["run", str(path)])
+        assert res.exit_code == 2, depth
+        assert res.stderr == too_deep or " [[[[...]]]]" in res.stderr, depth
+        assert res.stderr.count("\n") == 1 and len(res.stderr.encode()) < 200, depth
 
 
 # a refused value too long or too deep to quote in full, and its echo
@@ -702,6 +731,7 @@ MALFORMED_JOBS = {
     "table_filters_int": {"commands": [{"cmd": "table", "filters": 5}]},
     "misspelled_commands": {"comands": [{"cmd": "table"}]},
     "stray_command_key": {"commands": [{"cmd": "classify", "filter": "F", "fliter": "F"}]},
+    "undefined_module": {"commands": [{"cmd": "member", "module": "M", "filter": "F"}]},
     "bad_spec_label": {"commands": [{"cmd": "spec", "labels": ["a b"]}]},
     "name_on_localize": {"commands": [
         {"cmd": "op", "op": "localize", "args": ["F"], "point": "pt:a", "name": "G"},

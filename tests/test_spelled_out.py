@@ -1,6 +1,6 @@
-"""Value builds, compares and hashes every value type from its fields.  A
-value type spells out __init__, __eq__ or __hash__ only for a reason named
-here, so that boilerplate cannot grow back."""
+"""Value writes the constructor, __eq__ and __hash__ of every value type
+from its slots.  A value type spells out __init__, __eq__ or __hash__ only
+for a reason named here, so that boilerplate cannot grow back."""
 
 import ast
 from pathlib import Path
@@ -10,10 +10,6 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "qfilt"
 
 INIT = {
-    "Value",  # stores the values it is given in slot order
-    # hot loop: built in the engine's loops, where an unrolled constructor
-    # is faster; PrimePoly is built once per sieve candidate in irreducibles
-    "LocalFilter", "IdealSheaf", "PrimePoly",
     # derived: SpecPoint its hash and sort key, ComponentSet its predicates
     # is_none, is_all and is_finite, Scheme its closed points, charts and
     # name, QuotientRing the factors of its modulus
@@ -23,14 +19,9 @@ INIT = {
     "PrimeField", "ExplicitFilter",
 }
 
-EQ = {
-    "Value",  # compares the fields by name
-    # hot loop: compared and hashed in the engine's loops
-    "LocalFilter", "ComponentSet", "StalkFilter", "IdealSheaf", "SpecPoint", "PrimePoly",
-}
-# verify_ring hands its scheme to its ring table, so every engine call meets
-# one scheme object, and no workload compares or hashes a Scheme,
-# QuotientRing or PrimeField: those use Value's
+# points on one scheme are shared objects that hash alike when equal, so
+# identity and the stored hash settle most comparisons
+EQ = {"SpecPoint"}
 
 HASH = EQ | {"OracleReport"}  # unhashable: its list of checks grows
 
